@@ -41,11 +41,14 @@ def iroot(n: int, k: int) -> int | None:
         return None
     if n in (0, 1) or k == 1:
         return n
-    r = round(n ** (1.0 / k))
-    for c in (r - 1, r, r + 1):
-        if c >= 0 and c ** k == n:
-            return c
-    return None
+    # integer Newton iteration from above; it decreases to floor(n**(1/k))
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            break
+        x = y
+    return x if x ** k == n else None
 
 
 def factorize(n: int) -> dict[int, int]:

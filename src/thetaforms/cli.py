@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 from .forms import TernaryForm, aut_count, enumerate_ternary_classes, repcount
 from .genus import build_sgenus, genus_partition, mass_direct, mass_formula
-from .identities import (RegistryError, eval_series, load_registry,
-                         run_suite, verify_entry, verify_eta)
+from .identities import (RegistryError, default_registry_path, eval_series,
+                         load_registry, run_suite, verify_entry, verify_eta)
 from .series import is_nonnegative
 from .theta import named_function
 
@@ -33,13 +33,8 @@ class Config:
     jobs: int = 1
 
 
-def _default_registry_file() -> str:
-    from importlib.resources import files
-    return str(files("thetaforms").joinpath("data/registry.txt"))
-
-
 def load_config(path: str | None) -> Config:
-    cfg = Config(registry=_default_registry_file())
+    cfg = Config(registry=str(default_registry_path()))
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             for raw in fh:
@@ -88,6 +83,17 @@ def _registry(cfg: Config):
         raise SystemExit(2)
 
 
+def _count(cfg: Config, args, name: str) -> int:
+    """The --name flag if given, else the configured value; must be >= 1."""
+    value = getattr(args, name)
+    if value is None:
+        value = getattr(cfg, name)
+    if value <= 0:
+        print(f"{name} must be positive, got {value}", file=sys.stderr)
+        raise SystemExit(2)
+    return value
+
+
 def _cmd_expand(cfg: Config, args) -> int:
     from .identities import _Parser, _tokenize
     tokens = _tokenize(args.func, 1, 0)
@@ -112,8 +118,9 @@ def _cmd_verify(cfg: Config, args) -> int:
         print(f"unknown identity {args.id!r}", file=sys.stderr)
         return 2
     try:
-        result = verify_entry(registry[args.id], args.terms or cfg.terms,
-                              args.mmax or cfg.mmax, args.limit or cfg.limit)
+        result = verify_entry(registry[args.id], _count(cfg, args, "terms"),
+                              _count(cfg, args, "mmax"),
+                              _count(cfg, args, "limit"))
     except UnsupportedRadicand as err:
         print(f"{args.id}: unsupported by parametrization: {err}",
               file=sys.stderr)
@@ -138,6 +145,9 @@ def _cmd_prove_eta(cfg: Config, args) -> int:
 
 
 def _cmd_forms(cfg: Config, args) -> int:
+    if args.disc <= 0:
+        print(f"discriminant must be positive, got {args.disc}", file=sys.stderr)
+        return 2
     rows = []
     if args.genera:
         for i, record in enumerate(genus_partition(args.disc), start=1):
@@ -186,7 +196,7 @@ def _cmd_positivity(cfg: Config, args) -> int:
     if args.s not in (3, 5, 7, 15):
         print("supported shifts: 3, 5, 7, 15", file=sys.stderr)
         return 2
-    limit = args.limit or cfg.limit
+    limit = _count(cfg, args, "limit")
     phi = named_function("phi", limit)
     phis = named_function("phi", limit, args.s)
     psi = named_function("psi", limit)
@@ -201,9 +211,10 @@ def _cmd_positivity(cfg: Config, args) -> int:
 
 def _cmd_suite(cfg: Config, args) -> int:
     registry = _registry(cfg)
-    results = run_suite(registry, args.terms or cfg.terms,
-                        args.mmax or cfg.mmax, args.limit or cfg.limit,
-                        jobs=args.jobs or cfg.jobs, registry_path=cfg.registry)
+    results = run_suite(registry, _count(cfg, args, "terms"),
+                        _count(cfg, args, "mmax"), _count(cfg, args, "limit"),
+                        jobs=_count(cfg, args, "jobs"),
+                        registry_path=cfg.registry)
     _emit_rows(("name", "mode", "params", "verdict", "witness", "ms"),
                [r.row() for r in results], cfg.fmt, sys.stdout)
     passed = sum(1 for r in results if r.passed)

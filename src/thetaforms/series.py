@@ -7,13 +7,26 @@ arithmetic is over the integers -- no floating point anywhere -- and values
 are immutable after construction, so they are safe to share between
 threads.
 
-Multiplication dispatches to a packed big-integer convolution for long
-operands (Kronecker substitution); the result is bit-identical to the
-schoolbook product.
+Multiplication takes one of two paths, chosen from the operands' nonzero
+counts (counted in C, with ``len(c) - c.count(0)``):
+
+* the pair loop, when the nonzero counts multiply to at most
+  ``_PAIRS_PER_COEFF`` pairs per output coefficient: a double loop over the
+  nonzero coefficients of both operands, each row stopped at the output
+  truncation.  Theta factors such as phi and psi take it; at 40 000 terms
+  they have 200 and 283 nonzeros.
+* otherwise one big-integer product (Kronecker substitution): each operand
+  is packed once, signed coefficients included, into fixed-width slots wide
+  enough for every output coefficient, the two integers are multiplied, and
+  the output slots are read back as signed integers.
+
+Both give exactly the schoolbook product.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import compress
 from typing import Iterable, Optional, Sequence, Tuple
 
 __all__ = [
@@ -21,32 +34,68 @@ __all__ = [
     "alternate_sign", "is_nonnegative",
 ]
 
-_SCHOOLBOOK_CUTOFF = 16384  # len(a)*len(b) below this: plain double loop
+# The pair loop runs when it multiplies at most this many coefficient pairs
+# per output coefficient; past that, one big-integer product is cheaper.
+_PAIRS_PER_COEFF = 16
+
+
+def _nonzero(coeffs: Sequence[int]) -> list[int]:
+    return list(compress(range(len(coeffs)), coeffs))
+
+
+def _pair_loop(a: Sequence[int], b: Sequence[int], n_out: int) -> list[int]:
+    """Cauchy product over nonzero pairs only, each row stopped at n_out."""
+    ia, ib = _nonzero(a), _nonzero(b)
+    if len(ia) > len(ib):
+        a, b, ia, ib = b, a, ib, ia
+    out = [0] * n_out
+    for i in ia:
+        ai = a[i]
+        for j in ib[:bisect_left(ib, n_out - i)]:
+            out[i + j] += ai * b[j]
+    return out
+
+
+def _offset(width: int, count: int) -> int:
+    """2**(8*width - 1) in each of count width-byte slots."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
 
 
 def _pack(coeffs: Sequence[int], width: int) -> int:
+    """sum(c * 2**(8*width*i)) over signed coefficients c = coeffs[i].
+
+    Each slot is written in two's complement; flipping its top bit turns
+    it into c + 2**(8*width - 1), so the packed bytes read as the wanted
+    sum plus the offset in every slot.
+    """
     buf = bytearray(width * len(coeffs))
-    for i, c in enumerate(coeffs):
-        if c:
-            nb = (c.bit_length() + 7) // 8
-            off = i * width
-            buf[off:off + nb] = c.to_bytes(nb, "little")
-    return int.from_bytes(buf, "little")
+    for i in compress(range(len(coeffs)), coeffs):
+        buf[i * width:(i + 1) * width] = coeffs[i].to_bytes(
+            width, "little", signed=True)
+    offset = _offset(width, len(coeffs))
+    return (int.from_bytes(buf, "little") ^ offset) - offset
 
 
-def _mul_nonneg(a: Sequence[int], b: Sequence[int], n_out: int) -> list[int]:
-    ma = max(a, default=0)
-    mb = max(b, default=0)
-    if ma == 0 or mb == 0:
-        return [0] * n_out
-    bits = ma.bit_length() + mb.bit_length() + min(len(a), len(b)).bit_length()
-    width = bits // 8 + 1
+def _kronecker(a: Sequence[int], b: Sequence[int], n_out: int) -> list[int]:
+    """Cauchy product by one signed big-integer multiply (Kronecker).
+
+    Both operands must have a nonzero coefficient.
+    """
+    ma = max(map(abs, a))
+    mb = max(map(abs, b))
+    # no output coefficient exceeds this in absolute value; slots get one
+    # bit more, for the sign
+    bound = min(sum(map(abs, a)) * mb, sum(map(abs, b)) * ma)
+    width = bound.bit_length() // 8 + 1
     prod = _pack(a, width) * _pack(b, width)
-    raw = prod.to_bytes(width * (len(a) + len(b)), "little")
-    return [
-        int.from_bytes(raw[i * width:(i + 1) * width], "little")
-        for i in range(n_out)
-    ]
+    # With the offset added, the low n_out slots hold c + 2**(8*width - 1),
+    # in [0, 2**(8*width)), so no slot borrows from the next; flipping the
+    # top bits back leaves each c in two's complement.
+    offset = _offset(width, n_out)
+    low = ((prod + offset) & ((1 << (8 * width * n_out)) - 1)) ^ offset
+    raw = low.to_bytes(width * n_out, "little")
+    return [int.from_bytes(raw[k:k + width], "little", signed=True)
+            for k in range(0, len(raw), width)]
 
 
 def _convolve(a: Sequence[int], b: Sequence[int], n_out: int) -> list[int]:
@@ -55,33 +104,13 @@ def _convolve(a: Sequence[int], b: Sequence[int], n_out: int) -> list[int]:
         return []
     a = a[:n_out]
     b = b[:n_out]
-    if len(a) > len(b):
-        a, b = b, a
-    if not a:
+    nza = len(a) - a.count(0)
+    nzb = len(b) - b.count(0)
+    if not nza or not nzb:
         return [0] * n_out
-    if len(a) * len(b) <= _SCHOOLBOOK_CUTOFF:
-        out = [0] * n_out
-        for i, ai in enumerate(a):
-            if ai:
-                lim = min(len(b), n_out - i)
-                for j in range(lim):
-                    out[i + j] += ai * b[j]
-        return out
-    a_neg = any(c < 0 for c in a)
-    b_neg = any(c < 0 for c in b)
-    if not a_neg and not b_neg:
-        return _mul_nonneg(a, b, n_out)
-    ap = [c if c > 0 else 0 for c in a]
-    an = [-c if c < 0 else 0 for c in a]
-    bp = [c if c > 0 else 0 for c in b]
-    bn = [-c if c < 0 else 0 for c in b]
-    out = _mul_nonneg(ap, bp, n_out)
-    for v, w, sign in ((an, bn, 1), (ap, bn, -1), (an, bp, -1)):
-        if any(v) and any(w):
-            part = _mul_nonneg(v, w, n_out)
-            for i in range(n_out):
-                out[i] += sign * part[i]
-    return out
+    if nza * nzb <= _PAIRS_PER_COEFF * n_out:
+        return _pair_loop(a, b, n_out)
+    return _kronecker(a, b, n_out)
 
 
 class Series:
@@ -214,19 +243,20 @@ def mul(a: Series, b: Series) -> Series:
     return a * b
 
 
-def compose_power(a: Series, k: int) -> Series:
-    """Substitute q -> q^k: exponent n maps to k*n, truncation preserved."""
+def compose_power(a: Series, k: int, truncation: Optional[int] = None) -> Series:
+    """Substitute q -> q^k: exponent i maps to k*i.
+
+    The result keeps a's truncation unless ``truncation`` is given; it may
+    reach k * a.truncation, where the first unknown coefficient of a lands.
+    """
     if k < 1:
         raise ValueError("compose_power requires k >= 1")
-    if k == 1:
-        return a
-    n = a.truncation
+    n = a.truncation if truncation is None else truncation
+    if not 0 <= n <= k * a.truncation:
+        raise ValueError(
+            f"truncation {n} outside 0..{k * a.truncation} for q -> q^{k}")
     out = [0] * n
-    for i, c in enumerate(a.coeffs):
-        j = i * k
-        if j >= n:
-            break
-        out[j] = c
+    out[::k] = a.coeffs[:(n + k - 1) // k]
     return Series._raw(out)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
-from .series import Series, alternate_sign, invert, mul
+from .series import Series, alternate_sign, compose_power, invert, mul
 from .forms import BinaryForm, theta_series
 
 __all__ = [
@@ -80,16 +80,6 @@ def euler(n: int) -> Series:
     return euler_power(1, n)
 
 
-def _spread(base: Series, k: int, n: int) -> Series:
-    out = [0] * n
-    for i, c in enumerate(base.coeffs):
-        j = i * k
-        if j >= n:
-            break
-        out[j] = c
-    return Series(out)
-
-
 @lru_cache(maxsize=None)
 def named_function(name: str, n: int, power: int = 1, negate: bool = False) -> Series:
     """Built-in series by name, with the substitution q -> (+-)q^power.
@@ -116,7 +106,7 @@ def named_function(name: str, n: int, power: int = 1, negate: bool = False) -> S
     base = builders[name](m)
     if negate:
         base = alternate_sign(base)
-    return _spread(base, power, n)
+    return compose_power(base, power, n)
 
 
 BUILTIN_NAMES = ("phi", "psi", "f12", "f15", "E", "chi", "u")

@@ -52,6 +52,19 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--id", "9.99")
         assert code == 2
 
+    def test_negative_mmax_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--id", "2.18",
+                                 "--mmax", "-5")
+        assert code == 2
+        assert out == ""
+        assert "mmax must be positive" in err
+
+    def test_zero_terms_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "verify", "--id", "1.11",
+                               "--terms", "0")
+        assert code == 2
+        assert "terms must be positive" in err
+
     def test_failing_entry_exit_one(self, tmp_path, capsys):
         registry = tmp_path / "reg.txt"
         registry.write_text(
@@ -90,6 +103,14 @@ class TestFormsCommand:
         assert code == 0
         assert "1,6,6,0,0,0" in out
         assert "2,3,6,0,0,0" in out
+
+    def test_nonpositive_discriminant_is_usage_error(self, capsys):
+        for disc in ("0", "-4"):
+            code, out, err = run_cli(capsys, "forms", "--disc", disc)
+            assert code == 2
+            assert out == ""
+            assert len(err.strip().splitlines()) == 1
+            assert "Traceback" not in err
 
     def test_genera_grouping(self, capsys):
         code, out, _ = run_cli(capsys, "--format", "csv",
@@ -140,6 +161,13 @@ class TestPositivity:
         code, _, err = run_cli(capsys, "positivity", "--s", "9")
         assert code == 2
 
+    def test_zero_limit_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "positivity", "--s", "7",
+                                 "--limit", "0")
+        assert code == 2
+        assert out == ""
+        assert "limit must be positive" in err
+
 
 class TestSuiteAndConfig:
     def test_small_suite_on_custom_registry(self, tmp_path, capsys):
@@ -174,6 +202,14 @@ class TestSuiteAndConfig:
                                            out.splitlines()[1])))
         assert rows[0][0] == "name"
         assert rows[1][0] == "a"
+
+    def test_nonpositive_config_value_is_usage_error(self, tmp_path, capsys):
+        conf = tmp_path / "conf.txt"
+        conf.write_text("limit = 0\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, "--config", str(conf),
+                               "positivity", "--s", "3")
+        assert code == 2
+        assert "limit must be positive" in err
 
     def test_suite_csv_round_trips(self, tmp_path, capsys):
         registry = tmp_path / "reg.txt"

@@ -1,5 +1,6 @@
 import pytest
 
+from thetaforms.arith import iroot
 from thetaforms.identities import (RegistryError,
                                    load_default_registry, parse_registry,
                                    verify_entry, verify_modeq3,
@@ -227,6 +228,24 @@ class TestRationalRoot:
         assert rational_root(lhs, 8) == RationalFunction.make((0, 1))
         rhs = (ALPHA_RF ** 3) * BETA_RF.inverse()
         assert rational_root(rhs, 8) == RationalFunction.make((2, 1), (1, 2))
+
+
+class TestIntegerRoot:
+    def test_large_perfect_power(self):
+        assert iroot(3 ** 320, 8) == 3 ** 40
+
+    def test_beyond_float_range(self):
+        assert iroot(10 ** 400, 8) == 10 ** 50
+
+    def test_non_power(self):
+        assert iroot(10 ** 400 + 1, 8) is None
+        assert iroot(3 ** 320 - 1, 8) is None
+        assert iroot(26, 3) is None
+
+    def test_rational_root_of_large_constant(self):
+        r = RationalFunction.make((3 ** 320,), (2 ** 400,))
+        assert rational_root(r, 8) == RationalFunction.make((3 ** 40,),
+                                                            (2 ** 50,))
 
 
 class TestCrossValidation:

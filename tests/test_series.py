@@ -1,12 +1,42 @@
-import pytest
-from hypothesis import given, strategies as st
+from math import isqrt
 
-from thetaforms.series import (Series, add, alternate_sign, compose_power,
-                               invert, is_nonnegative, mul, sift)
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from thetaforms.series import (Series, _kronecker, _pair_loop, add,
+                               alternate_sign, compose_power, invert,
+                               is_nonnegative, mul, sift)
 from thetaforms.theta import euler, named_function
 
 coeff_lists = st.lists(st.integers(min_value=-40, max_value=40),
                        min_size=1, max_size=24)
+
+
+@st.composite
+def long_coeffs(draw, min_size=200, max_size=2000):
+    """Several hundred to a few thousand coefficients: all zero, a single
+    nonzero, sparse or dense, with magnitudes up to 1, 40 or 2**70."""
+    n = draw(st.integers(min_value=min_size, max_value=max_size))
+    kind = draw(st.sampled_from(("zero", "single", "sparse", "dense")))
+    bound = draw(st.sampled_from((1, 40, 2 ** 70)))
+    rng = draw(st.randoms(use_true_random=False))
+    out = [0] * n
+    if kind == "single":
+        out[rng.randrange(n)] = rng.choice((-1, 1)) * rng.randint(1, bound)
+    elif kind != "zero":
+        count = rng.randint(1, 3 * isqrt(n)) if kind == "sparse" else n
+        for i in rng.sample(range(n), count):
+            out[i] = rng.randint(-bound, bound)
+    return out
+
+
+def schoolbook(a, b, n):
+    out = [0] * n
+    for i, ai in enumerate(a[:n]):
+        if ai:
+            for j, bj in enumerate(b[:n - i]):
+                out[i + j] += ai * bj
+    return out
 
 
 def brute_partitions(n):
@@ -73,11 +103,44 @@ class TestMul:
         rng = random.Random(7)
         a = [rng.randrange(-50, 50) for _ in range(300)]
         b = [rng.randrange(-50, 50) for _ in range(300)]
-        expected = [0] * 300
-        for i, ai in enumerate(a):
-            for j in range(300 - i):
-                expected[i + j] += ai * b[j]
+        expected = schoolbook(a, b, 300)
         assert (Series(a) * Series(b)).coeffs == tuple(expected)
+
+
+class TestProductPaths:
+    """Long products against the schoolbook loop, on both sides of the
+    switch between the pair loop and the big-integer product."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(long_coeffs(), long_coeffs())
+    def test_mul_matches_schoolbook(self, a, b):
+        n = min(len(a), len(b))
+        expected = schoolbook(a, b, n)
+        assert (Series(a) * Series(b)).coeffs == tuple(expected)
+        assert _pair_loop(a, b, n) == expected
+        if any(a) and any(b):
+            assert _kronecker(a, b, n) == expected
+
+    @settings(max_examples=25, deadline=None)
+    @given(long_coeffs(max_size=800), st.sampled_from((1, -1)))
+    def test_invert_matches_schoolbook(self, a, unit):
+        a[0] = unit
+        inv = invert(Series(a))
+        assert schoolbook(a, list(inv.coeffs), len(a)) == [1] + [0] * (len(a) - 1)
+
+    def test_theta_factors_match_schoolbook(self):
+        n = 4000
+        phi = named_function("phi", n).coeffs
+        psi = named_function("psi", n).coeffs
+        expected = schoolbook(psi, phi, n)
+        assert (Series(psi) * Series(phi)).coeffs == tuple(expected)
+        assert _kronecker(psi, phi, n) == expected
+
+    def test_output_beyond_operand_lengths(self):
+        a, b = [3, -1, 2 ** 80], [-5, 7]
+        expected = schoolbook(a, b, 6)
+        assert _pair_loop(a, b, 6) == expected
+        assert _kronecker(a, b, 6) == expected
 
 
 class TestComposePower:
@@ -98,6 +161,14 @@ class TestComposePower:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             compose_power(Series([1]), 0)
+
+    def test_longer_truncation(self):
+        out = compose_power(Series([1, 2, 3]), 3, 9)
+        assert out == Series([1, 0, 0, 2, 0, 0, 3, 0, 0])
+
+    def test_truncation_past_known_terms(self):
+        with pytest.raises(ValueError):
+            compose_power(Series([1, 2, 3]), 3, 10)
 
 
 class TestInvert:
