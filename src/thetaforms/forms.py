@@ -8,6 +8,11 @@ with doubled Gram matrix [[2a,f,e],[f,2b,d],[e,d,2c]] and discriminant
 half its determinant.  Representation counting walks the lattice with
 exact integer bounds obtained by completing the square; no floating
 point is used anywhere.
+
+Classes are enumerated from the reduced box 0 < a <= b <= c, |d| <= b,
+|e| <= a, |f| <= a cut to its sign-canonical half d, e >= 0 (see
+`_candidate_box` for why no class is lost), and deduped by
+`distinct_classes`, which keeps the `_sort_key`-least form of each class.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from .series import Series
 __all__ = [
     "TernaryForm", "BinaryForm", "discriminant", "repcount", "theta_series",
     "aut_count", "ternary_equivalent", "enumerate_ternary_classes",
+    "ternary_candidates", "distinct_classes",
     "reduce_binary", "enumerate_binary_classes", "transform_ternary",
 ]
 
@@ -396,30 +402,42 @@ def transform_ternary(form: TernaryForm, u) -> TernaryForm:
 def _candidate_box(disc: int):
     """Reduced-form candidates (a,b,c,d,e,f) of the given discriminant.
 
-    Box: 0 < a <= b <= c, |d| <= b, |e| <= a, |f| <= a, abc <= disc/2.
+    Box: 0 < a <= b <= c, 0 <= d <= b, 0 <= e <= a, |f| <= a, abc <= disc/2.
     c is solved exactly from the discriminant:
         disc = 4abc - a d^2 - b e^2 - c f^2 + d e f.
+
+    The half box d, e >= 0 loses no class.  The sign changes x -> -x,
+    y -> -y and z -> -z negate (e, f), (d, f) and (d, e) and keep the
+    box's bounds, so every sign pattern of a boxed form can be moved to
+    one with d >= 0 and e >= 0 (negate y if d < 0, then x if e < 0).
+    Each such move lowers `_sort_key`, which ranks the sign of d before
+    those of e and f, so the least member of a class already has that
+    shape; it is the representative the dedupe keeps.
     """
     for a in range(1, isqrt(disc // 2) + 2):
         if a * a * a > disc // 2:
             break
         bmax = isqrt(disc // (2 * a)) + 1
         for b in range(a, bmax + 1):
+            cmax = disc // (2 * a * b)
             for f in range(-a, a + 1):
                 den = 4 * a * b - f * f
                 if den <= 0:
                     continue
-                for d in range(-b, b + 1):
-                    ad2 = a * d * d
+                # b <= c <= cmax, with num = c * den
+                lo, hi = b * den, cmax * den
+                # 0 <= e <= a gives num <= disc + a d^2 + |f| a d + b a^2, so
+                # num >= lo needs a d^2 + |f| a d >= r: false for d < dmin
+                r = lo - disc - b * a * a
+                af = abs(f) * a
+                dmin = (isqrt(af * af + 4 * a * r) - af) // (2 * a) if r > 0 else 0
+                for d in range(dmin, b + 1):
+                    base = disc + a * d * d
                     fd = f * d
-                    for e in range(-a, a + 1):
-                        num = disc + ad2 + b * e * e - fd * e
-                        if num % den:
-                            continue
-                        c = num // den
-                        if c < b or 2 * a * b * c > disc:
-                            continue
-                        yield a, b, c, d, e, f
+                    for e in range(a + 1):
+                        num = base + (b * e - fd) * e
+                        if num % den == 0 and lo <= num <= hi:
+                            yield a, b, num // den, d, e, f
 
 
 def _sort_key(form: TernaryForm):
@@ -429,27 +447,28 @@ def _sort_key(form: TernaryForm):
 
 
 @lru_cache(maxsize=None)
-def enumerate_ternary_classes(disc: int) -> tuple[TernaryForm, ...]:
-    """One representative per GL3(Z)-class of positive forms of the discriminant."""
+def ternary_candidates(disc: int) -> tuple[TernaryForm, ...]:
+    """The half box's forms of the discriminant, sorted by `_sort_key`.
+
+    Every class has at least one member here, and its least member is the
+    class representative.  Each box tuple is positive definite (a > 0,
+    4ab - f^2 > 0, determinant 2*disc > 0) with exactly this discriminant.
+    """
     if disc <= 0:
         raise ValueError("discriminant must be positive")
-    candidates = []
-    seen = set()
-    for tup in _candidate_box(disc):
-        if tup in seen:
-            continue
-        seen.add(tup)
-        try:
-            form = TernaryForm(*tup)
-        except ValueError:
-            continue
-        if form.discriminant == disc:
-            candidates.append(form)
-    candidates.sort(key=_sort_key)
-    # group by a cheap isometry invariant before the expensive pairwise test
+    return tuple(sorted((TernaryForm(*tup) for tup in _candidate_box(disc)),
+                        key=_sort_key))
+
+
+def distinct_classes(forms) -> tuple[TernaryForm, ...]:
+    """The `_sort_key`-least form of each GL3(Z)-class among the forms.
+
+    Forms are grouped by their first theta coefficients, a cheap isometry
+    invariant, and `ternary_equivalent` is run only inside a group.
+    """
     groups: dict[tuple, list[TernaryForm]] = {}
-    for form in candidates:
-        key = theta_coefficients(form, min(32, disc))
+    for form in sorted(forms, key=_sort_key):
+        key = theta_coefficients(form, min(32, form.discriminant))
         groups.setdefault(key, []).append(form)
     classes: list[TernaryForm] = []
     for group in groups.values():
@@ -460,6 +479,12 @@ def enumerate_ternary_classes(disc: int) -> tuple[TernaryForm, ...]:
         classes.extend(kept)
     classes.sort(key=_sort_key)
     return tuple(classes)
+
+
+@lru_cache(maxsize=None)
+def enumerate_ternary_classes(disc: int) -> tuple[TernaryForm, ...]:
+    """One representative per GL3(Z)-class of positive forms of the discriminant."""
+    return distinct_classes(ternary_candidates(disc))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,14 @@ An odd squarefree S with r prime factors selects 2^r genera of discriminant
 (a, b, c) -> a x^2 + |b| xy + c y^2 + 2S z^2.  The union of those genera
 carries epsilon characters, integer masses, and weighted representation
 counts, exposed here.
+
+Genus cells are built one genus at a time.  `genus_of` keeps only the
+half-box candidates of `forms.ternary_candidates` whose content, doubled-
+Gram gcd and adjoint gcd equal the form's.  Those invariants are necessary
+conditions only; the exact local symbols then decide membership, and only
+that genus's candidates are deduped into classes.  `genus_partition`
+returns the same cached records for every genus present, so both hand out
+the same objects.
 """
 
 from __future__ import annotations
@@ -23,9 +31,9 @@ from functools import lru_cache
 from math import gcd
 
 from .arith import divisors, is_squarefree, jacobi, prime_divisors
-from .forms import (BinaryForm, TernaryForm, aut_count,
-                    enumerate_binary_classes, enumerate_ternary_classes,
-                    repcount, theta_coefficients)
+from .forms import (BinaryForm, TernaryForm, aut_count, distinct_classes,
+                    enumerate_binary_classes, repcount, ternary_candidates,
+                    ternary_equivalent, theta_coefficients)
 
 __all__ = [
     "GenusRecord", "SGenus", "same_genus", "genus_partition",
@@ -286,41 +294,88 @@ class GenusRecord:
         return " | ".join(str(f) for f in self.classes)
 
 
+def _genus_key(form: TernaryForm) -> tuple:
+    return tuple(sorted(local_symbols(form).items()))
+
+
+def _cheap_invariants(form: TernaryForm) -> tuple[int, int, int]:
+    """Content, gcd of the doubled Gram matrix, gcd of its adjoint.
+
+    All three are GL3(Z)-invariants fixed by the genus, so forms of one
+    genus share them; the converse fails, and only `local_symbols`
+    decides membership.
+    """
+    a, b, c, d, e, f = form.sextuple()
+    return (gcd(a, b, c, d, e, f),
+            gcd(2 * a, 2 * b, 2 * c, d, e, f),
+            gcd(4 * b * c - d * d, 4 * a * c - e * e, 4 * a * b - f * f,
+                d * e - 2 * c * f, d * f - 2 * b * e, e * f - 2 * a * d))
+
+
+@lru_cache(maxsize=None)
+def _candidate_pools(disc: int) -> dict[tuple, tuple[TernaryForm, ...]]:
+    """The discriminant's candidates grouped by their cheap invariants."""
+    pools: dict[tuple, list[TernaryForm]] = {}
+    for form in ternary_candidates(disc):
+        pools.setdefault(_cheap_invariants(form), []).append(form)
+    return {inv: tuple(forms) for inv, forms in pools.items()}
+
+
+@lru_cache(maxsize=None)
+def _genus_cell(disc: int, invariants: tuple, key: tuple) -> GenusRecord | None:
+    """The classes of the genus with these local symbols, or None if empty.
+
+    The cheap invariants only narrow the candidates down; the exact local
+    symbols pick the genus, and only its own candidates are deduped.
+    """
+    pool = _candidate_pools(disc).get(invariants, ())
+    members = [form for form in pool if _genus_key(form) == key]
+    if not members:
+        return None
+    return GenusRecord(disc, distinct_classes(members))
+
+
 @lru_cache(maxsize=None)
 def genus_partition(disc: int) -> tuple[GenusRecord, ...]:
-    """Partition of all classes of the discriminant into genera."""
-    cells: dict[tuple, list[TernaryForm]] = {}
-    for form in enumerate_ternary_classes(disc):
-        key = []
-        for p, sym in sorted(local_symbols(form).items()):
-            key.append((p, sym))
-        cells.setdefault(tuple(key), []).append(form)
-    records = [GenusRecord(disc, tuple(forms)) for forms in cells.values()]
-    records.sort(key=lambda r: r.classes[0].sextuple())
-    return tuple(records)
+    """Partition of all classes of the discriminant into genera.
+
+    The cells are the very records `genus_of` returns.
+    """
+    records = {}
+    for form in ternary_candidates(disc):
+        key = _genus_key(form)
+        if key not in records:
+            records[key] = _genus_cell(disc, _cheap_invariants(form), key)
+    return tuple(sorted(records.values(), key=lambda r: r.classes[0].sextuple()))
 
 
 def genus_of(form: TernaryForm) -> GenusRecord:
-    """The GenusRecord of the class list that contains the given form."""
-    for record in genus_partition(form.discriminant):
-        if record.contains(form):
-            return record
-    raise LookupError(f"no genus found for {form}")  # pragma: no cover
+    """The GenusRecord of the class list that contains the given form.
+
+    Only the form's own genus is enumerated.  The record must hold a class
+    equivalent to the form, or LookupError is raised.
+    """
+    record = _genus_cell(form.discriminant, _cheap_invariants(form),
+                         _genus_key(form))
+    if record is None or not (form in record.classes or any(
+            ternary_equivalent(form, cls) for cls in record.classes)):
+        raise LookupError(f"no genus found for {form}")
+    return record
 
 
 def binary_genus_partition(disc: int) -> tuple[tuple[BinaryForm, ...], ...]:
     """Group the reduced primitive classes by represented units mod |disc|."""
     forms = enumerate_binary_classes(disc)
     mod = -disc
+    units = frozenset(v for v in range(mod) if gcd(v, mod) == 1)
     cells: dict[frozenset, list[BinaryForm]] = {}
     for form in forms:
+        a, b, c = form.a, form.b, form.c
         values = set()
         for x in range(mod):
-            for y in range(mod):
-                v = form.value(x, y) % mod
-                if gcd(v, mod) == 1:
-                    values.add(v)
-        cells.setdefault(frozenset(values), []).append(form)
+            ax2, bx = a * x * x, b * x
+            values.update([(ax2 + (bx + c * y) * y) % mod for y in range(mod)])
+        cells.setdefault(units & values, []).append(form)
     out = [tuple(cell) for cell in cells.values()]
     out.sort(key=lambda cell: min((f.a, abs(f.b), f.c, f.b < 0) for f in cell))
     return tuple(out)
@@ -381,10 +436,18 @@ def build_sgenus(s: int) -> SGenus:
 
 
 def _represented_values(tg: GenusRecord, bound: int):
-    thetas = [theta_coefficients(f, bound + 1) for f in tg.classes]
-    for nval in range(1, bound + 1):
-        if any(t[nval] for t in thetas):
-            yield nval
+    """Values 1..bound represented by some class, in increasing order.
+
+    The theta series are read to a window that doubles from 64, so a
+    caller that stops early never expands them to the full bound.
+    """
+    lo, hi = 1, min(64, bound)
+    while lo <= bound:
+        thetas = [theta_coefficients(f, hi + 1) for f in tg.classes]
+        for nval in range(lo, hi + 1):
+            if any(t[nval] for t in thetas):
+                yield nval
+        lo, hi = hi + 1, min(2 * hi, bound)
 
 
 def epsilon(tg: GenusRecord, w: int) -> int:

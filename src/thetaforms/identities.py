@@ -1003,11 +1003,13 @@ def run_suite(registry: dict[str, IdentitySpec], terms: int = 500,
               registry_path=None) -> list[VerifyResult]:
     """Verify every entry; results are ordered by identity name."""
     names = sorted(registry)
+    jobs = min(jobs, len(names))
     if jobs > 1 and registry_path is not None:
         from concurrent.futures import ProcessPoolExecutor
-        chunk = (len(names) + jobs - 1) // jobs
-        batches = [(str(registry_path), names[i:i + chunk], terms, mmax, limit)
-                   for i in range(0, len(names), chunk)]
+        # interleaved, so that each batch draws from every part of the
+        # name-sorted registry
+        batches = [(str(registry_path), names[i::jobs], terms, mmax, limit)
+                   for i in range(jobs)]
         results: list[VerifyResult] = []
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for part in pool.map(_suite_worker, batches):

@@ -4,10 +4,10 @@ from math import isqrt
 import pytest
 
 from thetaforms.forms import (BinaryForm, TernaryForm, aut_count,
-                              enumerate_binary_classes,
+                              distinct_classes, enumerate_binary_classes,
                               enumerate_ternary_classes, reduce_binary,
-                              repcount, ternary_equivalent, theta_series,
-                              transform_ternary)
+                              repcount, ternary_candidates, ternary_equivalent,
+                              theta_series, transform_ternary)
 
 KNOWN_FORMS = {
     (1, 6, 6, 0, 0, 0): 16,
@@ -255,6 +255,67 @@ class TestClassEnumeration:
             moved = transform_ternary(f, random_unimodular(rng))
             hits = [g for g in classes if ternary_equivalent(moved, g)]
             assert hits == [f]
+
+
+def rep_key(form):
+    """The representative order: least (a, b, c, |d|, |e|, |f|), then signs."""
+    a, b, c, d, e, f = form.sextuple()
+    return (a, b, c, abs(d), abs(e), abs(f), d < 0, e < 0, f < 0)
+
+
+def full_box_classes(disc):
+    """Classes from the full signed box |d| <= b, |e| <= a and a pairwise dedupe.
+
+    Candidates are tried in representative order, and one is kept unless it
+    is equivalent to a kept form with the same first theta coefficients.
+    """
+    candidates = []
+    for a in range(1, isqrt(disc // 2) + 2):
+        if a ** 3 > disc // 2:
+            break
+        for b in range(a, isqrt(disc // (2 * a)) + 2):
+            for f in range(-a, a + 1):
+                den = 4 * a * b - f * f
+                for d in range(-b, b + 1):
+                    for e in range(-a, a + 1):
+                        num = disc + a * d * d + b * e * e - f * d * e
+                        if den <= 0 or num % den:
+                            continue
+                        c = num // den
+                        if b <= c and 2 * a * b * c <= disc:
+                            candidates.append(TernaryForm(a, b, c, d, e, f))
+    kept = {}
+    for form in sorted(candidates, key=rep_key):
+        group = kept.setdefault(theta_series(form, min(32, disc)).coeffs, [])
+        if not any(ternary_equivalent(form, other) for other in group):
+            group.append(form)
+    return sorted((f for group in kept.values() for f in group), key=rep_key)
+
+
+class TestHalfBox:
+    @pytest.mark.parametrize("disc", [144, 400, 784, 1936, 3600])
+    def test_matches_full_box_oracle(self, disc):
+        got = [f.sextuple() for f in enumerate_ternary_classes(disc)]
+        assert got == [f.sextuple() for f in full_box_classes(disc)]
+
+    @pytest.mark.parametrize("disc", [27, 144, 3600])
+    def test_candidates_are_sorted_half_box_forms(self, disc):
+        candidates = ternary_candidates(disc)
+        assert list(candidates) == sorted(candidates, key=rep_key)
+        assert len(set(candidates)) == len(candidates)
+        for form in candidates:
+            assert form.d >= 0 and form.e >= 0
+            assert form.discriminant == disc
+
+    def test_dedupe_ignores_input_order(self):
+        candidates = ternary_candidates(400)
+        assert distinct_classes(reversed(candidates)) == \
+            enumerate_ternary_classes(400)
+
+    def test_rejects_nonpositive_discriminant(self):
+        for disc in (0, -4):
+            with pytest.raises(ValueError):
+                ternary_candidates(disc)
 
 
 class TestBinaryForms:

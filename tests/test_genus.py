@@ -3,11 +3,14 @@ from math import gcd
 
 import pytest
 
+from thetaforms import genus
 from thetaforms.arith import divisors, jacobi, prime_divisors
 from thetaforms.forms import (BinaryForm, TernaryForm,
-                              enumerate_binary_classes, theta_series)
-from thetaforms.genus import (binary_genus_partition, build_sgenus,
-                              epsilon, genus_of, genus_partition,
+                              enumerate_binary_classes,
+                              enumerate_ternary_classes, ternary_candidates,
+                              theta_series, transform_ternary)
+from thetaforms.genus import (GenusRecord, binary_genus_partition,
+                              build_sgenus, epsilon, genus_of, genus_partition,
                               lift_binary_to_ternary, mass_direct, mass_formula,
                               orthogonality_check, same_genus, sgenus_mass,
                               weighted_coefficients, weighted_count)
@@ -85,6 +88,43 @@ class TestGenusPartition:
         for i, rec in enumerate(part):
             for other in part[i + 1:]:
                 assert not same_genus(rec.classes[0], other.classes[0])
+
+
+class TestGenusOf:
+    @pytest.mark.parametrize("disc", [144, 400, 784, 3600])
+    def test_is_the_partition_cell(self, disc):
+        part = genus_partition(disc)
+        assert sorted(f for rec in part for f in rec.classes) == \
+            sorted(enumerate_ternary_classes(disc))
+        for rec in part:
+            for f in rec.classes:
+                assert genus_of(f) is rec
+
+    @pytest.mark.parametrize("s", [3, 5, 7, 15])
+    def test_non_reduced_image_finds_the_lift(self, s):
+        u = ((1, 1, 0), (0, 1, 1), (0, 0, 1))
+        records = build_sgenus(s).tg
+        candidates = set(ternary_candidates(16 * s * s))
+        for bf in enumerate_binary_classes(-8 * s):
+            lift = lift_binary_to_ternary(s, bf)
+            image = transform_ternary(lift, u)
+            assert image not in candidates
+            record = genus_of(lift)
+            assert record in records
+            assert genus_of(image) is record
+
+    def test_cell_without_an_equivalent_class(self, monkeypatch):
+        form = TernaryForm(1, 10, 10, 0, 0, 0)
+        other = GenusRecord(400, (TernaryForm(4, 5, 6, 0, 4, 0),))
+        assert other.contains(form)
+        monkeypatch.setattr(genus, "_genus_cell", lambda *key: other)
+        with pytest.raises(LookupError):
+            genus_of(form)
+
+    def test_empty_cell(self, monkeypatch):
+        monkeypatch.setattr(genus, "_genus_cell", lambda *key: None)
+        with pytest.raises(LookupError):
+            genus_of(TernaryForm(1, 6, 6, 0, 0, 0))
 
 
 def local_count_signature(form, mod):

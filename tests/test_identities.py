@@ -1,8 +1,8 @@
 import pytest
 
 from thetaforms.arith import iroot
-from thetaforms.identities import (RegistryError,
-                                   load_default_registry, parse_registry,
+from thetaforms.identities import (RegistryError, load_default_registry,
+                                   load_registry, parse_registry, run_suite,
                                    verify_entry, verify_modeq3,
                                    verify_positivity, verify_series,
                                    verify_ternary)
@@ -13,6 +13,73 @@ from thetaforms.modeq import (ALPHA_RF, BETA_RF, RationalFunction,
 @pytest.fixture(scope="module")
 def registry():
     return load_default_registry()
+
+
+SMALL_REGISTRY = """\
+1.8: series: psi(q)*E(q) = E(q^2)^2
+1.11: series: psi(q)^2 = phi(q)*psi(q^2)
+2.4: series: phi(q) = phi(q^4) + 2*q*psi(q^8)
+2.5: series: phi(q)^4 - phi(-q)^4 = 16*q*psi(q^2)^4
+wrong: series: phi(q) = phi(q^4)
+"""
+
+
+class TestRunSuite:
+    @pytest.fixture
+    def small(self, tmp_path):
+        path = tmp_path / "registry.txt"
+        path.write_text(SMALL_REGISTRY, encoding="utf-8")
+        return path
+
+    @pytest.fixture
+    def pool_uses(self, monkeypatch):
+        """Replace ProcessPoolExecutor by an in-process stand-in; list its uses."""
+        import concurrent.futures
+        uses = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, batches):
+                batches = list(batches)
+                uses.append((self.max_workers, [b[1] for b in batches]))
+                return map(fn, batches)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InlinePool)
+        return uses
+
+    @staticmethod
+    def verdicts(results):
+        return [(r.name, r.passed, r.params) for r in results]
+
+    def test_two_jobs_match_one(self, small):
+        registry = load_registry(small)
+        serial = run_suite(registry, terms=60, jobs=1)
+        parallel = run_suite(registry, terms=60, jobs=2, registry_path=small)
+        assert self.verdicts(parallel) == self.verdicts(serial)
+        assert [r.name for r in serial] == sorted(registry)
+        assert [r.passed for r in serial] == [True] * 4 + [False]
+
+    def test_batches_are_interleaved(self, small, pool_uses):
+        registry = load_registry(small)
+        results = run_suite(registry, terms=60, jobs=2, registry_path=small)
+        names = sorted(registry)
+        assert pool_uses == [(2, [names[0::2], names[1::2]])]
+        assert [r.name for r in results] == names
+
+    def test_one_entry_runs_without_a_pool(self, small, pool_uses):
+        registry = {"2.4": load_registry(small)["2.4"]}
+        results = run_suite(registry, terms=60, jobs=2, registry_path=small)
+        assert pool_uses == []
+        assert self.verdicts(results)[0][:2] == ("2.4", True)
 
 
 class TestParser:
