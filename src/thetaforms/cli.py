@@ -8,6 +8,7 @@ field is printed exactly, so CSV output round-trips.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import os
 import sys
@@ -15,8 +16,9 @@ from dataclasses import dataclass
 
 from .forms import TernaryForm, aut_count, enumerate_ternary_classes, repcount
 from .genus import build_sgenus, genus_partition, mass_direct, mass_formula
-from .identities import (RegistryError, default_registry_path, eval_series,
-                         load_registry, run_suite, verify_entry, verify_eta)
+from .identities import (EntryError, RegistryError, default_registry_path,
+                         eval_series, load_registry, run_suite, verify_entry,
+                         verify_eta)
 from .series import is_nonnegative
 from .theta import named_function
 
@@ -94,15 +96,21 @@ def _count(cfg: Config, args, name: str) -> int:
     return value
 
 
+def _cannot_evaluate(err: EntryError) -> int:
+    print(f"cannot evaluate {err}", file=sys.stderr)
+    return 2
+
+
 def _cmd_expand(cfg: Config, args) -> int:
     from .identities import _Parser, _tokenize
+    n = _count(cfg, args, "n")
     tokens = _tokenize(args.func, 1, 0)
     parser = _Parser(tokens, "series", 1)
     try:
         node = parser.parse_expr()
         if parser.peek() is not None:
             raise parser.error("trailing tokens")
-        value = eval_series(node, args.n)
+        value = eval_series(node, n)
     except (RegistryError, ValueError, KeyError) as err:
         print(f"cannot expand {args.func!r}: {err}", file=sys.stderr)
         return 2
@@ -112,7 +120,6 @@ def _cmd_expand(cfg: Config, args) -> int:
 
 
 def _cmd_verify(cfg: Config, args) -> int:
-    from .modeq import UnsupportedRadicand
     registry = _registry(cfg)
     if args.id not in registry:
         print(f"unknown identity {args.id!r}", file=sys.stderr)
@@ -121,10 +128,8 @@ def _cmd_verify(cfg: Config, args) -> int:
         result = verify_entry(registry[args.id], _count(cfg, args, "terms"),
                               _count(cfg, args, "mmax"),
                               _count(cfg, args, "limit"))
-    except UnsupportedRadicand as err:
-        print(f"{args.id}: unsupported by parametrization: {err}",
-              file=sys.stderr)
-        return 2
+    except EntryError as err:
+        return _cannot_evaluate(err)
     _emit_rows(("name", "mode", "params", "verdict", "witness", "ms"),
                [result.row()], cfg.fmt, sys.stdout)
     return 0 if result.passed else 1
@@ -211,10 +216,14 @@ def _cmd_positivity(cfg: Config, args) -> int:
 
 def _cmd_suite(cfg: Config, args) -> int:
     registry = _registry(cfg)
-    results = run_suite(registry, _count(cfg, args, "terms"),
-                        _count(cfg, args, "mmax"), _count(cfg, args, "limit"),
-                        jobs=_count(cfg, args, "jobs"),
-                        registry_path=cfg.registry)
+    try:
+        results = run_suite(registry, _count(cfg, args, "terms"),
+                            _count(cfg, args, "mmax"),
+                            _count(cfg, args, "limit"),
+                            jobs=_count(cfg, args, "jobs"),
+                            registry_path=cfg.registry)
+    except EntryError as err:
+        return _cannot_evaluate(err)
     _emit_rows(("name", "mode", "params", "verdict", "witness", "ms"),
                [r.row() for r in results], cfg.fmt, sys.stdout)
     passed = sum(1 for r in results if r.passed)
@@ -277,6 +286,40 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+class _ClosedPipeGuard:
+    """Stand-in for stdout that goes quiet once the reader has closed the pipe.
+
+    A command's exit code is its verdict; a reader such as ``head`` that
+    stops early must not turn it into a traceback.
+    """
+
+    def __init__(self, stream):
+        self.stream = stream
+        self.gone = False
+
+    def _call(self, method, *args):
+        if self.gone:
+            return
+        try:
+            getattr(self.stream, method)(*args)
+        except BrokenPipeError:
+            self.gone = True
+            # the interpreter flushes stdout once more at exit; send that
+            # flush to the null device
+            with contextlib.suppress(AttributeError, OSError, ValueError):
+                fd = self.stream.fileno()
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, fd)
+                os.close(devnull)
+
+    def write(self, text: str) -> int:
+        self._call("write", text)
+        return len(text)
+
+    def flush(self) -> None:
+        self._call("flush")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -289,10 +332,14 @@ def main(argv=None) -> int:
         cfg.registry = args.registry
     if args.format:
         cfg.fmt = args.format
-    try:
-        return args.run(cfg, args)
-    except SystemExit as stop:
-        return int(stop.code or 0)
+    guard = _ClosedPipeGuard(sys.stdout)
+    with contextlib.redirect_stdout(guard):
+        try:
+            code = args.run(cfg, args)
+        except SystemExit as stop:
+            code = int(stop.code or 0)
+        guard.flush()
+    return code
 
 
 if __name__ == "__main__":

@@ -9,6 +9,12 @@ half its determinant.  Representation counting walks the lattice with
 exact integer bounds obtained by completing the square; no floating
 point is used anywhere.
 
+The theta sweep and `short_vectors` read one walk, `_half_space_rows`,
+which lists each pair +-v once as rows along z.  `repcount` does not: it
+solves for z as an exact root at one value, walking all of Z^3.  It stays
+a separate route on purpose, as the independent oracle that tests use to
+check the sweep's coefficients.
+
 Classes are enumerated from the reduced box 0 < a <= b <= c, |d| <= b,
 |e| <= a, |f| <= a cut to its sign-canonical half d, e >= 0 (see
 `_candidate_box` for why no class is lost), and deduped by
@@ -181,22 +187,21 @@ def repcount(form: TernaryForm, m: int) -> int:
     return count
 
 
-def _theta_ternary(form: TernaryForm, n: int) -> tuple[int, ...]:
-    """Coefficients 0..n-1 of sum_{v in Z^3} q^{Q(v)} by a half-space sweep."""
-    counts = [0] * n
-    if n > 0:
-        counts[0] = 1
-    bound = n - 1
-    if bound < 1:
-        return tuple(counts)
+def _half_space_rows(form: TernaryForm, bound: int):
+    """Rows (x, y, zlo, zhi, lin, const) covering one of each pair +-v, v != 0.
+
+    Along a row Q(x, y, z) = (c*z + lin)*z + const, and zlo..zhi holds
+    every z with Q <= bound (plus slack, so callers test the value).  The
+    rows cover the half space x > 0, then x = 0 with y > 0, then the
+    z-line x = y = 0 with z > 0; v and -v never both appear.
+    """
     a, b, c, d, e, f = form.sextuple()
     A, B, C, xmax = _xy_bounds(form, bound)
     rhs = 4 * c * bound
     c2 = 2 * c
-
-    def sweep_plane(x: int, ymin_open: bool):
+    for x in (*range(1, xmax + 1), 0):
         ylo, yhi = _y_range(A, B, C, x, rhs)
-        if ymin_open:
+        if x == 0:
             ylo = max(ylo, 1)
         base_x = a * x * x
         ex = e * x
@@ -208,24 +213,28 @@ def _theta_ternary(form: TernaryForm, n: int) -> tuple[int, ...]:
             if disc < 0:
                 continue
             s = isqrt(disc)
-            zlo = (-lin - s) // c2
-            zhi = (-lin + s) // c2 + 1
-            val = (c * zlo + lin) * zlo + const
-            step = c2 * zlo + c + lin
-            for _z in range(zlo, zhi + 1):
-                if 0 <= val <= bound:
-                    counts[val] += 2
-                val += step
-                step += c2
+            yield x, y, (-lin - s) // c2, (-lin + s) // c2 + 1, lin, const
+    yield 0, 0, 1, isqrt(bound // c), 0, 0
 
-    for x in range(1, xmax + 1):
-        sweep_plane(x, ymin_open=False)
-    sweep_plane(0, ymin_open=True)
-    # the x = y = 0 line, z > 0
-    z = 1
-    while c * z * z <= bound:
-        counts[c * z * z] += 2
-        z += 1
+
+def _theta_ternary(form: TernaryForm, n: int) -> tuple[int, ...]:
+    """Coefficients 0..n-1 of sum_{v in Z^3} q^{Q(v)} by a half-space sweep."""
+    counts = [0] * n
+    if n > 0:
+        counts[0] = 1
+    bound = n - 1
+    if bound < 1:
+        return tuple(counts)
+    c = form.c
+    c2 = 2 * c
+    for _x, _y, zlo, zhi, lin, const in _half_space_rows(form, bound):
+        val = (c * zlo + lin) * zlo + const
+        step = c2 * zlo + c + lin
+        for _z in range(zlo, zhi + 1):
+            if 0 <= val <= bound:
+                counts[val] += 2
+            val += step
+            step += c2
     return tuple(counts)
 
 
@@ -237,28 +246,14 @@ def _theta_binary(form: BinaryForm, n: int) -> tuple[int, ...]:
     if bound < 1:
         return tuple(counts)
     a, b, c = form.a, form.b, form.c
-    disc = 4 * a * c - b * b
-    xmax = isqrt(4 * c * bound // disc) + 1
-
-    def sweep(x_iter):
-        for x in x_iter:
-            bq = b * x
-            cq = a * x * x - bound
-            d2 = bq * bq - 4 * c * cq
-            if d2 < 0:
-                continue
-            s = isqrt(d2)
-            ylo = (-bq - s) // (2 * c) - 1
-            yhi = (-bq + s) // (2 * c) + 1
-            if x == 0:
-                ylo = max(ylo, 1)
-            for y in range(ylo, yhi + 1):
-                v = a * x * x + b * x * y + c * y * y
-                if 0 <= v <= bound:
-                    counts[v] += 2
-
-    sweep(range(1, xmax + 1))
-    sweep((0,))
+    xmax = isqrt(4 * c * bound // (4 * a * c - b * b)) + 1
+    for x in (*range(1, xmax + 1), 0):
+        # c y^2 + b x y + a x^2 <= bound, and y > 0 when x = 0
+        ylo, yhi = _y_range(c, b, a, x, bound)
+        for y in range(max(ylo, 1) if x == 0 else ylo, yhi + 1):
+            v = a * x * x + b * x * y + c * y * y
+            if 0 <= v <= bound:
+                counts[v] += 2
     return tuple(counts)
 
 
@@ -290,39 +285,12 @@ def short_vectors(form: TernaryForm, bound: int) -> dict[int, list[tuple[int, in
     out: dict[int, list[tuple[int, int, int]]] = {}
     if bound < 1:
         return out
-    a, b, c, d, e, f = form.sextuple()
-    A, B, C, xmax = _xy_bounds(form, bound)
-    rhs = 4 * c * bound
-
-    def record(x, y, z, v):
-        out.setdefault(v, []).append((x, y, z))
-        out[v].append((-x, -y, -z))
-
-    def sweep_plane(x: int, ymin_open: bool):
-        ylo, yhi = _y_range(A, B, C, x, rhs)
-        if ymin_open:
-            ylo = max(ylo, 1)
-        for y in range(ylo, yhi + 1):
-            lin = d * y + e * x
-            const = a * x * x + b * y * y + f * x * y
-            disc = lin * lin - 4 * c * (const - bound)
-            if disc < 0:
-                continue
-            s = isqrt(disc)
-            zlo = (-lin - s) // (2 * c)
-            zhi = (-lin + s) // (2 * c) + 1
-            for z in range(zlo, zhi + 1):
-                v = (c * z + lin) * z + const
-                if 0 < v <= bound:
-                    record(x, y, z, v)
-
-    for x in range(1, xmax + 1):
-        sweep_plane(x, ymin_open=False)
-    sweep_plane(0, ymin_open=True)
-    z = 1
-    while c * z * z <= bound:
-        record(0, 0, z, c * z * z)
-        z += 1
+    c = form.c
+    for x, y, zlo, zhi, lin, const in _half_space_rows(form, bound):
+        for z in range(zlo, zhi + 1):
+            v = (c * z + lin) * z + const
+            if 0 < v <= bound:
+                out.setdefault(v, []).extend(((x, y, z), (-x, -y, -z)))
     return out
 
 

@@ -13,10 +13,20 @@ Modes and statements:
   ``chi(q)``, ``u(q)``, two-parameter sums ``f(q^a,q^b)`` with optional
   minus signs on either argument, sifting ``S[t,s](expr)``, and the
   operators ``+ - * / ^``.  Division requires a unit constant term.
-* ``ternary`` -- both sides are integer combinations of representation
-  counts ``(a,b,c,d,e,f)(M)`` or ``(a,b,c,d,e,f)(M/w^2)``, weighted genus
-  counts ``W(a,b,c,d,e,f)(M)``, characters ``eps(a,b,c,d,e,f;w)``, and the
-  lifted-union aggregates ``SW(S)(M)`` and ``SEW(S;w)(M)``.
+* ``ternary`` -- both sides are integer combinations of counts: the
+  representation counts ``(a,b,c,d,e,f)(M)`` and ``(a,b,c,d,e,f)(M/w^2)``,
+  weighted genus counts ``W(a,b,c,d,e,f)(M)``, and the lifted-union
+  aggregates ``SW(S)(M)`` and ``SEW(S;w)(M)``; a count may be scaled by
+  integers and characters ``eps(a,b,c,d,e,f;w)``.  Each count is read as
+  its generating series sum_M count(M) q^M, so an entry is checked as a
+  coefficient identity of theta series, evaluated like any series entry
+  and compared at the qualifying M only: ``(form)(M/w^2)`` is the form's
+  theta series under q -> q^(w^2), ``W`` is the weighted sum of the
+  genus's theta series, ``eps`` is a constant, and ``SW``/``SEW`` sum the
+  ``W`` series of the lifted genera, times their characters for ``SEW``.
+  Since a product of series is a Cauchy product, which is not the product
+  of counts at one M, the parser rejects ``/``, ``^``, a product of two
+  counts, and a nonzero summand without a count.
 * ``positivity`` -- STATEMENT is a single series expression; the entry
   passes when every coefficient up to the limit is nonnegative, unless the
   clause ``expect negative`` flips the expectation (a witness exponent is
@@ -41,16 +51,16 @@ from fractions import Fraction
 from math import lcm
 
 from .arith import jacobi
-from .forms import TernaryForm, theta_coefficients
-from .genus import (build_sgenus, genus_of, weighted_coefficients)
+from .forms import TernaryForm, theta_series
+from .genus import build_sgenus, epsilon, genus_of, weighted_coefficients
 from .modeq import (ALPHA_RF, BETA_RF, M_RF, RationalFunction,
                     UnsupportedRadicand, rational_root)
 from .prover import EtaCombination, ProofCertificate, prove
-from .series import Series, invert, is_nonnegative, sift
+from .series import Series, compose_power, invert, is_nonnegative, sift
 from .theta import BUILTIN_NAMES, EtaQuotient, general_theta, named_function
 
 __all__ = [
-    "RegistryError", "IdentitySpec", "Conditions", "VerifyResult",
+    "RegistryError", "EntryError", "IdentitySpec", "Conditions", "VerifyResult",
     "parse_registry", "load_registry", "verify_series", "verify_ternary",
     "verify_positivity", "verify_modeq3", "verify_eta", "verify_entry",
     "run_suite", "RationalFunction", "rational_root",
@@ -62,6 +72,11 @@ class RegistryError(ValueError):
         super().__init__(f"line {line}, col {col}: {message}")
         self.line = line
         self.col = col
+
+
+class EntryError(ValueError):
+    """An entry whose evaluation failed, such as a division by a non-unit;
+    the message starts with the entry's name."""
 
 
 # ---------------------------------------------------------------------------
@@ -145,11 +160,6 @@ class EpsScalar:
 
 @dataclass(frozen=True)
 class UnionCount:
-    s: int
-
-
-@dataclass(frozen=True)
-class UnionEpsCount:
     s: int
     w: int
 
@@ -281,25 +291,44 @@ class _Parser:
         return -int(tok.text) if neg else int(tok.text)
 
     # --- expressions ---
+    def ternary_reject(self, tok: _Token, msg: str, bad: bool = True) -> None:
+        """In ternary mode, raise at tok when bad."""
+        if self.mode == "ternary" and bad:
+            raise RegistryError(msg, tok.line, tok.col)
+
     def parse_expr(self):
-        terms = [(1, self.parse_term())]
+        nodes = []
+        sign = 1
         while True:
+            start = self.peek()
+            term = self.parse_term()
+            self.ternary_reject(start, "each ternary summand needs a count",
+                                bad=not _holds_count(term) and term != Num(0))
+            nodes.append(term if sign > 0 else Neg(term))
             if self.accept("+"):
-                terms.append((1, self.parse_term()))
+                sign = 1
             elif self.accept("-"):
-                terms.append((-1, self.parse_term()))
+                sign = -1
             else:
                 break
-        nodes = tuple(t if s > 0 else Neg(t) for s, t in terms)
-        return nodes[0] if len(nodes) == 1 else Add(nodes)
+        return nodes[0] if len(nodes) == 1 else Add(tuple(nodes))
 
     def parse_term(self):
-        factors = [(self.parse_factor(), False)]
+        factors = []
+        inverted = False
         while True:
+            start = self.peek()
+            node = self.parse_factor()
+            self.ternary_reject(start, "a ternary product takes one count",
+                                bad=_holds_count(node) and any(
+                                    _holds_count(f) for f, _ in factors))
+            factors.append((node, inverted))
+            tok = self.peek()
             if self.accept("*"):
-                factors.append((self.parse_factor(), False))
+                inverted = False
             elif self.accept("/"):
-                factors.append((self.parse_factor(), True))
+                self.ternary_reject(tok, "ternary entries do not divide")
+                inverted = True
             else:
                 break
         if len(factors) == 1 and not factors[0][1]:
@@ -310,7 +339,9 @@ class _Parser:
         if self.accept("-"):
             return Neg(self.parse_factor())
         node = self.parse_atom()
+        tok = self.peek()
         if self.accept("^"):
+            self.ternary_reject(tok, "ternary entries take no powers")
             node = Pow(node, self.parse_exponent())
         return node
 
@@ -394,39 +425,22 @@ class _Parser:
                 return ModSym(word)
             raise self.error(f"unknown modeq3 symbol {word!r}")
         if self.mode == "ternary":
+            if word not in ("W", "eps", "SW", "SEW"):
+                raise self.error(f"unknown ternary primitive {word!r}")
             self.pos += 1
-            if word == "W":
-                self.expect("(")
-                form = self.parse_form_tuple()
-                self.expect(")")
-                w = self.parse_count_arg()
-                if w != 1:
-                    raise self.error("weighted counts take the plain argument M")
-                return WeightedCount(form)
+            self.expect("(")
+            arg = (self.parse_int() if word in ("SW", "SEW")
+                   else self.parse_form_tuple())
+            w = 1  # SW(S) is SEW(S;1): every character at 1 is +1
+            if word in ("eps", "SEW"):
+                self.expect(";")
+                w = self.parse_int()
+            self.expect(")")
             if word == "eps":
-                self.expect("(")
-                form = self.parse_form_tuple()
-                self.expect(";")
-                w = self.parse_int()
-                self.expect(")")
-                return EpsScalar(form, w)
-            if word == "SW":
-                self.expect("(")
-                s = self.parse_int()
-                self.expect(")")
-                if self.parse_count_arg() != 1:
-                    raise self.error("SW takes the plain argument M")
-                return UnionCount(s)
-            if word == "SEW":
-                self.expect("(")
-                s = self.parse_int()
-                self.expect(";")
-                w = self.parse_int()
-                self.expect(")")
-                if self.parse_count_arg() != 1:
-                    raise self.error("SEW takes the plain argument M")
-                return UnionEpsCount(s, w)
-            raise self.error(f"unknown ternary primitive {word!r}")
+                return EpsScalar(arg, w)
+            if self.parse_count_arg() != 1:
+                raise self.error(f"{word} takes the plain argument M")
+            return WeightedCount(arg) if word == "W" else UnionCount(arg, w)
         # series / sift / positivity / eta expression atoms
         if word == "q":
             self.pos += 1
@@ -550,6 +564,19 @@ class _Parser:
                           expect_negative, level, theta_ref)
 
 
+def _holds_count(node) -> bool:
+    """Whether a ternary expression contains a representation count."""
+    if isinstance(node, (FormCount, WeightedCount, UnionCount)):
+        return True
+    if isinstance(node, Neg):
+        return _holds_count(node.body)
+    if isinstance(node, Add):
+        return any(_holds_count(t) for t in node.terms)
+    if isinstance(node, Mul):
+        return any(_holds_count(f) for f, _ in node.factors)
+    return False
+
+
 def _split_entries(text: str):
     """Yield (name, mode, body_tokens, line) for each registry entry."""
     pending: list[tuple[int, str]] = []
@@ -647,7 +674,11 @@ def load_default_registry() -> dict[str, IdentitySpec]:
 # ---------------------------------------------------------------------------
 
 def eval_series(node, n: int) -> Series:
-    """Evaluate a series-mode AST to exactly n coefficients."""
+    """Evaluate an AST to exactly n coefficients.
+
+    A ternary count becomes its generating series in M (see the module
+    docstring), so ternary entries are series arithmetic too.
+    """
     if isinstance(node, Num):
         return Series.monomial(0, n, node.value)
     if isinstance(node, QPow):
@@ -688,86 +719,20 @@ def eval_series(node, n: int) -> Series:
         need = node.step * (n - 1) + node.residue + 1 if n > 0 else 0
         inner = eval_series(node.body, need)
         return sift(inner, node.step, node.residue)
-    raise TypeError(f"cannot evaluate {type(node).__name__} as a series")
-
-
-# ---------------------------------------------------------------------------
-# ternary evaluation
-# ---------------------------------------------------------------------------
-
-class _TernaryContext:
-    def __init__(self, mmax: int):
-        self.n = mmax + 1
-        self._theta: dict[tuple, tuple[int, ...]] = {}
-        self._weighted: dict[tuple, tuple[int, ...]] = {}
-        self._eps: dict[tuple, int] = {}
-        self._union: dict[int, object] = {}
-
-    def theta(self, form_tuple: tuple) -> tuple[int, ...]:
-        if form_tuple not in self._theta:
-            self._theta[form_tuple] = theta_coefficients(
-                TernaryForm(*form_tuple), self.n)
-        return self._theta[form_tuple]
-
-    def weighted(self, form_tuple: tuple) -> tuple[int, ...]:
-        if form_tuple not in self._weighted:
-            record = genus_of(TernaryForm(*form_tuple))
-            self._weighted[form_tuple] = weighted_coefficients(record, self.n)
-        return self._weighted[form_tuple]
-
-    def eps(self, form_tuple: tuple, w: int) -> int:
-        key = (form_tuple, w)
-        if key not in self._eps:
-            from .genus import epsilon
-            self._eps[key] = epsilon(genus_of(TernaryForm(*form_tuple)), w)
-        return self._eps[key]
-
-    def union(self, s: int):
-        if s not in self._union:
-            sg = build_sgenus(s)
-            rows = [weighted_coefficients(tg, self.n) for tg in sg.tg]
-            self._union[s] = (sg, rows)
-        return self._union[s]
-
-
-def _eval_count(node, m: int, ctx: _TernaryContext) -> int:
-    if isinstance(node, Num):
-        return node.value
     if isinstance(node, FormCount):
-        w2 = node.divisor * node.divisor
-        if m % w2:
-            return 0
-        return ctx.theta(node.form)[m // w2]
+        theta = theta_series(TernaryForm(*node.form), n)
+        return compose_power(theta, node.divisor * node.divisor, n)
     if isinstance(node, WeightedCount):
-        return ctx.weighted(node.form)[m]
+        record = genus_of(TernaryForm(*node.form))
+        return Series(weighted_coefficients(record, n))
     if isinstance(node, EpsScalar):
-        return ctx.eps(node.form, node.w)
+        record = genus_of(TernaryForm(*node.form))
+        return Series.monomial(0, n, epsilon(record, node.w))
     if isinstance(node, UnionCount):
-        _, rows = ctx.union(node.s)
-        return sum(row[m] for row in rows)
-    if isinstance(node, UnionEpsCount):
-        sg, rows = ctx.union(node.s)
-        return sum(sg.eps[(i, node.w)] * row[m] for i, row in enumerate(rows))
-    if isinstance(node, Neg):
-        return -_eval_count(node.body, m, ctx)
-    if isinstance(node, Add):
-        return sum(_eval_count(t, m, ctx) for t in node.terms)
-    if isinstance(node, Mul):
-        total = 1
-        for factor, inverted in node.factors:
-            v = _eval_count(factor, m, ctx)
-            if inverted:
-                if total % v:
-                    raise ArithmeticError("non-integer division in ternary entry")
-                total //= v
-            else:
-                total *= v
-        return total
-    if isinstance(node, Pow):
-        if node.exponent.denominator != 1 or node.exponent < 0:
-            raise ValueError("ternary exponents must be nonnegative integers")
-        return _eval_count(node.base, m, ctx) ** node.exponent.numerator
-    raise TypeError(f"cannot evaluate {type(node).__name__} in ternary mode")
+        sg = build_sgenus(node.s)
+        return sum((sg.eps[(i, node.w)] * Series(weighted_coefficients(tg, n))
+                    for i, tg in enumerate(sg.tg)), Series.zero(n))
+    raise TypeError(f"cannot evaluate {type(node).__name__} as a series")
 
 
 # ---------------------------------------------------------------------------
@@ -871,23 +836,19 @@ def verify_series(spec: IdentitySpec, n: int) -> VerifyResult:
 
 
 def verify_ternary(spec: IdentitySpec, mmax: int) -> VerifyResult:
-    """Compare both sides at every qualifying M <= mmax."""
+    """Compare the coefficients of q^M of both sides at every qualifying M <= mmax."""
     if spec.mode != "ternary":
         raise ValueError(f"{spec.name} is not a ternary entry")
-    ctx = _TernaryContext(mmax)
-    checked = 0
-    for m in range(1, mmax + 1):
-        if not spec.conditions.qualifies(m):
-            continue
-        checked += 1
-        left = _eval_count(spec.lhs, m, ctx)
-        right = _eval_count(spec.rhs, m, ctx)
-        if left != right:
-            return VerifyResult(spec.name, spec.mode, False,
-                                f"Mmax={mmax}",
-                                f"M={m}: {left} != {right}")
+    n = max(mmax, 0) + 1
+    lhs = eval_series(spec.lhs, n).coeffs
+    rhs = eval_series(spec.rhs, n).coeffs
+    ms = [m for m in range(1, n) if spec.conditions.qualifies(m)]
+    for m in ms:
+        if lhs[m] != rhs[m]:
+            return VerifyResult(spec.name, spec.mode, False, f"Mmax={mmax}",
+                                f"M={m}: {lhs[m]} != {rhs[m]}")
     return VerifyResult(spec.name, spec.mode, True,
-                        f"Mmax={mmax} ({checked} values)")
+                        f"Mmax={mmax} ({len(ms)} values)")
 
 
 def verify_positivity(spec: IdentitySpec, limit: int) -> VerifyResult:
@@ -974,19 +935,23 @@ def verify_eta(spec: IdentitySpec) -> tuple[VerifyResult, ProofCertificate]:
 
 def verify_entry(spec: IdentitySpec, terms: int = 500, mmax: int = 10000,
                  limit: int = 1000) -> VerifyResult:
+    """Verify one entry; an entry that cannot be evaluated raises EntryError."""
     start = time.perf_counter()
-    if spec.mode in ("series", "sift"):
-        result = verify_series(spec, terms)
-    elif spec.mode == "ternary":
-        result = verify_ternary(spec, mmax)
-    elif spec.mode == "positivity":
-        result = verify_positivity(spec, limit)
-    elif spec.mode == "modeq3":
-        result = verify_modeq3(spec)
-    elif spec.mode == "eta":
-        result, _ = verify_eta(spec)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown mode {spec.mode}")
+    try:
+        if spec.mode in ("series", "sift"):
+            result = verify_series(spec, terms)
+        elif spec.mode == "ternary":
+            result = verify_ternary(spec, mmax)
+        elif spec.mode == "positivity":
+            result = verify_positivity(spec, limit)
+        elif spec.mode == "modeq3":
+            result = verify_modeq3(spec)
+        elif spec.mode == "eta":
+            result, _ = verify_eta(spec)
+        else:  # pragma: no cover
+            raise ValueError(f"unknown mode {spec.mode}")
+    except (ArithmeticError, LookupError, RuntimeError, ValueError) as err:
+        raise EntryError(f"{spec.name}: {err}") from err
     result.elapsed_ms = (time.perf_counter() - start) * 1000.0
     return result
 

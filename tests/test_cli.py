@@ -1,5 +1,9 @@
 import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from thetaforms.cli import main
 
@@ -39,6 +43,14 @@ class TestExpand:
     def test_unknown_function(self, capsys):
         code, _, err = run_cli(capsys, "expand", "--func", "bogus(q)")
         assert code == 2
+
+    def test_count_below_one_is_usage_error(self, capsys):
+        for n in ("0", "-3"):
+            code, out, err = run_cli(capsys, "expand", "--func", "phi(q)",
+                                     "--n", n)
+            assert code == 2
+            assert out == ""
+            assert err == f"n must be positive, got {n}\n"
 
 
 class TestVerify:
@@ -81,6 +93,80 @@ class TestVerify:
                                "verify", "--id", "x")
         assert code == 2
         assert "parse error" in err
+
+
+class TestEntryEvaluationErrors:
+    """An entry whose evaluation raises is a usage error of one line."""
+
+    BAD = ("x: series: eta{1:-24} = 1\n", "x: series: phi(q)/2 = 1\n")
+
+    def check(self, capsys, tmp_path, text, *argv):
+        registry = tmp_path / "reg.txt"
+        registry.write_text(text, encoding="utf-8")
+        code, _, err = run_cli(capsys, "--registry", str(registry), *argv)
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("cannot evaluate x: ")
+        assert "Traceback" not in err
+
+    def test_verify(self, capsys, tmp_path):
+        for text in self.BAD:
+            self.check(capsys, tmp_path, text, "verify", "--id", "x",
+                       "--terms", "20")
+
+    def test_suite(self, capsys, tmp_path):
+        for text in self.BAD:
+            self.check(capsys, tmp_path,
+                       "a: series: phi(q) = phi(q^4) + 2*q*psi(q^8)\n" + text,
+                       "suite", "--terms", "20")
+
+
+class TestClosedPipe:
+    """A reader that stops early ends the output quietly; the exit code
+    stays the command's verdict."""
+
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    def run_closed(self, capsys, monkeypatch, *argv):
+        monkeypatch.setattr(sys, "stdout", self.ClosedPipe())
+        code = main(list(argv))
+        monkeypatch.undo()
+        return code, capsys.readouterr().err
+
+    def test_pass_keeps_exit_zero(self, capsys, monkeypatch):
+        code, err = self.run_closed(capsys, monkeypatch,
+                                    "forms", "--disc", "144")
+        assert (code, err) == (0, "")
+
+    def test_failure_keeps_exit_one(self, capsys, monkeypatch, tmp_path):
+        registry = tmp_path / "reg.txt"
+        registry.write_text("wrong: series: phi(q) = psi(q)\n",
+                            encoding="utf-8")
+        code, err = self.run_closed(capsys, monkeypatch, "--registry",
+                                    str(registry), "suite", "--terms", "10")
+        assert (code, err) == (1, "")
+
+    def test_real_pipe_closed_early(self):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "thetaforms.cli", "expand",
+             "--func", "phi(q)", "--n", "200000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        head = [proc.stdout.readline() for _ in range(2)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert head[1].split() == [b"0", b"1"]
+        assert err == b""
 
 
 class TestProveEta:

@@ -6,8 +6,9 @@ import pytest
 from thetaforms.forms import (BinaryForm, TernaryForm, aut_count,
                               distinct_classes, enumerate_binary_classes,
                               enumerate_ternary_classes, reduce_binary,
-                              repcount, ternary_candidates, ternary_equivalent,
-                              theta_series, transform_ternary)
+                              repcount, short_vectors, ternary_candidates,
+                              ternary_equivalent, theta_series,
+                              transform_ternary)
 
 KNOWN_FORMS = {
     (1, 6, 6, 0, 0, 0): 16,
@@ -176,6 +177,42 @@ class TestThetaSeries:
                 f = rng.choice(forms)
                 m = rng.randrange(0, 400)
                 assert coeffs[f][m] == repcount(f, m)
+
+
+class TestShortVectors:
+    """short_vectors against a brute-force box with adjugate bounds."""
+
+    @staticmethod
+    def brute(form: TernaryForm, bound: int):
+        a, b, c, d, e, f = form.sextuple()
+        disc = form.discriminant
+        bx = isqrt(bound * (4 * b * c - d * d) // disc) + 1
+        by = isqrt(bound * (4 * a * c - e * e) // disc) + 1
+        bz = isqrt(bound * (4 * a * b - f * f) // disc) + 1
+        out = {}
+        for x in range(-bx, bx + 1):
+            for y in range(-by, by + 1):
+                for z in range(-bz, bz + 1):
+                    v = form.value(x, y, z)
+                    if 0 < v <= bound:
+                        out.setdefault(v, []).append((x, y, z))
+        return out
+
+    @pytest.mark.parametrize("sextuple", [(1, 1, 1, 0, 0, 0),
+                                          (3, 5, 14, 0, 0, 2),
+                                          (4, 5, 6, 0, 4, 0),
+                                          (5, 12, 18, 12, 0, 0),
+                                          (9, 11, 11, 2, 6, 6),
+                                          (2, 3, 4, -1, -2, -1)])
+    @pytest.mark.parametrize("bound", [0, 1, 2, 9, 40])
+    def test_matches_brute_box(self, sextuple, bound):
+        form = TernaryForm(*sextuple)
+        got = short_vectors(form, bound)
+        want = self.brute(form, bound)
+        assert sorted(got) == sorted(want)
+        for v, vecs in got.items():
+            assert len(set(vecs)) == len(vecs)
+            assert sorted(vecs) == sorted(want[v])
 
 
 class TestAutCount:

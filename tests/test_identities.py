@@ -1,7 +1,10 @@
 import pytest
 
 from thetaforms.arith import iroot
-from thetaforms.identities import (RegistryError, load_default_registry,
+from thetaforms.forms import TernaryForm, repcount
+from thetaforms.genus import build_sgenus, epsilon, genus_of, weighted_count
+from thetaforms.identities import (EntryError, EpsScalar, RegistryError,
+                                   eval_series, load_default_registry,
                                    load_registry, parse_registry, run_suite,
                                    verify_entry, verify_modeq3,
                                    verify_positivity, verify_series,
@@ -178,27 +181,21 @@ class TestVerifyTernary:
         text = ("x: ternary: (1,8,8,0,0,0)(M) = (1,6,6,0,0,0)(M) "
                 "+ 2*(2,3,6,0,0,0)(M) where M = 1 mod 8")
         spec = parse_registry(text)[0]
-        from thetaforms.identities import _TernaryContext, _eval_count
-        ctx = _TernaryContext(30)
-        assert _eval_count(spec.lhs, 25, ctx) == 10
-        assert _eval_count(spec.rhs, 25, ctx) == 10
+        assert eval_series(spec.lhs, 31).coeffs[25] == 10
+        assert eval_series(spec.rhs, 31).coeffs[25] == 10
 
     def test_exact_division_case(self, registry):
         # scaled relation at M = 33: 16 = 2 * 8
-        from thetaforms.identities import _TernaryContext, _eval_count
         spec = registry["2.34"]
-        ctx = _TernaryContext(40)
         assert spec.conditions.qualifies(33)
-        assert _eval_count(spec.lhs, 33, ctx) == 16
-        assert _eval_count(spec.rhs, 33, ctx) == 16
+        assert eval_series(spec.lhs, 41).coeffs[33] == 16
+        assert eval_series(spec.rhs, 41).coeffs[33] == 16
 
     def test_twin_clause_at_17(self, registry):
-        from thetaforms.identities import _TernaryContext, _eval_count
         spec = registry["c1.4a"]
-        ctx = _TernaryContext(20)
         assert spec.conditions.qualifies(17)
-        assert _eval_count(spec.lhs, 17, ctx) == 16
-        assert _eval_count(spec.rhs, 17, ctx) == 16
+        assert eval_series(spec.lhs, 21).coeffs[17] == 16
+        assert eval_series(spec.rhs, 21).coeffs[17] == 16
 
     def test_failure_reports_first_m(self):
         text = ("x: ternary: (1,8,8,0,0,0)(M) = 3*(1,6,6,0,0,0)(M) "
@@ -212,9 +209,92 @@ class TestVerifyTernary:
         text = ("x: ternary: 3*(1,8,8,0,0,0)(M/3^2) = -(1,6,6,0,0,0)(M) "
                 "+ 2*(2,3,6,0,0,0)(M) where M = 1 mod 8, 3|M")
         spec = parse_registry(text)[0]
-        from thetaforms.identities import _TernaryContext, _eval_count
-        ctx = _TernaryContext(40)
-        assert _eval_count(spec.lhs, 33, ctx) == 0
+        assert eval_series(spec.lhs, 41).coeffs[33] == 0
+
+
+class TestTernaryGrammar:
+    """Ternary sides are integer combinations of single counts; anything
+    else would mean one thing per M and another as series arithmetic."""
+
+    @pytest.mark.parametrize("statement, bad", [
+        ("(1,1,1,0,0,0)(M)/2 = (1,6,6,0,0,0)(M)", "/"),
+        ("(1,1,1,0,0,0)(M) = (1,6,6,0,0,0)(M)^2", "^"),
+        ("(1,1,1,0,0,0)(M) = 2*(1,6,6,0,0,0)(M)*(2,3,6,0,0,0)(M)", "(2,3"),
+        ("(1,1,1,0,0,0)(M) = 3*(1,6,6,0,0,0)(M) + 1", "1\n"),
+        ("(1,1,1,0,0,0)(M) = 3*((1,6,6,0,0,0)(M) - 2*eps(1,6,6,0,0,0;3))",
+         "2*eps"),
+    ])
+    def test_rejected_at_the_offending_token(self, statement, bad):
+        # the statement sits on a continuation line
+        text = "x: ternary:\n    " + statement + "\n"
+        with pytest.raises(RegistryError) as err:
+            parse_registry(text)
+        assert err.value.line == 2
+        assert err.value.col == ("    " + statement + "\n").index(bad)
+
+    def test_scaled_sums_and_zero_accepted(self):
+        text = ("x: ternary: 3*((1,6,6,0,0,0)(M) - eps(1,6,6,0,0,0;3)"
+                "*W(2,3,6,0,0,0)(M)) - 0 = 0")
+        assert parse_registry(text)[0].rhs.value == 0
+
+    def test_shipped_entries_are_combinations_of_counts(self, registry):
+        ternary = [s for s in registry.values() if s.mode == "ternary"]
+        assert len(ternary) == 47
+
+
+class TestTernaryLeaves:
+    """Each ternary leaf as a series, against the per-value counts."""
+
+    N = 241
+    SAMPLES = (1, 9, 17, 33, 45, 72, 81, 99, 153, 225, 240)
+
+    def leaf(self, text):
+        spec = parse_registry(f"x: ternary: {text} = 0")[0]
+        return eval_series(spec.lhs, self.N).coeffs
+
+    @pytest.mark.parametrize("form, w", [((1, 8, 8, 0, 0, 0), 3),
+                                         ((1, 1, 1, 0, 0, 0), 5),
+                                         ((3, 5, 14, 0, 0, 2), 1)])
+    def test_rescaled_count(self, form, w):
+        coeffs = self.leaf("(" + ",".join(map(str, form)) + f")(M/{w}^2)")
+        for m in self.SAMPLES:
+            expected = 0 if m % (w * w) else repcount(TernaryForm(*form),
+                                                      m // (w * w))
+            assert coeffs[m] == expected, m
+
+    def test_weighted_and_eps(self):
+        form = TernaryForm(1, 14, 14, 0, 0, 0)
+        record = genus_of(form)
+        coeffs = self.leaf("eps(1,14,14,0,0,0;7)*W(1,14,14,0,0,0)(M)")
+        eps = epsilon(record, 7)
+        assert eps in (1, -1)
+        for m in self.SAMPLES:
+            assert coeffs[m] == eps * weighted_count(record, m), m
+
+    def test_eps_is_a_constant(self):
+        coeffs = eval_series(EpsScalar((1, 6, 6, 0, 0, 0), 3), self.N).coeffs
+        eps = epsilon(genus_of(TernaryForm(1, 6, 6, 0, 0, 0)), 3)
+        assert coeffs == (eps,) + (0,) * (self.N - 1)
+
+    @pytest.mark.parametrize("s, w", [(15, 1), (15, 3), (15, 15), (7, 7)])
+    def test_union_with_characters(self, s, w):
+        sg = build_sgenus(s)
+        coeffs = self.leaf(f"SEW({s};{w})(M)")
+        for m in self.SAMPLES:
+            expected = sum(sg.eps[(i, w)] * weighted_count(tg, m)
+                           for i, tg in enumerate(sg.tg))
+            assert coeffs[m] == expected, m
+        if w == 1:
+            assert self.leaf(f"SW({s})(M)") == coeffs
+
+
+class TestEntryErrors:
+    @pytest.mark.parametrize("text", ["x: series: eta{1:-24} = 1",
+                                      "x: series: phi(q)/2 = 1"])
+    def test_evaluation_failure_names_the_entry(self, text):
+        with pytest.raises(EntryError) as err:
+            verify_entry(parse_registry(text)[0], terms=20)
+        assert str(err.value).startswith("x: ")
 
 
 class TestVerifyPositivity:
