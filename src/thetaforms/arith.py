@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-from math import gcd, isqrt
-
 __all__ = [
-    "jacobi", "is_square", "factorize", "prime_divisors", "divisors",
+    "jacobi", "factorize", "prime_divisors", "divisors",
     "euler_phi", "is_squarefree", "iroot",
 ]
 
@@ -26,13 +24,6 @@ def jacobi(a: int, n: int) -> int:
             result = -result
         a %= n
     return result if n == 1 else 0
-
-
-def is_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = isqrt(n)
-    return r * r == n
 
 
 def iroot(n: int, k: int) -> int | None:

@@ -12,7 +12,11 @@ An odd squarefree S with r prime factors selects 2^r genera of discriminant
 16 S^2 by lifting one binary form of discriminant -8S per binary genus via
 (a, b, c) -> a x^2 + |b| xy + c y^2 + 2S z^2.  The union of those genera
 carries epsilon characters, integer masses, and weighted representation
-counts, exposed here.
+counts, exposed here.  Both ends are closed forms: a binary genus is fixed by
+Gauss's assigned characters on one represented value (Cox, *Primes of the
+form x^2+ny^2*, Thm 3.15), and epsilon(tg, p) = (-2u|p) for the unit u of
+the 1-dimensional scale-0 Jordan block at p | S (Conway-Sloane, *SPLAG*
+ch. 15), since every represented n prime to p is (u/2) x^2 mod p.
 
 Genus cells are built one genus at a time.  `genus_of` keeps only the
 half-box candidates of `forms.ternary_candidates` whose content, doubled-
@@ -28,9 +32,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import gcd
 
-from .arith import divisors, is_squarefree, jacobi, prime_divisors
+from .arith import (divisors, factorize, is_squarefree, jacobi,
+                    prime_divisors)
 from .forms import (BinaryForm, TernaryForm, aut_count, distinct_classes,
                     enumerate_binary_classes, repcount, ternary_candidates,
                     ternary_equivalent, theta_coefficients)
@@ -363,19 +369,35 @@ def genus_of(form: TernaryForm) -> GenusRecord:
     return record
 
 
+def _coprime_value(form: BinaryForm, m: int) -> int:
+    """The first f(x, y) coprime to m over x, y >= 0 by x + y; a primitive
+    form has one with x, y < m by the Chinese remainder theorem."""
+    for t in count():
+        for x, y in zip(range(t + 1), range(t, -1, -1)):
+            n = form.a * x * x + form.b * x * y + form.c * y * y
+            if gcd(n, m) == 1:
+                return n
+
+
 def binary_genus_partition(disc: int) -> tuple[tuple[BinaryForm, ...], ...]:
-    """Group the reduced primitive classes by represented units mod |disc|."""
-    forms = enumerate_binary_classes(disc)
-    mod = -disc
-    units = frozenset(v for v in range(mod) if gcd(v, mod) == 1)
-    cells: dict[frozenset, list[BinaryForm]] = {}
-    for form in forms:
-        a, b, c = form.a, form.b, form.c
-        values = set()
-        for x in range(mod):
-            ax2, bx = a * x * x, b * x
-            values.update([(ax2 + (bx + c * y) * y) % mod for y in range(mod)])
-        cells.setdefault(units & values, []).append(form)
+    """Group the reduced classes of discriminant -8S by assigned characters.
+
+    For D = -4(2S) the genus is fixed by the assigned characters (n|p) for
+    p | S and delta*epsilon(n) = (-2|n) when S = 1 mod 4, epsilon(n) = (2|n)
+    when S = 3 mod 4 (Cox, *Primes of the form x^2+ny^2*, Thm 3.15).  They
+    are constant on the values n coprime to 2S that a form represents, so
+    one such value keys the form.  The character at 2 is the product of the
+    others there, as (D|n) = 1, so the odd ones suffice.
+    """
+    s = -disc // 8
+    if disc % 8 or s < 3 or s % 2 == 0 or not is_squarefree(s):
+        raise ValueError(
+            f"discriminant {disc} is not -8S with S odd, squarefree and >= 3")
+    primes = prime_divisors(s)
+    cells: dict[tuple, list[BinaryForm]] = {}
+    for form in enumerate_binary_classes(disc):
+        n = _coprime_value(form, 2 * s)
+        cells.setdefault(tuple(jacobi(n, p) for p in primes), []).append(form)
     out = [tuple(cell) for cell in cells.values()]
     out.sort(key=lambda cell: min((f.a, abs(f.b), f.c, f.b < 0) for f in cell))
     return tuple(out)
@@ -400,9 +422,6 @@ class SGenus:
     tg: tuple[GenusRecord, ...]
     sources: tuple[tuple[BinaryForm, ...], ...]  # binary genus feeding each tg
     eps: dict  # (index, divisor w of S) -> +-1
-
-    def divisor_characters(self, w: int) -> tuple[int, ...]:
-        return tuple(self.eps[(i, w)] for i in range(len(self.tg)))
 
 
 @lru_cache(maxsize=None)
@@ -435,48 +454,28 @@ def build_sgenus(s: int) -> SGenus:
     return SGenus(s, primes, tuple(records), tuple(cells), eps)
 
 
-def _represented_values(tg: GenusRecord, bound: int):
-    """Values 1..bound represented by some class, in increasing order.
-
-    The theta series are read to a window that doubles from 64, so a
-    caller that stops early never expands them to the full bound.
-    """
-    lo, hi = 1, min(64, bound)
-    while lo <= bound:
-        thetas = [theta_coefficients(f, hi + 1) for f in tg.classes]
-        for nval in range(lo, hi + 1):
-            if any(t[nval] for t in thetas):
-                yield nval
-        lo, hi = hi + 1, min(2 * hi, bound)
-
-
 def epsilon(tg: GenusRecord, w: int) -> int:
-    """Jacobi character (-n | w) on values n represented by the genus, gcd(n,w)=1.
+    """The character (-n | w) on the values n coprime to w the genus represents.
 
-    The result must not depend on the choice of n; the first hit is
-    cross-checked against the next ten qualifying values.
+    Read from the Jordan symbol at each p | w: when the doubled Gram matrix
+    has a 1-dimensional scale-0 block with unit u at p (as every lifted
+    genus has at p | S), each represented n prime to p is (u/2) x^2 mod p,
+    so (-n|p) = (-2|p) (u|p), and `local_symbols` stores (u|p).  Any other
+    block shape does not fix (-n|p) and raises RuntimeError.
     """
-    if w == 1:
-        return 1
-    bound = tg.discriminant
-    found = None
-    checked = 0
-    for nval in _represented_values(tg, bound):
-        if gcd(nval, w) != 1:
-            continue
-        j = jacobi(-nval, w)
-        if found is None:
-            found = j
-        elif j != found:
+    if w < 1 or w % 2 == 0:
+        raise ValueError("w must be odd and positive")
+    symbols = tg.symbols
+    out = 1
+    for p, k in factorize(w).items():
+        # p outside the symbols does not divide 2*disc: one 3-dim unit block
+        scale, dim, unit_class = symbols.get(p, ((0, 3, 0),))[0]
+        if (scale, dim) != (0, 1):
             raise RuntimeError(
-                f"character (-n|{w}) is not constant on the genus {tg}")
-        checked += 1
-        if checked > 10:
-            break
-    if found is None:
-        raise RuntimeError(
-            f"no represented value coprime to {w} below {bound} for {tg}")
-    return found
+                f"the genus {tg} does not fix (-n|{p}): its scale-0 Jordan "
+                f"block at {p} is not 1-dimensional")
+        out *= (jacobi(-2, p) * unit_class) ** k
+    return out
 
 
 def mass_direct(tg: GenusRecord) -> int:

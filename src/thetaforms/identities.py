@@ -33,8 +33,9 @@ Modes and statements:
   reported either way).
 * ``modeq3`` -- identities in ``m``, ``alpha``, ``beta`` with rational
   exponents in eighths, verified exactly through the degree-3
-  parametrization; a ``theta NAME`` clause names the companion series
-  entry used as an independent numeric cross-check.
+  parametrization; a ``theta NAME`` clause names the companion ``series``
+  or ``sift`` entry of the same registry, the independent numeric
+  cross-check that the suite verifies in its own right.
 * ``eta`` -- a linear combination of ``eta{d:r,...}`` atoms equal to a
   constant, proved by the valence-bound prover; requires ``level N``.
 
@@ -178,6 +179,7 @@ class Conditions:
     expect_negative: bool = False
     level: int = 0
     theta_ref: str = ""
+    theta_at: tuple[int, int] = (0, 0)  # (line, col) of the theta NAME
 
     def qualifies(self, m: int) -> bool:
         if self.modulus and m % self.modulus not in self.residues:
@@ -225,29 +227,33 @@ class _Token:
     col: int
 
 
-def _tokenize(text: str, line: int, col0: int) -> list[_Token]:
+def _tokenize(text: str, line: int, offset: int) -> list[_Token]:
+    """Tokens of a line's text from `offset` on, with 1-based columns."""
     out = []
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
+        col = offset + pos + 1
         if m is None:
-            raise RegistryError(f"bad character {text[pos]!r}", line, col0 + pos)
+            raise RegistryError(f"bad character {text[pos]!r}", line, col)
         if m.lastgroup == "word":
             word = m.group()
             kind = "int" if word.isdigit() else "word"
-            out.append(_Token(kind, word, line, col0 + pos))
+            out.append(_Token(kind, word, line, col))
         elif m.lastgroup in ("sym", "dbar"):
             sym = "=" if m.group() == "≡" else m.group()
-            out.append(_Token("sym", sym, line, col0 + pos))
+            out.append(_Token("sym", sym, line, col))
         pos = m.end()
     return out
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], mode: str, line: int):
+    def __init__(self, tokens: list[_Token], mode: str, start: tuple[int, int]):
         self.tokens = tokens
         self.mode = mode
-        self.line = line
+        # errors past the last token point just after it, or at `start`
+        last = tokens[-1] if tokens else None
+        self.end = (last.line, last.col + len(last.text)) if last else start
         self.pos = 0
 
     # --- primitives ---
@@ -258,7 +264,7 @@ class _Parser:
     def next(self) -> _Token:
         tok = self.peek()
         if tok is None:
-            raise RegistryError("unexpected end of entry", self.line, 0)
+            raise RegistryError("unexpected end of entry", *self.end)
         self.pos += 1
         return tok
 
@@ -279,7 +285,7 @@ class _Parser:
     def error(self, msg: str) -> RegistryError:
         tok = self.peek()
         if tok is None:
-            return RegistryError(msg, self.line, 0)
+            return RegistryError(msg, *self.end)
         return RegistryError(msg + f" (at {tok.text!r})", tok.line, tok.col)
 
     def parse_int(self) -> int:
@@ -502,7 +508,7 @@ class _Parser:
         jac: list[tuple[int, int]] = []
         expect_negative = False
         level = 0
-        theta_ref = ""
+        theta_ref, theta_at = "", (0, 0)
         while True:
             tok = self.peek()
             if tok is None:
@@ -555,13 +561,13 @@ class _Parser:
             elif tok.text == "theta":
                 self.pos += 1
                 ref = self.next()
-                theta_ref = ref.text
+                theta_ref, theta_at = ref.text, (ref.line, ref.col)
             else:
                 raise self.error("unknown condition")
             if not self.accept(","):
                 break
         return Conditions(residues, modulus, tuple(divides), tuple(jac),
-                          expect_negative, level, theta_ref)
+                          expect_negative, level, theta_ref, theta_at)
 
 
 def _holds_count(node) -> bool:
@@ -616,19 +622,16 @@ def parse_registry(text: str) -> list[IdentitySpec]:
             raise RegistryError(f"duplicate identity name {name!r}",
                                 first_line, 1)
         names.add(name)
-        tokens: list[_Token] = []
-        tokens += _tokenize(first_text[header.end():], first_line, header.end())
+        tokens = _tokenize(first_text[header.end():], first_line, header.end())
         for lineno, more in chunk[1:]:
             tokens += _tokenize(more, lineno, 0)
         # split off the where clause at the top level
-        where_at = None
-        for i, tok in enumerate(tokens):
-            if tok.kind == "word" and tok.text == "where":
-                where_at = i
-                break
-        cond_tokens = tokens[where_at + 1:] if where_at is not None else []
-        expr_tokens = tokens[:where_at] if where_at is not None else tokens
-        parser = _Parser(expr_tokens, mode, first_line)
+        where_at = next((i for i, tok in enumerate(tokens)
+                         if tok.kind == "word" and tok.text == "where"),
+                        len(tokens))
+        expr_tokens, cond_tokens = tokens[:where_at], tokens[where_at + 1:]
+        after_header = (first_line, header.end() + 1)
+        parser = _Parser(expr_tokens, mode, after_header)
         lhs = parser.parse_expr()
         rhs = None
         if parser.accept("="):
@@ -641,7 +644,7 @@ def parse_registry(text: str) -> list[IdentitySpec]:
                                     first_line, 1)
         elif rhs is None:
             rhs = Num(0)
-        cparser = _Parser(cond_tokens, mode, first_line)
+        cparser = _Parser(cond_tokens, mode, after_header)
         conditions = cparser.parse_conditions()
         if cparser.peek() is not None:
             raise cparser.error("trailing tokens after conditions")
@@ -653,9 +656,17 @@ def parse_registry(text: str) -> list[IdentitySpec]:
 
 
 def load_registry(path) -> dict[str, IdentitySpec]:
+    """Parse a registry file; its theta clauses must name its own series or
+    sift entries (`parse_registry` also takes an entry apart from its file)."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return {spec.name: spec for spec in parse_registry(text)}
+        registry = {spec.name: spec for spec in parse_registry(fh.read())}
+    for spec in registry.values():
+        ref = spec.conditions.theta_ref
+        if ref and (ref not in registry
+                    or registry[ref].mode not in ("series", "sift")):
+            raise RegistryError(f"theta {ref!r} names no series or sift entry",
+                                *spec.conditions.theta_at)
+    return registry
 
 
 def default_registry_path():

@@ -68,10 +68,6 @@ def p_pow(a: Poly, k: int) -> Poly:
     return out
 
 
-def p_scale(a: Poly, s: int) -> Poly:
-    return _trim([s * c for c in a])
-
-
 def p_content(a: Poly) -> int:
     g = 0
     for c in a:

@@ -120,6 +120,13 @@ class TestEntryEvaluationErrors:
                        "a: series: phi(q) = phi(q^4) + 2*q*psi(q^8)\n" + text,
                        "suite", "--terms", "20")
 
+    def test_unfixed_character(self, capsys, tmp_path):
+        # 3 does not divide the discriminant 4 of the genus
+        self.check(capsys, tmp_path,
+                   "x: ternary: (1,1,1,0,0,0)(M) = "
+                   "eps(1,1,1,0,0,0;3)*W(1,1,1,0,0,0)(M)\n",
+                   "verify", "--id", "x", "--mmax", "20")
+
 
 class TestClosedPipe:
     """A reader that stops early ends the output quietly; the exit code

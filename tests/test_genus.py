@@ -1,10 +1,10 @@
 import random
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
 from thetaforms import genus
-from thetaforms.arith import divisors, jacobi, prime_divisors
+from thetaforms.arith import divisors, is_squarefree, jacobi, prime_divisors
 from thetaforms.forms import (BinaryForm, TernaryForm,
                               enumerate_binary_classes,
                               enumerate_ternary_classes, ternary_candidates,
@@ -16,6 +16,11 @@ from thetaforms.genus import (GenusRecord, binary_genus_partition,
                               weighted_coefficients, weighted_count)
 
 MASS_SHIFTS = (3, 5, 7, 11, 13, 15, 21, 33, 35)
+ODD_SQUAREFREE = [s for s in range(3, 36, 2) if is_squarefree(s)]
+# (S, index of a lifted genus, divisor w >= 2 of S); S has 2^r genera
+LIFTED_CHARACTERS = [(s, i, w) for s in MASS_SHIFTS
+                     for i in range(2 ** len(prime_divisors(s)))
+                     for w in divisors(s) if w >= 2]
 
 
 def transformed_binary(rng, form):
@@ -160,6 +165,21 @@ class TestLocalCountConsistency:
         assert len(signatures) == len(reps)
 
 
+def residue_sweep_partition(disc):
+    """Reference binary genera: classes grouped by the unit residues mod
+    |disc| they represent, from every (x, y) mod |disc|."""
+    mod = -disc
+    units = frozenset(v for v in range(mod) if gcd(v, mod) == 1)
+    cells = {}
+    for f in enumerate_binary_classes(disc):
+        values = {(f.a * x * x + f.b * x * y + f.c * y * y) % mod
+                  for x in range(mod) for y in range(mod)}
+        cells.setdefault(units & values, []).append(f)
+    return tuple(sorted(
+        (tuple(cell) for cell in cells.values()),
+        key=lambda cell: min((f.a, abs(f.b), f.c, f.b < 0) for f in cell)))
+
+
 class TestBinaryGenera:
     def test_two_cells_at_24(self):
         cells = binary_genus_partition(-24)
@@ -179,6 +199,29 @@ class TestBinaryGenera:
     def test_cell_count_is_power_of_two(self, s):
         cells = binary_genus_partition(-8 * s)
         assert len(cells) == 2 ** len(prime_divisors(s))
+
+    @pytest.mark.parametrize("s", ODD_SQUAREFREE)
+    def test_matches_residue_sweep(self, s):
+        assert binary_genus_partition(-8 * s) == \
+            residue_sweep_partition(-8 * s)
+
+    @pytest.mark.parametrize("s", ODD_SQUAREFREE)
+    def test_character_at_two_is_redundant(self, s):
+        # on values n prime to 2S, (-8S|n) = 1 makes the assigned character
+        # at 2 the product of the (n|p), so the key leaves it out
+        two = -2 if s % 4 == 1 else 2
+        for f in enumerate_binary_classes(-8 * s):
+            for x in range(8):
+                for y in range(8):
+                    n = f.a * x * x + f.b * x * y + f.c * y * y
+                    if gcd(n, 2 * s) == 1:
+                        assert jacobi(two, n) == \
+                            prod(jacobi(n, p) for p in prime_divisors(s))
+
+    @pytest.mark.parametrize("disc", [-20, -4 * 21, -8, -8 * 6, -8 * 9, 24])
+    def test_rejects_other_discriminants(self, disc):
+        with pytest.raises(ValueError):
+            binary_genus_partition(disc)
 
 
 class TestLift:
@@ -274,15 +317,44 @@ class TestEpsilon:
         for i, tg in enumerate(sg.tg):
             assert sg.eps[(i, 15)] == sg.eps[(i, 3)] * sg.eps[(i, 5)]
 
-    def test_independent_of_represented_value(self):
+    @pytest.mark.parametrize("s, i, w", LIFTED_CHARACTERS)
+    def test_independent_of_represented_value(self, s, i, w):
         # every represented value coprime to w must give the same character
-        tg = genus_of(TernaryForm(1, 30, 30, 0, 0, 0))
-        coeffs = [theta_series(f, 400).coeffs for f in tg.classes]
-        for w in (3, 5, 15):
-            values = {jacobi(-n, w)
-                      for n in range(1, 400)
-                      if gcd(n, w) == 1 and any(c[n] for c in coeffs)}
-            assert values == {epsilon(tg, w)}
+        tg = build_sgenus(s).tg[i]
+        coeffs = [theta_series(f, 1000).coeffs for f in tg.classes]
+        values = {jacobi(-n, w)
+                  for n in range(1, 1000)
+                  if gcd(n, w) == 1 and any(c[n] for c in coeffs)}
+        assert values == {epsilon(tg, w)}
+
+    @pytest.mark.parametrize("form", [
+        (1, 1, 1, 0, 0, 0),   # 3 does not divide 2*disc = 8
+        (1, 1, 3, 0, 0, 0),   # 2-dimensional scale-0 block at 3
+        (3, 3, 3, 0, 0, 0),   # no scale-0 block at 3
+    ])
+    def test_unfixed_character_raises(self, form):
+        f = TernaryForm(*form)
+        with pytest.raises(RuntimeError):
+            epsilon(GenusRecord(f.discriminant, (f,)), 3)
+
+    def test_even_divisor_rejected(self):
+        with pytest.raises(ValueError):
+            epsilon(genus_of(TernaryForm(1, 6, 6, 0, 0, 0)), 2)
+
+    @pytest.mark.parametrize("s", MASS_SHIFTS)
+    def test_lift_carries_the_binary_character(self, s):
+        # the ternary symbol against the binary genus it came from: the
+        # lift represents every binary value n, so eps = (-n|p)
+        sg = build_sgenus(s)
+        for i, cell in enumerate(sg.sources):
+            for bf in cell:
+                values = [bf.a * x * x + bf.b * x * y + bf.c * y * y
+                          for x in range(10) for y in range(10)]
+                coprime = [n for n in values if gcd(n, 2 * s) == 1]
+                assert coprime
+                for p in sg.primes:
+                    for n in coprime:
+                        assert sg.eps[(i, p)] == jacobi(-1, p) * jacobi(n, p)
 
 
 class TestMasses:

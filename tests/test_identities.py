@@ -138,6 +138,16 @@ class TestParser:
         assert err.value.line == 1
         assert err.value.col > 0
 
+    @pytest.mark.parametrize("text, col", [
+        ("a: series: zeta(q) = 1", 12),             # token
+        ("a: bogus: x", 4),                         # header
+        ("a: series: phi(q) = 1 where M = 1 mod", 38),  # end of entry
+    ])
+    def test_columns_are_one_based(self, text, col):
+        with pytest.raises(RegistryError) as err:
+            parse_registry(text)
+        assert (err.value.line, err.value.col) == (1, col)
+
     def test_malformed_sextuple(self):
         with pytest.raises(RegistryError):
             parse_registry("a: ternary: (1,2,3,4,5)(M) = 0 where M = 1 mod 8")
@@ -230,7 +240,7 @@ class TestTernaryGrammar:
         with pytest.raises(RegistryError) as err:
             parse_registry(text)
         assert err.value.line == 2
-        assert err.value.col == ("    " + statement + "\n").index(bad)
+        assert err.value.col == ("    " + statement + "\n").index(bad) + 1
 
     def test_scaled_sums_and_zero_accepted(self):
         text = ("x: ternary: 3*((1,6,6,0,0,0)(M) - eps(1,6,6,0,0,0;3)"
@@ -345,6 +355,30 @@ class TestModeq3:
     def test_refuted_equation(self):
         spec = parse_registry("x: modeq3: m - 1 = 3*beta^(3/8)/alpha^(1/8)")[0]
         assert not verify_modeq3(spec).passed
+
+    @pytest.mark.parametrize("companion", ["2.99", "2.6"])
+    def test_theta_clause_names_a_series_entry(self, tmp_path, companion):
+        path = tmp_path / "reg.txt"
+        path.write_text("2.6: modeq3: m = 1\n"
+                        "2.7: modeq3: m - 1 = 2*beta^(3/8)/alpha^(1/8)\n"
+                        f"    where theta {companion}\n"
+                        "2.9: series: phi(q) = phi(q)\n", encoding="utf-8")
+        with pytest.raises(RegistryError) as err:
+            load_registry(path)
+        assert (err.value.line, err.value.col) == (3, 17)
+        assert companion in str(err.value)
+
+    def test_theta_clause_may_point_forward(self, tmp_path):
+        path = tmp_path / "reg.txt"
+        path.write_text("2.7: modeq3: m - 1 = 2*beta^(3/8)/alpha^(1/8) "
+                        "where theta 2.9\n2.9: sift: phi(q) = phi(q)\n",
+                        encoding="utf-8")
+        assert load_registry(path)["2.7"].conditions.theta_ref == "2.9"
+
+    def test_entry_parses_apart_from_its_registry(self):
+        spec = parse_registry("2.7: modeq3: m - 1 = 2*beta^(3/8)/alpha^(1/8) "
+                              "where theta 2.9")[0]
+        assert spec.conditions.theta_ref == "2.9"
 
     def test_companion_theta_forms(self, registry):
         for name in ("2.7", "2.28", "2.31", "2.m1", "2.m2"):
