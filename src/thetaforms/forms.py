@@ -9,11 +9,16 @@ half its determinant.  Representation counting walks the lattice with
 exact integer bounds obtained by completing the square; no floating
 point is used anywhere.
 
-The theta sweep and `short_vectors` read one walk, `_half_space_rows`,
+A form with an isolated variable (d = e = 0, d = f = 0 or e = f = 0) is
+the orthogonal sum of a unary form k*t^2 and a binary form, and its theta
+series is the product of theirs (Conway-Sloane, SPLAG ch. 4), so
+`_theta_ternary` computes it as one series product.  Every other form
+goes to `_theta_walk`, which is also the test oracle for the product.
+The walk and `short_vectors` read one lattice walk, `_half_space_rows`,
 which lists each pair +-v once as rows along z.  `repcount` does not: it
 solves for z as an exact root at one value, walking all of Z^3.  It stays
 a separate route on purpose, as the independent oracle that tests use to
-check the sweep's coefficients.
+check the theta coefficients.
 
 Classes are enumerated from the reduced box 0 < a <= b <= c, |d| <= b,
 |e| <= a, |f| <= a cut to its sign-canonical half d, e >= 0 (see
@@ -218,6 +223,32 @@ def _half_space_rows(form: TernaryForm, bound: int):
 
 
 def _theta_ternary(form: TernaryForm, n: int) -> tuple[int, ...]:
+    """Coefficients 0..n-1 of sum_{v in Z^3} q^{Q(v)}.
+
+    d = e = 0 isolates z, so Q = c*z^2 + (a, f, b)(x, y) and the series is
+    theta(c*z^2) * theta(BinaryForm(a, f, b)); d = f = 0 isolates y with
+    (b, (a, e, c)), and e = f = 0 isolates x with (a, (b, d, c)).  Any
+    other form falls back to the half-space walk `_theta_walk`, which the
+    tests also run on split forms as the oracle for the product.
+    """
+    a, b, c, d, e, f = form.sextuple()
+    if d == e == 0:
+        k, binary = c, BinaryForm(a, f, b)
+    elif d == f == 0:
+        k, binary = b, BinaryForm(a, e, c)
+    elif e == f == 0:
+        k, binary = a, BinaryForm(b, d, c)
+    else:
+        return _theta_walk(form, n)
+    unary = [0] * n
+    if n > 0:
+        unary[0] = 1
+    for t in range(1, isqrt(max(n - 1, 0) // k) + 1):
+        unary[k * t * t] = 2
+    return (Series._raw(unary) * Series._raw(_theta_binary(binary, n))).coeffs
+
+
+def _theta_walk(form: TernaryForm, n: int) -> tuple[int, ...]:
     """Coefficients 0..n-1 of sum_{v in Z^3} q^{Q(v)} by a half-space sweep."""
     counts = [0] * n
     if n > 0:
@@ -267,8 +298,8 @@ def _theta_cached(sextuple_or_triple, n: int) -> tuple[int, ...]:
 def theta_series(form: TernaryForm | BinaryForm, n: int) -> Series:
     """Series whose q^m coefficient counts representations of m by the form."""
     if isinstance(form, TernaryForm):
-        return Series(_theta_cached(form.sextuple(), n))
-    return Series(_theta_cached((form.a, form.b, form.c), n))
+        return Series._raw(_theta_cached(form.sextuple(), n))
+    return Series._raw(_theta_cached((form.a, form.b, form.c), n))
 
 
 def theta_coefficients(form: TernaryForm, n: int) -> tuple[int, ...]:

@@ -49,6 +49,8 @@ import re
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import compress
 from math import lcm
 
 from .arith import jacobi
@@ -735,13 +737,13 @@ def eval_series(node, n: int) -> Series:
         return compose_power(theta, node.divisor * node.divisor, n)
     if isinstance(node, WeightedCount):
         record = genus_of(TernaryForm(*node.form))
-        return Series(weighted_coefficients(record, n))
+        return Series._raw(weighted_coefficients(record, n))
     if isinstance(node, EpsScalar):
         record = genus_of(TernaryForm(*node.form))
         return Series.monomial(0, n, epsilon(record, node.w))
     if isinstance(node, UnionCount):
         sg = build_sgenus(node.s)
-        return sum((sg.eps[(i, node.w)] * Series(weighted_coefficients(tg, n))
+        return sum((sg.eps[(i, node.w)] * Series._raw(weighted_coefficients(tg, n))
                     for i, tg in enumerate(sg.tg)), Series.zero(n))
     raise TypeError(f"cannot evaluate {type(node).__name__} as a series")
 
@@ -830,20 +832,35 @@ class VerifyResult:
 
 
 def verify_series(spec: IdentitySpec, n: int) -> VerifyResult:
-    """Expand both sides to n coefficients and compare exactly."""
+    """Expand both sides to n coefficients and compare them exactly.
+
+    A side that comes back with fewer than n coefficients fails, with a
+    witness that names it and its length.
+    """
     if spec.mode not in ("series", "sift"):
         raise ValueError(f"{spec.name} is not a series/sift entry")
     lhs = eval_series(spec.lhs, n)
     rhs = eval_series(spec.rhs, n)
-    width = min(lhs.truncation, rhs.truncation)
-    witness = ""
-    passed = True
-    for i in range(width):
+    for side, value in (("lhs", lhs), ("rhs", rhs)):
+        if value.truncation < n:
+            return VerifyResult(spec.name, spec.mode, False, f"terms={n}",
+                                f"{side} has {value.truncation} coefficients")
+    for i in range(n):
         if lhs.coeffs[i] != rhs.coeffs[i]:
-            passed = False
-            witness = (f"exponent {i}: {lhs.coeffs[i]} != {rhs.coeffs[i]}")
-            break
-    return VerifyResult(spec.name, spec.mode, passed, f"terms={n}", witness)
+            return VerifyResult(spec.name, spec.mode, False, f"terms={n}",
+                                f"exponent {i}: {lhs.coeffs[i]} != {rhs.coeffs[i]}")
+    return VerifyResult(spec.name, spec.mode, True, f"terms={n}")
+
+
+@lru_cache(maxsize=32)
+def _qualifying(conditions: Conditions, n: int) -> bytes:
+    """Mask over 0..n-1 whose byte M is 1 when M >= 1 meets the conditions.
+
+    Entries share few condition sets.  One byte per M keeps the cached
+    sets small; as tuples of ints they would hold about 0.5 MB per
+    registry pass.
+    """
+    return bytes(m > 0 and conditions.qualifies(m) for m in range(n))
 
 
 def verify_ternary(spec: IdentitySpec, mmax: int) -> VerifyResult:
@@ -853,13 +870,13 @@ def verify_ternary(spec: IdentitySpec, mmax: int) -> VerifyResult:
     n = max(mmax, 0) + 1
     lhs = eval_series(spec.lhs, n).coeffs
     rhs = eval_series(spec.rhs, n).coeffs
-    ms = [m for m in range(1, n) if spec.conditions.qualifies(m)]
-    for m in ms:
+    mask = _qualifying(spec.conditions, n)
+    for m in compress(range(n), mask):
         if lhs[m] != rhs[m]:
             return VerifyResult(spec.name, spec.mode, False, f"Mmax={mmax}",
                                 f"M={m}: {lhs[m]} != {rhs[m]}")
     return VerifyResult(spec.name, spec.mode, True,
-                        f"Mmax={mmax} ({len(ms)} values)")
+                        f"Mmax={mmax} ({mask.count(1)} values)")
 
 
 def verify_positivity(spec: IdentitySpec, limit: int) -> VerifyResult:

@@ -3,6 +3,7 @@ from math import isqrt
 
 import pytest
 
+from thetaforms import forms
 from thetaforms.forms import (BinaryForm, TernaryForm, aut_count,
                               distinct_classes, enumerate_binary_classes,
                               enumerate_ternary_classes, reduce_binary,
@@ -177,6 +178,65 @@ class TestThetaSeries:
                 f = rng.choice(forms)
                 m = rng.randrange(0, 400)
                 assert coeffs[f][m] == repcount(f, m)
+
+
+REGISTRY_FORMS = (*KNOWN_FORMS, (1, 1, 1, 0, 0, 0), (1, 8, 8, 0, 0, 0))
+
+
+def split_pattern(form: TernaryForm) -> str:
+    """Which variable the form isolates, as `_theta_ternary` tries them."""
+    _, _, _, d, e, f = form.sextuple()
+    if d == e == 0:
+        return "diagonal" if f == 0 else "z"
+    if d == f == 0:
+        return "y"
+    if e == f == 0:
+        return "x"
+    return ""
+
+
+class TestThetaProduct:
+    """Split forms take the series product; `_theta_walk` is the oracle."""
+
+    @staticmethod
+    def product(form, n, monkeypatch):
+        def no_walk(*_):
+            raise AssertionError(f"{form} fell back to the walk")
+        with monkeypatch.context() as m:
+            m.setattr(forms, "_theta_walk", no_walk)
+            return forms._theta_ternary(form, n)
+
+    def test_split_candidates_match_walk(self, monkeypatch):
+        seen = {"diagonal": 0, "x": 0, "y": 0, "z": 0}
+        for disc in (144, 400, 784, 1936, 3600):
+            for form in ternary_candidates(disc):
+                pattern = split_pattern(form)
+                if not pattern:
+                    continue
+                seen[pattern] += 1
+                for n in (0, 1, 2, 32, 400):
+                    assert self.product(form, n, monkeypatch) == \
+                        forms._theta_walk(form, n), (form, n)
+        assert seen == {"diagonal": 72, "x": 71, "y": 21, "z": 70}
+
+    def test_registry_forms_at_full_length(self, monkeypatch):
+        assert len(REGISTRY_FORMS) == 17
+        for sextuple in REGISTRY_FORMS:
+            form = TernaryForm(*sextuple)
+            walk = forms._theta_walk(form, 10001)
+            if split_pattern(form):
+                assert self.product(form, 10001, monkeypatch) == walk, sextuple
+            else:
+                assert forms._theta_ternary(form, 10001) == walk
+
+    @pytest.mark.parametrize("sextuple", [(4, 5, 6, 0, 4, 0),
+                                          (5, 12, 18, 12, 0, 0)])
+    def test_isolated_y_and_x_match_repcount(self, sextuple, monkeypatch):
+        form = TernaryForm(*sextuple)
+        coeffs = self.product(form, 2000, monkeypatch)
+        rng = random.Random(sum(sextuple))
+        for m in rng.sample(range(2000), 60):
+            assert coeffs[m] == repcount(form, m), (sextuple, m)
 
 
 class TestShortVectors:

@@ -1,5 +1,6 @@
 import pytest
 
+from thetaforms import identities
 from thetaforms.arith import iroot
 from thetaforms.forms import TernaryForm, repcount
 from thetaforms.genus import build_sgenus, epsilon, genus_of, weighted_count
@@ -181,6 +182,20 @@ class TestVerifySeries:
     def test_sift_entry(self, registry):
         assert verify_series(registry["2.25"], 200).passed
 
+    @pytest.mark.parametrize("short_side", ["lhs", "rhs"])
+    def test_short_side_fails_and_is_named(self, short_side, monkeypatch):
+        spec = parse_registry("s: series: phi(q)^2 = phi(q)^2")[0]
+        short = {"lhs": spec.lhs, "rhs": spec.rhs}[short_side]
+
+        def truncated(node, n):
+            value = eval_series(node, n)
+            return value.truncate(n - 7) if node is short else value
+        monkeypatch.setattr(identities, "eval_series", truncated)
+        result = verify_series(spec, 50)
+        assert not result.passed
+        assert result.params == "terms=50"
+        assert result.witness == f"{short_side} has 43 coefficients"
+
 
 class TestVerifyTernary:
     def test_three_squares_split(self, registry):
@@ -206,6 +221,13 @@ class TestVerifyTernary:
         assert spec.conditions.qualifies(17)
         assert eval_series(spec.lhs, 21).coeffs[17] == 16
         assert eval_series(spec.rhs, 21).coeffs[17] == 16
+
+    def test_params_count_every_qualifying_m(self, registry):
+        spec = registry["2.18"]
+        want = sum(spec.conditions.qualifies(m) for m in range(1, 601))
+        for _ in range(2):
+            assert verify_ternary(spec, 600).params == \
+                f"Mmax=600 ({want} values)"
 
     def test_failure_reports_first_m(self):
         text = ("x: ternary: (1,8,8,0,0,0)(M) = 3*(1,6,6,0,0,0)(M) "
