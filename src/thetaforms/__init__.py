@@ -6,12 +6,13 @@ eta quotients (:mod:`thetaforms.theta`), positive definite binary and
 ternary forms with representation counting and class enumeration
 (:mod:`thetaforms.forms`), p-adic genus classification and the lifted-union
 construction (:mod:`thetaforms.genus`), a valence-bound prover for
-eta-quotient identities (:mod:`thetaforms.prover`), and a registry-driven
-verification engine (:mod:`thetaforms.identities`).
+eta-quotient identities (:mod:`thetaforms.prover`), degree-3 modular
+equations as exponents over p, 2+p and 1+2p (:mod:`thetaforms.modeq`), and a
+registry-driven verification engine (:mod:`thetaforms.identities`).
 """
 
-from .series import (Series, add, alternate_sign, compose_power, invert,
-                     is_nonnegative, mul, sift, sub)
+from .series import (Series, alternate_sign, compose_power, invert,
+                     is_nonnegative, sift)
 from .theta import (EtaQuotient, euler, euler_power, expand_eta_quotient,
                     general_theta, named_function)
 from .forms import (BinaryForm, TernaryForm, aut_count, discriminant,
@@ -23,10 +24,9 @@ from .genus import (GenusRecord, SGenus, binary_genus_partition, build_sgenus,
                     sgenus_mass, weighted_count)
 from .prover import (Cusp, EtaCombination, ProofCertificate, cusp_reps,
                      ligozat_order, newman_check, order_table, prove)
-from .identities import (IdentitySpec, RationalFunction, RegistryError,
-                         load_default_registry, load_registry, parse_registry,
-                         rational_root, run_suite, verify_entry, verify_eta,
-                         verify_modeq3, verify_positivity, verify_series,
-                         verify_ternary)
+from .identities import (IdentitySpec, RegistryError, load_default_registry,
+                         load_registry, parse_registry, run_suite,
+                         verify_entry, verify_eta, verify_modeq3,
+                         verify_positivity, verify_series, verify_ternary)
 
 __version__ = "0.1.0"

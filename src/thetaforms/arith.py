@@ -4,7 +4,7 @@ from __future__ import annotations
 
 __all__ = [
     "jacobi", "factorize", "prime_divisors", "divisors",
-    "euler_phi", "is_squarefree", "iroot",
+    "euler_phi", "is_squarefree",
 ]
 
 
@@ -24,22 +24,6 @@ def jacobi(a: int, n: int) -> int:
             result = -result
         a %= n
     return result if n == 1 else 0
-
-
-def iroot(n: int, k: int) -> int | None:
-    """Exact integer k-th root of n >= 0, or None if n is not a k-th power."""
-    if n < 0 or k < 1:
-        return None
-    if n in (0, 1) or k == 1:
-        return n
-    # integer Newton iteration from above; it decreases to floor(n**(1/k))
-    x = 1 << -(-n.bit_length() // k)
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            break
-        x = y
-    return x if x ** k == n else None
 
 
 def factorize(n: int) -> dict[int, int]:

@@ -17,12 +17,12 @@ from dataclasses import dataclass
 from .forms import TernaryForm, aut_count, enumerate_ternary_classes, repcount
 from .genus import build_sgenus, genus_partition, mass_direct, mass_formula
 from .identities import (EntryError, RegistryError, default_registry_path,
-                         eval_series, load_registry, run_suite, verify_entry,
-                         verify_eta)
+                         eval_series, load_registry, run_suite, verify_entry)
 from .series import is_nonnegative
 from .theta import named_function
 
 ENV_REGISTRY = "THETAFORMS_REGISTRY"
+FORMATS = ("table", "csv")
 
 
 @dataclass
@@ -50,6 +50,9 @@ def load_config(path: str | None) -> Config:
                 elif key == "registry":
                     cfg.registry = value
                 elif key == "format":
+                    if value not in FORMATS:
+                        raise ValueError(f"format must be one of {FORMATS}, "
+                                         f"got {value!r}")
                     cfg.fmt = value
                 else:
                     raise ValueError(f"unknown config key {key!r}")
@@ -104,9 +107,8 @@ def _cannot_evaluate(err: EntryError) -> int:
 def _cmd_expand(cfg: Config, args) -> int:
     from .identities import _Parser, _tokenize
     n = _count(cfg, args, "n")
-    tokens = _tokenize(args.func, 1, 0)
-    parser = _Parser(tokens, "series", 1)
     try:
+        parser = _Parser(_tokenize(args.func, 1, 0), "series", (1, 1))
         node = parser.parse_expr()
         if parser.peek() is not None:
             raise parser.error("trailing tokens")
@@ -144,8 +146,11 @@ def _cmd_prove_eta(cfg: Config, args) -> int:
     if spec.mode != "eta":
         print(f"{args.id} is not an eta entry", file=sys.stderr)
         return 2
-    result, cert = verify_eta(spec)
-    print(cert.render())
+    try:
+        result = verify_entry(spec)
+    except EntryError as err:
+        return _cannot_evaluate(err)
+    print(result.detail.render())
     return 0 if result.passed else 1
 
 
@@ -239,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "quadratic form identities.")
     top.add_argument("--registry", help="path to the identity registry")
     top.add_argument("--config", help="key=value configuration file")
-    top.add_argument("--format", choices=("table", "csv"), default=None)
+    top.add_argument("--format", choices=FORMATS, default=None)
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("expand", help="print coefficients of a series expression")

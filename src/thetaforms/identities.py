@@ -32,10 +32,13 @@ Modes and statements:
   clause ``expect negative`` flips the expectation (a witness exponent is
   reported either way).
 * ``modeq3`` -- identities in ``m``, ``alpha``, ``beta`` with rational
-  exponents in eighths, verified exactly through the degree-3
-  parametrization; a ``theta NAME`` clause names the companion ``series``
-  or ``sift`` entry of the same registry, the independent numeric
-  cross-check that the suite verifies in its own right.
+  exponents in eighths.  Through the degree-3 parametrization each
+  monomial is a rational number times integer powers of p, 2+p and 1+2p
+  (:mod:`thetaforms.modeq`); the entry holds when lhs - rhs, cleared of
+  denominators, expands to the zero polynomial in p.  A ``theta NAME``
+  clause names the companion ``series`` or ``sift`` entry of the same
+  registry, the independent numeric cross-check that the suite verifies
+  in its own right.
 * ``eta`` -- a linear combination of ``eta{d:r,...}`` atoms equal to a
   constant, proved by the valence-bound prover; requires ``level N``.
 
@@ -56,8 +59,8 @@ from math import lcm
 from .arith import jacobi
 from .forms import TernaryForm, theta_series
 from .genus import build_sgenus, epsilon, genus_of, weighted_coefficients
-from .modeq import (ALPHA_RF, BETA_RF, M_RF, RationalFunction,
-                    UnsupportedRadicand, rational_root)
+from .modeq import (ALPHA, BETA, M, Term, UnsupportedRadicand, cleared,
+                    rational_root)
 from .prover import EtaCombination, ProofCertificate, prove
 from .series import Series, compose_power, invert, is_nonnegative, sift
 from .theta import BUILTIN_NAMES, EtaQuotient, general_theta, named_function
@@ -66,7 +69,7 @@ __all__ = [
     "RegistryError", "EntryError", "IdentitySpec", "Conditions", "VerifyResult",
     "parse_registry", "load_registry", "verify_series", "verify_ternary",
     "verify_positivity", "verify_modeq3", "verify_eta", "verify_entry",
-    "run_suite", "RationalFunction", "rational_root",
+    "run_suite",
 ]
 
 
@@ -801,14 +804,14 @@ def _monomials(node):
     raise TypeError(f"cannot evaluate {type(node).__name__} in modeq3 mode")
 
 
-def _modeq_value(node) -> RationalFunction:
-    total = RationalFunction.make(())
+def _modeq_value(node) -> list[Term]:
+    """The terms over p, 2+p, 1+2p of a modeq3 side, one per monomial."""
+    terms = []
     for coef, k, x8, y8 in _monomials(node):
-        radicand = (ALPHA_RF ** x8) * (BETA_RF ** y8)
+        radicand = tuple(x8 * a + y8 * b for a, b in zip(ALPHA, BETA))
         root = rational_root(radicand, 8)
-        term = RationalFunction.from_fraction(coef) * (M_RF ** k) * root
-        total = total + term
-    return total
+        terms.append((coef, tuple(r + k * e for r, e in zip(root, M))))
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -896,14 +899,20 @@ def verify_positivity(spec: IdentitySpec, limit: int) -> VerifyResult:
 
 
 def verify_modeq3(spec: IdentitySpec) -> VerifyResult:
-    """Exact rational-function comparison through the degree-3 parametrization."""
+    """Exact check through the degree-3 parametrization.
+
+    The entry holds when lhs - rhs, cleared of denominators, is the zero
+    polynomial in p; otherwise the witness is its lowest nonzero coefficient.
+    """
     if spec.mode != "modeq3":
         raise ValueError(f"{spec.name} is not a modeq3 entry")
-    lhs = _modeq_value(spec.lhs)
-    rhs = _modeq_value(spec.rhs)
-    passed = lhs == rhs
-    witness = "" if passed else f"{lhs} != {rhs}"
-    return VerifyResult(spec.name, spec.mode, passed, "exact", witness)
+    rhs = [(-c, exps) for c, exps in _modeq_value(spec.rhs)]
+    poly = cleared(_modeq_value(spec.lhs) + rhs)
+    if not poly:
+        return VerifyResult(spec.name, spec.mode, True, "exact")
+    i = next(i for i, v in enumerate(poly) if v)
+    return VerifyResult(spec.name, spec.mode, False, "exact",
+                        f"cleared lhs - rhs has coefficient {poly[i]} at p^{i}")
 
 
 def _eta_combination(spec: IdentitySpec) -> EtaCombination:

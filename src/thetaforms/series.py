@@ -30,7 +30,7 @@ from itertools import compress
 from typing import Iterable, Optional, Sequence, Tuple
 
 __all__ = [
-    "Series", "add", "sub", "mul", "compose_power", "invert", "sift",
+    "Series", "compose_power", "invert", "sift",
     "alternate_sign", "is_nonnegative",
 ]
 
@@ -227,20 +227,6 @@ class Series:
         head = ", ".join(str(c) for c in self.coeffs[:8])
         tail = ", ..." if self.truncation > 8 else ""
         return f"Series([{head}{tail}], truncation={self.truncation})"
-
-
-def add(a: Series, b: Series) -> Series:
-    """Coefficientwise sum, truncated to the shorter operand."""
-    return a + b
-
-
-def sub(a: Series, b: Series) -> Series:
-    return a - b
-
-
-def mul(a: Series, b: Series) -> Series:
-    """Cauchy product, truncated to the shorter operand."""
-    return a * b
 
 
 def compose_power(a: Series, k: int, truncation: Optional[int] = None) -> Series:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
-from .series import Series, alternate_sign, compose_power, invert, mul
+from .series import Series, alternate_sign, compose_power, invert
 from .forms import BinaryForm, theta_series
 
 __all__ = [
@@ -175,7 +175,7 @@ def expand_eta_quotient(eq: EtaQuotient, n: int) -> tuple[int, Series]:
     for delta, r in eq.exponents:
         piece = euler_power(delta, n) ** abs(r)
         if r > 0:
-            num = mul(num, piece)
+            num = num * piece
         else:
-            den = mul(den, piece)
-    return offset, mul(num, invert(den))
+            den = den * piece
+    return offset, num * invert(den)

@@ -44,6 +44,14 @@ class TestExpand:
         code, _, err = run_cli(capsys, "expand", "--func", "bogus(q)")
         assert code == 2
 
+    def test_empty_expression_is_usage_error(self, capsys):
+        for func in ("", "   ", "$"):
+            code, out, err = run_cli(capsys, "expand", "--func", func)
+            assert code == 2
+            assert out == ""
+            assert len(err.strip().splitlines()) == 1
+            assert err.startswith(f"cannot expand {func!r}: line 1, col 1: ")
+
     def test_count_below_one_is_usage_error(self, capsys):
         for n in ("0", "-3"):
             code, out, err = run_cli(capsys, "expand", "--func", "phi(q)",
@@ -119,6 +127,15 @@ class TestEntryEvaluationErrors:
             self.check(capsys, tmp_path,
                        "a: series: phi(q) = phi(q^4) + 2*q*psi(q^8)\n" + text,
                        "suite", "--terms", "20")
+
+    def test_eta_entry_failing_newman(self, capsys, tmp_path):
+        text = "x: eta: eta{1:24} = 1 where level 1\n"
+        for command in ("verify", "prove-eta"):
+            self.check(capsys, tmp_path, text, command, "--id", "x")
+
+    def test_modeq3_root_off_the_parametrization(self, capsys, tmp_path):
+        self.check(capsys, tmp_path, "x: modeq3: m = alpha^(1/8)\n",
+                   "verify", "--id", "x")
 
     def test_unfixed_character(self, capsys, tmp_path):
         # 3 does not divide the discriminant 4 of the genus
@@ -303,6 +320,16 @@ class TestSuiteAndConfig:
                                "positivity", "--s", "3")
         assert code == 2
         assert "limit must be positive" in err
+
+    def test_unknown_config_format_is_usage_error(self, tmp_path, capsys):
+        conf = tmp_path / "conf.txt"
+        conf.write_text("format = json\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "--config", str(conf),
+                                 "repcount", "--form", "1,1,1,0,0,0", "--m", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("bad configuration: ")
+        assert "'json'" in err
 
     def test_suite_csv_round_trips(self, tmp_path, capsys):
         registry = tmp_path / "reg.txt"

@@ -1,7 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
 from thetaforms import identities
-from thetaforms.arith import iroot
 from thetaforms.forms import TernaryForm, repcount
 from thetaforms.genus import build_sgenus, epsilon, genus_of, weighted_count
 from thetaforms.identities import (EntryError, EpsScalar, RegistryError,
@@ -10,8 +11,8 @@ from thetaforms.identities import (EntryError, EpsScalar, RegistryError,
                                    verify_entry, verify_modeq3,
                                    verify_positivity, verify_series,
                                    verify_ternary)
-from thetaforms.modeq import (ALPHA_RF, BETA_RF, RationalFunction,
-                              UnsupportedRadicand, rational_root)
+from thetaforms.modeq import (ALPHA, BETA, UnsupportedRadicand, cleared,
+                              rational_root)
 
 
 @pytest.fixture(scope="module")
@@ -358,16 +359,18 @@ class TestModeq3:
     def test_both_sides_reduce_to_2p(self, registry):
         from thetaforms.identities import _modeq_value
         spec = registry["2.7"]
-        lhs = _modeq_value(spec.lhs)
-        assert lhs == RationalFunction.make((0, 2))  # 2p
-        assert _modeq_value(spec.rhs) == lhs
+        lhs = _modeq_value(spec.lhs)  # (1+2p) - 1
+        assert lhs == [(1, (0, 0, 1)), (-1, (0, 0, 0))]
+        assert cleared(lhs) == [0, 2]  # 2p
+        assert _modeq_value(spec.rhs) == [(2, (1, 0, 0))]
 
     def test_31_reduces_to_shared_value(self, registry):
         from thetaforms.identities import _modeq_value
         spec = registry["2.31"]
-        expected = RationalFunction.make((4, 2), (1, 2))  # 2(2+p)/(1+2p)
-        assert _modeq_value(spec.lhs) == expected
-        assert _modeq_value(spec.rhs) == expected
+        # 2(2+p)/(1+2p), cleared by the factor 1+2p on each side
+        assert _modeq_value(spec.rhs) == [(2, (0, 1, -1))]
+        assert cleared(_modeq_value(spec.lhs)) == [4, 2]
+        assert cleared(_modeq_value(spec.rhs)) == [4, 2]
 
     def test_unsupported_parametrization(self):
         spec = parse_registry("x: modeq3: m = alpha^(1/8)")[0]
@@ -376,7 +379,10 @@ class TestModeq3:
 
     def test_refuted_equation(self):
         spec = parse_registry("x: modeq3: m - 1 = 3*beta^(3/8)/alpha^(1/8)")[0]
-        assert not verify_modeq3(spec).passed
+        result = verify_modeq3(spec)
+        assert not result.passed
+        # (1+2p) - 1 - 3p = -p
+        assert result.witness == "cleared lhs - rhs has coefficient -1 at p^1"
 
     @pytest.mark.parametrize("companion", ["2.99", "2.6"])
     def test_theta_clause_names_a_series_entry(self, tmp_path, companion):
@@ -411,44 +417,94 @@ class TestModeq3:
 
 class TestRationalRoot:
     def test_eighth_root_of_p8(self):
-        p8 = RationalFunction.make((0,) * 8 + (1,))
-        assert rational_root(p8, 8) == RationalFunction.make((0, 1))
+        assert rational_root((8, 0, 0), 8) == (1, 0, 0)
 
     def test_quotient_eighth_power(self):
-        r = (RationalFunction.make((2, 1)) ** 8) * \
-            (RationalFunction.make((1, 2)) ** -8)
-        root = rational_root(r, 8)
-        assert root == RationalFunction.make((2, 1), (1, 2))
+        assert rational_root((0, 8, -8), 8) == (0, 1, -1)
 
     def test_odd_exponent_rejected(self):
-        p3 = RationalFunction.make((0, 0, 0, 1))
         with pytest.raises(UnsupportedRadicand):
-            rational_root(p3, 2)
+            rational_root((3, 0, 0), 2)
 
     def test_lemma_composition(self):
         # beta^3 / alpha = p^8 and alpha^3 / beta = ((2+p)/(1+2p))^8
-        lhs = (BETA_RF ** 3) * ALPHA_RF.inverse()
-        assert rational_root(lhs, 8) == RationalFunction.make((0, 1))
-        rhs = (ALPHA_RF ** 3) * BETA_RF.inverse()
-        assert rational_root(rhs, 8) == RationalFunction.make((2, 1), (1, 2))
+        lhs = tuple(3 * b - a for a, b in zip(ALPHA, BETA))
+        assert rational_root(lhs, 8) == (1, 0, 0)
+        rhs = tuple(3 * a - b for a, b in zip(ALPHA, BETA))
+        assert rational_root(rhs, 8) == (0, 1, -1)
+
+    def test_cleared_takes_least_denominators(self):
+        # 1/(2p) - (1+2p)/(2p) = -1, times 2p
+        terms = [(Fraction(1, 2), (-1, 0, 0)), (Fraction(-1, 2), (-1, 0, 1))]
+        assert cleared(terms) == [0, -2]
+        assert cleared([]) == []
 
 
-class TestIntegerRoot:
-    def test_large_perfect_power(self):
-        assert iroot(3 ** 320, 8) == 3 ** 40
+def _alpha(p):
+    return p * (2 + p) ** 3 / (1 + 2 * p) ** 3
 
-    def test_beyond_float_range(self):
-        assert iroot(10 ** 400, 8) == 10 ** 50
 
-    def test_non_power(self):
-        assert iroot(10 ** 400 + 1, 8) is None
-        assert iroot(3 ** 320 - 1, 8) is None
-        assert iroot(26, 3) is None
+def _beta(p):
+    return p ** 3 * (2 + p) / (1 + 2 * p)
 
-    def test_rational_root_of_large_constant(self):
-        r = RationalFunction.make((3 ** 320,), (2 ** 400,))
-        assert rational_root(r, 8) == RationalFunction.make((3 ** 40,),
-                                                            (2 ** 50,))
+
+def _term_value(term, p):
+    c, (a, b, e) = term
+    return c * p ** a * (2 + p) ** b * (1 + 2 * p) ** e
+
+
+class TestModeq3Oracle:
+    """The modeq3 path against the parametrization, in Fraction arithmetic.
+
+    A term is the positive eighth root it claims to be when its value over
+    c m^k, raised to the 8th power, is alpha^x beta^y at p > 0.  A side is
+    then a rational function whose numerator, cleared as in `cleared`, has
+    degree at most `_degree_bound`; two sides that agree at more points
+    than that are equal.
+    """
+
+    POINTS = [Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 7),
+              Fraction(11, 5)]
+    ENTRIES = ("2.7", "2.28", "2.31", "2.m1", "2.m2")
+
+    @staticmethod
+    def _degree_bound(terms):
+        low = [min(0, *(exps[i] for _, exps in terms)) for i in range(3)]
+        return max(sum(x - s for x, s in zip(exps, low)) for _, exps in terms)
+
+    @staticmethod
+    def _sides(spec):
+        from thetaforms.identities import _modeq_value
+        return _modeq_value(spec.lhs), _modeq_value(spec.rhs)
+
+    @pytest.mark.parametrize("name", ENTRIES)
+    def test_terms_are_eighth_roots(self, registry, name):
+        from thetaforms.identities import _modeq_value, _monomials
+        spec = registry[name]
+        for side in (spec.lhs, spec.rhs):
+            for (c, k, x8, y8), term in zip(_monomials(side),
+                                            _modeq_value(side)):
+                assert term[0] == c
+                for p in self.POINTS:
+                    root = _term_value(term, p) / (c * (1 + 2 * p) ** k)
+                    assert root > 0
+                    assert root ** 8 == _alpha(p) ** x8 * _beta(p) ** y8
+
+    @pytest.mark.parametrize("name", ENTRIES)
+    def test_sides_agree_past_the_degree(self, registry, name):
+        lhs, rhs = self._sides(registry[name])
+        degree = self._degree_bound(lhs + rhs)
+        for j in range(1, degree + 2):
+            p = Fraction(j, 3)
+            assert sum(_term_value(t, p) for t in lhs) == \
+                sum(_term_value(t, p) for t in rhs)
+
+    def test_refuted_equation_disagrees(self):
+        spec = parse_registry("x: modeq3: m - 1 = 3*beta^(3/8)/alpha^(1/8)")[0]
+        lhs, rhs = self._sides(spec)
+        p = Fraction(1)
+        assert sum(_term_value(t, p) for t in lhs) != \
+            sum(_term_value(t, p) for t in rhs)
 
 
 class TestCrossValidation:

@@ -3,9 +3,9 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thetaforms.series import (Series, _kronecker, _pair_loop, add,
+from thetaforms.series import (Series, _kronecker, _pair_loop,
                                alternate_sign, compose_power, invert,
-                               is_nonnegative, mul, sift)
+                               is_nonnegative, sift)
 from thetaforms.theta import euler, named_function
 
 coeff_lists = st.lists(st.integers(min_value=-40, max_value=40),
@@ -72,30 +72,30 @@ class TestConstruction:
 class TestAdd:
     def test_additive_identity(self):
         a = Series([1, 1, 0])
-        assert add(a, Series.zero(3)) == a
+        assert a + Series.zero(3) == a
 
     def test_coefficientwise(self):
-        assert add(Series([1, 2]), Series([1, 1])) == Series([2, 3])
+        assert Series([1, 2]) + Series([1, 1]) == Series([2, 3])
 
     def test_min_truncation(self):
-        out = add(Series([1, 0, 0, 0, 0]), Series([0, 1, 0]))
+        out = Series([1, 0, 0, 0, 0]) + Series([0, 1, 0])
         assert out.truncation == 3
 
 
 class TestMul:
     def test_multiplicative_identity(self):
         a = Series([3, -1, 4, 1])
-        assert mul(a, Series.one(4)) == a
+        assert a * Series.one(4) == a
 
     def test_small_product(self):
-        out = mul(Series([1, 1, 0]), Series([1, -1, 0]))
+        out = Series([1, 1, 0]) * Series([1, -1, 0])
         assert out == Series([1, 0, -1])
 
     def test_psi_square_equals_phi_times_shifted_psi(self):
         n = 200
         psi = named_function("psi", n)
-        assert mul(psi, psi) == mul(named_function("phi", n),
-                                    named_function("psi", n, 2))
+        assert psi * psi == (named_function("phi", n)
+                             * named_function("psi", n, 2))
 
     def test_long_product_matches_schoolbook(self):
         # exercise the packed big-integer path against the double loop
@@ -203,8 +203,8 @@ class TestSift:
         n = 400
         phi = named_function("phi", n)
         phi8 = named_function("phi", n, 8)
-        lhs = 3 * sift(mul(phi, mul(phi8, phi8)), 8, 1)
-        rhs = sift(mul(phi, mul(phi, phi)), 8, 1)
+        lhs = 3 * sift(phi * (phi8 * phi8), 8, 1)
+        rhs = sift(phi * (phi * phi), 8, 1)
         assert lhs == rhs
 
     def test_rejects_bad_residue(self):
@@ -229,8 +229,8 @@ class TestAlternateSign:
         from thetaforms.theta import euler_power
         n = 200
         lhs = alternate_sign(euler(n))
-        rhs = mul(euler_power(2, n) ** 3,
-                  invert(mul(euler_power(4, n), euler_power(1, n))))
+        rhs = euler_power(2, n) ** 3 * invert(euler_power(4, n)
+                                              * euler_power(1, n))
         assert lhs == rhs
 
 
@@ -260,19 +260,19 @@ class TestRingAxioms:
     @given(coeff_lists, coeff_lists, coeff_lists)
     def test_mul_associative(self, a, b, c):
         sa, sb, sc = Series(a), Series(b), Series(c)
-        assert mul(mul(sa, sb), sc) == mul(sa, mul(sb, sc))
+        assert (sa * sb) * sc == sa * (sb * sc)
 
     @given(coeff_lists, coeff_lists)
     def test_mul_commutative(self, a, b):
         sa, sb = Series(a), Series(b)
-        assert mul(sa, sb) == mul(sb, sa)
+        assert sa * sb == sb * sa
 
     @given(coeff_lists, coeff_lists, coeff_lists)
     def test_distributive(self, a, b, c):
         sa, sb, sc = Series(a), Series(b), Series(c)
         n = min(len(a), len(b), len(c))
-        lhs = mul(sa, add(sb, sc)).truncate(n)
-        rhs = add(mul(sa, sb), mul(sa, sc)).truncate(n)
+        lhs = (sa * (sb + sc)).truncate(n)
+        rhs = (sa * sb + sa * sc).truncate(n)
         assert lhs == rhs
 
     @given(coeff_lists, st.integers(min_value=1, max_value=6))
@@ -296,5 +296,5 @@ class TestRingAxioms:
         a = [1] + a
         s = Series(a)
         inv = invert(s)
-        assert mul(s, inv) == Series.one(len(a))
-        assert mul(inv, s) == Series.one(len(a))
+        assert s * inv == Series.one(len(a))
+        assert inv * s == Series.one(len(a))

@@ -1,6 +1,6 @@
 import pytest
 
-from thetaforms.series import Series, invert, mul
+from thetaforms.series import Series, invert
 from thetaforms.theta import (EtaQuotient, euler, euler_power,
                               expand_eta_quotient, general_theta,
                               named_function)
@@ -16,11 +16,11 @@ def product_form(x, y, n):
         for start in (x, y):
             e = start + j * step
             if e < n:
-                out = mul(out, Series([1] + [0] * (e - 1) + [1] + [0] * (n - e - 1)))
+                out = out * Series([1] + [0] * (e - 1) + [1] + [0] * (n - e - 1))
                 done = False
         e = (j + 1) * step
         if e < n:
-            out = mul(out, Series([1] + [0] * (e - 1) + [-1] + [0] * (n - e - 1)))
+            out = out * Series([1] + [0] * (e - 1) + [-1] + [0] * (n - e - 1))
             done = False
         if done:
             return out
@@ -78,13 +78,12 @@ class TestEuler:
             factor = [0] * n
             factor[0] = 1
             factor[j] = -1
-            explicit = mul(explicit, Series(factor))
+            explicit = explicit * Series(factor)
         assert euler(n) == explicit
 
     def test_phi_product_formula(self):
         n = 300
-        lhs = mul(named_function("phi", n),
-                  mul(euler(n) ** 2, euler_power(4, n) ** 2))
+        lhs = named_function("phi", n) * (euler(n) ** 2 * euler_power(4, n) ** 2)
         assert lhs == euler_power(2, n) ** 5
 
 
