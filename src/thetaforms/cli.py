@@ -83,6 +83,9 @@ def _registry(cfg: Config):
     except FileNotFoundError:
         print(f"registry file not found: {cfg.registry}", file=sys.stderr)
         raise SystemExit(2)
+    except (OSError, UnicodeDecodeError) as err:
+        print(f"cannot read registry {cfg.registry}: {err}", file=sys.stderr)
+        raise SystemExit(2)
     except RegistryError as err:
         print(f"registry parse error: {err}", file=sys.stderr)
         raise SystemExit(2)

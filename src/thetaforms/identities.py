@@ -43,7 +43,19 @@ Modes and statements:
   constant, proved by the valence-bound prover; requires ``level N``.
 
 Conditions: ``M = r1,r2 mod t`` (also accepts the congruence sign),
-``w|M``, ``p||M`` (exact division), ``(M|a) = +-1``.
+``w|M``, ``p||M`` (exact division), ``(M|a) = +-1``.  An expression may
+nest parentheses, sifts and unary minus signs `MAX_DEPTH` deep.
+
+Evaluation computes only the coefficients a verdict reads:
+
+* a sift ``S[t,s]`` goes through sums, negation and integer factors, and
+  the sift of a product A*B comes from `series.sift_product` of A and B,
+  each expanded to t*(n-1)+s+1 terms, without forming A*B;
+* the plain integer factors of a product multiply into one integer, which
+  scales the product of the other factors once (``/2`` still inverts, and
+  fails as a non-unit);
+* the mask of qualifying M is computed over one period of the conditions
+  and tiled out to Mmax.
 """
 
 from __future__ import annotations
@@ -62,7 +74,8 @@ from .genus import build_sgenus, epsilon, genus_of, weighted_coefficients
 from .modeq import (ALPHA, BETA, M, Term, UnsupportedRadicand, cleared,
                     rational_root)
 from .prover import EtaCombination, ProofCertificate, prove
-from .series import Series, compose_power, invert, is_nonnegative, sift
+from .series import (Series, compose_power, invert, is_nonnegative, sift,
+                     sift_product)
 from .theta import BUILTIN_NAMES, EtaQuotient, general_theta, named_function
 
 __all__ = [
@@ -223,6 +236,11 @@ _TOKEN_RE = re.compile(r"""
 
 MODES = ("series", "sift", "ternary", "positivity", "modeq3", "eta")
 
+# Deepest nesting of parentheses, sifts and unary minus signs that an
+# expression may have; it bounds the recursion of the parser and of the
+# evaluators.
+MAX_DEPTH = 100
+
 
 @dataclass
 class _Token:
@@ -260,6 +278,7 @@ class _Parser:
         last = tokens[-1] if tokens else None
         self.end = (last.line, last.col + len(last.text)) if last else start
         self.pos = 0
+        self.depth = 0
 
     # --- primitives ---
     def peek(self, ahead: int = 0) -> _Token | None:
@@ -347,14 +366,20 @@ class _Parser:
         return Mul(tuple(factors))
 
     def parse_factor(self):
-        if self.accept("-"):
-            return Neg(self.parse_factor())
-        node = self.parse_atom()
-        tok = self.peek()
-        if self.accept("^"):
-            self.ternary_reject(tok, "ternary entries take no powers")
-            node = Pow(node, self.parse_exponent())
-        return node
+        if self.depth >= MAX_DEPTH:
+            raise self.error(f"expression nested deeper than {MAX_DEPTH}")
+        self.depth += 1
+        try:
+            if self.accept("-"):
+                return Neg(self.parse_factor())
+            node = self.parse_atom()
+            tok = self.peek()
+            if self.accept("^"):
+                self.ternary_reject(tok, "ternary entries take no powers")
+                node = Pow(node, self.parse_exponent())
+            return node
+        finally:
+            self.depth -= 1
 
     def parse_exponent(self) -> Fraction:
         if self.accept("("):
@@ -719,11 +744,10 @@ def eval_series(node, n: int) -> Series:
             total = total + eval_series(term, n)
         return total
     if isinstance(node, Mul):
-        total = Series.one(n)
-        for factor, inverted in node.factors:
-            value = eval_series(factor, n)
-            total = total * (invert(value) if inverted else value)
-        return total
+        scalar, factors = _split_scalar(node.factors)
+        if not factors:
+            return Series.monomial(0, n, scalar)
+        return _scaled(_product(factors, n), scalar)
     if isinstance(node, Pow):
         if node.exponent.denominator != 1:
             raise ValueError("fractional exponent outside modeq3")
@@ -732,9 +756,7 @@ def eval_series(node, n: int) -> Series:
             return invert(eval_series(node.base, n)) ** (-k)
         return eval_series(node.base, n) ** k
     if isinstance(node, Sift):
-        need = node.step * (n - 1) + node.residue + 1 if n > 0 else 0
-        inner = eval_series(node.body, need)
-        return sift(inner, node.step, node.residue)
+        return _eval_sifted(node.body, node.step, node.residue, n)
     if isinstance(node, FormCount):
         theta = theta_series(TernaryForm(*node.form), n)
         return compose_power(theta, node.divisor * node.divisor, n)
@@ -749,6 +771,65 @@ def eval_series(node, n: int) -> Series:
         return sum((sg.eps[(i, node.w)] * Series._raw(weighted_coefficients(tg, n))
                     for i, tg in enumerate(sg.tg)), Series.zero(n))
     raise TypeError(f"cannot evaluate {type(node).__name__} as a series")
+
+
+def _split_scalar(factors) -> tuple[int, list]:
+    """The product of a Mul's plain integer factors, and its other factors.
+
+    An inverted integer stays a factor, so that division by a non-unit
+    still fails in `invert`.
+    """
+    scalar = 1
+    rest = []
+    for factor, inverted in factors:
+        if isinstance(factor, Num) and not inverted:
+            scalar *= factor.value
+        else:
+            rest.append((factor, inverted))
+    return scalar, rest
+
+
+def _scaled(value: Series, scalar: int) -> Series:
+    return value if scalar == 1 else value * scalar
+
+
+def _product(factors, n: int) -> Series:
+    """The product of (node, inverted) factors at n terms, folded from the
+    first factor."""
+    total = None
+    for factor, inverted in factors:
+        value = eval_series(factor, n)
+        if inverted:
+            value = invert(value)
+        total = value if total is None else total * value
+    return total
+
+
+def _eval_sifted(node, t: int, s: int, n: int) -> Series:
+    """eval_series(Sift(t, s, node), n), expanding only what the sift reads.
+
+    The sift is linear, so it goes through sums, negation and integer
+    factors.  A product's last factor is multiplied in by `sift_product`,
+    which never forms the t*(n-1)+s+1 terms of the whole product.  Any
+    other body is expanded to those terms and sifted.
+    """
+    if isinstance(node, Neg):
+        return -_eval_sifted(node.body, t, s, n)
+    if isinstance(node, Add):
+        total = _eval_sifted(node.terms[0], t, s, n)
+        for term in node.terms[1:]:
+            total = total + _eval_sifted(term, t, s, n)
+        return total
+    need = t * (n - 1) + s + 1 if n > 0 else 0
+    if isinstance(node, Mul):
+        scalar, factors = _split_scalar(node.factors)
+        if factors and not factors[-1][1]:
+            if len(factors) == 1:
+                return _scaled(_eval_sifted(factors[0][0], t, s, n), scalar)
+            head = _product(factors[:-1], need)
+            last = eval_series(factors[-1][0], need)
+            return _scaled(sift_product(head, last, t, s), scalar)
+    return sift(eval_series(node, need), t, s)
 
 
 # ---------------------------------------------------------------------------
@@ -859,11 +940,26 @@ def verify_series(spec: IdentitySpec, n: int) -> VerifyResult:
 def _qualifying(conditions: Conditions, n: int) -> bytes:
     """Mask over 0..n-1 whose byte M is 1 when M >= 1 meets the conditions.
 
+    Each condition is periodic in M: ``M = r mod t`` with period t, ``w|M``
+    with period w, ``p||M`` with period p^2, and ``(M|a) = +-1`` with
+    period a.  So `Conditions.qualifies` runs for M = 1 .. P only, P the
+    lcm of those periods, and that block is tiled out to n.  A modulus of
+    0 sets no congruence; a divisor or Jacobi denominator of 0 raises
+    wherever it is reached, so it adds no period.
+
     Entries share few condition sets.  One byte per M keeps the cached
     sets small; as tuples of ints they would hold about 0.5 MB per
     registry pass.
     """
-    return bytes(m > 0 and conditions.qualifies(m) for m in range(n))
+    if n < 2:
+        return b"\x00"[:n]
+    period = lcm(*(v for v in (
+        conditions.modulus,
+        *(w * w if exact else w for w, exact in conditions.divides),
+        *(den for den, _ in conditions.jacobi)) if v))
+    block = bytes(conditions.qualifies(m)
+                  for m in range(1, min(period, n - 1) + 1))
+    return (b"\x00" + block * ((n - 1) // len(block) + 1))[:n]
 
 
 def verify_ternary(spec: IdentitySpec, mmax: int) -> VerifyResult:

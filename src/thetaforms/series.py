@@ -21,16 +21,23 @@ counts (counted in C, with ``len(c) - c.count(0)``):
   the output slots are read back as signed integers.
 
 Both give exactly the schoolbook product.
+
+A sifted product ``sift(a * b, t, s)`` reads one coefficient in t of the
+product.  :func:`sift_product` computes it from the sifts of the two
+operands instead, as t products each about 1/t as long, so a sift that
+keeps 500 coefficients of a 28 000-term product multiplies 500-term
+series only.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import compress
+from operator import add
 from typing import Iterable, Optional, Sequence, Tuple
 
 __all__ = [
-    "Series", "compose_power", "invert", "sift",
+    "Series", "compose_power", "invert", "sift", "sift_product",
     "alternate_sign", "is_nonnegative",
 ]
 
@@ -213,15 +220,17 @@ class Series:
     def __pow__(self, k: int) -> "Series":
         if not isinstance(k, int) or k < 0:
             raise ValueError("series exponent must be a nonnegative integer")
-        result = Series.one(self.truncation)
+        if k == 0:
+            return Series.one(self.truncation)
+        result = None
         base = self
-        while k:
+        while True:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             k >>= 1
-            if k:
-                base = base * base
-        return result
+            if not k:
+                return result
+            base = base * base
 
     def __repr__(self) -> str:
         head = ", ".join(str(c) for c in self.coeffs[:8])
@@ -274,6 +283,30 @@ def sift(a: Series, t: int, s: int) -> Series:
     if t < 1 or not 0 <= s < t:
         raise ValueError(f"sift requires 0 <= s < t, got t={t}, s={s}")
     return Series._raw(list(a.coeffs[s::t]))
+
+
+def sift_product(a: Series, b: Series, t: int, s: int) -> Series:
+    """sift(a * b, t, s), without forming a * b.
+
+    With a_r = sift(a, t, r), the coefficient of q^(t*k + s) in a * b is
+    the sum over r of (a_r * b_(s-r))[k] for r <= s, and of
+    (a_r * b_(s-r+t))[k - 1] for r > s, where the exponents of the two
+    residues carry past t.
+    """
+    if t < 1 or not 0 <= s < t:
+        raise ValueError(f"sift requires 0 <= s < t, got t={t}, s={s}")
+    size = len(range(s, min(a.truncation, b.truncation), t))
+    out = [0] * size
+    for r in range(t):
+        carry = int(r > s)
+        if size <= carry:
+            continue
+        x = sift(a, t, r)
+        y = sift(b, t, (s - r) % t)
+        if any(x.coeffs) and any(y.coeffs):
+            # both sifts hold at least size - carry coefficients
+            out[carry:] = map(add, out[carry:], (x * y).coeffs)
+    return Series._raw(out)
 
 
 def alternate_sign(a: Series) -> Series:

@@ -170,12 +170,13 @@ def expand_eta_quotient(eq: EtaQuotient, n: int) -> tuple[int, Series]:
             f"eta quotient has non-integral leading exponent: "
             f"sum(delta*r) = {total} is not divisible by 24")
     offset = total // 24
-    num = Series.one(n)
-    den = Series.one(n)
+    num = den = None
     for delta, r in eq.exponents:
         piece = euler_power(delta, n) ** abs(r)
         if r > 0:
-            num = num * piece
+            num = piece if num is None else num * piece
         else:
-            den = den * piece
-    return offset, num * invert(den)
+            den = piece if den is None else den * piece
+    if den is not None:
+        num = invert(den) if num is None else num * invert(den)
+    return offset, Series.one(n) if num is None else num

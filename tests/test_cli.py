@@ -52,6 +52,29 @@ class TestExpand:
             assert len(err.strip().splitlines()) == 1
             assert err.startswith(f"cannot expand {func!r}: line 1, col 1: ")
 
+    def test_deep_nesting_is_usage_error(self, capsys):
+        func = "(" * 3000 + "phi(q)" + ")" * 3000
+        code, out, err = run_cli(capsys, "expand", "--func", func)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "line 1, col 101: expression nested deeper than 100" in err
+
+    def test_division_by_non_unit_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "expand", "--func", "phi(q)/2")
+        assert code == 2
+        assert out == ""
+        assert err == ("cannot expand 'phi(q)/2': constant term 2 is not a "
+                       "unit over the integers\n")
+
+    def test_integer_factors_fold(self, capsys):
+        code, out, _ = run_cli(capsys, "expand", "--func=-3*q^2*psi(q)*2",
+                               "--n", "5")
+        assert code == 0
+        rows = [line.split() for line in out.strip().splitlines()[1:]]
+        assert rows == [["0", "0"], ["1", "0"], ["2", "-6"], ["3", "-6"],
+                        ["4", "0"]]
+
     def test_count_below_one_is_usage_error(self, capsys):
         for n in ("0", "-3"):
             code, out, err = run_cli(capsys, "expand", "--func", "phi(q)",
@@ -298,6 +321,38 @@ class TestSuiteAndConfig:
                                "suite", "--terms", "10")
         assert code == 1
         assert "0 passed / 1 failed / 1 total" in out
+
+    def test_deeply_negated_entry_is_usage_error(self, tmp_path, capsys):
+        registry = tmp_path / "reg.txt"
+        registry.write_text("a: series: phi(q) = phi(q)\n"
+                            "b: series: " + "-" * 3000 + "phi(q) = 0\n",
+                            encoding="utf-8")
+        for command in ("suite", "verify"):
+            argv = [command] + (["--id", "b"] if command == "verify" else [])
+            code, out, err = run_cli(capsys, "--registry", str(registry), *argv)
+            assert code == 2
+            assert out == ""
+            assert err == ("registry parse error: line 2, col 112: expression "
+                           "nested deeper than 100 (at '-')\n")
+
+    def test_directory_registry_is_usage_error(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, "--registry", str(tmp_path), "suite")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"cannot read registry {tmp_path}: ")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_non_utf8_registry_is_usage_error(self, tmp_path, capsys,
+                                             monkeypatch):
+        registry = tmp_path / "reg.txt"
+        registry.write_bytes(b"a: series: phi(q) = phi(q) # \xff\xfe\n")
+        monkeypatch.setenv("THETAFORMS_REGISTRY", str(registry))
+        code, out, err = run_cli(capsys, "suite")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"cannot read registry {registry}: ")
+        assert "utf-8" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_config_file_and_env(self, tmp_path, capsys, monkeypatch):
         registry = tmp_path / "reg.txt"

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -13,6 +14,7 @@ from thetaforms.identities import (EntryError, EpsScalar, RegistryError,
                                    verify_ternary)
 from thetaforms.modeq import (ALPHA, BETA, UnsupportedRadicand, cleared,
                               rational_root)
+from thetaforms.series import Series, invert, sift
 
 
 @pytest.fixture(scope="module")
@@ -518,3 +520,166 @@ class TestCrossValidation:
         assert verify_entry(registry["2.p1"], limit=200).passed
         assert verify_entry(registry["2.7"]).passed
         assert verify_entry(registry["4.1"]).passed
+
+
+def reference_eval(node, n):
+    """The plain evaluator: every product folded from Series.one(n), every
+    sift body expanded to t*(n-1)+s+1 terms and then sifted."""
+    if isinstance(node, identities.Sift):
+        need = node.step * (n - 1) + node.residue + 1 if n > 0 else 0
+        return sift(reference_eval(node.body, need), node.step, node.residue)
+    if isinstance(node, identities.Neg):
+        return -reference_eval(node.body, n)
+    if isinstance(node, identities.Add):
+        total = Series.zero(n)
+        for term in node.terms:
+            total = total + reference_eval(term, n)
+        return total
+    if isinstance(node, identities.Mul):
+        total = Series.one(n)
+        for factor, inverted in node.factors:
+            value = reference_eval(factor, n)
+            total = total * (invert(value) if inverted else value)
+        return total
+    if isinstance(node, identities.Pow):
+        k = node.exponent.numerator
+        base = reference_eval(node.base, n)
+        if k < 0:
+            base, k = invert(base), -k
+        total = Series.one(n)
+        for _ in range(k):
+            total = total * base
+        return total
+    return eval_series(node, n)
+
+
+def _outcome(evaluate, node, n):
+    """The value, or the message of the ValueError raised."""
+    try:
+        return evaluate(node, n)
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+def _expr(text, mode="sift"):
+    return parse_registry(f"x: {mode}: {text}")[0].lhs
+
+
+class TestSiftedEvaluation:
+    """A sift of a product is evaluated from the sifts of its factors; it
+    must give what expanding the whole body and sifting gives."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 500])
+    def test_shipped_sift_entries(self, registry, n):
+        specs = [spec for spec in registry.values() if spec.mode == "sift"]
+        assert len(specs) == 27
+        for spec in specs:
+            for side in (spec.lhs, spec.rhs):
+                assert eval_series(side, n) == reference_eval(side, n), spec.name
+
+    @pytest.mark.parametrize("text", [
+        "S[2,1](S[3,1](phi(q)))",
+        "S[2,1](S[3,1](phi(q)*psi(q)))",
+        "S[3,1](phi(q)/E(q))",
+        "S[5,2](phi(q)^3)",
+        "S[4,1](q*psi(q)*2*phi(q^2))",
+        "S[7,3](-phi(q) + 2*psi(q)*E(q))",
+        "S[6,5](3*(phi(q) - psi(q)*chi(q)))",
+        "S[9,4](0*phi(q)*psi(q))",
+        "S[8,7](2*3)",
+        "S[1,0](phi(q)*psi(q^3))",
+        "S[60,59](phi(q)*phi(q^6)^2*psi(q^5))",
+    ])
+    @pytest.mark.parametrize("n", [0, 1, 2, 40])
+    def test_expressions(self, text, n):
+        node = _expr(text)
+        assert _outcome(eval_series, node, n) == \
+            _outcome(reference_eval, node, n)
+
+
+class TestScalarFolding:
+    @pytest.mark.parametrize("text", [
+        "2*3", "0*phi(q)", "-3*q^2*psi(q)*2", "phi(q)*E(q)^-1",
+        "phi(q)/E(q)*5", "7", "-2*psi(q)*0*E(q)",
+    ])
+    @pytest.mark.parametrize("n", [0, 1, 6, 300])
+    def test_matches_fold_from_one(self, text, n):
+        node = _expr(text, "series")
+        assert _outcome(eval_series, node, n) == \
+            _outcome(reference_eval, node, n)
+
+    def test_inverted_integer_is_still_a_division(self):
+        with pytest.raises(ValueError, match="not a unit"):
+            eval_series(_expr("phi(q)/2", "series"), 10)
+        assert eval_series(_expr("phi(q)/1", "series"), 10) == \
+            eval_series(_expr("phi(q)", "series"), 10)
+
+
+def _mask_period(c):
+    return lcm(*(v for v in (c.modulus,
+                             *(w * w if exact else w for w, exact in c.divides),
+                             *(den for den, _ in c.jacobi)) if v))
+
+
+class TestQualifyingMask:
+    """The periodic mask against the per-M `qualifies` loop."""
+
+    def test_shipped_condition_sets(self, registry):
+        sets = {spec.conditions for spec in registry.values()}
+        assert len(sets) > 10
+        for cond in sets:
+            p = _mask_period(cond)
+            for n in (0, 1, p, p + 1, 10001):
+                want = bytes(m > 0 and cond.qualifies(m) for m in range(n))
+                assert identities._qualifying(cond, n) == want, (cond, n)
+
+    @pytest.mark.parametrize("where", [
+        "M = 3,5 mod 12, 5||M, (M|11) = -1",
+        "2||M, 9|M",
+        "(M|3) = 1, (M|5) = -1",
+        "M = -1 mod -7",
+    ])
+    def test_combined_conditions(self, where):
+        text = f"x: ternary: (1,1,1,0,0,0)(M) = 0 where {where}"
+        cond = parse_registry(text)[0].conditions
+        p = _mask_period(cond)
+        for n in (2, p - 1, p, p + 1, 3 * p + 2, 5000):
+            want = bytes(m > 0 and cond.qualifies(m) for m in range(n))
+            assert identities._qualifying(cond, n) == want
+
+    def test_bad_jacobi_denominator_still_fails(self):
+        text = "x: ternary: (1,1,1,0,0,0)(M) = 0 where M = 1 mod 4, (M|4) = 1"
+        with pytest.raises(EntryError, match="odd positive"):
+            verify_entry(parse_registry(text)[0], mmax=50)
+
+
+class TestNestingDepth:
+    HEADER = "x: series: "
+
+    def test_unary_minus_signs_rejected_at_the_offending_token(self):
+        text = self.HEADER + "-" * 3000 + "phi(q)"
+        with pytest.raises(RegistryError) as err:
+            parse_registry(text)
+        assert err.value.line == 1
+        assert err.value.col == len(self.HEADER) + identities.MAX_DEPTH + 1
+        assert "nested deeper" in str(err.value)
+
+    def test_parentheses_rejected_at_the_offending_token(self):
+        depth = identities.MAX_DEPTH
+        text = self.HEADER + "(" * depth + "phi(q)" + ")" * depth
+        with pytest.raises(RegistryError) as err:
+            parse_registry(text)
+        assert err.value.col == len(self.HEADER) + depth + 1
+
+    @pytest.mark.parametrize("open_, close", [
+        ("(", ")"), ("-", ""), ("-(", ")"), ("(1+", ")"), ("(2*", ")"),
+        ("S[1,0](", ")"), ("S[2,0](2*", ")")])
+    def test_deepest_allowed_nesting_evaluates(self, open_, close):
+        levels = identities.MAX_DEPTH - 1
+        if open_ in ("-(", "S[2,0](2*"):
+            levels = identities.MAX_DEPTH // 2 - 1
+        if open_.startswith("S[2"):
+            levels = 12  # each level doubles the terms the body needs
+        text = open_ * levels + "phi(q)" + close * levels
+        node = _expr(text, "series")
+        assert eval_series(node, 5) == reference_eval(node, 5)

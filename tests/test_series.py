@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from thetaforms.series import (Series, _kronecker, _pair_loop,
                                alternate_sign, compose_power, invert,
-                               is_nonnegative, sift)
+                               is_nonnegative, sift, sift_product)
 from thetaforms.theta import euler, named_function
 
 coeff_lists = st.lists(st.integers(min_value=-40, max_value=40),
@@ -217,6 +217,58 @@ class TestSift:
         assert out.coeffs == (2, 7, 12)
 
 
+@st.composite
+def sift_operands(draw, max_size=400):
+    """Up to a few hundred coefficients: empty, all zero, sparse or dense."""
+    kind = draw(st.sampled_from(("empty", "zero", "sparse", "dense")))
+    if kind == "empty":
+        return []
+    n = draw(st.integers(min_value=1, max_value=max_size))
+    rng = draw(st.randoms(use_true_random=False))
+    out = [0] * n
+    if kind != "zero":
+        count = rng.randint(1, isqrt(n) + 1) if kind == "sparse" else n
+        for i in rng.sample(range(n), count):
+            out[i] = rng.randint(-40, 40)
+    return out
+
+
+class TestSiftProduct:
+    """sift_product(a, b, t, s) against sift(a * b, t, s)."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(sift_operands(), sift_operands(), st.integers(1, 60), st.data())
+    def test_matches_sift_of_product(self, a, b, t, data):
+        s = data.draw(st.integers(0, t - 1))
+        expected = sift(Series(a) * Series(b), t, s)
+        assert sift_product(Series(a), Series(b), t, s) == expected
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 8, 24, 40, 56, 60])
+    def test_every_residue_of_theta_factors(self, t):
+        phi = named_function("phi", 700)
+        psi2 = named_function("psi", 650, 2)
+        dense = phi * psi2
+        for s in range(t):
+            for a, b in ((phi, psi2), (dense, phi), (psi2, dense)):
+                assert sift_product(a, b, t, s) == sift(a * b, t, s)
+
+    def test_unequal_truncations(self):
+        a = Series([3, -1, 4, 1, -5, 9, 2, -6, 5, 3, 5])
+        b = Series([2, 7, -1, 8])
+        for t in range(1, 6):
+            for s in range(t):
+                assert sift_product(a, b, t, s) == sift(a * b, t, s)
+                assert sift_product(b, a, t, s) == sift(a * b, t, s)
+
+    def test_output_shorter_than_residue(self):
+        out = sift_product(Series([1, 2]), Series([1, 1, 1]), 5, 3)
+        assert out == Series([])
+
+    def test_rejects_bad_residue(self):
+        with pytest.raises(ValueError):
+            sift_product(Series([1, 2]), Series([1, 2]), 3, 3)
+
+
 class TestAlternateSign:
     def test_basic(self):
         assert alternate_sign(Series([1, 1, 1])) == Series([1, -1, 1])
@@ -274,6 +326,19 @@ class TestRingAxioms:
         lhs = (sa * (sb + sc)).truncate(n)
         rhs = (sa * sb + sa * sc).truncate(n)
         assert lhs == rhs
+
+    @settings(derandomize=True)
+    @given(coeff_lists, st.integers(min_value=0, max_value=7))
+    def test_pow_is_repeated_product(self, a, k):
+        s = Series(a)
+        expected = Series.one(len(a))
+        for _ in range(k):
+            expected = expected * s
+        assert s ** k == expected
+
+    def test_pow_of_empty_series(self):
+        for k in range(4):
+            assert Series([]) ** k == Series([])
 
     @given(coeff_lists, st.integers(min_value=1, max_value=6))
     def test_sift_reconstruction(self, a, t):

@@ -195,6 +195,22 @@ class TestEtaQuotients:
         offset, s = expand_eta_quotient(EtaQuotient.from_dict(6, {}), 8)
         assert offset == 0 and s == Series.one(8)
 
+    @pytest.mark.parametrize("level, exps", [
+        (1, {1: 24}), (1, {1: -24}), (2, {1: 8, 2: 8}), (2, {1: -8, 2: -8}),
+        (2, {1: -24, 2: 24}), (84, LEVEL84_QUOTIENTS[0][0]),
+        (360, LEVEL360_QUOTIENTS[0][0])])
+    def test_unit_part_is_the_product_from_one(self, level, exps):
+        n = 60
+        num = den = Series.one(n)
+        for delta, r in exps.items():
+            for _ in range(abs(r)):
+                if r > 0:
+                    num = num * euler_power(delta, n)
+                else:
+                    den = den * euler_power(delta, n)
+        eq = EtaQuotient.from_dict(level, exps)
+        assert expand_eta_quotient(eq, n)[1] == num * invert(den)
+
     def test_rejects_nonintegral_offset(self):
         with pytest.raises(ValueError):
             expand_eta_quotient(EtaQuotient.from_dict(2, {1: 1, 2: -1}), 10)
