@@ -9,16 +9,17 @@ half its determinant.  Representation counting walks the lattice with
 exact integer bounds obtained by completing the square; no floating
 point is used anywhere.
 
-A form with an isolated variable (d = e = 0, d = f = 0 or e = f = 0) is
-the orthogonal sum of a unary form k*t^2 and a binary form, and its theta
-series is the product of theirs (Conway-Sloane, SPLAG ch. 4), so
-`_theta_ternary` computes it as one series product.  Every other form
-goes to `_theta_walk`, which is also the test oracle for the product.
-The walk and `short_vectors` read one lattice walk, `_half_space_rows`,
-which lists each pair +-v once as rows along z.  `repcount` does not: it
-solves for z as an exact root at one value, walking all of Z^3.  It stays
-a separate route on purpose, as the independent oracle that tests use to
-check the theta coefficients.
+Every theta series, and `short_vectors`, come from one row walk
+(Fincke-Pohst): `_plane_rows` lists the rows of a binary form, and
+`_half_space_rows` those of a ternary one, whose (x, y) run over the
+plane rows of the binary form left by completing the square in z.  Rows
+hold each pair +-v once, and `_tally` counts them.  A form with an
+isolated variable (d = e = 0, d = f = 0 or e = f = 0) is the orthogonal
+sum of a unary and a binary form, so `_theta_ternary` multiplies their
+two tallies (Conway-Sloane, SPLAG ch. 4); any other form goes to
+`_theta_walk`.  `repcount` shares only `_y_range`: it solves for z as an
+exact root at one value, walking all of Z^3, and stays the independent
+oracle that tests check the theta coefficients against.
 
 Classes are enumerated from the reduced box 0 < a <= b <= c, |d| <= b,
 |e| <= a, |f| <= a cut to its sign-canonical half d, e >= 0 (see
@@ -131,23 +132,6 @@ def discriminant(form: TernaryForm) -> int:
 # representation counts and theta series
 # ---------------------------------------------------------------------------
 
-def _xy_bounds(form: TernaryForm, bound: int):
-    """Exact data for sweeping (x, y) over {min_z Q(x,y,z) <= bound}.
-
-    Completing the square in z turns Q <= bound into
-    A*y^2 + B*x*y + C*x^2 <= 4*c*bound with A = 4bc-d^2, B = 4cf-2de,
-    C = 4ca-e^2; eliminating y bounds x^2 by 16*c*A*bound / disc_x where
-    disc_x = 4*A*C - B^2 = 8*c*discriminant > 0.
-    """
-    a, b, c, d, e, f = form.sextuple()
-    A = 4 * b * c - d * d
-    B = 4 * c * f - 2 * d * e
-    C = 4 * c * a - e * e
-    disc_x = 4 * A * C - B * B
-    xmax = isqrt(max(0, 16 * c * A * bound) // disc_x) + 1
-    return A, B, C, xmax
-
-
 def _y_range(A: int, B: int, C: int, x: int, rhs: int):
     """Integer y interval (with one unit of slack) where A y^2 + Bx y <= rhs'."""
     bq = B * x
@@ -162,14 +146,21 @@ def _y_range(A: int, B: int, C: int, x: int, rhs: int):
 
 
 def repcount(form: TernaryForm, m: int) -> int:
-    """Number of integer triples with Q(x,y,z) = m (exact; repcount(f,0) = 1)."""
+    """Number of integer triples with Q(x,y,z) = m (exact; repcount(f,0) = 1).
+
+    Completing the square in z gives A*y^2 + B*x*y + C*x^2 <= 4*c*m, and
+    eliminating y bounds x^2 by 16*c*A*m / (4*A*C - B^2).
+    """
     if m < 0:
         return 0
     if m == 0:
         return 1
     a, b, c, d, e, f = form.sextuple()
-    A, B, C, xmax = _xy_bounds(form, m)
+    A = 4 * b * c - d * d
+    B = 4 * c * f - 2 * d * e
+    C = 4 * c * a - e * e
     rhs = 4 * c * m
+    xmax = isqrt(4 * A * rhs // (4 * A * C - B * B)) + 1
     count = 0
     for x in range(-xmax, xmax + 1):
         ylo, yhi = _y_range(A, B, C, x, rhs)
@@ -192,119 +183,119 @@ def repcount(form: TernaryForm, m: int) -> int:
     return count
 
 
+def _plane_rows(a: int, b: int, c: int, bound: int):
+    """Rows (x, ylo, yhi, b*x, a*x*x) of a*x^2 + b*x*y + c*y^2 <= bound.
+
+    Along a row the value is (c*y + b*x)*y + a*x*x, and ylo..yhi holds
+    every y where it is at most bound (plus slack, so callers test the
+    value).  Eliminating y bounds x^2 by 4*c*bound / (4ac - b^2).  The
+    rows cover x > 0, then x = 0 with y > 0: one of each pair +-(x, y).
+    """
+    xmax = isqrt(4 * c * bound // (4 * a * c - b * b)) + 1
+    for x in (*range(1, xmax + 1), 0):
+        ylo, yhi = _y_range(c, b, a, x, bound)
+        yield x, ylo if x else max(ylo, 1), yhi, b * x, a * x * x
+
+
 def _half_space_rows(form: TernaryForm, bound: int):
-    """Rows (x, y, zlo, zhi, lin, const) covering one of each pair +-v, v != 0.
+    """Rows ((x, y), zlo, zhi, lin, const) covering each pair +-v, v != 0, once.
 
     Along a row Q(x, y, z) = (c*z + lin)*z + const, and zlo..zhi holds
-    every z with Q <= bound (plus slack, so callers test the value).  The
-    rows cover the half space x > 0, then x = 0 with y > 0, then the
-    z-line x = y = 0 with z > 0; v and -v never both appear.
+    every z with Q <= bound (plus slack, so callers test the value).
+    Completing the square in z, 4c*Q = (2c*z + lin)^2 + P(x, y) with the
+    binary form P = (4ca-e^2, 4cf-2de, 4bc-d^2), so (x, y) runs over the
+    plane rows of P <= 4c*bound.  The rows cover the half space x > 0,
+    then x = 0 with y > 0, then the z-line x = y = 0 with z > 0; v and -v
+    never both appear.
     """
     a, b, c, d, e, f = form.sextuple()
-    A, B, C, xmax = _xy_bounds(form, bound)
+    A = 4 * b * c - d * d
     rhs = 4 * c * bound
     c2 = 2 * c
-    for x in (*range(1, xmax + 1), 0):
-        ylo, yhi = _y_range(A, B, C, x, rhs)
-        if x == 0:
-            ylo = max(ylo, 1)
-        base_x = a * x * x
-        ex = e * x
-        fx = f * x
+    for x, ylo, yhi, bx, ax2 in _plane_rows(4 * c * a - e * e,
+                                            4 * c * f - 2 * d * e, A, rhs):
         for y in range(ylo, yhi + 1):
-            lin = d * y + ex
-            const = base_x + b * y * y + fx * y
-            disc = lin * lin - 4 * c * (const - bound)
+            disc = rhs - (A * y + bx) * y - ax2
             if disc < 0:
                 continue
+            lin = d * y + e * x
             s = isqrt(disc)
-            yield x, y, (-lin - s) // c2, (-lin + s) // c2 + 1, lin, const
-    yield 0, 0, 1, isqrt(bound // c), 0, 0
+            yield ((x, y), (-lin - s) // c2, (-lin + s) // c2 + 1, lin,
+                   a * x * x + (b * y + f * x) * y)
+    yield (0, 0), 1, isqrt(bound // c), 0, 0
+
+
+def _tally(rows, lead: int, n: int) -> tuple[int, ...]:
+    """Theta coefficients 0..n-1 from rows covering one of each pair +-v.
+
+    A row (prefix, lo, hi, lin, const) fixes the leading coordinates and
+    runs the last one, t, from lo to hi, where the value is
+    (lead*t + lin)*t + const; each value below n counts v and -v.  The
+    zero vector gives the 1 at q^0.
+    """
+    counts = [0] * n
+    if n > 0:
+        counts[0] = 1
+    if n < 2:
+        return tuple(counts)
+    lead2 = 2 * lead
+    for _prefix, lo, hi, lin, const in rows:
+        val = (lead * lo + lin) * lo + const
+        step = lead2 * lo + lead + lin
+        for _t in range(lo, hi + 1):
+            if 0 <= val < n:
+                counts[val] += 2
+            val += step
+            step += lead2
+    return tuple(counts)
 
 
 def _theta_ternary(form: TernaryForm, n: int) -> tuple[int, ...]:
     """Coefficients 0..n-1 of sum_{v in Z^3} q^{Q(v)}.
 
     d = e = 0 isolates z, so Q = c*z^2 + (a, f, b)(x, y) and the series is
-    theta(c*z^2) * theta(BinaryForm(a, f, b)); d = f = 0 isolates y with
-    (b, (a, e, c)), and e = f = 0 isolates x with (a, (b, d, c)).  Any
-    other form falls back to the half-space walk `_theta_walk`, which the
-    tests also run on split forms as the oracle for the product.
+    theta(c*z^2) * theta((a, f, b)); d = f = 0 isolates y with
+    (b, (a, e, c)), and e = f = 0 isolates x with (a, (b, d, c)).  The
+    unary factor is the single row of its line, the binary one the plane
+    rows.  Any other form falls back to the half-space walk `_theta_walk`.
     """
     a, b, c, d, e, f = form.sextuple()
     if d == e == 0:
-        k, binary = c, BinaryForm(a, f, b)
+        k, plane = c, (a, f, b)
     elif d == f == 0:
-        k, binary = b, BinaryForm(a, e, c)
+        k, plane = b, (a, e, c)
     elif e == f == 0:
-        k, binary = a, BinaryForm(b, d, c)
+        k, plane = a, (b, d, c)
     else:
         return _theta_walk(form, n)
-    unary = [0] * n
-    if n > 0:
-        unary[0] = 1
-    for t in range(1, isqrt(max(n - 1, 0) // k) + 1):
-        unary[k * t * t] = 2
-    return (Series._raw(unary) * Series._raw(_theta_binary(binary, n))).coeffs
+    unary = _tally([((), 1, isqrt(max(n - 1, 0) // k), 0, 0)], k, n)
+    binary = _tally(_plane_rows(*plane, n - 1), plane[2], n)
+    return (Series._raw(unary) * Series._raw(binary)).coeffs
 
 
 def _theta_walk(form: TernaryForm, n: int) -> tuple[int, ...]:
     """Coefficients 0..n-1 of sum_{v in Z^3} q^{Q(v)} by a half-space sweep."""
-    counts = [0] * n
-    if n > 0:
-        counts[0] = 1
-    bound = n - 1
-    if bound < 1:
-        return tuple(counts)
-    c = form.c
-    c2 = 2 * c
-    for _x, _y, zlo, zhi, lin, const in _half_space_rows(form, bound):
-        val = (c * zlo + lin) * zlo + const
-        step = c2 * zlo + c + lin
-        for _z in range(zlo, zhi + 1):
-            if 0 <= val <= bound:
-                counts[val] += 2
-            val += step
-            step += c2
-    return tuple(counts)
+    return _tally(_half_space_rows(form, n - 1), form.c, n)
 
 
 def _theta_binary(form: BinaryForm, n: int) -> tuple[int, ...]:
-    counts = [0] * n
-    if n > 0:
-        counts[0] = 1
-    bound = n - 1
-    if bound < 1:
-        return tuple(counts)
-    a, b, c = form.a, form.b, form.c
-    xmax = isqrt(4 * c * bound // (4 * a * c - b * b)) + 1
-    for x in (*range(1, xmax + 1), 0):
-        # c y^2 + b x y + a x^2 <= bound, and y > 0 when x = 0
-        ylo, yhi = _y_range(c, b, a, x, bound)
-        for y in range(max(ylo, 1) if x == 0 else ylo, yhi + 1):
-            v = a * x * x + b * x * y + c * y * y
-            if 0 <= v <= bound:
-                counts[v] += 2
-    return tuple(counts)
+    return _tally(_plane_rows(form.a, form.b, form.c, n - 1), form.c, n)
 
 
 @lru_cache(maxsize=None)
-def _theta_cached(sextuple_or_triple, n: int) -> tuple[int, ...]:
-    if len(sextuple_or_triple) == 6:
-        return _theta_ternary(TernaryForm(*sextuple_or_triple), n)
-    return _theta_binary(BinaryForm(*sextuple_or_triple), n)
+def _theta_cached(form: TernaryForm | BinaryForm, n: int) -> tuple[int, ...]:
+    theta = _theta_ternary if isinstance(form, TernaryForm) else _theta_binary
+    return theta(form, n)
 
 
 def theta_series(form: TernaryForm | BinaryForm, n: int) -> Series:
     """Series whose q^m coefficient counts representations of m by the form."""
-    if isinstance(form, TernaryForm):
-        return Series._raw(_theta_cached(form.sextuple(), n))
-    return Series._raw(_theta_cached((form.a, form.b, form.c), n))
+    return Series._raw(_theta_cached(form, n))
 
 
 def theta_coefficients(form: TernaryForm, n: int) -> tuple[int, ...]:
     """Raw coefficient tuple of the theta series (cached)."""
-    return _theta_cached(form.sextuple(), n)
+    return _theta_cached(form, n)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +308,7 @@ def short_vectors(form: TernaryForm, bound: int) -> dict[int, list[tuple[int, in
     if bound < 1:
         return out
     c = form.c
-    for x, y, zlo, zhi, lin, const in _half_space_rows(form, bound):
+    for (x, y), zlo, zhi, lin, const in _half_space_rows(form, bound):
         for z in range(zlo, zhi + 1):
             v = (c * z + lin) * z + const
             if 0 < v <= bound:
@@ -329,13 +320,7 @@ def _gram_apply(g, v):
     return tuple(sum(g[i][j] * v[j] for j in range(3)) for i in range(3))
 
 
-def _det_cols(u1, u2, u3) -> int:
-    return (u1[0] * (u2[1] * u3[2] - u2[2] * u3[1])
-            - u2[0] * (u1[1] * u3[2] - u1[2] * u3[1])
-            + u3[0] * (u1[1] * u2[2] - u1[2] * u2[1]))
-
-
-def _isometries(src: TernaryForm, dst: TernaryForm, count_only: bool, limit=None):
+def _isometries(src: TernaryForm, dst: TernaryForm, count_only: bool):
     """Column-built U in GL3(Z) with U^T G_dst U = G_src.
 
     Columns are dst-vectors whose values are the diagonal of src and whose
@@ -359,12 +344,10 @@ def _isometries(src: TernaryForm, dst: TernaryForm, count_only: bool, limit=None
                     continue
                 if gu2[0] * u3[0] + gu2[1] * u3[1] + gu2[2] * u3[2] != d:
                     continue
-                if abs(_det_cols(u1, u2, u3)) != 1:
+                if abs(_det3((u1, u2, u3))) != 1:
                     continue
                 hits += 1
                 if not count_only:
-                    return hits
-                if limit is not None and hits >= limit:
                     return hits
     return hits
 

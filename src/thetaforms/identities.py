@@ -48,9 +48,12 @@ nest parentheses, sifts and unary minus signs `MAX_DEPTH` deep.
 
 Evaluation computes only the coefficients a verdict reads:
 
-* a sift ``S[t,s]`` goes through sums, negation and integer factors, and
-  the sift of a product A*B comes from `series.sift_product` of A and B,
-  each expanded to t*(n-1)+s+1 terms, without forming A*B;
+* a sift ``S[t,s]`` goes through sums, negation and integer factors,
+  nested sifts compose into one (``S[t,s](S[u,r](X))`` is
+  ``S[t*u,u*s+r](X)``), and the sift of a product A*B comes from
+  `series.sift_product` of A and B, each expanded to t*(n-1)+s+1 terms,
+  without forming A*B; a sift that would need more than `MAX_TERMS`
+  coefficients of its body is refused;
 * the plain integer factors of a product multiply into one integer, which
   scales the product of the other factors once (``/2`` still inverts, and
   fails as a non-unit);
@@ -240,6 +243,9 @@ MODES = ("series", "sift", "ternary", "positivity", "modeq3", "eta")
 # expression may have; it bounds the recursion of the parser and of the
 # evaluators.
 MAX_DEPTH = 100
+# Most coefficients that a sift may ask its body for: nested sifts
+# multiply the steps, so a few levels could otherwise exhaust memory.
+MAX_TERMS = 10**7
 
 
 @dataclass
@@ -714,12 +720,48 @@ def load_default_registry() -> dict[str, IdentitySpec]:
 # series evaluation
 # ---------------------------------------------------------------------------
 
-def eval_series(node, n: int) -> Series:
-    """Evaluate an AST to exactly n coefficients.
+def eval_series(node, n: int, t: int = 1, s: int = 0) -> Series:
+    """S[t,s](node) to exactly n coefficients; t = 1 evaluates the node.
 
     A ternary count becomes its generating series in M (see the module
-    docstring), so ternary entries are series arithmetic too.
+    docstring), so ternary entries are series arithmetic too.  Sums and
+    minus signs pass the sift through, and nested sifts compose, since
+    S[t,s](S[u,r](X)) is S[t*u, u*s+r](X).  Anything else reads the body's
+    coefficients up to t*(n-1)+s, and a sift that would need more than
+    `MAX_TERMS` of them raises ValueError before any is computed.
     """
+    if isinstance(node, Neg):
+        return -eval_series(node.body, n, t, s)
+    if isinstance(node, Add):
+        total = eval_series(node.terms[0], n, t, s)
+        for term in node.terms[1:]:
+            total = total + eval_series(term, n, t, s)
+        return total
+    if isinstance(node, Sift):
+        u, r = node.step, node.residue
+        return eval_series(node.body, n, t * u, u * s + r)
+    need = t * (n - 1) + s + 1 if n > 0 else 0
+    if t > 1 and need > MAX_TERMS:
+        raise ValueError(f"S[{t},{s}] of {n} terms needs {need} coefficients, "
+                         f"more than {MAX_TERMS}")
+    if not isinstance(node, Mul):
+        value = _expand(node, need)
+        return sift(value, t, s) if t > 1 else value
+    scalar, factors = _split_scalar(node.factors)
+    if len(factors) == 1 and not factors[0][1]:
+        value = eval_series(factors[0][0], n, t, s)
+    elif t > 1 and factors and not factors[-1][1]:
+        # the sift of the last product, without forming that product
+        head = _product(factors[:-1], need)
+        value = sift_product(head, eval_series(factors[-1][0], need), t, s)
+    else:
+        value = _product(factors, need)
+        value = sift(value, t, s) if t > 1 else value
+    return value if scalar == 1 else value * scalar
+
+
+def _expand(node, n: int) -> Series:
+    """A leaf or a power to n coefficients."""
     if isinstance(node, Num):
         return Series.monomial(0, n, node.value)
     if isinstance(node, QPow):
@@ -736,18 +778,6 @@ def eval_series(node, n: int) -> Series:
         if offset < 0:
             raise ValueError("eta quotient with a pole cannot embed in a series")
         return Series.monomial(offset, n) * unit
-    if isinstance(node, Neg):
-        return -eval_series(node.body, n)
-    if isinstance(node, Add):
-        total = eval_series(node.terms[0], n)
-        for term in node.terms[1:]:
-            total = total + eval_series(term, n)
-        return total
-    if isinstance(node, Mul):
-        scalar, factors = _split_scalar(node.factors)
-        if not factors:
-            return Series.monomial(0, n, scalar)
-        return _scaled(_product(factors, n), scalar)
     if isinstance(node, Pow):
         if node.exponent.denominator != 1:
             raise ValueError("fractional exponent outside modeq3")
@@ -755,8 +785,6 @@ def eval_series(node, n: int) -> Series:
         if k < 0:
             return invert(eval_series(node.base, n)) ** (-k)
         return eval_series(node.base, n) ** k
-    if isinstance(node, Sift):
-        return _eval_sifted(node.body, node.step, node.residue, n)
     if isinstance(node, FormCount):
         theta = theta_series(TernaryForm(*node.form), n)
         return compose_power(theta, node.divisor * node.divisor, n)
@@ -789,47 +817,16 @@ def _split_scalar(factors) -> tuple[int, list]:
     return scalar, rest
 
 
-def _scaled(value: Series, scalar: int) -> Series:
-    return value if scalar == 1 else value * scalar
-
-
 def _product(factors, n: int) -> Series:
     """The product of (node, inverted) factors at n terms, folded from the
-    first factor."""
+    first factor; 1 when there is none."""
     total = None
     for factor, inverted in factors:
         value = eval_series(factor, n)
         if inverted:
             value = invert(value)
         total = value if total is None else total * value
-    return total
-
-
-def _eval_sifted(node, t: int, s: int, n: int) -> Series:
-    """eval_series(Sift(t, s, node), n), expanding only what the sift reads.
-
-    The sift is linear, so it goes through sums, negation and integer
-    factors.  A product's last factor is multiplied in by `sift_product`,
-    which never forms the t*(n-1)+s+1 terms of the whole product.  Any
-    other body is expanded to those terms and sifted.
-    """
-    if isinstance(node, Neg):
-        return -_eval_sifted(node.body, t, s, n)
-    if isinstance(node, Add):
-        total = _eval_sifted(node.terms[0], t, s, n)
-        for term in node.terms[1:]:
-            total = total + _eval_sifted(term, t, s, n)
-        return total
-    need = t * (n - 1) + s + 1 if n > 0 else 0
-    if isinstance(node, Mul):
-        scalar, factors = _split_scalar(node.factors)
-        if factors and not factors[-1][1]:
-            if len(factors) == 1:
-                return _scaled(_eval_sifted(factors[0][0], t, s, n), scalar)
-            head = _product(factors[:-1], need)
-            last = eval_series(factors[-1][0], need)
-            return _scaled(sift_product(head, last, t, s), scalar)
-    return sift(eval_series(node, need), t, s)
+    return Series.one(n) if total is None else total
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,14 @@ import io
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from thetaforms.cli import main
+
+# sifts whose bodies would need about 2^49 and 10^10 times the terms asked for
+HUGE_SIFTS = ("S[2,1](" * 49 + "phi(q)" + ")" * 49,
+              "S[100000,1](S[100000,1](phi(q)))")
 
 
 def run_cli(capsys, *argv):
@@ -59,6 +64,17 @@ class TestExpand:
         assert out == ""
         assert len(err.strip().splitlines()) == 1
         assert "line 1, col 101: expression nested deeper than 100" in err
+
+    def test_oversized_sift_is_usage_error(self, capsys):
+        for func in HUGE_SIFTS:
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, "expand", "--func", func)
+            assert time.perf_counter() - start < 1.0
+            assert code == 2
+            assert out == ""
+            assert len(err.strip().splitlines()) == 1
+            assert err.startswith(f"cannot expand {func!r}: S[")
+            assert err.endswith("coefficients, more than 10000000\n")
 
     def test_division_by_non_unit_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "expand", "--func", "phi(q)/2")
@@ -150,6 +166,13 @@ class TestEntryEvaluationErrors:
             self.check(capsys, tmp_path,
                        "a: series: phi(q) = phi(q^4) + 2*q*psi(q^8)\n" + text,
                        "suite", "--terms", "20")
+
+    def test_oversized_sift(self, capsys, tmp_path):
+        for func in HUGE_SIFTS:
+            for argv in (("verify", "--id", "x"), ("suite",)):
+                start = time.perf_counter()
+                self.check(capsys, tmp_path, f"x: sift: {func} = 0\n", *argv)
+                assert time.perf_counter() - start < 1.0
 
     def test_eta_entry_failing_newman(self, capsys, tmp_path):
         text = "x: eta: eta{1:24} = 1 where level 1\n"

@@ -196,7 +196,11 @@ def split_pattern(form: TernaryForm) -> str:
 
 
 class TestThetaProduct:
-    """Split forms take the series product; `_theta_walk` is the oracle."""
+    """Split forms take the series product, which must match `_theta_walk`.
+
+    Both read `_plane_rows` and `_tally`, so the walk is a consistency
+    check here; `TestOraclesWithoutRowCode` checks both apart from them.
+    """
 
     @staticmethod
     def product(form, n, monkeypatch):
@@ -237,6 +241,54 @@ class TestThetaProduct:
         rng = random.Random(sum(sextuple))
         for m in rng.sample(range(2000), 60):
             assert coeffs[m] == repcount(form, m), (sextuple, m)
+
+
+def brute_binary(form: BinaryForm, n: int) -> list[int]:
+    """Box count for a reduced form, where Q >= (x^2 + y^2) / 2."""
+    r = isqrt(2 * n) + 1
+    counts = [0] * n
+    for x in range(-r, r + 1):
+        for y in range(-r, r + 1):
+            v = form.value(x, y)
+            if v < n:
+                counts[v] += 1
+    return counts
+
+
+class TestOraclesWithoutRowCode:
+    """Theta series against counts that share no row code with them."""
+
+    def test_binary_classes_match_box(self):
+        checked = 0
+        for disc in range(-3, -200, -1):
+            if disc % 4 not in (0, 1):
+                continue
+            for form in enumerate_binary_classes(disc):
+                brute = brute_binary(form, 200)
+                for n in (0, 1, 2, 200):
+                    assert forms._theta_binary(form, n) == tuple(brute[:n]), \
+                        (form, n)
+                checked += 1
+        assert checked == 381
+
+    @pytest.mark.parametrize("sextuple", [(1, 1, 1, 0, 0, 0),
+                                          (3, 5, 14, 0, 0, 2),
+                                          (4, 5, 6, 0, 4, 0),
+                                          (5, 12, 18, 12, 0, 0),
+                                          (9, 11, 11, 2, 6, 6)])
+    def test_split_patterns_match_repcount(self, sextuple):
+        form = TernaryForm(*sextuple)
+        coeffs = forms._theta_ternary(form, 300)
+        assert list(coeffs) == [repcount(form, m) for m in range(300)]
+
+    def test_split_product_skips_binary_theta(self, monkeypatch):
+        def no_binary(*_):
+            raise AssertionError("split theta called _theta_binary")
+        monkeypatch.setattr(forms, "_theta_binary", no_binary)
+        for sextuple in REGISTRY_FORMS:
+            form = TernaryForm(*sextuple)
+            if split_pattern(form):
+                assert forms._theta_ternary(form, 200)[0] == 1
 
 
 class TestShortVectors:

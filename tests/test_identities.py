@@ -589,12 +589,47 @@ class TestSiftedEvaluation:
         "S[8,7](2*3)",
         "S[1,0](phi(q)*psi(q^3))",
         "S[60,59](phi(q)*phi(q^6)^2*psi(q^5))",
+        "S[3,2](S[2,1](phi(q) - 2*S[5,3](psi(q)*E(q))))",
+        "S[2,0](-S[3,2](S[4,1](phi(q)*psi(q))))",
     ])
     @pytest.mark.parametrize("n", [0, 1, 2, 40])
     def test_expressions(self, text, n):
         node = _expr(text)
         assert _outcome(eval_series, node, n) == \
             _outcome(reference_eval, node, n)
+
+    @pytest.mark.parametrize("body", [
+        "phi(q)*phi(q^7)^2*psi(q)",
+        "phi(q) - 2*q*psi(q^3) + E(q^2)",
+        "E(q^2)*psi(q)/(1 - q^3)",
+    ])
+    @pytest.mark.parametrize("t,s,u,r", [(2, 1, 3, 2), (4, 0, 3, 1)])
+    @pytest.mark.parametrize("n", [0, 1, 2, 500])
+    def test_nested_sifts_compose(self, body, t, s, u, r, n):
+        nested = _expr(f"S[{t},{s}](S[{u},{r}]({body}))")
+        flat = _expr(f"S[{t * u},{u * s + r}]({body})")
+        value = _outcome(eval_series, nested, n)
+        assert value == _outcome(eval_series, flat, n)
+        assert value == _outcome(reference_eval, nested, n)
+        assert value == _outcome(
+            lambda node, n: eval_series(node, n, t * u, u * s + r),
+            _expr(body), n)
+
+    def test_size_cap_is_checked_before_expanding(self, monkeypatch):
+        def no_expand(*_):
+            raise AssertionError("expanded past the size cap")
+        node = _expr("S[10,3](phi(q)*psi(q))")  # needs 10*(n-1)+4 terms
+        monkeypatch.setattr(identities, "MAX_TERMS", 104)
+        assert eval_series(node, 11) == reference_eval(node, 11)
+        monkeypatch.setattr(identities, "_expand", no_expand)
+        with pytest.raises(ValueError, match=r"S\[10,3\] of 12 terms needs "
+                                             r"114 coefficients, more than 104"):
+            eval_series(node, 12)
+        with pytest.raises(ValueError, match=r"S\[100,39\] of 2 terms"):
+            eval_series(_expr("S[10,3](S[10,9](phi(q)))"), 2)
+
+    def test_largest_shipped_sift_at_ten_thousand_terms(self, registry):
+        assert verify_entry(registry["4.s56a"], terms=10000).passed
 
 
 class TestScalarFolding:

@@ -111,7 +111,7 @@ class TestProductPaths:
     """Long products against the schoolbook loop, on both sides of the
     switch between the pair loop and the big-integer product."""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     @given(long_coeffs(), long_coeffs())
     def test_mul_matches_schoolbook(self, a, b):
         n = min(len(a), len(b))
@@ -309,16 +309,19 @@ class TestNonnegativity:
 
 
 class TestRingAxioms:
+    @settings(derandomize=True)
     @given(coeff_lists, coeff_lists, coeff_lists)
     def test_mul_associative(self, a, b, c):
         sa, sb, sc = Series(a), Series(b), Series(c)
         assert (sa * sb) * sc == sa * (sb * sc)
 
+    @settings(derandomize=True)
     @given(coeff_lists, coeff_lists)
     def test_mul_commutative(self, a, b):
         sa, sb = Series(a), Series(b)
         assert sa * sb == sb * sa
 
+    @settings(derandomize=True)
     @given(coeff_lists, coeff_lists, coeff_lists)
     def test_distributive(self, a, b, c):
         sa, sb, sc = Series(a), Series(b), Series(c)
@@ -340,6 +343,7 @@ class TestRingAxioms:
         for k in range(4):
             assert Series([]) ** k == Series([])
 
+    @settings(derandomize=True)
     @given(coeff_lists, st.integers(min_value=1, max_value=6))
     def test_sift_reconstruction(self, a, t):
         s = Series(a)
@@ -350,12 +354,14 @@ class TestRingAxioms:
                 rebuilt[t * k + r] = c
         assert rebuilt == list(a)
 
+    @settings(derandomize=True)
     @given(coeff_lists, st.integers(min_value=1, max_value=5))
     def test_compose_then_sift_roundtrip(self, a, k):
         s = Series(a)
         out = sift(compose_power(s, k), k, 0)
         assert out.coeffs == s.coeffs[:out.truncation]
 
+    @settings(derandomize=True)
     @given(coeff_lists)
     def test_invert_two_sided(self, a):
         a = [1] + a
