@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 from .forms import TernaryForm, aut_count, enumerate_ternary_classes, repcount
 from .genus import build_sgenus, genus_partition, mass_direct, mass_formula
-from .identities import (EntryError, RegistryError, default_registry_path,
+from .identities import (DEFAULT_LIMIT, DEFAULT_MMAX, DEFAULT_TERMS,
+                         EntryError, RegistryError, default_registry_file,
                          eval_series, load_registry, run_suite, verify_entry)
 from .series import is_nonnegative
 from .theta import named_function
@@ -27,16 +28,15 @@ FORMATS = ("table", "csv")
 
 @dataclass
 class Config:
-    terms: int = 500
-    mmax: int = 10000
-    limit: int = 1000
+    terms: int = DEFAULT_TERMS
+    mmax: int = DEFAULT_MMAX
+    limit: int = DEFAULT_LIMIT
     registry: str = ""
     fmt: str = "table"
-    jobs: int = 1
 
 
 def load_config(path: str | None) -> Config:
-    cfg = Config(registry=str(default_registry_path()))
+    cfg = Config(registry=str(default_registry_file()))
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             for raw in fh:
@@ -45,7 +45,7 @@ def load_config(path: str | None) -> Config:
                     continue
                 key, _, value = line.partition("=")
                 key, value = key.strip(), value.strip()
-                if key in ("terms", "mmax", "limit", "jobs"):
+                if key in ("terms", "mmax", "limit"):
                     setattr(cfg, key, int(value))
                 elif key == "registry":
                     cfg.registry = value
@@ -227,9 +227,7 @@ def _cmd_suite(cfg: Config, args) -> int:
     try:
         results = run_suite(registry, _count(cfg, args, "terms"),
                             _count(cfg, args, "mmax"),
-                            _count(cfg, args, "limit"),
-                            jobs=_count(cfg, args, "jobs"),
-                            registry_path=cfg.registry)
+                            _count(cfg, args, "limit"))
     except EntryError as err:
         return _cannot_evaluate(err)
     _emit_rows(("name", "mode", "params", "verdict", "witness", "ms"),
@@ -289,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--terms", type=int)
     p.add_argument("--mmax", type=int)
     p.add_argument("--limit", type=int)
-    p.add_argument("--jobs", type=int)
     p.set_defaults(run=_cmd_suite)
     return top
 

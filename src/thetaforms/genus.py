@@ -478,16 +478,17 @@ def epsilon(tg: GenusRecord, w: int) -> int:
     return out
 
 
+def _weight(form: TernaryForm) -> int:
+    """16/|Aut(form)|, which must be an integer."""
+    order = aut_count(form)
+    if 16 % order:
+        raise ArithmeticError(f"|Aut({form})| = {order} does not divide 16")
+    return 16 // order
+
+
 def mass_direct(tg: GenusRecord) -> int:
     """Sum over classes of 16/|Aut|; every summand must be an integer."""
-    total = 0
-    for form in tg.classes:
-        order = aut_count(form)
-        if 16 % order:
-            raise ArithmeticError(
-                f"|Aut({form})| = {order} does not divide 16")
-        total += 16 // order
-    return total
+    return sum(_weight(form) for form in tg.classes)
 
 
 def mass_formula(tg: GenusRecord, s: int) -> int:
@@ -504,17 +505,14 @@ def sgenus_mass(sg: SGenus) -> int:
 
 def weighted_count(tg: GenusRecord, m: int) -> int:
     """16 * sum over classes of R_f(m) / |Aut(f)| (an exact integer)."""
-    total = 0
-    for form in tg.classes:
-        total += (16 // aut_count(form)) * repcount(form, m)
-    return total
+    return sum(_weight(form) * repcount(form, m) for form in tg.classes)
 
 
 @lru_cache(maxsize=None)
 def _weighted_cached(classes: tuple, n: int) -> tuple[int, ...]:
     out = [0] * n
     for form in classes:
-        weight = 16 // aut_count(form)
+        weight = _weight(form)
         coeffs = theta_coefficients(form, n)
         for i, c in enumerate(coeffs):
             if c:

@@ -43,8 +43,11 @@ Modes and statements:
   constant, proved by the valence-bound prover; requires ``level N``.
 
 Conditions: ``M = r1,r2 mod t`` (also accepts the congruence sign),
-``w|M``, ``p||M`` (exact division), ``(M|a) = +-1``.  An expression may
-nest parentheses, sifts and unary minus signs `MAX_DEPTH` deep.
+``w|M``, ``p||M`` (exact division), ``(M|a) = +-1``; these belong to
+``ternary`` entries, as ``expect`` belongs to ``positivity``, ``level`` to
+``eta`` and ``theta`` to ``modeq3``, and a clause in another mode's entry
+is an error.  An expression may nest parentheses, sifts and unary minus
+signs `MAX_DEPTH` deep.
 
 Evaluation computes only the coefficients a verdict reads:
 
@@ -87,6 +90,12 @@ __all__ = [
     "verify_positivity", "verify_modeq3", "verify_eta", "verify_entry",
     "run_suite",
 ]
+
+# The run defaults: series coefficients compared, the largest M of a
+# ternary entry, and the coefficients a positivity scan reads.
+DEFAULT_TERMS = 500
+DEFAULT_MMAX = 10000
+DEFAULT_LIMIT = 1000
 
 
 class RegistryError(ValueError):
@@ -238,6 +247,9 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 MODES = ("series", "sift", "ternary", "positivity", "modeq3", "eta")
+# The mode whose entries may carry each where clause; the M conditions
+# belong to ternary entries.
+CLAUSE_MODES = {"expect": "positivity", "level": "eta", "theta": "modeq3"}
 
 # Deepest nesting of parentheses, sifts and unary minus signs that an
 # expression may have; it bounds the recursion of the parser and of the
@@ -549,6 +561,7 @@ class _Parser:
             tok = self.peek()
             if tok is None:
                 break
+            owner = CLAUSE_MODES.get(tok.text, "ternary")
             if tok.text == "M":
                 self.pos += 1
                 self.expect("=")
@@ -562,7 +575,11 @@ class _Parser:
                 kw = self.next()
                 if kw.text != "mod":
                     raise RegistryError("expected 'mod'", kw.line, kw.col)
-                modulus = self.parse_int()
+                at = self.peek()
+                modulus = abs(self.parse_int())
+                if modulus == 0:
+                    raise RegistryError("modulus must be nonzero", at.line,
+                                        at.col)
                 residues = tuple(r % modulus for r in rs)
             elif tok.kind == "int":
                 w = self.parse_int()
@@ -600,6 +617,9 @@ class _Parser:
                 theta_ref, theta_at = ref.text, (ref.line, ref.col)
             else:
                 raise self.error("unknown condition")
+            if owner != self.mode:
+                raise RegistryError(f"this clause applies only to {owner} "
+                                    f"entries", tok.line, tok.col)
             if not self.accept(","):
                 break
         return Conditions(residues, modulus, tuple(divides), tuple(jac),
@@ -705,14 +725,14 @@ def load_registry(path) -> dict[str, IdentitySpec]:
     return registry
 
 
-def default_registry_path():
+def default_registry_file():
     from importlib.resources import files
     return files("thetaforms").joinpath("data/registry.txt")
 
 
 def load_default_registry() -> dict[str, IdentitySpec]:
     from importlib.resources import as_file
-    with as_file(default_registry_path()) as path:
+    with as_file(default_registry_file()) as path:
         return load_registry(path)
 
 
@@ -1063,8 +1083,9 @@ def verify_eta(spec: IdentitySpec) -> tuple[VerifyResult, ProofCertificate]:
     return result, cert
 
 
-def verify_entry(spec: IdentitySpec, terms: int = 500, mmax: int = 10000,
-                 limit: int = 1000) -> VerifyResult:
+def verify_entry(spec: IdentitySpec, terms: int = DEFAULT_TERMS,
+                 mmax: int = DEFAULT_MMAX,
+                 limit: int = DEFAULT_LIMIT) -> VerifyResult:
     """Verify one entry; an entry that cannot be evaluated raises EntryError."""
     start = time.perf_counter()
     try:
@@ -1086,29 +1107,9 @@ def verify_entry(spec: IdentitySpec, terms: int = 500, mmax: int = 10000,
     return result
 
 
-def _suite_worker(args):
-    path, names, terms, mmax, limit = args
-    registry = load_registry(path)
-    return [verify_entry(registry[name], terms, mmax, limit)
-            for name in names]
-
-
-def run_suite(registry: dict[str, IdentitySpec], terms: int = 500,
-              mmax: int = 10000, limit: int = 1000, jobs: int = 1,
-              registry_path=None) -> list[VerifyResult]:
+def run_suite(registry: dict[str, IdentitySpec], terms: int = DEFAULT_TERMS,
+              mmax: int = DEFAULT_MMAX,
+              limit: int = DEFAULT_LIMIT) -> list[VerifyResult]:
     """Verify every entry; results are ordered by identity name."""
-    names = sorted(registry)
-    jobs = min(jobs, len(names))
-    if jobs > 1 and registry_path is not None:
-        from concurrent.futures import ProcessPoolExecutor
-        # interleaved, so that each batch draws from every part of the
-        # name-sorted registry
-        batches = [(str(registry_path), names[i::jobs], terms, mmax, limit)
-                   for i in range(jobs)]
-        results: list[VerifyResult] = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_suite_worker, batches):
-                results.extend(part)
-        results.sort(key=lambda r: r.name)
-        return results
-    return [verify_entry(registry[name], terms, mmax, limit) for name in names]
+    return [verify_entry(registry[name], terms, mmax, limit)
+            for name in sorted(registry)]

@@ -135,9 +135,6 @@ class EtaQuotient:
         pairs = tuple(sorted((d, r) for d, r in exps.items() if r != 0))
         return cls(level, pairs)
 
-    def exponent_map(self) -> dict[int, int]:
-        return dict(self.exponents)
-
     @property
     def weight_sum(self) -> int:
         """sum of r_delta (zero for a modular function)."""

@@ -6,6 +6,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 from thetaforms.cli import main
 
 # sifts whose bodies would need about 2^49 and 10^10 times the terms asked for
@@ -183,6 +185,12 @@ class TestEntryEvaluationErrors:
         self.check(capsys, tmp_path, "x: modeq3: m = alpha^(1/8)\n",
                    "verify", "--id", "x")
 
+    def test_weight_not_dividing_sixteen(self, capsys, tmp_path):
+        # |Aut(1,1,1,0,0,0)| = 48: the weight 16/48 is no integer
+        text = "x: ternary: W(1,1,1,0,0,0)(M) = 0\n"
+        for argv in (("verify", "--id", "x"), ("suite",)):
+            self.check(capsys, tmp_path, text, *argv, "--mmax", "20")
+
     def test_unfixed_character(self, capsys, tmp_path):
         # 3 does not divide the discriminant 4 of the genus
         self.check(capsys, tmp_path,
@@ -358,6 +366,18 @@ class TestSuiteAndConfig:
             assert err == ("registry parse error: line 2, col 112: expression "
                            "nested deeper than 100 (at '-')\n")
 
+    def test_zero_modulus_is_usage_error(self, tmp_path, capsys):
+        registry = tmp_path / "reg.txt"
+        registry.write_text("a: series: phi(q) = phi(q)\n"
+                            "b: ternary: (1,1,1,0,0,0)(M) = 0 where M = 1 mod 0\n",
+                            encoding="utf-8")
+        for argv in (("suite",), ("verify", "--id", "a")):
+            code, out, err = run_cli(capsys, "--registry", str(registry), *argv)
+            assert code == 2
+            assert out == ""
+            assert err == ("registry parse error: line 2, col 50: modulus "
+                           "must be nonzero\n")
+
     def test_directory_registry_is_usage_error(self, tmp_path, capsys):
         code, out, err = run_cli(capsys, "--registry", str(tmp_path), "suite")
         assert code == 2
@@ -408,6 +428,22 @@ class TestSuiteAndConfig:
         assert out == ""
         assert err.startswith("bad configuration: ")
         assert "'json'" in err
+
+    def test_jobs_flag_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["suite", "--jobs", "2"])
+        err = capsys.readouterr().err
+        assert stop.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in err
+        assert "Traceback" not in err
+
+    def test_jobs_config_key_is_usage_error(self, tmp_path, capsys):
+        conf = tmp_path / "conf.txt"
+        conf.write_text("jobs = 2\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "--config", str(conf), "suite")
+        assert code == 2
+        assert out == ""
+        assert err == "bad configuration: unknown config key 'jobs'\n"
 
     def test_suite_csv_round_trips(self, tmp_path, capsys):
         registry = tmp_path / "reg.txt"

@@ -397,6 +397,15 @@ class TestWeightedCounts:
         tg = genus_of(TernaryForm(2, 3, 6, 0, 0, 0))
         assert weighted_count(tg, 1) == 0
 
+    def test_weight_must_divide_sixteen(self):
+        # |Aut(x^2+y^2+z^2)| = 48; its weight 16/48 must not read as 0
+        tg = genus_of(TernaryForm(1, 1, 1, 0, 0, 0))
+        for count in (lambda: weighted_count(tg, 3),
+                      lambda: weighted_coefficients(tg, 10),
+                      lambda: mass_direct(tg)):
+            with pytest.raises(ArithmeticError, match="48 does not divide 16"):
+                count()
+
     def test_s15_first_weight(self):
         sg = build_sgenus(15)
         values = [weighted_count(tg, 1) for tg in sg.tg]

@@ -38,55 +38,21 @@ class TestRunSuite:
         path.write_text(SMALL_REGISTRY, encoding="utf-8")
         return path
 
-    @pytest.fixture
-    def pool_uses(self, monkeypatch):
-        """Replace ProcessPoolExecutor by an in-process stand-in; list its uses."""
-        import concurrent.futures
-        uses = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                self.max_workers = max_workers
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, batches):
-                batches = list(batches)
-                uses.append((self.max_workers, [b[1] for b in batches]))
-                return map(fn, batches)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            InlinePool)
-        return uses
-
-    @staticmethod
-    def verdicts(results):
-        return [(r.name, r.passed, r.params) for r in results]
-
-    def test_two_jobs_match_one(self, small):
+    def test_results_in_name_order(self, small):
         registry = load_registry(small)
-        serial = run_suite(registry, terms=60, jobs=1)
-        parallel = run_suite(registry, terms=60, jobs=2, registry_path=small)
-        assert self.verdicts(parallel) == self.verdicts(serial)
-        assert [r.name for r in serial] == sorted(registry)
-        assert [r.passed for r in serial] == [True] * 4 + [False]
+        results = run_suite(registry, terms=60)
+        assert [r.name for r in results] == sorted(registry)
+        assert [r.passed for r in results] == [True] * 4 + [False]
+        assert {r.params for r in results} == {"terms=60"}
 
-    def test_batches_are_interleaved(self, small, pool_uses):
+    def test_runs_the_registry_it_is_given(self, small):
+        # the dict in memory decides, not the file it was read from
         registry = load_registry(small)
-        results = run_suite(registry, terms=60, jobs=2, registry_path=small)
-        names = sorted(registry)
-        assert pool_uses == [(2, [names[0::2], names[1::2]])]
-        assert [r.name for r in results] == names
-
-    def test_one_entry_runs_without_a_pool(self, small, pool_uses):
-        registry = {"2.4": load_registry(small)["2.4"]}
-        results = run_suite(registry, terms=60, jobs=2, registry_path=small)
-        assert pool_uses == []
-        assert self.verdicts(results)[0][:2] == ("2.4", True)
+        registry["wrong"] = parse_registry(
+            "wrong: series: phi(q) = phi(q^4) + 2*q*psi(q^8)")[0]
+        results = run_suite(registry, terms=60)
+        assert all(r.passed for r in results)
+        assert [r.name for r in results] == sorted(registry)
 
 
 class TestParser:
@@ -160,6 +126,35 @@ class TestParser:
         text = "a: ternary: (1,1,1,0,0,0)(M) = (1,1,1,0,0,0)(M) where M = 1,2 mod 4"
         cond = parse_registry(text)[0].conditions
         assert cond.residues == (1, 2) and cond.modulus == 4
+
+    def test_zero_modulus_rejected_at_its_token(self):
+        text = "a: ternary: (1,1,1,0,0,0)(M) = 0 where M = 1 mod 0"
+        with pytest.raises(RegistryError, match="modulus must be nonzero") as err:
+            parse_registry(text)
+        assert (err.value.line, err.value.col) == (1, len(text))
+
+    def test_negative_modulus_reads_as_its_absolute_value(self):
+        text = "a: ternary: (1,1,1,0,0,0)(M) = 0 where M = -1 mod -7"
+        cond = parse_registry(text)[0].conditions
+        assert (cond.residues, cond.modulus) == ((6,), 7)
+
+    @pytest.mark.parametrize("entry, clauses, bad, owner", [
+        ("z: ternary: (1,1,1,0,0,0)(M) = 0", "expect negative", "expect",
+         "positivity"),
+        ("z: series: phi(q) = phi(q)", "M = 1 mod 3", "M", "ternary"),
+        ("z: sift: S[2,1](phi(q)) = 2*psi(q^4)", "3|M", "3", "ternary"),
+        ("z: positivity: psi(q)", "expect nonnegative, 5||M", "5", "ternary"),
+        ("z: modeq3: m = m", "(M|3) = 1", "(", "ternary"),
+        ("z: series: phi(q) = phi(q)", "level 4", "level", "eta"),
+        ("z: eta: eta{1:24} = 1", "level 1, theta 2.4", "theta", "modeq3"),
+    ])
+    def test_clause_outside_its_mode(self, entry, clauses, bad, owner):
+        text = f"{entry}\n    where {clauses}\n"
+        with pytest.raises(RegistryError) as err:
+            parse_registry(text)
+        col = len("    where ") + clauses.index(bad) + 1
+        assert (err.value.line, err.value.col) == (2, col)
+        assert f"applies only to {owner} entries" in str(err.value)
 
     def test_default_registry_complete(self, registry):
         for name in ("1.11", "1.14", "1.15", "2.18", "2.37", "3.2", "4.1",
