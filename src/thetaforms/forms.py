@@ -25,6 +25,8 @@ Classes are enumerated from the reduced box 0 < a <= b <= c, |d| <= b,
 |e| <= a, |f| <= a cut to its sign-canonical half d, e >= 0 (see
 `_candidate_box` for why no class is lost), and deduped by
 `distinct_classes`, which keeps the `_sort_key`-least form of each class.
+A caller that knows the classes' doubled-Gram gcd g walks only the forms
+with g | d, e, f; `enumerate_ternary_classes` walks the whole half box.
 """
 
 from __future__ import annotations
@@ -381,8 +383,8 @@ def transform_ternary(form: TernaryForm, u) -> TernaryForm:
 # class enumeration
 # ---------------------------------------------------------------------------
 
-def _candidate_box(disc: int):
-    """Reduced-form candidates (a,b,c,d,e,f) of the given discriminant.
+def _candidate_box(disc: int, g: int):
+    """Reduced candidates (a,b,c,d,e,f) of the discriminant with g | d, e, f.
 
     Box: 0 < a <= b <= c, 0 <= d <= b, 0 <= e <= a, |f| <= a, abc <= disc/2.
     c is solved exactly from the discriminant:
@@ -395,6 +397,12 @@ def _candidate_box(disc: int):
     Each such move lowers `_sort_key`, which ranks the sign of d before
     those of e and f, so the least member of a class already has that
     shape; it is the representative the dedupe keeps.
+
+    d, e and f step over multiples of g.  The doubled-Gram gcd
+    gcd(2a, 2b, 2c, d, e, f) is a GL3(Z) invariant, so every member of a
+    class where it is a multiple of g, the least one included, has
+    g | d, e, f: the g-box is exactly the half box's forms with g | d, e, f
+    and holds every such class.  g = 1 walks the whole half box.
     """
     for a in range(1, isqrt(disc // 2) + 2):
         if a * a * a > disc // 2:
@@ -402,7 +410,7 @@ def _candidate_box(disc: int):
         bmax = isqrt(disc // (2 * a)) + 1
         for b in range(a, bmax + 1):
             cmax = disc // (2 * a * b)
-            for f in range(-a, a + 1):
+            for f in range(-(a // g) * g, a + 1, g):
                 den = 4 * a * b - f * f
                 if den <= 0:
                     continue
@@ -413,10 +421,10 @@ def _candidate_box(disc: int):
                 r = lo - disc - b * a * a
                 af = abs(f) * a
                 dmin = (isqrt(af * af + 4 * a * r) - af) // (2 * a) if r > 0 else 0
-                for d in range(dmin, b + 1):
+                for d in range(-(-dmin // g) * g, b + 1, g):
                     base = disc + a * d * d
                     fd = f * d
-                    for e in range(a + 1):
+                    for e in range(0, a + 1, g):
                         num = base + (b * e - fd) * e
                         if num % den == 0 and lo <= num <= hi:
                             yield a, b, num // den, d, e, f
@@ -428,17 +436,25 @@ def _sort_key(form: TernaryForm):
             0 if d >= 0 else 1, 0 if e >= 0 else 1, 0 if f >= 0 else 1)
 
 
-@lru_cache(maxsize=None)
-def ternary_candidates(disc: int) -> tuple[TernaryForm, ...]:
-    """The half box's forms of the discriminant, sorted by `_sort_key`.
+def ternary_candidates(disc: int, g: int = 1) -> tuple[TernaryForm, ...]:
+    """The g-box's forms of the discriminant, sorted by `_sort_key`.
 
-    Every class has at least one member here, and its least member is the
+    Every class whose doubled-Gram gcd is a multiple of g (every class,
+    for g = 1) has at least one member here, and its least member is the
     class representative.  Each box tuple is positive definite (a > 0,
     4ab - f^2 > 0, determinant 2*disc > 0) with exactly this discriminant.
     """
     if disc <= 0:
         raise ValueError("discriminant must be positive")
-    return tuple(sorted((TernaryForm(*tup) for tup in _candidate_box(disc)),
+    if g <= 0:
+        raise ValueError("the gcd step g must be positive")
+    return _sorted_box(disc, g)
+
+
+@lru_cache(maxsize=None)
+def _sorted_box(disc: int, g: int) -> tuple[TernaryForm, ...]:
+    """`ternary_candidates`, cached once per (disc, g) however g is passed."""
+    return tuple(sorted((TernaryForm(*tup) for tup in _candidate_box(disc, g)),
                         key=_sort_key))
 
 

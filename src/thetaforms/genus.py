@@ -18,13 +18,16 @@ form x^2+ny^2*, Thm 3.15), and epsilon(tg, p) = (-2u|p) for the unit u of
 the 1-dimensional scale-0 Jordan block at p | S (Conway-Sloane, *SPLAG*
 ch. 15), since every represented n prime to p is (u/2) x^2 mod p.
 
-Genus cells are built one genus at a time.  `genus_of` keeps only the
-half-box candidates of `forms.ternary_candidates` whose content, doubled-
-Gram gcd and adjoint gcd equal the form's.  Those invariants are necessary
-conditions only; the exact local symbols then decide membership, and only
-that genus's candidates are deduped into classes.  `genus_partition`
-returns the same cached records for every genus present, so both hand out
-the same objects.
+Genus cells are built one genus at a time.  `genus_of` walks only the
+candidate box of `forms.ternary_candidates` whose d, e and f are multiples
+of the form's doubled-Gram gcd g (a GL3(Z) invariant, so every class of
+the genus has its least member there; every S-genus class has g = 2), and
+keeps the candidates whose content, doubled-Gram gcd and adjoint gcd equal
+the form's.  Those invariants are necessary conditions only; the exact
+local symbols then decide membership, and only that genus's candidates are
+deduped into classes.  `genus_partition` walks only the full box and
+groups it the same way.  A record is cached by its genus's sorted
+candidates, which both boxes give alike, so both hand out the same objects.
 """
 
 from __future__ import annotations
@@ -309,7 +312,9 @@ def _cheap_invariants(form: TernaryForm) -> tuple[int, int, int]:
 
     All three are GL3(Z)-invariants fixed by the genus, so forms of one
     genus share them; the converse fails, and only `local_symbols`
-    decides membership.
+    decides membership.  The second, g, divides d, e and f of every
+    member of a class, so a genus's candidates all lie in the g-box of
+    `forms.ternary_candidates`.
     """
     a, b, c, d, e, f = form.sextuple()
     return (gcd(a, b, c, d, e, f),
@@ -319,25 +324,34 @@ def _cheap_invariants(form: TernaryForm) -> tuple[int, int, int]:
 
 
 @lru_cache(maxsize=None)
-def _candidate_pools(disc: int) -> dict[tuple, tuple[TernaryForm, ...]]:
-    """The discriminant's candidates grouped by their cheap invariants."""
+def _candidate_pools(disc: int, g: int) -> dict[tuple, tuple[TernaryForm, ...]]:
+    """The discriminant's g-box candidates grouped by their cheap invariants."""
     pools: dict[tuple, list[TernaryForm]] = {}
-    for form in ternary_candidates(disc):
+    for form in ternary_candidates(disc, g):
         pools.setdefault(_cheap_invariants(form), []).append(form)
     return {inv: tuple(forms) for inv, forms in pools.items()}
 
 
-@lru_cache(maxsize=None)
 def _genus_cell(disc: int, invariants: tuple, key: tuple) -> GenusRecord | None:
     """The classes of the genus with these local symbols, or None if empty.
 
-    The cheap invariants only narrow the candidates down; the exact local
-    symbols pick the genus, and only its own candidates are deduped.
+    The cheap invariants only narrow the candidates down to the pool of
+    their g-box; the exact local symbols pick the genus, and only its own
+    candidates are deduped.
     """
-    pool = _candidate_pools(disc).get(invariants, ())
-    members = [form for form in pool if _genus_key(form) == key]
-    if not members:
-        return None
+    pool = _candidate_pools(disc, invariants[1]).get(invariants, ())
+    members = tuple(form for form in pool if _genus_key(form) == key)
+    return _genus_record(disc, members) if members else None
+
+
+@lru_cache(maxsize=None)
+def _genus_record(disc: int, members: tuple[TernaryForm, ...]) -> GenusRecord:
+    """The record of one genus, cached by its sorted candidates.
+
+    The g-box holds the same candidates of the genus as the full box, in
+    the same order, so `genus_of` and `genus_partition` get one record
+    object whichever box they read.
+    """
     return GenusRecord(disc, distinct_classes(members))
 
 
@@ -345,14 +359,15 @@ def _genus_cell(disc: int, invariants: tuple, key: tuple) -> GenusRecord | None:
 def genus_partition(disc: int) -> tuple[GenusRecord, ...]:
     """Partition of all classes of the discriminant into genera.
 
-    The cells are the very records `genus_of` returns.
+    It walks the full box once and groups it as `_genus_cell` does, so
+    the cells are the very records `genus_of` returns.
     """
-    records = {}
-    for form in ternary_candidates(disc):
-        key = _genus_key(form)
-        if key not in records:
-            records[key] = _genus_cell(disc, _cheap_invariants(form), key)
-    return tuple(sorted(records.values(), key=lambda r: r.classes[0].sextuple()))
+    cells: dict[tuple, list[TernaryForm]] = {}
+    for form in ternary_candidates(disc, 1):
+        cells.setdefault((_cheap_invariants(form), _genus_key(form)),
+                         []).append(form)
+    records = (_genus_record(disc, tuple(members)) for members in cells.values())
+    return tuple(sorted(records, key=lambda r: r.classes[0].sextuple()))
 
 
 def genus_of(form: TernaryForm) -> GenusRecord:

@@ -583,6 +583,9 @@ class _Parser:
                 residues = tuple(r % modulus for r in rs)
             elif tok.kind == "int":
                 w = self.parse_int()
+                if w == 0:
+                    raise RegistryError("divisor must be positive", tok.line,
+                                        tok.col)
                 bar = self.next()
                 if bar.text == "||":
                     exact = True
@@ -596,10 +599,19 @@ class _Parser:
                 self.pos += 1
                 self.expect("M")
                 self.expect("|")
+                at = self.peek()
                 den = self.parse_int()
+                if den <= 0 or den % 2 == 0:
+                    raise RegistryError("Jacobi denominator must be odd and "
+                                        "positive", at.line, at.col)
                 self.expect(")")
                 self.expect("=")
-                jac.append((den, self.parse_int()))
+                at = self.peek()
+                want = self.parse_int()
+                if want not in (-1, 0, 1):
+                    raise RegistryError("Jacobi value must be -1, 0 or 1",
+                                        at.line, at.col)
+                jac.append((den, want))
             elif tok.text == "expect":
                 self.pos += 1
                 what = self.next()
@@ -961,8 +973,8 @@ def _qualifying(conditions: Conditions, n: int) -> bytes:
     with period w, ``p||M`` with period p^2, and ``(M|a) = +-1`` with
     period a.  So `Conditions.qualifies` runs for M = 1 .. P only, P the
     lcm of those periods, and that block is tiled out to n.  A modulus of
-    0 sets no congruence; a divisor or Jacobi denominator of 0 raises
-    wherever it is reached, so it adds no period.
+    0 sets no congruence and adds no period; the parser admits only
+    positive divisors and Jacobi denominators.
 
     Entries share few condition sets.  One byte per M keeps the cached
     sets small; as tuples of ints they would hold about 0.5 MB per
@@ -980,19 +992,26 @@ def _qualifying(conditions: Conditions, n: int) -> bytes:
 
 
 def verify_ternary(spec: IdentitySpec, mmax: int) -> VerifyResult:
-    """Compare the coefficients of q^M of both sides at every qualifying M <= mmax."""
+    """Compare the coefficients of q^M of both sides at every qualifying M <= mmax.
+
+    No qualifying M means nothing is compared, which is no pass: it raises
+    ValueError.
+    """
     if spec.mode != "ternary":
         raise ValueError(f"{spec.name} is not a ternary entry")
     n = max(mmax, 0) + 1
+    mask = _qualifying(spec.conditions, n)
+    values = mask.count(1)
+    if not values:
+        raise ValueError(f"no M <= {mmax} meets the where conditions")
     lhs = eval_series(spec.lhs, n).coeffs
     rhs = eval_series(spec.rhs, n).coeffs
-    mask = _qualifying(spec.conditions, n)
     for m in compress(range(n), mask):
         if lhs[m] != rhs[m]:
             return VerifyResult(spec.name, spec.mode, False, f"Mmax={mmax}",
                                 f"M={m}: {lhs[m]} != {rhs[m]}")
     return VerifyResult(spec.name, spec.mode, True,
-                        f"Mmax={mmax} ({mask.count(1)} values)")
+                        f"Mmax={mmax} ({values} values)")
 
 
 def verify_positivity(spec: IdentitySpec, limit: int) -> VerifyResult:

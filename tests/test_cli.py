@@ -191,6 +191,12 @@ class TestEntryEvaluationErrors:
         for argv in (("verify", "--id", "x"), ("suite",)):
             self.check(capsys, tmp_path, text, *argv, "--mmax", "20")
 
+    def test_ternary_entry_with_no_qualifying_m(self, capsys, tmp_path):
+        text = ("x: ternary: (1,1,1,0,0,0)(M) = (1,1,2,0,0,0)(M) "
+                "where M = 1 mod 4, 2|M\n")
+        for argv in (("verify", "--id", "x"), ("suite",)):
+            self.check(capsys, tmp_path, text, *argv, "--mmax", "30")
+
     def test_unfixed_character(self, capsys, tmp_path):
         # 3 does not divide the discriminant 4 of the genus
         self.check(capsys, tmp_path,

@@ -466,6 +466,21 @@ class TestHalfBox:
             with pytest.raises(ValueError):
                 ternary_candidates(disc)
 
+    # the S-genus discriminants 16 S^2 for S in MASS_SHIFTS
+    SGENUS_DISCS = [16 * s * s for s in (3, 5, 7, 11, 13, 15, 21, 33, 35)]
+
+    @pytest.mark.parametrize("disc", [144, 400, 784, 1936, 3600] + SGENUS_DISCS)
+    @pytest.mark.parametrize("g", [2, 4])
+    def test_gcd_box_is_the_filtered_full_box(self, disc, g):
+        full = ternary_candidates(disc, 1)
+        assert ternary_candidates(disc, g) == tuple(
+            f for f in full if f.d % g == 0 and f.e % g == 0 and f.f % g == 0)
+
+    def test_rejects_nonpositive_gcd_step(self):
+        for g in (0, -2):
+            with pytest.raises(ValueError):
+                ternary_candidates(144, g)
+
 
 class TestBinaryForms:
     def test_reduce_already_reduced(self):

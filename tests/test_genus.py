@@ -1,9 +1,11 @@
 import random
+from collections import Counter
+from functools import lru_cache
 from math import gcd, prod
 
 import pytest
 
-from thetaforms import genus
+from thetaforms import forms, genus
 from thetaforms.arith import divisors, is_squarefree, jacobi, prime_divisors
 from thetaforms.forms import (BinaryForm, TernaryForm,
                               enumerate_binary_classes,
@@ -146,6 +148,52 @@ def local_count_signature(form, mod):
             for z in range(mod):
                 counts[(base + (c * z + lin) * z) % mod] += 1
     return tuple(counts)
+
+
+def fresh_cache(monkeypatch, module, name, func=None):
+    """Swap module.name for a cached func (default: its own body) with an
+    empty cache, so that a test neither reads nor fills the shared one."""
+    func = func or getattr(module, name).__wrapped__
+    monkeypatch.setattr(module, name, lru_cache(maxsize=None)(func))
+
+
+class TestGcdBox:
+    """`genus_of` walks only the candidate box of its genus's doubled-Gram
+    gcd g; the full g = 1 box is the oracle."""
+
+    @pytest.mark.parametrize("s", MASS_SHIFTS + (39, 51, 55))
+    def test_sgenus_matches_the_full_pool(self, s, monkeypatch):
+        got = build_sgenus(s)
+        assert {genus._cheap_invariants(tg.classes[0])[1] for tg in got.tg} \
+            == {2}
+        pools = genus._candidate_pools.__wrapped__
+        fresh_cache(monkeypatch, genus, "_candidate_pools",
+                    lambda disc, g: pools(disc, 1))
+        fresh_cache(monkeypatch, genus, "_genus_record")
+        fresh_cache(monkeypatch, genus, "build_sgenus")
+        want = genus.build_sgenus(s)
+        assert [tg.classes for tg in got.tg] == [tg.classes for tg in want.tg]
+        assert got.sources == want.sources
+        assert got.eps == want.eps
+
+    def test_each_box_is_walked_once(self, monkeypatch):
+        walks = Counter()
+        walk = forms._candidate_box
+
+        def counted(disc, g):
+            walks[disc, g] += 1
+            return walk(disc, g)
+
+        monkeypatch.setattr(forms, "_candidate_box", counted)
+        fresh_cache(monkeypatch, forms, "_sorted_box")
+        for name in ("_candidate_pools", "_genus_record", "genus_partition"):
+            fresh_cache(monkeypatch, genus, name)
+        part = genus.genus_partition(3600)
+        assert walks == {(3600, 1): 1}
+        for record in part:
+            for form in record.classes:
+                assert genus.genus_of(form) is record
+        assert walks == {(3600, 1): 1, (3600, 2): 1}
 
 
 class TestLocalCountConsistency:

@@ -133,6 +133,26 @@ class TestParser:
             parse_registry(text)
         assert (err.value.line, err.value.col) == (1, len(text))
 
+    @pytest.mark.parametrize("clause, bad, message", [
+        pytest.param("0|M", "0", "divisor must be positive", id="divisor-0"),
+        pytest.param("0||M", "0", "divisor must be positive",
+                     id="exact-divisor-0"),
+        pytest.param("(M|0) = 1", "0", "odd and positive", id="jacobi-0"),
+        pytest.param("(M|-3) = 1", "-", "odd and positive",
+                     id="jacobi-negative"),
+        pytest.param("(M|4) = 1", "4", "odd and positive", id="jacobi-even"),
+        pytest.param("(M|3) = 5", "5", "-1, 0 or 1", id="jacobi-value-5"),
+        pytest.param("(M|3) = -2", "-2", "-1, 0 or 1", id="jacobi-value--2"),
+    ])
+    def test_bad_where_clause_rejected_at_its_token(self, clause, bad,
+                                                    message):
+        where = f"M = 1 mod 4, {clause}"
+        text = f"a: ternary: (1,1,1,0,0,0)(M) = 0 where {where}"
+        with pytest.raises(RegistryError, match=message) as err:
+            parse_registry(text)
+        col = text.index(where) + where.rindex(bad) + 1
+        assert (err.value.line, err.value.col) == (1, col)
+
     def test_negative_modulus_reads_as_its_absolute_value(self):
         text = "a: ternary: (1,1,1,0,0,0)(M) = 0 where M = -1 mod -7"
         cond = parse_registry(text)[0].conditions
@@ -226,6 +246,18 @@ class TestVerifyTernary:
         for _ in range(2):
             assert verify_ternary(spec, 600).params == \
                 f"Mmax=600 ({want} values)"
+
+    @pytest.mark.parametrize("where", ["(M|3) = 1, (M|3) = -1",
+                                       "M = 1 mod 4, 2|M",
+                                       "M = 31 mod 32"])
+    def test_no_qualifying_m_is_no_pass(self, where):
+        # the sides are different forms: a pass would have compared nothing
+        text = f"x: ternary: (1,1,1,0,0,0)(M) = (1,1,2,0,0,0)(M) where {where}"
+        spec = parse_registry(text)[0]
+        with pytest.raises(ValueError, match="no M <= 30"):
+            verify_ternary(spec, 30)
+        with pytest.raises(EntryError, match="^x: no M <= 30"):
+            verify_entry(spec, mmax=30)
 
     def test_failure_reports_first_m(self):
         text = ("x: ternary: (1,8,8,0,0,0)(M) = 3*(1,6,6,0,0,0)(M) "
@@ -676,11 +708,6 @@ class TestQualifyingMask:
         for n in (2, p - 1, p, p + 1, 3 * p + 2, 5000):
             want = bytes(m > 0 and cond.qualifies(m) for m in range(n))
             assert identities._qualifying(cond, n) == want
-
-    def test_bad_jacobi_denominator_still_fails(self):
-        text = "x: ternary: (1,1,1,0,0,0)(M) = 0 where M = 1 mod 4, (M|4) = 1"
-        with pytest.raises(EntryError, match="odd positive"):
-            verify_entry(parse_registry(text)[0], mmax=50)
 
 
 class TestNestingDepth:
