@@ -7,20 +7,40 @@ arithmetic is over the integers -- no floating point anywhere -- and values
 are immutable after construction, so they are safe to share between
 threads.
 
-Multiplication takes one of two paths, chosen from the operands' nonzero
-counts (counted in C, with ``len(c) - c.count(0)``):
+Multiplication takes one of three kernels, chosen from the operands'
+nonzero counts nza <= nzb (counted in C, with ``len(c) - c.count(0)``)
+and the output length n:
 
-* the pair loop, when the nonzero counts multiply to at most
-  ``_PAIRS_PER_COEFF`` pairs per output coefficient: a double loop over the
-  nonzero coefficients of both operands, each row stopped at the output
-  truncation.  Theta factors such as phi and psi take it; at 40 000 terms
-  they have 200 and 283 nonzeros.
-* otherwise one big-integer product (Kronecker substitution): each operand
-  is packed once, signed coefficients included, into fixed-width slots wide
-  enough for every output coefficient, the two integers are multiplied, and
-  the output slots are read back as signed integers.
+* the pair loop, when nza * nzb <= ``_PAIRS_PER_COEFF`` * n: a double loop
+  over the nonzero coefficients of both operands, each row stopped at the
+  output truncation.  Products of two theta factors such as phi and psi
+  take it; at 40 000 terms they have 200 and 283 nonzeros.
+* the row kernel, when nza * ``_COEFFS_PER_ROW`` <= n: the denser operand
+  is packed once, and one shifted copy of it, times the coefficient, is
+  added per nonzero of the sparser one.  A theta factor times a dense
+  series takes it, such as psi * (phi^2 - phi(q^7)^2) at 40 000 terms.
+* otherwise one big-integer product (Kronecker substitution) of both
+  packed operands.
 
-Both give exactly the schoolbook product.
+Time of the row kernel over the big multiply, for a sparser operand of
++-1 at random places times phi(q)^2 - phi(q^7)^2, by n and by the sparser
+operand's nonzero count (median of 15 calls, CPython 3.11, x86-64 Xeon):
+
+    n = 500:     0.81 at 8,    0.86 at 32,   1.04 at 64
+    n = 4000:    0.56 at 64,   0.98 at 256,  1.52 at 512
+    n = 40 000:  0.47 at 512,  0.81 at 1024, 1.20 at 1536
+
+so the cutoff n / 64 stays below the crossover at every size.
+
+Both packed kernels share one codec.  Each coefficient gets a fixed-width
+slot wide enough for every output coefficient plus a sign bit
+(:func:`_layout`).  Up to 8 bytes the width rounds up to 1, 2, 4 or 8, and
+``struct`` packs and unpacks the slots in C with signed little-endian
+formats; wider slots, which only products with large coefficients need,
+go through one ``int.to_bytes`` or ``int.from_bytes`` call per slot, driven
+by ``map``.  The signed coefficients are offset into unsigned slots, so
+the low n slots of the packed result read back exactly.  Every kernel
+gives exactly the schoolbook product.
 
 A sifted product ``sift(a * b, t, s)`` reads one coefficient in t of the
 product.  :func:`sift_product` computes it from the sifts of the two
@@ -31,9 +51,10 @@ series only.
 
 from __future__ import annotations
 
+import struct
 from bisect import bisect_left
-from itertools import compress
-from operator import add
+from itertools import compress, repeat
+from operator import add, itemgetter, sub
 from typing import Iterable, Optional, Sequence, Tuple
 
 __all__ = [
@@ -42,8 +63,14 @@ __all__ = [
 ]
 
 # The pair loop runs when it multiplies at most this many coefficient pairs
-# per output coefficient; past that, one big-integer product is cheaper.
+# per output coefficient; past that, a packed kernel is cheaper.
 _PAIRS_PER_COEFF = 16
+# The row kernel runs when the sparser operand has at most one nonzero per
+# this many output coefficients; past that, one big multiply is cheaper.
+_COEFFS_PER_ROW = 64
+
+# little-endian signed struct codes by slot width in bytes
+_SIGNED = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 
 def _nonzero(coeffs: Sequence[int]) -> list[int]:
@@ -51,16 +78,40 @@ def _nonzero(coeffs: Sequence[int]) -> list[int]:
 
 
 def _pair_loop(a: Sequence[int], b: Sequence[int], n_out: int) -> list[int]:
-    """Cauchy product over nonzero pairs only, each row stopped at n_out."""
+    """Cauchy product over nonzero pairs only, each row stopped at n_out.
+
+    One row per nonzero of a, which should be the sparser operand.
+    """
     ia, ib = _nonzero(a), _nonzero(b)
-    if len(ia) > len(ib):
-        a, b, ia, ib = b, a, ib, ia
     out = [0] * n_out
     for i in ia:
         ai = a[i]
         for j in ib[:bisect_left(ib, n_out - i)]:
             out[i + j] += ai * b[j]
     return out
+
+
+def _layout(bound: int) -> int:
+    """Bytes per slot for slots holding -bound .. bound.
+
+    A slot needs bound.bit_length() bits plus one for the sign.  Up to 8
+    bytes it rounds up to 1, 2, 4 or 8, the widths struct packs as signed
+    integers; wider slots take exactly the bytes they need.
+    """
+    size = bound.bit_length() // 8 + 1
+    return 1 << (size - 1).bit_length() if size <= 8 else size
+
+
+def _slot_width(a: Sequence[int], b: Sequence[int]) -> int:
+    """Bytes per slot, enough for every coefficient of a * b.
+
+    With a nonzero coefficient in each operand, the bound is at least
+    max|a| * max|b|, so the operands' own coefficients fit as well.
+    """
+    ma = max(max(a), -min(a))
+    mb = max(max(b), -min(b))
+    # no output coefficient exceeds this in absolute value
+    return _layout(min(sum(map(abs, a)) * mb, sum(map(abs, b)) * ma))
 
 
 def _offset(width: int, count: int) -> int:
@@ -71,38 +122,71 @@ def _offset(width: int, count: int) -> int:
 def _pack(coeffs: Sequence[int], width: int) -> int:
     """sum(c * 2**(8*width*i)) over signed coefficients c = coeffs[i].
 
-    Each slot is written in two's complement; flipping its top bit turns
-    it into c + 2**(8*width - 1), so the packed bytes read as the wanted
-    sum plus the offset in every slot.
+    Each slot holds c + 2**(8*width - 1), so the packed bytes read as the
+    wanted sum plus the offset in every slot.  struct writes c in two's
+    complement, where flipping the top bit adds 2**(8*width - 1); a wider
+    slot is written unsigned, from c + 2**(8*width - 1).
     """
-    buf = bytearray(width * len(coeffs))
-    for i in compress(range(len(coeffs)), coeffs):
-        buf[i * width:(i + 1) * width] = coeffs[i].to_bytes(
-            width, "little", signed=True)
-    offset = _offset(width, len(coeffs))
-    return (int.from_bytes(buf, "little") ^ offset) - offset
+    n = len(coeffs)
+    offset = _offset(width, n)
+    if width in _SIGNED:
+        raw = struct.pack(f"<{n}{_SIGNED[width]}", *coeffs)
+        return (int.from_bytes(raw, "little") ^ offset) - offset
+    shifted = map(add, coeffs, repeat(1 << (8 * width - 1)))
+    raw = b"".join(map(int.to_bytes, shifted, repeat(width),
+                       repeat("little")))
+    return int.from_bytes(raw, "little") - offset
 
 
-def _kronecker(a: Sequence[int], b: Sequence[int], n_out: int) -> list[int]:
+def _unpack(value: int, n_out: int, width: int) -> list[int]:
+    """The low n_out signed slots of a sum packed as by :func:`_pack`.
+
+    With the offset added, each of the low n_out slots holds
+    c + 2**(8*width - 1) in [0, 2**(8*width)) for its output coefficient c,
+    so no slot borrows from the next, and the slots above n_out fall away
+    under the mask.
+    """
+    offset = _offset(width, n_out)
+    low = (value + offset) & ((1 << (8 * width * n_out)) - 1)
+    if width in _SIGNED:
+        # flipping the top bits back leaves each c in two's complement
+        raw = (low ^ offset).to_bytes(width * n_out, "little")
+        return list(struct.unpack(f"<{n_out}{_SIGNED[width]}", raw))
+    raw = low.to_bytes(width * n_out, "little")
+    slots = map(int.from_bytes, map(itemgetter(0),
+                                    struct.iter_unpack(f"{width}s", raw)),
+                repeat("little"))
+    return list(map(sub, slots, repeat(1 << (8 * width - 1))))
+
+
+def _row_kernel(a: Sequence[int], b: Sequence[int], n_out: int) -> list[int]:
+    """Cauchy product as one shifted add of packed b per nonzero of a.
+
+    Both operands must have a nonzero coefficient; a should be the sparser.
+    """
+    width = _slot_width(a, b)
+    bits = 8 * width
+    row = _pack(b, width)
+    acc = 0
+    for i in _nonzero(a):
+        c = a[i]
+        if c == 1:
+            acc += row << (bits * i)
+        elif c == -1:
+            acc -= row << (bits * i)
+        else:
+            acc += c * (row << (bits * i))
+    return _unpack(acc, n_out, width)
+
+
+def _big_multiply(a: Sequence[int], b: Sequence[int],
+                  n_out: int) -> list[int]:
     """Cauchy product by one signed big-integer multiply (Kronecker).
 
     Both operands must have a nonzero coefficient.
     """
-    ma = max(map(abs, a))
-    mb = max(map(abs, b))
-    # no output coefficient exceeds this in absolute value; slots get one
-    # bit more, for the sign
-    bound = min(sum(map(abs, a)) * mb, sum(map(abs, b)) * ma)
-    width = bound.bit_length() // 8 + 1
-    prod = _pack(a, width) * _pack(b, width)
-    # With the offset added, the low n_out slots hold c + 2**(8*width - 1),
-    # in [0, 2**(8*width)), so no slot borrows from the next; flipping the
-    # top bits back leaves each c in two's complement.
-    offset = _offset(width, n_out)
-    low = ((prod + offset) & ((1 << (8 * width * n_out)) - 1)) ^ offset
-    raw = low.to_bytes(width * n_out, "little")
-    return [int.from_bytes(raw[k:k + width], "little", signed=True)
-            for k in range(0, len(raw), width)]
+    width = _slot_width(a, b)
+    return _unpack(_pack(a, width) * _pack(b, width), n_out, width)
 
 
 def _convolve(a: Sequence[int], b: Sequence[int], n_out: int) -> list[int]:
@@ -115,9 +199,13 @@ def _convolve(a: Sequence[int], b: Sequence[int], n_out: int) -> list[int]:
     nzb = len(b) - b.count(0)
     if not nza or not nzb:
         return [0] * n_out
+    if nza > nzb:
+        a, b, nza, nzb = b, a, nzb, nza
     if nza * nzb <= _PAIRS_PER_COEFF * n_out:
         return _pair_loop(a, b, n_out)
-    return _kronecker(a, b, n_out)
+    if nza * _COEFFS_PER_ROW <= n_out:
+        return _row_kernel(a, b, n_out)
+    return _big_multiply(a, b, n_out)
 
 
 class Series:
@@ -188,21 +276,20 @@ class Series:
     def truncate(self, n: int) -> "Series":
         if n > self.truncation:
             raise ValueError("cannot extend a truncated series")
+        if n < 0:
+            raise ValueError("truncation must be >= 0")
         return Series._raw(list(self.coeffs[:n]))
 
     def __add__(self, other: "Series") -> "Series":
         if not isinstance(other, Series):
             return NotImplemented
-        n = min(self.truncation, other.truncation)
-        a, b = self.coeffs, other.coeffs
-        return Series._raw([a[i] + b[i] for i in range(n)])
+        # map stops at the shorter operand, the min truncation
+        return Series._raw(list(map(add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "Series") -> "Series":
         if not isinstance(other, Series):
             return NotImplemented
-        n = min(self.truncation, other.truncation)
-        a, b = self.coeffs, other.coeffs
-        return Series._raw([a[i] - b[i] for i in range(n)])
+        return Series._raw(list(map(sub, self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "Series":
         return Series._raw([-c for c in self.coeffs])
@@ -317,7 +404,7 @@ def alternate_sign(a: Series) -> Series:
 
 def is_nonnegative(a: Series) -> Tuple[bool, Optional[int]]:
     """Whether all stored coefficients are >= 0; else the first bad exponent."""
-    for i, c in enumerate(a.coeffs):
-        if c < 0:
-            return False, i
-    return True, None
+    cs = a.coeffs
+    if not cs or min(cs) >= 0:
+        return True, None
+    return False, next(i for i, c in enumerate(cs) if c < 0)

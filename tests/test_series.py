@@ -3,10 +3,14 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thetaforms.series import (Series, _kronecker, _pair_loop,
-                               alternate_sign, compose_power, invert,
-                               is_nonnegative, sift, sift_product)
+import thetaforms.series as series
+from thetaforms.series import (Series, _big_multiply, _layout, _pair_loop,
+                               _row_kernel, alternate_sign, compose_power,
+                               invert, is_nonnegative, sift, sift_product)
 from thetaforms.theta import euler, named_function
+
+# every product kernel; the packed ones need a nonzero in each operand
+KERNELS = (_pair_loop, _row_kernel, _big_multiply)
 
 coeff_lists = st.lists(st.integers(min_value=-40, max_value=40),
                        min_size=1, max_size=24)
@@ -62,6 +66,14 @@ class TestConstruction:
         with pytest.raises(AttributeError):
             s.coeffs = (0,)
 
+    def test_truncate(self):
+        s = Series([1, 2, 3])
+        assert s.truncate(2) == Series([1, 2])
+        assert s.truncate(0) == Series([])
+        for n in (-1, -3, 4):
+            with pytest.raises(ValueError):
+                s.truncate(n)
+
     def test_getitem_outside_truncation(self):
         s = Series([1, 2, 3])
         assert s[2] == 3
@@ -80,6 +92,10 @@ class TestAdd:
     def test_min_truncation(self):
         out = Series([1, 0, 0, 0, 0]) + Series([0, 1, 0])
         assert out.truncation == 3
+
+    def test_sub_min_truncation(self):
+        assert Series([5, 1, 2]) - Series([3, 4]) == Series([2, -3])
+        assert Series([3, 4]) - Series([5, 1, 2]) == Series([-2, 3])
 
 
 class TestMul:
@@ -108,8 +124,8 @@ class TestMul:
 
 
 class TestProductPaths:
-    """Long products against the schoolbook loop, on both sides of the
-    switch between the pair loop and the big-integer product."""
+    """Long products against the schoolbook loop, through each kernel and
+    through the selection between them."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(long_coeffs(), long_coeffs())
@@ -117,9 +133,9 @@ class TestProductPaths:
         n = min(len(a), len(b))
         expected = schoolbook(a, b, n)
         assert (Series(a) * Series(b)).coeffs == tuple(expected)
-        assert _pair_loop(a, b, n) == expected
-        if any(a) and any(b):
-            assert _kronecker(a, b, n) == expected
+        for kernel in KERNELS if any(a) and any(b) else (_pair_loop,):
+            assert kernel(a, b, n) == expected
+            assert kernel(b, a, n) == expected
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(long_coeffs(max_size=800), st.sampled_from((1, -1)))
@@ -134,13 +150,67 @@ class TestProductPaths:
         psi = named_function("psi", n).coeffs
         expected = schoolbook(psi, phi, n)
         assert (Series(psi) * Series(phi)).coeffs == tuple(expected)
-        assert _kronecker(psi, phi, n) == expected
+        for kernel in KERNELS:
+            assert kernel(psi, phi, n) == expected
 
     def test_output_beyond_operand_lengths(self):
         a, b = [3, -1, 2 ** 80], [-5, 7]
         expected = schoolbook(a, b, 6)
-        assert _pair_loop(a, b, 6) == expected
-        assert _kronecker(a, b, 6) == expected
+        for kernel in KERNELS:
+            assert kernel(a, b, 6) == expected
+            assert kernel(b, a, 6) == expected
+
+    @pytest.mark.parametrize("bound, width", [
+        (0, 1), (1, 1), (2 ** 7 - 1, 1), (2 ** 7, 2), (2 ** 8 - 1, 2),
+        (2 ** 15 - 1, 2), (2 ** 15, 4), (2 ** 16 - 1, 4), (2 ** 23, 4),
+        (2 ** 31 - 1, 4), (2 ** 31, 8), (2 ** 32 - 1, 8), (2 ** 63 - 1, 8),
+        (2 ** 63, 9), (2 ** 64 - 1, 9), (2 ** 127 - 1, 16), (2 ** 127, 17),
+        (2 ** 128 - 1, 17), (2 ** 200, 26),
+    ])
+    def test_layout(self, bound, width):
+        assert _layout(bound) == width
+
+    @pytest.mark.parametrize("bits", [7, 8, 15, 16, 31, 32, 63, 64, 127,
+                                      128, 201])
+    def test_slot_width_edges(self, bits):
+        # The output bound min(sum|a| * max|b|, sum|b| * max|a|) is m, of
+        # the given bit length, and the outputs reach -m and m, so both
+        # signs reach the top byte of a slot on either side of each width
+        # change.
+        m = 2 ** bits - 1 if bits != 201 else 2 ** 200
+        n = 40
+        b = [(-1) ** j for j in range(n)]
+        cases = ([-m] + [0] * (n - 1),
+                 [-(m - 1), 1] + [0] * (n - 2),
+                 [m - 1, 0, 0, -1] + [0] * (n - 4))
+        for a in cases:
+            expected = schoolbook(a, b, n)
+            assert max(map(abs, expected)) == m
+            assert min(expected) < 0
+            for kernel in KERNELS:
+                assert kernel(a, b, n) == expected
+                assert kernel(b, a, n) == expected
+
+    @pytest.mark.parametrize("psi_step, s", [(1, 7), (2, 3)])
+    def test_positivity_shape_takes_row_kernel(self, psi_step, s,
+                                               monkeypatch):
+        # psi(q^psi_step) * (phi(q)^2 - phi(q^s)^2) at 40 000 terms, the
+        # shape of the long positivity checks (entries 1.13 and 2.12)
+        n = 40000
+        phi = named_function("phi", n)
+        phis = named_function("phi", n, s)
+        psi = named_function("psi", n, psi_step)
+        dense = phi * phi - phis * phis
+        expected = _big_multiply(psi.coeffs, dense.coeffs, n)
+        assert _pair_loop(psi.coeffs, dense.coeffs, n) == expected
+
+        def refuse(a, b, n_out):
+            raise AssertionError("a kernel other than the row kernel ran")
+
+        monkeypatch.setattr(series, "_big_multiply", refuse)
+        monkeypatch.setattr(series, "_pair_loop", refuse)
+        assert (psi * dense).coeffs == tuple(expected)
+        assert (dense * psi).coeffs == tuple(expected)
 
 
 class TestComposePower:
@@ -298,6 +368,12 @@ class TestNonnegativity:
         ok, witness = is_nonnegative(phi * phi - phi7 * phi7)
         assert not ok
         assert witness == 7
+
+    def test_first_negative_exponent(self):
+        assert is_nonnegative(Series([])) == (True, None)
+        assert is_nonnegative(Series([0, 3, 0])) == (True, None)
+        assert is_nonnegative(Series([2, 0, -1, 5, -7])) == (False, 2)
+        assert is_nonnegative(Series([-1])) == (False, 0)
 
     def test_psi_weighted_difference_passes(self):
         n = 1000
