@@ -6,7 +6,11 @@ twice the discriminant.  At odd p a Jordan splitting with per-scale
 (dimension, unit-determinant Legendre class) decides; at p = 2 the splitting
 into odd 1x1 and even 2x2 blocks is followed by the standard canonical
 reduction of the per-scale (dimension, sign, type, oddity) data -- oddity
-fusion inside compartments and sign walking along trains.
+fusion inside compartments and sign walking along trains.  The splitting
+runs in integers: a step scales the cleared basis vector by the pivot's
+p-adic unit instead of dividing by it, so at p = 2 the units differ from a
+rational splitting's only by squares, which the symbol does not see, and
+the odd-p symbol is the same for every Jordan splitting.
 
 An odd squarefree S with r prime factors selects 2^r genera of discriminant
 16 S^2 by lifting one binary form of discriminant -8S per binary genus via
@@ -33,7 +37,6 @@ candidates, which both boxes give alike, so both hand out the same objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import count
 from math import gcd
@@ -57,143 +60,89 @@ __all__ = [
 # p-adic Jordan data
 # ---------------------------------------------------------------------------
 
-def _val(x: Fraction | int, p: int) -> int:
-    """p-adic valuation of a nonzero rational."""
-    num = x.numerator if isinstance(x, Fraction) else x
-    den = x.denominator if isinstance(x, Fraction) else 1
+def _val(x: int, p: int) -> int:
+    """p-adic valuation of a nonzero integer."""
     v = 0
-    while num % p == 0:
-        num //= p
+    while x % p == 0:
+        x //= p
         v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
     return v
 
 
-def _unit_mod(x: Fraction | int, p: int, modulus: int) -> int:
-    """The unit part of x (p-part removed) reduced mod `modulus`."""
-    num = x.numerator if isinstance(x, Fraction) else x
-    den = x.denominator if isinstance(x, Fraction) else 1
-    while num % p == 0:
-        num //= p
-    while den % p == 0:
-        den //= p
-    return (num * pow(den, -1, modulus)) % modulus
-
-
 def _jordan_blocks(gram, p: int):
-    """Split a symmetric rational matrix into p-adic Jordan blocks.
+    """Split a symmetric integer matrix into p-adic Jordan blocks.
 
-    Returns a list of (scale_exponent, block) with block either a single
-    unit (Fraction) or, at p = 2, a 2x2 tuple with odd off-diagonal entry.
+    Yields (scale, size, unit): a 1x1 block p^scale * unit or, at p = 2, an
+    even 2x2 block of determinant 4^scale * unit.  The splitting stays in
+    integers.  To clear row k against a pivot block, e_k becomes
+    unit * e_k minus the combination of the block's basis vectors that its
+    adjugate gives, divided exactly by p^(scale * size): the rational step
+    times the p-adic unit.  At p = 2 every later pivot thus differs from
+    the rational one by the square of a unit, which leaves determinants
+    mod 8 and oddities alone; at odd p the per-scale Legendre classes do
+    not depend on the splitting.
     """
-    m = [[Fraction(x) for x in row] for row in gram]
+    m = [list(row) for row in gram]
     idx = list(range(len(m)))
-    blocks = []
     while idx:
-        # locate the minimum valuation among remaining entries
-        best = None
-        best_pos = None
-        diag_hit = None
-        for i in idx:
-            for j in idx:
-                x = m[i][j]
-                if x == 0:
-                    continue
-                v = _val(x, p)
-                if best is None or v < best:
-                    best, best_pos, diag_hit = v, (i, j), (i if i == j else None)
-                elif v == best and i == j and diag_hit is None:
-                    diag_hit = i
-        if best is None:
+        # least valuation, then a diagonal entry, then row-major order over
+        # the upper triangle (m stays symmetric)
+        pivot = min(((_val(m[i][j], p), i != j, i, j)
+                     for i in idx for j in idx if j >= i and m[i][j]),
+                    default=None)
+        if pivot is None:
             raise ValueError("matrix is singular")
-        if diag_hit is None and p != 2:
-            # odd p: make the minimum appear on the diagonal (2 is a unit)
-            i, j = best_pos
+        e, off, i, j = pivot
+        if off and p != 2:
+            # odd p: e_i + e_j puts the least valuation on the diagonal
             for k in idx:
                 m[i][k] += m[j][k]
             for k in idx:
                 m[k][i] += m[k][j]
-            diag_hit = i
-        if diag_hit is not None:
-            i = diag_hit
-            pivot = m[i][i]
-            for k in idx:
-                if k == i:
-                    continue
-                if m[k][i] != 0:
-                    r = m[k][i] / pivot
-                    for l in idx:
-                        m[k][l] -= r * m[i][l]
-                    for l in idx:
-                        m[l][k] = m[k][l]
-            blocks.append((best, pivot / p ** best))
-            idx.remove(i)
-        else:
-            # p = 2 with the minimum only off-diagonal: split an even 2x2 block
-            i, j = best_pos
+            off = False
+        if off:
             a, b, c = m[i][i], m[i][j], m[j][j]
-            det = a * c - b * b
-            for k in idx:
-                if k in (i, j):
-                    continue
-                u, v = m[k][i], m[k][j]
-                if u == 0 and v == 0:
-                    continue
-                s = (u * c - v * b) / det
-                t = (v * a - u * b) / det
-                for l in idx:
-                    m[k][l] -= s * m[i][l] + t * m[j][l]
-                for l in idx:
-                    m[l][k] = m[k][l]
-            q = Fraction(2) ** best
-            blocks.append((best, (a / q, b / q, c / q)))
-            idx.remove(i)
-            idx.remove(j)
-    return blocks
-
-
-def _symbol_odd(gram, p: int) -> tuple:
-    """Per-scale (exponent, dim, Legendre class of the unit determinant)."""
-    scales: dict[int, list] = {}
-    for e, block in _jordan_blocks(gram, p):
-        scales.setdefault(e, []).append(block)
-    out = []
-    for e in sorted(scales):
-        units = scales[e]
-        det = 1
-        for u in units:
-            det = det * _unit_mod(u, p, p) % p
-        out.append((e, len(units), jacobi(det, p)))
-    return tuple(out)
-
-
-def _symbol_two_raw(gram) -> list:
-    """Raw 2-adic quintuples [scale, dim, det mod 8, type_is_odd, oddity]."""
-    scales: dict[int, dict] = {}
-    for e, block in _jordan_blocks(gram, 2):
-        cell = scales.setdefault(e, {"dim": 0, "det": 1, "odd": False, "oddity": 0})
-        if isinstance(block, tuple):
-            a, b, c = block
-            det = (_unit_mod(a * c - b * b, 2, 8)) % 8
-            cell["dim"] += 2
-            cell["det"] = cell["det"] * det % 8
+            q = 4 ** e
+            block, adj, unit = (i, j), ((c, -b), (-b, a)), (a * c - b * b) // q
         else:
-            u = _unit_mod(block, 2, 8)
-            cell["dim"] += 1
-            cell["det"] = cell["det"] * u % 8
-            cell["odd"] = True
-            cell["oddity"] = (cell["oddity"] + u) % 8
-    out = []
-    for e in sorted(scales):
-        cell = scales[e]
-        out.append([e, cell["dim"], cell["det"], cell["odd"], cell["oddity"]])
-    return out
+            q = p ** e
+            block, adj, unit = (i,), ((1,),), m[i][i] // q
+        for k in idx:
+            x = [m[k][l] for l in block]
+            if k in block or not any(x):
+                continue
+            coef = [sum(r * y for r, y in zip(row, x)) // q for row in adj]
+            for l in idx:
+                m[k][l] = unit * m[k][l] - sum(
+                    s * m[t][l] for s, t in zip(coef, block))
+            for l in idx:
+                m[l][k] = m[k][l]
+            # the diagonal picks up unit^2, the off-diagonal entries unit
+            m[k][k] *= unit
+        yield e, len(block), unit
+        idx = [k for k in idx if k not in block]
+
+
+def _scales(gram, p: int) -> list:
+    """One row [scale, dim, det unit, has odd block, oddity] per scale.
+
+    The det unit is reduced mod 8 at p = 2 and mod p at odd p; the oddity,
+    the sum of the 1x1 units mod 8, is read at p = 2 only.
+    """
+    mod = 8 if p == 2 else p
+    rows: dict[int, list] = {}
+    for e, size, unit in _jordan_blocks(gram, p):
+        row = rows.setdefault(e, [e, 0, 1, False, 0])
+        row[1] += size
+        row[2] = row[2] * unit % mod
+        if size == 1:
+            row[3] = True
+            row[4] = (row[4] + unit) % 8
+    return [rows[e] for e in sorted(rows)]
 
 
 def _canonical_two(symbol: list) -> tuple:
-    """Canonical form of a raw 2-adic symbol under the allowed moves.
+    """Canonical form of the 2-adic `_scales` rows under the allowed moves.
 
     Signs: + when det = +-1 (mod 8).  Compartments are maximal runs of
     type-odd entries at consecutive scales; only their total oddity counts.
@@ -260,10 +209,9 @@ def _local_symbols_cached(sextuple) -> dict:
     gram = form.gram_doubled()
     out = {}
     for p in prime_divisors(2 * form.discriminant):
-        if p == 2:
-            out[p] = _canonical_two(_symbol_two_raw(gram))
-        else:
-            out[p] = _symbol_odd(gram, p)
+        rows = _scales(gram, p)
+        out[p] = (_canonical_two(rows) if p == 2 else
+                  tuple((e, dim, jacobi(det, p)) for e, dim, det, _, _ in rows))
     return out
 
 

@@ -26,7 +26,9 @@ Modes and statements:
   ``W`` series of the lifted genera, times their characters for ``SEW``.
   Since a product of series is a Cauchy product, which is not the product
   of counts at one M, the parser rejects ``/``, ``^``, a product of two
-  counts, and a nonzero summand without a count.
+  counts, and a nonzero summand without a count.  It also rejects a w
+  below 1 in ``M/w^2``, a ``SEW`` w that is not a positive divisor of S
+  and an ``eps`` w that is not odd and positive.
 * ``positivity`` -- STATEMENT is a single series expression; the entry
   passes when every coefficient up to the limit is nonnegative, unless the
   clause ``expect negative`` flips the expectation (a witness exponent is
@@ -440,7 +442,11 @@ class _Parser:
                                 tok.line, tok.col)
         w = 1
         if self.accept("/"):
+            at = self.peek()
             w = self.parse_int()
+            if w < 1:
+                raise RegistryError("w in M/w^2 must be positive", at.line,
+                                    at.col)
             self.expect("^")
             self.expect("2")
         self.expect(")")
@@ -488,7 +494,14 @@ class _Parser:
             w = 1  # SW(S) is SEW(S;1): every character at 1 is +1
             if word in ("eps", "SEW"):
                 self.expect(";")
+                at = self.peek()
                 w = self.parse_int()
+                if word == "eps" and (w < 1 or w % 2 == 0):
+                    raise RegistryError("eps character w must be odd and "
+                                        "positive", at.line, at.col)
+                if word == "SEW" and (w < 1 or arg % w):
+                    raise RegistryError("SEW character w must be a positive "
+                                        "divisor of S", at.line, at.col)
             self.expect(")")
             if word == "eps":
                 return EpsScalar(arg, w)

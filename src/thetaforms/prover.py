@@ -200,8 +200,9 @@ def prove(comb: EtaCombination) -> ProofCertificate:
     for _, eq in comb.terms:
         report = newman_check(eq)
         if not report.passed:
+            failed = [name for name, ok in vars(report).items() if not ok]
             raise ValueError(f"quotient {eq} fails the modular-function check: "
-                             f"{report}")
+                             f"{', '.join(failed)}")
     table = order_table(comb)
     finite = [(cusp, bound) for cusp, bound in sorted(table.items())
               if not cusp.is_infinity(comb.level)]

@@ -157,6 +157,7 @@ class TestEntryEvaluationErrors:
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("cannot evaluate x: ")
         assert "Traceback" not in err
+        return err
 
     def test_verify(self, capsys, tmp_path):
         for text in self.BAD:
@@ -179,7 +180,9 @@ class TestEntryEvaluationErrors:
     def test_eta_entry_failing_newman(self, capsys, tmp_path):
         text = "x: eta: eta{1:24} = 1 where level 1\n"
         for command in ("verify", "prove-eta"):
-            self.check(capsys, tmp_path, text, command, "--id", "x")
+            err = self.check(capsys, tmp_path, text, command, "--id", "x")
+            assert err.endswith(
+                "fails the modular-function check: weight_sum_zero\n"), err
 
     def test_modeq3_root_off_the_parametrization(self, capsys, tmp_path):
         self.check(capsys, tmp_path, "x: modeq3: m = alpha^(1/8)\n",
@@ -383,6 +386,17 @@ class TestSuiteAndConfig:
             assert out == ""
             assert err == ("registry parse error: line 2, col 50: modulus "
                            "must be nonzero\n")
+
+    def test_bad_count_argument_is_usage_error(self, tmp_path, capsys):
+        registry = tmp_path / "reg.txt"
+        registry.write_text("a: series: phi(q) = phi(q)\n"
+                            "b: ternary: SEW(3;5)(M) = 0\n", encoding="utf-8")
+        for argv in (("suite",), ("verify", "--id", "b")):
+            code, out, err = run_cli(capsys, "--registry", str(registry), *argv)
+            assert code == 2
+            assert out == ""
+            assert err == ("registry parse error: line 2, col 19: SEW "
+                           "character w must be a positive divisor of S\n")
 
     def test_directory_registry_is_usage_error(self, tmp_path, capsys):
         code, out, err = run_cli(capsys, "--registry", str(tmp_path), "suite")

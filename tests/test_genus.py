@@ -11,11 +11,13 @@ from thetaforms.forms import (BinaryForm, TernaryForm,
                               enumerate_binary_classes,
                               enumerate_ternary_classes, ternary_candidates,
                               theta_series, transform_ternary)
-from thetaforms.genus import (GenusRecord, binary_genus_partition,
-                              build_sgenus, epsilon, genus_of, genus_partition,
-                              lift_binary_to_ternary, mass_direct, mass_formula,
-                              orthogonality_check, same_genus, sgenus_mass,
-                              weighted_coefficients, weighted_count)
+from thetaforms.genus import (GenusRecord, _jordan_blocks,
+                              binary_genus_partition, build_sgenus, epsilon,
+                              genus_of, genus_partition,
+                              lift_binary_to_ternary, local_symbols,
+                              mass_direct, mass_formula, orthogonality_check,
+                              same_genus, sgenus_mass, weighted_coefficients,
+                              weighted_count)
 
 MASS_SHIFTS = (3, 5, 7, 11, 13, 15, 21, 33, 35)
 ODD_SQUAREFREE = [s for s in range(3, 36, 2) if is_squarefree(s)]
@@ -61,6 +63,28 @@ class TestSameGenus:
         with pytest.raises(ValueError):
             same_genus(TernaryForm(1, 1, 1, 0, 0, 0),
                        TernaryForm(1, 1, 2, 0, 0, 0))
+
+
+class TestLocalSymbols:
+    # images that are not reduced make the elimination meet off-diagonal
+    # pivots and fill-in that the reduced candidates rarely show
+    UNIMODULAR = (((1, 1, 0), (0, 1, 1), (0, 0, 1)),
+                  ((2, 1, 0), (1, 1, 0), (0, 0, 1)),
+                  ((1, 0, 0), (2, 1, 0), (3, 1, 1)))
+
+    @pytest.mark.parametrize("disc", [144, 400, 784, 3600, 16 * 21 ** 2])
+    def test_invariant_under_unimodular_images(self, disc):
+        for form in ternary_candidates(disc):
+            symbols = local_symbols(form)
+            for u in self.UNIMODULAR:
+                assert local_symbols(transform_ternary(form, u)) == symbols, \
+                    (form, u)
+
+    def test_singular_matrix_raises(self):
+        with pytest.raises(ValueError, match="singular"):
+            list(_jordan_blocks([[2, 1, 0], [1, 2, 0], [0, 0, 0]], 3))
+        with pytest.raises(ValueError, match="singular"):
+            list(_jordan_blocks([[2, 2, 4], [2, 2, 4], [4, 4, 8]], 2))
 
 
 class TestGenusPartition:
@@ -199,7 +223,7 @@ class TestGcdBox:
 class TestLocalCountConsistency:
     # solution counts modulo prime powers are genus invariants; the partition
     # must agree with them in both directions at these depths
-    @pytest.mark.parametrize("disc,p_mod", [(27, 27), (100, 25)])
+    @pytest.mark.parametrize("disc,p_mod", [(27, 27), (100, 25), (144, 9)])
     def test_partition_matches_local_counts(self, disc, p_mod):
         part = genus_partition(disc)
         sig = {f: (local_count_signature(f, 64), local_count_signature(f, p_mod))

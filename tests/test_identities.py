@@ -153,6 +153,37 @@ class TestParser:
         col = text.index(where) + where.rindex(bad) + 1
         assert (err.value.line, err.value.col) == (1, col)
 
+    @pytest.mark.parametrize("lhs, bad, message", [
+        pytest.param("(1,1,1,0,0,0)(M/0^2)", "0", r"M/w\^2 must be positive",
+                     id="divisor-0"),
+        pytest.param("(1,1,1,0,0,0)(M/-2^2)", "-", r"M/w\^2 must be positive",
+                     id="divisor-negative"),
+        pytest.param("SEW(3;5)(M)", "5", "positive divisor of S",
+                     id="sew-not-dividing"),
+        pytest.param("SEW(15;0)(M)", "0", "positive divisor of S",
+                     id="sew-0"),
+        pytest.param("SEW(15;-3)(M)", "-", "positive divisor of S",
+                     id="sew-negative"),
+        pytest.param("eps(1,1,1,0,0,0;2)*W(1,1,1,0,0,0)(M)", "2",
+                     "odd and positive", id="eps-even"),
+        pytest.param("eps(1,1,1,0,0,0;-3)*W(1,1,1,0,0,0)(M)", "-",
+                     "odd and positive", id="eps-negative"),
+    ])
+    def test_bad_count_argument_rejected_at_its_token(self, lhs, bad,
+                                                      message):
+        text = f"a: ternary: {lhs} = 0"
+        with pytest.raises(RegistryError, match=message) as err:
+            parse_registry(text)
+        col = text.index(";" if ";" in lhs else "/") + 2
+        assert text[col - 1] == bad
+        assert (err.value.line, err.value.col) == (1, col)
+
+    @pytest.mark.parametrize("lhs", [
+        "(1,1,1,0,0,0)(M/3^2)", "SEW(15;5)(M)", "SEW(3;3)(M)",
+        "eps(1,1,1,0,0,0;7)*W(1,1,1,0,0,0)(M)"])
+    def test_good_count_arguments_parse(self, lhs):
+        assert parse_registry(f"a: ternary: {lhs} = 0")
+
     def test_negative_modulus_reads_as_its_absolute_value(self):
         text = "a: ternary: (1,1,1,0,0,0)(M) = 0 where M = -1 mod -7"
         cond = parse_registry(text)[0].conditions
