@@ -12,7 +12,6 @@ import contextlib
 import csv
 import os
 import sys
-from dataclasses import dataclass
 
 from .forms import TernaryForm, aut_count, enumerate_ternary_classes, repcount
 from .genus import build_sgenus, genus_partition, mass_direct, mass_formula
@@ -26,28 +25,40 @@ ENV_REGISTRY = "THETAFORMS_REGISTRY"
 FORMATS = ("table", "csv")
 
 
-@dataclass
 class Config:
-    terms: int = DEFAULT_TERMS
-    mmax: int = DEFAULT_MMAX
-    limit: int = DEFAULT_LIMIT
-    registry: str = ""
-    fmt: str = "table"
+    def __init__(self, terms: int = DEFAULT_TERMS, mmax: int = DEFAULT_MMAX,
+                 limit: int = DEFAULT_LIMIT, registry: str = "",
+                 fmt: str = "table"):
+        self.terms = terms
+        self.mmax = mmax
+        self.limit = limit
+        self.registry = registry
+        self.fmt = fmt
 
 
 def load_config(path: str | None) -> Config:
     cfg = Config(registry=str(default_registry_file()))
     if path:
         with open(path, "r", encoding="utf-8") as fh:
-            for raw in fh:
+            for lineno, raw in enumerate(fh, start=1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
                     continue
-                key, _, value = line.partition("=")
+                key, eq, value = line.partition("=")
                 key, value = key.strip(), value.strip()
+                if not eq:
+                    raise ValueError(f"line {lineno}: expected 'key = value', "
+                                     f"got {line!r}")
                 if key in ("terms", "mmax", "limit"):
-                    setattr(cfg, key, int(value))
+                    try:
+                        setattr(cfg, key, int(value))
+                    except ValueError:
+                        raise ValueError(f"line {lineno}: {key} must be an "
+                                         f"integer, got {value!r}") from None
                 elif key == "registry":
+                    if not value:
+                        raise ValueError(f"line {lineno}: registry needs a "
+                                         "path")
                     cfg.registry = value
                 elif key == "format":
                     if value not in FORMATS:

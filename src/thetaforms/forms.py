@@ -31,9 +31,9 @@ with g | d, e, f; `enumerate_ternary_classes` walks the whole half box.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
+from typing import NamedTuple
 
 from .series import Series
 
@@ -45,8 +45,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class TernaryForm:
+class _TernaryFields(NamedTuple):
     a: int
     b: int
     c: int
@@ -54,8 +53,15 @@ class TernaryForm:
     e: int
     f: int
 
-    def __post_init__(self):
-        for v in (self.a, self.b, self.c, self.d, self.e, self.f):
+
+class TernaryForm(_TernaryFields):
+    """ax^2 + by^2 + cz^2 + dyz + ezx + fxy; a tuple of its six fields."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int, c: int, d: int, e: int, f: int):
+        self = tuple.__new__(cls, (a, b, c, d, e, f))
+        for v in self:
             if not isinstance(v, int):
                 raise TypeError("form coefficients must be integers")
         g = self.gram_doubled()
@@ -64,6 +70,7 @@ class TernaryForm:
         m3 = _det3(g)
         if m1 <= 0 or m2 <= 0 or m3 <= 0:
             raise ValueError(f"form {self.sextuple()} is not positive definite")
+        return self
 
     @classmethod
     def from_string(cls, text: str) -> "TernaryForm":
@@ -73,10 +80,10 @@ class TernaryForm:
         return cls(*(int(p) for p in parts))
 
     def sextuple(self) -> tuple[int, int, int, int, int, int]:
-        return (self.a, self.b, self.c, self.d, self.e, self.f)
+        return tuple(self)
 
     def gram_doubled(self) -> tuple[tuple[int, int, int], ...]:
-        a, b, c, d, e, f = self.sextuple()
+        a, b, c, d, e, f = self
         return ((2 * a, f, e), (f, 2 * b, d), (e, d, 2 * c))
 
     @property
@@ -86,7 +93,7 @@ class TernaryForm:
         return det // 2
 
     def value(self, x: int, y: int, z: int) -> int:
-        a, b, c, d, e, f = self.sextuple()
+        a, b, c, d, e, f = self
         return (a * x * x + b * y * y + c * z * z
                 + d * y * z + e * z * x + f * x * y)
 
@@ -94,16 +101,22 @@ class TernaryForm:
         return ",".join(str(v) for v in self.sextuple())
 
 
-@dataclass(frozen=True, order=True)
-class BinaryForm:
+class _BinaryFields(NamedTuple):
     a: int
     b: int
     c: int
 
-    def __post_init__(self):
-        if self.a <= 0 or self.discriminant >= 0:
-            raise ValueError(f"binary form {(self.a, self.b, self.c)} "
+
+class BinaryForm(_BinaryFields):
+    """ax^2 + bxy + cy^2; a tuple of its three fields."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int, c: int):
+        if a <= 0 or b * b - 4 * a * c >= 0:
+            raise ValueError(f"binary form {(a, b, c)} "
                              "is not positive definite")
+        return tuple.__new__(cls, (a, b, c))
 
     @property
     def discriminant(self) -> int:

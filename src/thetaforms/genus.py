@@ -36,10 +36,10 @@ candidates, which both boxes give alike, so both hand out the same objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count
 from math import gcd
+from typing import NamedTuple
 
 from .arith import (divisors, factorize, is_squarefree, jacobi,
                     prime_divisors)
@@ -231,14 +231,18 @@ def same_genus(f1: TernaryForm, f2: TernaryForm) -> bool:
 # genus records and partitions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GenusRecord:
+class _GenusFields(NamedTuple):
     discriminant: int
     classes: tuple[TernaryForm, ...]
 
-    def __post_init__(self):
-        if not self.classes:
+
+class GenusRecord(_GenusFields):
+    __slots__ = ()
+
+    def __new__(cls, discriminant: int, classes: tuple[TernaryForm, ...]):
+        if not classes:
             raise ValueError("a genus needs at least one class")
+        return tuple.__new__(cls, (discriminant, classes))
 
     @property
     def symbols(self) -> dict:
@@ -378,8 +382,7 @@ def lift_binary_to_ternary(s: int, bf: BinaryForm) -> TernaryForm:
 # the S-genus
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SGenus:
+class SGenus(NamedTuple):
     s: int
     primes: tuple[int, ...]
     tg: tuple[GenusRecord, ...]

@@ -70,11 +70,11 @@ from __future__ import annotations
 
 import re
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 from math import lcm
+from typing import NamedTuple
 
 from .arith import jacobi
 from .forms import TernaryForm, theta_series
@@ -116,94 +116,78 @@ class EntryError(ValueError):
 # AST
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Num:
+class Num(NamedTuple):
     value: int
 
 
-@dataclass(frozen=True)
-class QPow:
+class QPow(NamedTuple):
     power: int
 
 
-@dataclass(frozen=True)
-class Named:
+class Named(NamedTuple):
     name: str
     power: int
     negate: bool
 
 
-@dataclass(frozen=True)
-class Theta2:
+class Theta2(NamedTuple):
     x: int
     sign_x: int
     y: int
     sign_y: int
 
 
-@dataclass(frozen=True)
-class EtaAtom:
+class EtaAtom(NamedTuple):
     exponents: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class Sift:
+class Sift(NamedTuple):
     step: int
     residue: int
     body: object
 
 
-@dataclass(frozen=True)
-class Add:
+class Add(NamedTuple):
     terms: tuple
 
 
-@dataclass(frozen=True)
-class Mul:
+class Mul(NamedTuple):
     factors: tuple  # (node, inverted: bool)
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(NamedTuple):
     body: object
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(NamedTuple):
     base: object
     exponent: Fraction
 
 
-@dataclass(frozen=True)
-class FormCount:
+class FormCount(NamedTuple):
     form: tuple
     divisor: int  # evaluate at M / divisor^2; zero count unless divisor^2 | M
 
 
-@dataclass(frozen=True)
-class WeightedCount:
+class WeightedCount(NamedTuple):
     form: tuple
 
 
-@dataclass(frozen=True)
-class EpsScalar:
+class EpsScalar(NamedTuple):
     form: tuple
     w: int
 
 
-@dataclass(frozen=True)
-class UnionCount:
+class UnionCount(NamedTuple):
     s: int
     w: int
 
 
-@dataclass(frozen=True)
-class ModSym:
+class ModSym(NamedTuple):
     name: str  # m | alpha | beta
 
 
-@dataclass(frozen=True)
-class Conditions:
+class Conditions(NamedTuple):
     residues: tuple[int, ...] = ()
     modulus: int = 0
     divides: tuple[tuple[int, bool], ...] = ()  # (w, exact)
@@ -227,8 +211,7 @@ class Conditions:
         return True
 
 
-@dataclass(frozen=True)
-class IdentitySpec:
+class IdentitySpec(NamedTuple):
     name: str
     mode: str
     lhs: object
@@ -262,12 +245,14 @@ MAX_DEPTH = 100
 MAX_TERMS = 10**7
 
 
-@dataclass
 class _Token:
-    kind: str  # word | int | sym
-    text: str
-    line: int
-    col: int
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind  # word | int | sym
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 def _tokenize(text: str, line: int, offset: int) -> list[_Token]:
@@ -352,8 +337,9 @@ class _Parser:
         while True:
             start = self.peek()
             term = self.parse_term()
+            zero = isinstance(term, Num) and term.value == 0
             self.ternary_reject(start, "each ternary summand needs a count",
-                                bad=not _holds_count(term) and term != Num(0))
+                                bad=not _holds_count(term) and not zero)
             nodes.append(term if sign > 0 else Neg(term))
             if self.accept("+"):
                 sign = 1
@@ -941,8 +927,7 @@ def _modeq_value(node) -> list[Term]:
 # verification drivers
 # ---------------------------------------------------------------------------
 
-@dataclass
-class VerifyResult:
+class VerifyResult(NamedTuple):
     name: str
     mode: str
     passed: bool
@@ -1135,8 +1120,7 @@ def verify_entry(spec: IdentitySpec, terms: int = DEFAULT_TERMS,
             raise ValueError(f"unknown mode {spec.mode}")
     except (ArithmeticError, LookupError, RuntimeError, ValueError) as err:
         raise EntryError(f"{spec.name}: {err}") from err
-    result.elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return result
+    return result._replace(elapsed_ms=(time.perf_counter() - start) * 1000.0)
 
 
 def run_suite(registry: dict[str, IdentitySpec], terms: int = DEFAULT_TERMS,

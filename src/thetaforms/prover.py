@@ -11,10 +11,10 @@ exact integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
 from .arith import divisors, euler_phi, factorize
 from .theta import EtaQuotient, expand_eta_quotient
@@ -26,15 +26,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class Cusp:
+class _CuspFields(NamedTuple):
     denominator: int
     numerator: int
 
-    def __post_init__(self):
-        if self.denominator < 1 or gcd(self.numerator, self.denominator) != 1:
+
+class Cusp(_CuspFields):
+    __slots__ = ()
+
+    def __new__(cls, denominator: int, numerator: int):
+        if denominator < 1 or gcd(numerator, denominator) != 1:
             raise ValueError(
-                f"{self.numerator}/{self.denominator} is not a reduced cusp")
+                f"{numerator}/{denominator} is not a reduced cusp")
+        return tuple.__new__(cls, (denominator, numerator))
 
     def is_infinity(self, level: int) -> bool:
         """The class of i*infinity is represented by 1/level."""
@@ -44,8 +48,7 @@ class Cusp:
         return f"{self.numerator}/{self.denominator}"
 
 
-@dataclass(frozen=True)
-class NewmanReport:
+class NewmanReport(NamedTuple):
     weight_sum_zero: bool
     delta_sum_divisible: bool
     codelta_sum_divisible: bool
@@ -120,20 +123,25 @@ def ligozat_order(eq: EtaQuotient, cusp: Cusp) -> Fraction:
     return Fraction(n, 24 * gcd(n, c * c)) * total
 
 
-@dataclass(frozen=True)
-class EtaCombination:
-    """sum_i coeff_i * quotient_i compared against a constant."""
-
+class _CombinationFields(NamedTuple):
     level: int
     terms: tuple[tuple[Fraction, EtaQuotient], ...]
-    constant: Fraction = Fraction(0)
+    constant: Fraction
 
-    def __post_init__(self):
-        if not self.terms:
+
+class EtaCombination(_CombinationFields):
+    """sum_i coeff_i * quotient_i compared against a constant."""
+
+    __slots__ = ()
+
+    def __new__(cls, level: int, terms: tuple[tuple[Fraction, EtaQuotient], ...],
+                constant: Fraction = Fraction(0)):
+        if not terms:
             raise ValueError("a combination needs at least one quotient")
-        for _, eq in self.terms:
-            if eq.level != self.level:
+        for _, eq in terms:
+            if eq.level != level:
                 raise ValueError("all quotients must share the combination level")
+        return tuple.__new__(cls, (level, terms, constant))
 
 
 def order_table(comb: EtaCombination) -> dict[Cusp, Fraction]:
@@ -147,8 +155,7 @@ def order_table(comb: EtaCombination) -> dict[Cusp, Fraction]:
     return table
 
 
-@dataclass(frozen=True)
-class ProofCertificate:
+class ProofCertificate(NamedTuple):
     level: int
     combination: EtaCombination
     cusp_bounds: tuple[tuple[Cusp, Fraction], ...]  # non-infinity cusps
@@ -200,7 +207,7 @@ def prove(comb: EtaCombination) -> ProofCertificate:
     for _, eq in comb.terms:
         report = newman_check(eq)
         if not report.passed:
-            failed = [name for name, ok in vars(report).items() if not ok]
+            failed = [name for name, ok in report._asdict().items() if not ok]
             raise ValueError(f"quotient {eq} fails the modular-function check: "
                              f"{', '.join(failed)}")
     table = order_table(comb)

@@ -164,11 +164,15 @@ def _row_kernel(a: Sequence[int], b: Sequence[int], n_out: int) -> list[int]:
 
     Both operands must have a nonzero coefficient; a should be the sparser.
     """
-    width = _slot_width(a, b)
+    rows = _nonzero(a)
+    # sum|a| * max|b| bounds every output coefficient too, and a sum over
+    # the few listed nonzeros of a costs less than one over all of b
+    width = _layout(sum(map(abs, map(a.__getitem__, rows)))
+                    * max(max(b), -min(b)))
     bits = 8 * width
     row = _pack(b, width)
     acc = 0
-    for i in _nonzero(a):
+    for i in rows:
         c = a[i]
         if c == 1:
             acc += row << (bits * i)

@@ -13,9 +13,9 @@ square roots, so no term is ever dropped or duplicated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
+from typing import NamedTuple
 
 from .series import Series, alternate_sign, compose_power, invert
 from .forms import BinaryForm, theta_series
@@ -50,7 +50,7 @@ def general_theta(x: int, y: int, n: int, sign_x: int = 1, sign_y: int = 1) -> S
             if sign_y == -1 and ty % 2:
                 sign = -sign
             coeffs[e] += sign
-    return Series(coeffs)
+    return Series._raw(coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -72,7 +72,7 @@ def euler_power(k: int, n: int) -> Series:
         if g2 < n:
             coeffs[g2] += sign
         j += 1
-    return Series(coeffs)
+    return Series._raw(coeffs)
 
 
 def euler(n: int) -> Series:
@@ -112,23 +112,27 @@ def named_function(name: str, n: int, power: int = 1, negate: bool = False) -> S
 BUILTIN_NAMES = ("phi", "psi", "f12", "f15", "E", "chi", "u")
 
 
-@dataclass(frozen=True)
-class EtaQuotient:
-    """A finite product prod_{delta | level} eta(delta z)^{r_delta}."""
-
+class _EtaFields(NamedTuple):
     level: int
     exponents: tuple[tuple[int, int], ...]  # sorted (delta, r) pairs, r != 0
 
-    def __post_init__(self):
-        if self.level < 1:
+
+class EtaQuotient(_EtaFields):
+    """A finite product prod_{delta | level} eta(delta z)^{r_delta}."""
+
+    __slots__ = ()
+
+    def __new__(cls, level: int, exponents: tuple[tuple[int, int], ...]):
+        if level < 1:
             raise ValueError("level must be >= 1")
         seen = set()
-        for delta, r in self.exponents:
-            if delta < 1 or self.level % delta:
-                raise ValueError(f"{delta} does not divide the level {self.level}")
+        for delta, r in exponents:
+            if delta < 1 or level % delta:
+                raise ValueError(f"{delta} does not divide the level {level}")
             if delta in seen:
                 raise ValueError(f"duplicate divisor {delta}")
             seen.add(delta)
+        return tuple.__new__(cls, (level, exponents))
 
     @classmethod
     def from_dict(cls, level: int, exps: dict[int, int]) -> "EtaQuotient":

@@ -449,6 +449,22 @@ class TestSuiteAndConfig:
         assert err.startswith("bad configuration: ")
         assert "'json'" in err
 
+    @pytest.mark.parametrize("line, message", [
+        ("terms", "line 2: expected 'key = value', got 'terms'"),
+        ("terms = 5 = 6", "line 2: terms must be an integer, got '5 = 6'"),
+        ("mmax = ten", "line 2: mmax must be an integer, got 'ten'"),
+        ("limit =", "line 2: limit must be an integer, got ''"),
+        ("registry =", "line 2: registry needs a path"),
+    ])
+    def test_bad_config_line_is_named(self, tmp_path, capsys, line, message):
+        conf = tmp_path / "conf.txt"
+        conf.write_text(f"# settings\n{line}\nformat = csv\n",
+                        encoding="utf-8")
+        code, out, err = run_cli(capsys, "--config", str(conf), "suite")
+        assert code == 2
+        assert out == ""
+        assert err == f"bad configuration: {message}\n"
+
     def test_jobs_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as stop:
             main(["suite", "--jobs", "2"])

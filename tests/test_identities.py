@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from math import lcm
 
@@ -7,11 +8,11 @@ from thetaforms import identities
 from thetaforms.forms import TernaryForm, repcount
 from thetaforms.genus import build_sgenus, epsilon, genus_of, weighted_count
 from thetaforms.identities import (EntryError, EpsScalar, RegistryError,
-                                   eval_series, load_default_registry,
-                                   load_registry, parse_registry, run_suite,
-                                   verify_entry, verify_modeq3,
-                                   verify_positivity, verify_series,
-                                   verify_ternary)
+                                   default_registry_file, eval_series,
+                                   load_default_registry, load_registry,
+                                   parse_registry, run_suite, verify_entry,
+                                   verify_modeq3, verify_positivity,
+                                   verify_series, verify_ternary)
 from thetaforms.modeq import (ALPHA, BETA, UnsupportedRadicand, cleared,
                               rational_root)
 from thetaforms.series import Series, invert, sift
@@ -67,6 +68,16 @@ class TestParser:
     def test_empty_registry(self):
         assert parse_registry("") == []
         assert parse_registry("# only a comment\n\n") == []
+
+    def test_shipped_registry_parse_is_pinned(self):
+        # the repr of every spec, node by node; a change to the AST records
+        # or the parser that alters any entry changes the digest
+        text = default_registry_file().read_text(encoding="utf-8")
+        specs = parse_registry(text)
+        digest = hashlib.sha256("\n".join(map(repr, specs)).encode())
+        assert len(specs) == 123
+        assert digest.hexdigest() == (
+            "4ed1a8268e5d6c095490b231ce5976c6fa8d5f0b856ed4d0c9024c52c62ae18b")
 
     def test_continuation_lines(self):
         text = "x1: series: phi(q) =\n    phi(q^4) + 2*q*psi(q^8)\n"
