@@ -62,11 +62,11 @@ def load_config(path: str | None) -> Config:
                     cfg.registry = value
                 elif key == "format":
                     if value not in FORMATS:
-                        raise ValueError(f"format must be one of {FORMATS}, "
-                                         f"got {value!r}")
+                        raise ValueError(f"line {lineno}: format must be one "
+                                         f"of {FORMATS}, got {value!r}")
                     cfg.fmt = value
                 else:
-                    raise ValueError(f"unknown config key {key!r}")
+                    raise ValueError(f"line {lineno}: unknown config key {key!r}")
     env = os.environ.get(ENV_REGISTRY)
     if env:
         cfg.registry = env

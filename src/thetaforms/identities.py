@@ -41,8 +41,10 @@ Modes and statements:
   clause names the companion ``series`` or ``sift`` entry of the same
   registry, the independent numeric cross-check that the suite verifies
   in its own right.
-* ``eta`` -- a linear combination of ``eta{d:r,...}`` atoms equal to a
-  constant, proved by the valence-bound prover; requires ``level N``.
+* ``eta`` -- a rational combination of ``eta{d:r,...}`` monomials equal to
+  a constant, proved by the valence-bound prover; requires ``level N``.  A
+  product, quotient or integer power of atoms is one quotient; a sum under
+  ``/`` or ``^`` and any other primitive are refused, as in ``modeq3``.
 
 Conditions: ``M = r1,r2 mod t`` (also accepts the congruence sign),
 ``w|M``, ``p||M`` (exact division), ``(M|a) = +-1``; these belong to
@@ -84,7 +86,8 @@ from .modeq import (ALPHA, BETA, M, Term, UnsupportedRadicand, cleared,
 from .prover import EtaCombination, ProofCertificate, prove
 from .series import (Series, compose_power, invert, is_nonnegative, sift,
                      sift_product)
-from .theta import BUILTIN_NAMES, EtaQuotient, general_theta, named_function
+from .theta import (BUILTIN_NAMES, EtaQuotient, expand_eta_quotient,
+                    general_theta, named_function)
 
 __all__ = [
     "RegistryError", "EntryError", "IdentitySpec", "Conditions", "VerifyResult",
@@ -802,7 +805,6 @@ def _expand(node, n: int) -> Series:
     if isinstance(node, Theta2):
         return general_theta(node.x, node.y, n, node.sign_x, node.sign_y)
     if isinstance(node, EtaAtom):
-        from .theta import expand_eta_quotient
         level = lcm(*(d for d, _ in node.exponents))
         offset, unit = expand_eta_quotient(
             EtaQuotient.from_dict(level, dict(node.exponents)), n)
@@ -861,62 +863,59 @@ def _product(factors, n: int) -> Series:
 
 
 # ---------------------------------------------------------------------------
-# modeq3 evaluation
+# the monomial walk of modeq3 and eta entries
 # ---------------------------------------------------------------------------
 
-def _monomials(node):
-    """Flatten a modeq3 AST into [(coef, m_exp, alpha_eighths, beta_eighths)]."""
+def _terms(node, leaf) -> list[tuple[Fraction, dict]]:
+    """Multiply out a Num/Neg/Add/Mul/Pow expression into monomials.
+
+    Each term is (coefficient, {atom: exponent}), and `leaf` gives the
+    exponents of any other node; `_power` inverts factors and takes powers.
+    """
     if isinstance(node, Num):
-        return [(Fraction(node.value), 0, 0, 0)]
-    if isinstance(node, ModSym):
-        if node.name == "m":
-            return [(Fraction(1), 1, 0, 0)]
-        if node.name == "alpha":
-            return [(Fraction(1), 0, 8, 0)]
-        return [(Fraction(1), 0, 0, 8)]
+        return [(Fraction(node.value), {})]
     if isinstance(node, Neg):
-        return [(-c, k, x, y) for c, k, x, y in _monomials(node.body)]
+        return [(-c, exps) for c, exps in _terms(node.body, leaf)]
     if isinstance(node, Add):
-        out = []
-        for term in node.terms:
-            out.extend(_monomials(term))
+        return [term for part in node.terms for term in _terms(part, leaf)]
+    if isinstance(node, Mul):
+        out = [(Fraction(1), {})]
+        for factor, inverted in node.factors:
+            terms = _terms(factor, leaf)
+            if inverted:
+                terms = _power(terms, Fraction(-1), "division by a sum is unsupported")
+            out = [(c1 * c2, {**e1, **{a: e1.get(a, 0) + x for a, x in e2.items()}})
+                   for c1, e1 in out for c2, e2 in terms]
         return out
     if isinstance(node, Pow):
-        base = _monomials(node.base)
-        if len(base) != 1:
-            raise UnsupportedRadicand("fractional powers of sums are unsupported")
-        c, k, x, y = base[0]
-        e = node.exponent
-        ki = k * e
-        xi = x * e
-        yi = y * e
-        if ki.denominator != 1 or xi.denominator != 1 or yi.denominator != 1:
-            raise UnsupportedRadicand(f"exponent {e} leaves the eighth lattice")
-        if c != 1:
-            if e.denominator != 1:
-                raise UnsupportedRadicand("fractional power of a scalar")
-            c = c ** e.numerator
-        return [(c, int(ki), int(xi), int(yi))]
-    if isinstance(node, Mul):
-        out = [(Fraction(1), 0, 0, 0)]
-        for factor, inverted in node.factors:
-            mono = _monomials(factor)
-            if inverted:
-                if len(mono) != 1:
-                    raise UnsupportedRadicand("division by a sum is unsupported")
-                c, k, x, y = mono[0]
-                mono = [(1 / c, -k, -x, -y)]
-            out = [(c1 * c2, k1 + k2, x1 + x2, y1 + y2)
-                   for c1, k1, x1, y1 in out
-                   for c2, k2, x2, y2 in mono]
-        return out
-    raise TypeError(f"cannot evaluate {type(node).__name__} in modeq3 mode")
+        return _power(_terms(node.base, leaf), node.exponent,
+                      "powers of sums are unsupported")
+    return [(Fraction(1), leaf(node))]
+
+
+def _power(terms, e: Fraction, refusal: str) -> list[tuple[Fraction, dict]]:
+    """A single term to the power e; `refusal` is the error for a sum."""
+    if len(terms) != 1:
+        raise UnsupportedRadicand(refusal)
+    (c, exps), = terms
+    scaled = {a: x * e for a, x in exps.items()}
+    if any(x.denominator != 1 for x in scaled.values()):
+        raise UnsupportedRadicand(f"exponent {e} leaves the eighth lattice")
+    if c != 1 and e.denominator != 1:
+        raise UnsupportedRadicand("fractional power of a scalar")
+    return [(c ** e.numerator, {a: int(x) for a, x in scaled.items()})]
+
+
+def _modeq_leaf(sym: ModSym) -> dict:
+    """m in its own power; alpha and beta in eighths."""
+    return {sym.name: 1 if sym.name == "m" else 8}
 
 
 def _modeq_value(node) -> list[Term]:
     """The terms over p, 2+p, 1+2p of a modeq3 side, one per monomial."""
     terms = []
-    for coef, k, x8, y8 in _monomials(node):
+    for coef, exps in _terms(node, _modeq_leaf):
+        x8, y8, k = (exps.get(a, 0) for a in ("alpha", "beta", "m"))
         radicand = tuple(x8 * a + y8 * b for a, b in zip(ALPHA, BETA))
         root = rational_root(radicand, 8)
         terms.append((coef, tuple(r + k * e for r, e in zip(root, M))))
@@ -1045,47 +1044,23 @@ def verify_modeq3(spec: IdentitySpec) -> VerifyResult:
                         f"cleared lhs - rhs has coefficient {poly[i]} at p^{i}")
 
 
+def _eta_leaf(node) -> dict:
+    if not isinstance(node, EtaAtom):
+        raise ValueError("eta entries must be linear combinations of quotients")
+    return dict(node.exponents)
+
+
 def _eta_combination(spec: IdentitySpec) -> EtaCombination:
+    """lhs - rhs as one quotient per monomial; the scalars move to the constant."""
     level = spec.conditions.level
     terms: list[tuple[Fraction, EtaQuotient]] = []
     constant = Fraction(0)
-
-    def walk(node, scale: Fraction):
-        nonlocal constant
-        if isinstance(node, Num):
-            constant -= scale * node.value  # moved to the constant side
-            return
-        if isinstance(node, EtaAtom):
-            terms.append((scale, EtaQuotient(level, node.exponents)))
-            return
-        if isinstance(node, Neg):
-            walk(node.body, -scale)
-            return
-        if isinstance(node, Add):
-            for term in node.terms:
-                walk(term, scale)
-            return
-        if isinstance(node, Mul):
-            scalar = scale
-            eta_node = None
-            for factor, inverted in node.factors:
-                if isinstance(factor, Num):
-                    val = Fraction(factor.value)
-                    scalar = scalar / val if inverted else scalar * val
-                elif isinstance(factor, EtaAtom) and eta_node is None and not inverted:
-                    eta_node = factor
-                else:
-                    raise ValueError(
-                        "eta entries must be linear combinations of quotients")
-            if eta_node is None:
-                constant -= scalar
+    for sign, side in ((1, spec.lhs), (-1, spec.rhs)):
+        for c, exps in _terms(side, _eta_leaf):
+            if any(exps.values()):
+                terms.append((sign * c, EtaQuotient.from_dict(level, exps)))
             else:
-                walk(eta_node, scalar)
-            return
-        raise ValueError("eta entries must be linear combinations of quotients")
-
-    walk(spec.lhs, Fraction(1))
-    walk(spec.rhs, Fraction(-1))
+                constant -= sign * c
     return EtaCombination(level, tuple(terms), constant)
 
 

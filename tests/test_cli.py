@@ -455,6 +455,8 @@ class TestSuiteAndConfig:
         ("mmax = ten", "line 2: mmax must be an integer, got 'ten'"),
         ("limit =", "line 2: limit must be an integer, got ''"),
         ("registry =", "line 2: registry needs a path"),
+        ("format = json",
+         "line 2: format must be one of ('table', 'csv'), got 'json'"),
     ])
     def test_bad_config_line_is_named(self, tmp_path, capsys, line, message):
         conf = tmp_path / "conf.txt"
@@ -479,7 +481,7 @@ class TestSuiteAndConfig:
         code, out, err = run_cli(capsys, "--config", str(conf), "suite")
         assert code == 2
         assert out == ""
-        assert err == "bad configuration: unknown config key 'jobs'\n"
+        assert err == "bad configuration: line 1: unknown config key 'jobs'\n"
 
     def test_suite_csv_round_trips(self, tmp_path, capsys):
         registry = tmp_path / "reg.txt"

@@ -524,6 +524,57 @@ def _term_value(term, p):
     return c * p ** a * (2 + p) ** b * (1 + 2 * p) ** e
 
 
+class TestUnsupportedRadicand:
+    @pytest.mark.parametrize("statement, message", [
+        ("m = alpha^(1/8)", "exponents (1, 3, -3) are not all divisible by 8"),
+        ("alpha^(1/16) = 1", "exponent 1/16 leaves the eighth lattice"),
+        ("2^(1/8) = 1", "fractional power of a scalar"),
+        ("1/(m+1) = 1", "division by a sum is unsupported"),
+        ("(m+1)^2 = m^2+2*m+1", "powers of sums are unsupported"),
+        ("(m+1)^(1/2) = 1", "powers of sums are unsupported"),
+    ])
+    def test_refusal_is_named(self, statement, message):
+        spec = parse_registry(f"x: modeq3: {statement}")[0]
+        with pytest.raises(EntryError) as err:
+            verify_entry(spec)
+        assert str(err.value) == f"x: {message}"
+        assert isinstance(err.value.__cause__, UnsupportedRadicand)
+
+
+class TestEtaWalk:
+    # entry 4.1 with its first quotient eta{14:10,4:4,1:4,28:-4,7:-4,2:-10}
+    # written as a product, a quotient and a power of atoms
+    REST_41 = (" + 4*eta{14:7,4:6,1:5,28:-2,7:-3,2:-13}"
+               " + 8*eta{42:5,28:2,6:2,4:4,1:5,84:-2,21:-2,14:-1,3:-1,2:-12}"
+               " + 8*eta{84:1,28:1,21:1,14:1,4:4,3:2,1:4,42:-1,7:-1,6:-1,"
+               "2:-11} = 1 where level 84")
+
+    @pytest.mark.parametrize("first", [
+        "eta{14:10,4:2,1:4,28:-4}*eta{4:2,7:-4,2:-10}",
+        "eta{14:10,4:4,1:4}/eta{28:4,7:4,2:10}",
+        "eta{14:5,4:2,1:2,28:-2,7:-2,2:-5}^2",
+    ])
+    def test_monomial_of_atoms_is_one_quotient(self, registry, first):
+        from thetaforms.identities import _eta_combination
+        spec = parse_registry(f"x: eta: {first}{self.REST_41}")[0]
+        assert _eta_combination(spec) == _eta_combination(registry["4.1"])
+        result = verify_entry(spec)
+        assert result.passed
+        assert result.params == "level=84 B=17"
+
+    @pytest.mark.parametrize("statement, message", [
+        ("phi(q) = 1 where level 4",
+         "eta entries must be linear combinations of quotients"),
+        ("1/(eta{2:1}+1) = 1 where level 2",
+         "division by a sum is unsupported"),
+    ])
+    def test_refusal_is_named(self, statement, message):
+        spec = parse_registry(f"x: eta: {statement}")[0]
+        with pytest.raises(EntryError) as err:
+            verify_entry(spec)
+        assert str(err.value) == f"x: {message}"
+
+
 class TestModeq3Oracle:
     """The modeq3 path against the parametrization, in Fraction arithmetic.
 
@@ -550,11 +601,12 @@ class TestModeq3Oracle:
 
     @pytest.mark.parametrize("name", ENTRIES)
     def test_terms_are_eighth_roots(self, registry, name):
-        from thetaforms.identities import _modeq_value, _monomials
+        from thetaforms.identities import _modeq_leaf, _modeq_value, _terms
         spec = registry[name]
         for side in (spec.lhs, spec.rhs):
-            for (c, k, x8, y8), term in zip(_monomials(side),
-                                            _modeq_value(side)):
+            for (c, exps), term in zip(_terms(side, _modeq_leaf),
+                                       _modeq_value(side)):
+                k, x8, y8 = (exps.get(a, 0) for a in ("m", "alpha", "beta"))
                 assert term[0] == c
                 for p in self.POINTS:
                     root = _term_value(term, p) / (c * (1 + 2 * p) ** k)

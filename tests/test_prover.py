@@ -198,3 +198,37 @@ class TestProve:
         text = prove(combination_84()).render()
         assert "level 84" in text
         assert "verdict: proved" in text
+
+
+@pytest.fixture(scope="module")
+def shipped():
+    """The combinations of the registry's eta entries 4.1 and 5.4."""
+    from thetaforms.identities import _eta_combination, load_default_registry
+    registry = load_default_registry()
+    return {name: _eta_combination(registry[name]) for name in ("4.1", "5.4")}
+
+
+class TestShippedInvariants:
+    """Properties of the shipped proofs that `prove` does not itself rely on."""
+
+    @pytest.mark.parametrize("name", ["4.1", "5.4"])
+    def test_orders_sum_to_zero_over_the_cusps(self, shipped, name):
+        # a modular function has as many zeros as poles
+        comb = shipped[name]
+        for _, eq in comb.terms:
+            assert sum(ligozat_order(eq, cusp)
+                       for cusp in cusp_reps(comb.level)) == 0, eq
+
+    @pytest.mark.parametrize("name, index", [("4.1", i) for i in range(4)]
+                             + [("5.4", i) for i in range(11)])
+    def test_raised_coefficient_is_refuted_within_the_bound(self, shipped,
+                                                             name, index):
+        comb = shipped[name]
+        terms = list(comb.terms)
+        coeff, eq = terms[index]
+        terms[index] = (coeff + 1, eq)
+        cert = prove(EtaCombination(comb.level, tuple(terms), comb.constant))
+        assert cert.verdict.startswith("refuted at exponent ")
+        exponent = int(cert.verdict.rsplit(" ", 1)[1])
+        assert exponent <= cert.valence_bound
+        assert cert.valence_bound == prove(comb).valence_bound
