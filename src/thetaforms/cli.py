@@ -17,7 +17,8 @@ from .forms import TernaryForm, aut_count, enumerate_ternary_classes, repcount
 from .genus import build_sgenus, genus_partition, mass_direct, mass_formula
 from .identities import (DEFAULT_LIMIT, DEFAULT_MMAX, DEFAULT_TERMS,
                          EntryError, RegistryError, default_registry_file,
-                         eval_series, load_registry, run_suite, verify_entry)
+                         eval_series, load_registry, parse_expression,
+                         run_suite, verify_entry)
 from .series import is_nonnegative
 from .theta import named_function
 
@@ -119,14 +120,9 @@ def _cannot_evaluate(err: EntryError) -> int:
 
 
 def _cmd_expand(cfg: Config, args) -> int:
-    from .identities import _Parser, _tokenize
     n = _count(cfg, args, "n")
     try:
-        parser = _Parser(_tokenize(args.func, 1, 0), "series", (1, 1))
-        node = parser.parse_expr()
-        if parser.peek() is not None:
-            raise parser.error("trailing tokens")
-        value = eval_series(node, n)
+        value = eval_series(parse_expression(args.func), n)
     except (RegistryError, ValueError, KeyError) as err:
         print(f"cannot expand {args.func!r}: {err}", file=sys.stderr)
         return 2

@@ -44,7 +44,9 @@ Modes and statements:
 * ``eta`` -- a rational combination of ``eta{d:r,...}`` monomials equal to
   a constant, proved by the valence-bound prover; requires ``level N``.  A
   product, quotient or integer power of atoms is one quotient; a sum under
-  ``/`` or ``^`` and any other primitive are refused, as in ``modeq3``.
+  ``/`` or ``^`` and any other primitive are refused, as in ``modeq3``,
+  and so is a side that multiplies out to more than `MAX_MONOMIALS`
+  monomials.
 
 Conditions: ``M = r1,r2 mod t`` (also accepts the congruence sign),
 ``w|M``, ``p||M`` (exact division), ``(M|a) = +-1``; these belong to
@@ -52,6 +54,10 @@ Conditions: ``M = r1,r2 mod t`` (also accepts the congruence sign),
 ``eta`` and ``theta`` to ``modeq3``, and a clause in another mode's entry
 is an error.  An expression may nest parentheses, sifts and unary minus
 signs `MAX_DEPTH` deep.
+
+Each entry is one list of ``(text, line, col)`` token tuples, ended by a
+sentinel ``("", line, col)`` where errors past the end point.
+`parse_expression` reads a lone expression, as ``thetaforms expand`` does.
 
 Evaluation computes only the coefficients a verdict reads:
 
@@ -91,9 +97,9 @@ from .theta import (BUILTIN_NAMES, EtaQuotient, expand_eta_quotient,
 
 __all__ = [
     "RegistryError", "EntryError", "IdentitySpec", "Conditions", "VerifyResult",
-    "parse_registry", "load_registry", "verify_series", "verify_ternary",
-    "verify_positivity", "verify_modeq3", "verify_eta", "verify_entry",
-    "run_suite",
+    "parse_registry", "parse_expression", "load_registry", "verify_series",
+    "verify_ternary", "verify_positivity", "verify_modeq3", "verify_eta",
+    "verify_entry", "run_suite",
 ]
 
 # The run defaults: series coefficients compared, the largest M of a
@@ -227,12 +233,10 @@ class IdentitySpec(NamedTuple):
 # tokenizing and parsing
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<word>[A-Za-z0-9._]+)
-  | (?P<dbar>\|\|)
-  | (?P<sym>[-+*/^(){}\[\],:;|=]|≡)
-""", re.VERBOSE)
+# A token is a (text, line, col) tuple: a word or integer, '||', or one
+# symbol.  Each match skips the whitespace before a token; its last
+# alternative catches any other character.
+_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z0-9._]+|\|\||[-+*/^(){}\[\],:;|=])|(\S))")
 
 MODES = ("series", "sift", "ternary", "positivity", "modeq3", "eta")
 # The mode whose entries may carry each where clause; the M conditions
@@ -246,103 +250,105 @@ MAX_DEPTH = 100
 # Most coefficients that a sift may ask its body for: nested sifts
 # multiply the steps, so a few levels could otherwise exhaust memory.
 MAX_TERMS = 10**7
+# Most monomials that a modeq3 or eta side may multiply out to: a product
+# of k sums of two terms has 2^k of them.
+MAX_MONOMIALS = 1024
 
 
-class _Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind: str, text: str, line: int, col: int):
-        self.kind = kind  # word | int | sym
-        self.text = text
-        self.line = line
-        self.col = col
-
-
-def _tokenize(text: str, line: int, offset: int) -> list[_Token]:
-    """Tokens of a line's text from `offset` on, with 1-based columns."""
+def _tokenize(text: str, line: int, offset: int) -> list[tuple[str, int, int]]:
+    """Tokens of a line's text from `offset` on, with 1-based columns; the
+    congruence sign reads as '='."""
     out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        col = offset + pos + 1
-        if m is None:
-            raise RegistryError(f"bad character {text[pos]!r}", line, col)
-        if m.lastgroup == "word":
-            word = m.group()
-            kind = "int" if word.isdigit() else "word"
-            out.append(_Token(kind, word, line, col))
-        elif m.lastgroup in ("sym", "dbar"):
-            sym = "=" if m.group() == "≡" else m.group()
-            out.append(_Token("sym", sym, line, col))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text.replace("≡", "=")):
+        tok = m[1]
+        if tok is None:
+            raise RegistryError(f"bad character {m[2]!r}", line,
+                                offset + m.start(2) + 1)
+        out.append((tok, line, offset + m.start(1) + 1))
     return out
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], mode: str, start: tuple[int, int]):
-        self.tokens = tokens
+    def __init__(self, tokens: list[tuple[str, int, int]], mode: str,
+                 start: tuple[int, int]):
+        # the end token ("", line, col): just after the last token, or `start`
+        if tokens:
+            text, line, col = tokens[-1]
+            start = (line, col + len(text))
+        self.tokens = tokens + [("", *start)]
         self.mode = mode
-        # errors past the last token point just after it, or at `start`
-        last = tokens[-1] if tokens else None
-        self.end = (last.line, last.col + len(last.text)) if last else start
         self.pos = 0
         self.depth = 0
 
     # --- primitives ---
-    def peek(self, ahead: int = 0) -> _Token | None:
-        i = self.pos + ahead
-        return self.tokens[i] if i < len(self.tokens) else None
+    def peek(self, ahead: int = 0) -> tuple[str, int, int]:
+        return self.tokens[self.pos + ahead]
 
-    def next(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise RegistryError("unexpected end of entry", *self.end)
+    def next(self) -> tuple[str, int, int]:
+        tok = self.tokens[self.pos]
+        if not tok[0]:
+            raise RegistryError("unexpected end of entry", *tok[1:])
         self.pos += 1
         return tok
 
-    def expect(self, text: str) -> _Token:
-        tok = self.next()
-        if tok.text != text:
-            raise RegistryError(f"expected {text!r}, found {tok.text!r}",
-                                tok.line, tok.col)
-        return tok
+    def expect(self, text: str) -> None:
+        found, line, col = self.next()
+        if found != text:
+            raise RegistryError(f"expected {text!r}, found {found!r}", line, col)
 
     def accept(self, text: str) -> bool:
-        tok = self.peek()
-        if tok is not None and tok.text == text:
-            self.pos += 1
-            return True
-        return False
+        found = self.tokens[self.pos][0] == text
+        self.pos += found
+        return found
 
     def error(self, msg: str) -> RegistryError:
-        tok = self.peek()
-        if tok is None:
-            return RegistryError(msg, *self.end)
-        return RegistryError(msg + f" (at {tok.text!r})", tok.line, tok.col)
+        text, line, col = self.tokens[self.pos]
+        return RegistryError(f"{msg} (at {text!r})" if text else msg, line, col)
+
+    def take(self, ok, msg: str) -> str:
+        """The next token's text; raises msg.format(text) at it unless
+        ok(text)."""
+        text, line, col = self.next()
+        if not ok(text):
+            raise RegistryError(msg.format(text), line, col)
+        return text
 
     def parse_int(self) -> int:
         neg = self.accept("-")
-        tok = self.next()
-        if tok.kind != "int":
-            raise RegistryError(f"expected integer, found {tok.text!r}",
-                                tok.line, tok.col)
-        return -int(tok.text) if neg else int(tok.text)
+        text = self.take(str.isdigit, "expected integer, found {!r}")
+        return -int(text) if neg else int(text)
+
+    def checked_int(self, ok, msg: str) -> int:
+        """An integer; raises msg at its first token unless ok(value)."""
+        tok = self.tokens[self.pos]
+        value = self.parse_int()
+        if not ok(value):
+            raise RegistryError(msg, *tok[1:])
+        return value
 
     # --- expressions ---
-    def ternary_reject(self, tok: _Token, msg: str, bad: bool = True) -> None:
-        """In ternary mode, raise at tok when bad."""
-        if self.mode == "ternary" and bad:
-            raise RegistryError(msg, tok.line, tok.col)
+    def ternary_reject(self, at: int, msg: str, bad=lambda: True) -> None:
+        """In ternary mode, raise msg at token index `at` when bad()."""
+        if self.mode == "ternary" and bad():
+            raise RegistryError(msg, *self.tokens[at][1:])
+
+    def parse_statement(self) -> tuple:
+        """expr ['=' expr] up to the end token: (lhs, rhs or None)."""
+        lhs = self.parse_expr()
+        rhs = self.parse_expr() if self.accept("=") else None
+        if self.peek()[0]:
+            raise self.error("trailing tokens after statement")
+        return lhs, rhs
 
     def parse_expr(self):
         nodes = []
         sign = 1
         while True:
-            start = self.peek()
+            start = self.pos
             term = self.parse_term()
-            zero = isinstance(term, Num) and term.value == 0
             self.ternary_reject(start, "each ternary summand needs a count",
-                                bad=not _holds_count(term) and not zero)
+                                lambda: not _holds_count(term) and not (
+                                    isinstance(term, Num) and term.value == 0))
             nodes.append(term if sign > 0 else Neg(term))
             if self.accept("+"):
                 sign = 1
@@ -356,17 +362,16 @@ class _Parser:
         factors = []
         inverted = False
         while True:
-            start = self.peek()
+            start = self.pos
             node = self.parse_factor()
             self.ternary_reject(start, "a ternary product takes one count",
-                                bad=_holds_count(node) and any(
+                                lambda: _holds_count(node) and any(
                                     _holds_count(f) for f, _ in factors))
             factors.append((node, inverted))
-            tok = self.peek()
             if self.accept("*"):
                 inverted = False
             elif self.accept("/"):
-                self.ternary_reject(tok, "ternary entries do not divide")
+                self.ternary_reject(self.pos - 1, "ternary entries do not divide")
                 inverted = True
             else:
                 break
@@ -382,9 +387,8 @@ class _Parser:
             if self.accept("-"):
                 return Neg(self.parse_factor())
             node = self.parse_atom()
-            tok = self.peek()
             if self.accept("^"):
-                self.ternary_reject(tok, "ternary entries take no powers")
+                self.ternary_reject(self.pos - 1, "ternary entries take no powers")
                 node = Pow(node, self.parse_exponent())
             return node
         finally:
@@ -394,7 +398,7 @@ class _Parser:
         if self.accept("("):
             num = self.parse_int()
             self.expect("/")
-            den = self.parse_int()
+            den = self.checked_int(bool, "exponent denominator must be nonzero")
             self.expect(")")
             if self.mode != "modeq3":
                 raise self.error("fractional exponents only occur in modeq3")
@@ -404,10 +408,7 @@ class _Parser:
     def parse_qarg(self) -> tuple[int, int]:
         """(sign, power) from  q | -q | q^k | -q^k."""
         sign = -1 if self.accept("-") else 1
-        tok = self.next()
-        if tok.text != "q":
-            raise RegistryError(f"expected q, found {tok.text!r}",
-                                tok.line, tok.col)
+        self.take(lambda t: t == "q", "expected q, found {!r}")
         power = 1
         if self.accept("^"):
             power = self.parse_int()
@@ -425,49 +426,38 @@ class _Parser:
     def parse_count_arg(self) -> int:
         """M | M/w^2 inside (...)"""
         self.expect("(")
-        tok = self.next()
-        if tok.text != "M":
-            raise RegistryError("count argument must be M or M/w^2",
-                                tok.line, tok.col)
+        self.take(lambda t: t == "M", "count argument must be M or M/w^2")
         w = 1
         if self.accept("/"):
-            at = self.peek()
-            w = self.parse_int()
-            if w < 1:
-                raise RegistryError("w in M/w^2 must be positive", at.line,
-                                    at.col)
+            w = self.checked_int(lambda w: w >= 1, "w in M/w^2 must be positive")
             self.expect("^")
             self.expect("2")
         self.expect(")")
         return w
 
     def parse_atom(self):
-        tok = self.peek()
-        if tok is None:
+        word = self.peek()[0]
+        if not word:
             raise self.error("missing operand")
-        if tok.kind == "int":
+        if word.isdigit():
             self.pos += 1
-            return Num(int(tok.text))
-        if tok.text == "(":
-            if (self.mode == "ternary" and self.peek(1) is not None
-                    and self.peek(1).kind == "int"
-                    and self.peek(2) is not None and self.peek(2).text == ","):
+            return Num(int(word))
+        if word == "(":
+            if (self.mode == "ternary" and self.peek(1)[0].isdigit()
+                    and self.peek(2)[0] == ","):
                 self.pos += 1
                 form = self.parse_form_tuple()
                 self.expect(")")
-                w = self.parse_count_arg()
-                return FormCount(form, w)
-            if (self.mode == "ternary" and self.peek(1) is not None
-                    and self.peek(1).text == "M"):
+                return FormCount(form, self.parse_count_arg())
+            if self.mode == "ternary" and self.peek(1)[0] == "M":
                 # Jacobi-style scalars never appear in expressions
                 raise self.error("unexpected (M...) in expression")
             self.pos += 1
             node = self.parse_expr()
             self.expect(")")
             return node
-        if tok.kind != "word":
+        if not (word[0].isalnum() or word[0] in "._"):
             raise self.error("unexpected symbol")
-        word = tok.text
         if self.mode == "modeq3":
             if word in ("m", "alpha", "beta"):
                 self.pos += 1
@@ -481,16 +471,15 @@ class _Parser:
             arg = (self.parse_int() if word in ("SW", "SEW")
                    else self.parse_form_tuple())
             w = 1  # SW(S) is SEW(S;1): every character at 1 is +1
-            if word in ("eps", "SEW"):
+            if word == "eps":
                 self.expect(";")
-                at = self.peek()
-                w = self.parse_int()
-                if word == "eps" and (w < 1 or w % 2 == 0):
-                    raise RegistryError("eps character w must be odd and "
-                                        "positive", at.line, at.col)
-                if word == "SEW" and (w < 1 or arg % w):
-                    raise RegistryError("SEW character w must be a positive "
-                                        "divisor of S", at.line, at.col)
+                w = self.checked_int(lambda w: w >= 1 and w % 2,
+                                     "eps character w must be odd and positive")
+            elif word == "SEW":
+                self.expect(";")
+                w = self.checked_int(lambda w: w >= 1 and arg % w == 0,
+                                     "SEW character w must be a positive "
+                                     "divisor of S")
             self.expect(")")
             if word == "eps":
                 return EpsScalar(arg, w)
@@ -498,8 +487,10 @@ class _Parser:
                 raise self.error(f"{word} takes the plain argument M")
             return WeightedCount(arg) if word == "W" else UnionCount(arg, w)
         # series / sift / positivity / eta expression atoms
+        if word not in ("q", "S", "eta", "f") and word not in BUILTIN_NAMES:
+            raise self.error(f"unknown primitive {word!r}")
+        self.pos += 1
         if word == "q":
-            self.pos += 1
             power = 1
             if self.accept("^"):
                 power = self.parse_int()
@@ -507,7 +498,6 @@ class _Parser:
                 raise self.error("negative q powers are not supported")
             return QPow(power)
         if word == "S":
-            self.pos += 1
             self.expect("[")
             t = self.parse_int()
             self.expect(",")
@@ -520,7 +510,6 @@ class _Parser:
                 raise self.error(f"sift requires 0 <= s < t, got t={t}, s={s}")
             return Sift(t, s, body)
         if word == "eta":
-            self.pos += 1
             self.expect("{")
             exps = {}
             while True:
@@ -535,23 +524,22 @@ class _Parser:
             self.expect("}")
             return EtaAtom(tuple(sorted(exps.items())))
         if word == "f":
-            self.pos += 1
             self.expect("(")
             sx, x = self.parse_qarg()
             self.expect(",")
             sy, y = self.parse_qarg()
             self.expect(")")
             return Theta2(x, sx, y, sy)
-        if word in BUILTIN_NAMES:
-            self.pos += 1
-            self.expect("(")
-            sign, power = self.parse_qarg()
-            self.expect(")")
-            return Named(word, power, sign < 0)
-        raise self.error(f"unknown primitive {word!r}")
+        self.expect("(")
+        sign, power = self.parse_qarg()
+        self.expect(")")
+        return Named(word, power, sign < 0)
 
     # --- conditions ---
     def parse_conditions(self) -> Conditions:
+        """['where' COND {',' COND}] up to the end token."""
+        if not self.accept("where"):
+            return Conditions()
         residues: tuple[int, ...] = ()
         modulus = 0
         divides: list[tuple[int, bool]] = []
@@ -561,81 +549,57 @@ class _Parser:
         theta_ref, theta_at = "", (0, 0)
         while True:
             tok = self.peek()
-            if tok is None:
-                break
-            owner = CLAUSE_MODES.get(tok.text, "ternary")
-            if tok.text == "M":
+            text = tok[0]
+            owner = CLAUSE_MODES.get(text, "ternary")
+            if text == "M":
                 self.pos += 1
                 self.expect("=")
                 rs = [self.parse_int()]
-                while (self.peek() is not None and self.peek().text == ","
-                       and self.peek(1) is not None and self.peek(1).kind == "int"
-                       and self.peek(2) is not None
-                       and self.peek(2).text in (",", "mod")):
-                    self.expect(",")
+                while (self.peek()[0] == "," and self.peek(1)[0].isdigit()
+                       and self.peek(2)[0] in (",", "mod")):
+                    self.pos += 1
                     rs.append(self.parse_int())
-                kw = self.next()
-                if kw.text != "mod":
-                    raise RegistryError("expected 'mod'", kw.line, kw.col)
-                at = self.peek()
-                modulus = abs(self.parse_int())
-                if modulus == 0:
-                    raise RegistryError("modulus must be nonzero", at.line,
-                                        at.col)
+                self.take(lambda t: t == "mod", "expected 'mod'")
+                modulus = abs(self.checked_int(bool, "modulus must be nonzero"))
                 residues = tuple(r % modulus for r in rs)
-            elif tok.kind == "int":
-                w = self.parse_int()
-                if w == 0:
-                    raise RegistryError("divisor must be positive", tok.line,
-                                        tok.col)
-                bar = self.next()
-                if bar.text == "||":
-                    exact = True
-                elif bar.text == "|":
-                    exact = False
-                else:
-                    raise RegistryError("expected | or ||", bar.line, bar.col)
+            elif text.isdigit():
+                w = self.checked_int(bool, "divisor must be positive")
+                bar = self.take(lambda t: t in ("|", "||"), "expected | or ||")
                 self.expect("M")
-                divides.append((w, exact))
-            elif tok.text == "(":
+                divides.append((w, bar == "||"))
+            elif text == "(":
                 self.pos += 1
                 self.expect("M")
                 self.expect("|")
-                at = self.peek()
-                den = self.parse_int()
-                if den <= 0 or den % 2 == 0:
-                    raise RegistryError("Jacobi denominator must be odd and "
-                                        "positive", at.line, at.col)
+                den = self.checked_int(lambda d: d > 0 and d % 2,
+                                       "Jacobi denominator must be odd and positive")
                 self.expect(")")
                 self.expect("=")
-                at = self.peek()
-                want = self.parse_int()
-                if want not in (-1, 0, 1):
-                    raise RegistryError("Jacobi value must be -1, 0 or 1",
-                                        at.line, at.col)
+                want = self.checked_int(lambda v: v in (-1, 0, 1),
+                                        "Jacobi value must be -1, 0 or 1")
                 jac.append((den, want))
-            elif tok.text == "expect":
+            elif text == "expect":
                 self.pos += 1
-                what = self.next()
-                if what.text == "negative":
-                    expect_negative = True
-                elif what.text != "nonnegative":
-                    raise RegistryError("expect clause takes negative/nonnegative",
-                                        what.line, what.col)
-            elif tok.text == "level":
+                what = self.take(lambda t: t in ("negative", "nonnegative"),
+                                 "expect clause takes negative/nonnegative")
+                expect_negative |= what == "negative"
+            elif text == "level":
                 self.pos += 1
                 level = self.parse_int()
-            elif tok.text == "theta":
+            elif text == "theta":
                 self.pos += 1
                 ref = self.next()
-                theta_ref, theta_at = ref.text, (ref.line, ref.col)
+                theta_ref, theta_at = ref[0], ref[1:]
             else:
-                raise self.error("unknown condition")
+                raise self.error("unknown condition" if text
+                                 else "expected a condition")
             if owner != self.mode:
                 raise RegistryError(f"this clause applies only to {owner} "
-                                    f"entries", tok.line, tok.col)
+                                    f"entries", *tok[1:])
             if not self.accept(","):
                 break
+        if self.peek()[0]:
+            raise self.error("trailing tokens after conditions")
         return Conditions(residues, modulus, tuple(divides), tuple(jac),
                           expect_negative, level, theta_ref, theta_at)
 
@@ -654,7 +618,7 @@ def _holds_count(node) -> bool:
 
 
 def _split_entries(text: str):
-    """Yield (name, mode, body_tokens, line) for each registry entry."""
+    """Yield the (line number, text) lines of each registry entry."""
     pending: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -695,34 +659,33 @@ def parse_registry(text: str) -> list[IdentitySpec]:
         tokens = _tokenize(first_text[header.end():], first_line, header.end())
         for lineno, more in chunk[1:]:
             tokens += _tokenize(more, lineno, 0)
-        # split off the where clause at the top level
-        where_at = next((i for i, tok in enumerate(tokens)
-                         if tok.kind == "word" and tok.text == "where"),
+        # the statement ends at the first 'where'
+        where_at = next((i for i, tok in enumerate(tokens) if tok[0] == "where"),
                         len(tokens))
-        expr_tokens, cond_tokens = tokens[:where_at], tokens[where_at + 1:]
-        after_header = (first_line, header.end() + 1)
-        parser = _Parser(expr_tokens, mode, after_header)
-        lhs = parser.parse_expr()
-        rhs = None
-        if parser.accept("="):
-            rhs = parser.parse_expr()
-        if parser.peek() is not None:
-            raise parser.error("trailing tokens after statement")
+        start = (first_line, header.end() + 1)  # just after the header
+        lhs, rhs = _Parser(tokens[:where_at], mode, start).parse_statement()
         if mode == "positivity":
             if rhs is not None:
                 raise RegistryError("positivity entries take a single expression",
                                     first_line, 1)
         elif rhs is None:
             rhs = Num(0)
-        cparser = _Parser(cond_tokens, mode, after_header)
-        conditions = cparser.parse_conditions()
-        if cparser.peek() is not None:
-            raise cparser.error("trailing tokens after conditions")
+        conditions = _Parser(tokens[where_at:], mode, start).parse_conditions()
         if mode == "eta" and conditions.level < 1:
             raise RegistryError(f"eta entry {name!r} needs a level clause",
                                 first_line, 1)
         specs.append(IdentitySpec(name, mode, lhs, rhs, conditions, first_line))
     return specs
+
+
+def parse_expression(text: str, mode: str = "series"):
+    """The AST of one expression on one line, such as ``thetaforms expand``
+    reads; raises RegistryError with line 1 and the column."""
+    parser = _Parser(_tokenize(text, 1, 0), mode, (1, 1))
+    node = parser.parse_expr()
+    if parser.peek()[0]:
+        raise parser.error("trailing tokens")
+    return node
 
 
 def load_registry(path) -> dict[str, IdentitySpec]:
@@ -871,6 +834,8 @@ def _terms(node, leaf) -> list[tuple[Fraction, dict]]:
 
     Each term is (coefficient, {atom: exponent}), and `leaf` gives the
     exponents of any other node; `_power` inverts factors and takes powers.
+    A product of more than `MAX_MONOMIALS` terms is refused before it is
+    formed.
     """
     if isinstance(node, Num):
         return [(Fraction(node.value), {})]
@@ -884,6 +849,9 @@ def _terms(node, leaf) -> list[tuple[Fraction, dict]]:
             terms = _terms(factor, leaf)
             if inverted:
                 terms = _power(terms, Fraction(-1), "division by a sum is unsupported")
+            if len(out) * len(terms) > MAX_MONOMIALS:
+                raise UnsupportedRadicand(
+                    f"expansion exceeds {MAX_MONOMIALS} monomials")
             out = [(c1 * c2, {**e1, **{a: e1.get(a, 0) + x for a, x in e2.items()}})
                    for c1, e1 in out for c2, e2 in terms]
         return out

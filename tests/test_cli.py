@@ -93,6 +93,13 @@ class TestExpand:
         assert rows == [["0", "0"], ["1", "0"], ["2", "-6"], ["3", "-6"],
                         ["4", "0"]]
 
+    def test_trailing_tokens_are_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "expand", "--func", "phi(q) phi(q)")
+        assert code == 2
+        assert out == ""
+        assert err == ("cannot expand 'phi(q) phi(q)': line 1, col 8: "
+                       "trailing tokens (at 'phi')\n")
+
     def test_count_below_one_is_usage_error(self, capsys):
         for n in ("0", "-3"):
             code, out, err = run_cli(capsys, "expand", "--func", "phi(q)",
@@ -143,6 +150,15 @@ class TestVerify:
         assert code == 2
         assert "parse error" in err
 
+    def test_zero_exponent_denominator_exit_two(self, tmp_path, capsys):
+        registry = tmp_path / "reg.txt"
+        registry.write_text("x: modeq3: m = alpha^(1/0)\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "--registry", str(registry), "suite")
+        assert code == 2
+        assert out == ""
+        assert err == ("registry parse error: line 1, col 25: "
+                       "exponent denominator must be nonzero\n")
+
 
 class TestEntryEvaluationErrors:
     """An entry whose evaluation raises is a usage error of one line."""
@@ -187,6 +203,14 @@ class TestEntryEvaluationErrors:
     def test_modeq3_root_off_the_parametrization(self, capsys, tmp_path):
         self.check(capsys, tmp_path, "x: modeq3: m = alpha^(1/8)\n",
                    "verify", "--id", "x")
+
+    def test_modeq3_expansion_past_the_bound(self, capsys, tmp_path):
+        side = "*".join(["(m+1)"] * 30)
+        start = time.perf_counter()
+        err = self.check(capsys, tmp_path, f"x: modeq3: {side} = 1\n",
+                         "verify", "--id", "x")
+        assert time.perf_counter() - start < 1.0
+        assert err == "cannot evaluate x: expansion exceeds 1024 monomials\n"
 
     def test_weight_not_dividing_sixteen(self, capsys, tmp_path):
         # |Aut(1,1,1,0,0,0)| = 48: the weight 16/48 is no integer

@@ -1,4 +1,6 @@
 import hashlib
+import re
+import time
 from fractions import Fraction
 from math import lcm
 
@@ -128,6 +130,68 @@ class TestParser:
         with pytest.raises(RegistryError) as err:
             parse_registry(text)
         assert (err.value.line, err.value.col) == (1, col)
+
+    @pytest.mark.parametrize("text, line, col, message", [
+        pytest.param("a: series: phi(q) =\n    psi(q) $ 1", 2, 12,
+                     "bad character '$'", id="bad-character-line-2"),
+        pytest.param("a: ternary: (1,1,1,0,0,0)(M) = where M = 1 mod 4",
+                     1, 31, "missing operand", id="empty-rhs-before-where"),
+        pytest.param("a: ternary: (1,1,1,0,0,0)(M) = 0\n    where M = 1 mod",
+                     2, 20, "unexpected end of entry",
+                     id="end-inside-conditions-line-2"),
+        pytest.param("a: series: phi(q) = phi(q) psi(q)", 1, 28,
+                     "trailing tokens after statement (at 'psi')",
+                     id="trailing-statement"),
+        pytest.param("a: ternary: (1,1,1,0,0,0)(M) = 0 where M = 1 mod 4 3|M",
+                     1, 52, "trailing tokens after conditions (at '3')",
+                     id="trailing-conditions"),
+    ])
+    def test_positions_across_lines_and_where(self, text, line, col,
+                                              message):
+        with pytest.raises(RegistryError) as err:
+            parse_registry(text)
+        assert str(err.value) == f"line {line}, col {col}: {message}"
+
+    @pytest.mark.parametrize("where", ["where", "where M = 1 mod 4,"])
+    def test_where_needs_a_condition(self, where):
+        text = f"a: ternary: (1,1,1,0,0,0)(M) = 0 {where}"
+        with pytest.raises(RegistryError) as err:
+            parse_registry(text)
+        assert str(err.value) == (f"line 1, col {len(text) + 1}: "
+                                  f"expected a condition")
+
+    def test_zero_exponent_denominator_rejected_at_its_token(self):
+        text = "x: modeq3: m = alpha^(1/0)"
+        with pytest.raises(RegistryError) as err:
+            parse_registry(text)
+        assert str(err.value) == (f"line 1, col {text.rindex('0') + 1}: "
+                                  f"exponent denominator must be nonzero")
+
+    def test_every_prefix_parses_or_raises_registry_error(self):
+        # each shipped entry cut after each of its tokens; an error must
+        # point inside the text or one column past the end of its line
+        text = default_registry_file().read_text(encoding="utf-8")
+        entries = []
+        for raw in text.splitlines():
+            line = raw.split("#", 1)[0].rstrip()
+            if line.strip():
+                if line[0] in " \t":
+                    entries[-1] += "\n" + line
+                else:
+                    entries.append(line)
+        cases = 0
+        for entry in entries:
+            for token in re.finditer(r"[A-Za-z0-9._]+|\|\||\S", entry):
+                prefix = entry[:token.end()]
+                cases += 1
+                try:
+                    parse_registry(prefix)
+                except RegistryError as err:
+                    lines = prefix.split("\n")
+                    assert 1 <= err.line <= len(lines), (prefix, str(err))
+                    assert 1 <= err.col <= len(lines[err.line - 1]) + 1, \
+                        (prefix, str(err))
+        assert cases > 9000
 
     def test_malformed_sextuple(self):
         with pytest.raises(RegistryError):
@@ -539,6 +603,29 @@ class TestUnsupportedRadicand:
             verify_entry(spec)
         assert str(err.value) == f"x: {message}"
         assert isinstance(err.value.__cause__, UnsupportedRadicand)
+
+    @pytest.mark.parametrize("entry, factor", [
+        ("x: modeq3: {} = 1", "(m+1)"),
+        ("x: eta: {} = 1 where level 2", "(eta{2:1}+1)"),
+    ], ids=["modeq3", "eta"])
+    def test_expansion_is_bounded(self, entry, factor):
+        # 30 factors of two terms each would multiply out to 2^30 monomials
+        spec = parse_registry(entry.format("*".join([factor] * 30)))[0]
+        start = time.perf_counter()
+        with pytest.raises(EntryError) as err:
+            verify_entry(spec)
+        assert time.perf_counter() - start < 1.0
+        assert str(err.value) == (f"x: expansion exceeds "
+                                  f"{identities.MAX_MONOMIALS} monomials")
+        assert isinstance(err.value.__cause__, UnsupportedRadicand)
+
+    def test_expansion_up_to_the_bound_is_verified(self):
+        # 2^10 monomials a side is the most the bound admits; one factor
+        # more is refused
+        side = "*".join(["(m+1)"] * 10)
+        assert verify_entry(parse_registry(f"x: modeq3: {side} = {side}")[0]).passed
+        with pytest.raises(EntryError, match="expansion exceeds"):
+            verify_entry(parse_registry(f"x: modeq3: {side}*(m+1) = 1")[0])
 
 
 class TestEtaWalk:
