@@ -46,7 +46,7 @@ Modes and statements:
   product, quotient or integer power of atoms is one quotient; a sum under
   ``/`` or ``^`` and any other primitive are refused, as in ``modeq3``,
   and so is a side that multiplies out to more than `MAX_MONOMIALS`
-  monomials.
+  monomials or carries an exponent past `MAX_EXPONENT`.
 
 Conditions: ``M = r1,r2 mod t`` (also accepts the congruence sign),
 ``w|M``, ``p||M`` (exact division), ``(M|a) = +-1``; these belong to
@@ -253,6 +253,9 @@ MAX_TERMS = 10**7
 # Most monomials that a modeq3 or eta side may multiply out to: a product
 # of k sums of two terms has 2^k of them.
 MAX_MONOMIALS = 1024
+# Largest exponent of a modeq3 or eta monomial (alpha and beta count in
+# eighths); a power c^e of a coefficient may reach e*ceil(log2 |c|) of it.
+MAX_EXPONENT = 256
 
 
 def _tokenize(text: str, line: int, offset: int) -> list[tuple[str, int, int]]:
@@ -678,10 +681,10 @@ def parse_registry(text: str) -> list[IdentitySpec]:
     return specs
 
 
-def parse_expression(text: str, mode: str = "series"):
-    """The AST of one expression on one line, such as ``thetaforms expand``
-    reads; raises RegistryError with line 1 and the column."""
-    parser = _Parser(_tokenize(text, 1, 0), mode, (1, 1))
+def parse_expression(text: str):
+    """The AST of one series expression on one line, such as ``thetaforms
+    expand`` reads; raises RegistryError with line 1 and the column."""
+    parser = _Parser(_tokenize(text, 1, 0), "series", (1, 1))
     node = parser.parse_expr()
     if parser.peek()[0]:
         raise parser.error("trailing tokens")
@@ -834,8 +837,8 @@ def _terms(node, leaf) -> list[tuple[Fraction, dict]]:
 
     Each term is (coefficient, {atom: exponent}), and `leaf` gives the
     exponents of any other node; `_power` inverts factors and takes powers.
-    A product of more than `MAX_MONOMIALS` terms is refused before it is
-    formed.
+    A product of two sums past `MAX_MONOMIALS` terms is refused before it
+    is formed, and so is an exponent past `MAX_EXPONENT`.
     """
     if isinstance(node, Num):
         return [(Fraction(node.value), {})]
@@ -849,16 +852,19 @@ def _terms(node, leaf) -> list[tuple[Fraction, dict]]:
             terms = _terms(factor, leaf)
             if inverted:
                 terms = _power(terms, Fraction(-1), "division by a sum is unsupported")
-            if len(out) * len(terms) > MAX_MONOMIALS:
+            if min(len(out), len(terms)) > 1 and len(out) * len(terms) > MAX_MONOMIALS:
                 raise UnsupportedRadicand(
                     f"expansion exceeds {MAX_MONOMIALS} monomials")
             out = [(c1 * c2, {**e1, **{a: e1.get(a, 0) + x for a, x in e2.items()}})
                    for c1, e1 in out for c2, e2 in terms]
-        return out
-    if isinstance(node, Pow):
-        return _power(_terms(node.base, leaf), node.exponent,
-                      "powers of sums are unsupported")
-    return [(Fraction(1), leaf(node))]
+    elif isinstance(node, Pow):
+        out = _power(_terms(node.base, leaf), node.exponent,
+                     "powers of sums are unsupported")
+    else:
+        out = [(Fraction(1), leaf(node))]
+    if any(abs(x) > MAX_EXPONENT for _, exps in out for x in exps.values()):
+        raise UnsupportedRadicand(f"exponent exceeds {MAX_EXPONENT}")
+    return out
 
 
 def _power(terms, e: Fraction, refusal: str) -> list[tuple[Fraction, dict]]:
@@ -871,6 +877,10 @@ def _power(terms, e: Fraction, refusal: str) -> list[tuple[Fraction, dict]]:
         raise UnsupportedRadicand(f"exponent {e} leaves the eighth lattice")
     if c != 1 and e.denominator != 1:
         raise UnsupportedRadicand("fractional power of a scalar")
+    # (k - 1).bit_length() is ceil(log2 k), so this bounds log2 |c^e|
+    if abs(e) * (max(abs(c.numerator), c.denominator) - 1).bit_length() > MAX_EXPONENT:
+        raise UnsupportedRadicand(
+            f"power of a coefficient may exceed 2^{MAX_EXPONENT}")
     return [(c ** e.numerator, {a: int(x) for a, x in scaled.items()})]
 
 

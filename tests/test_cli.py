@@ -212,6 +212,14 @@ class TestEntryEvaluationErrors:
         assert time.perf_counter() - start < 1.0
         assert err == "cannot evaluate x: expansion exceeds 1024 monomials\n"
 
+    def test_modeq3_exponent_past_the_bound(self, capsys, tmp_path):
+        start = time.perf_counter()
+        err = self.check(capsys, tmp_path, "x: modeq3: 2^999999999999 = 1\n",
+                         "verify", "--id", "x")
+        assert time.perf_counter() - start < 1.0
+        assert err == ("cannot evaluate x: power of a coefficient may exceed "
+                       "2^256\n")
+
     def test_weight_not_dividing_sixteen(self, capsys, tmp_path):
         # |Aut(1,1,1,0,0,0)| = 48: the weight 16/48 is no integer
         text = "x: ternary: W(1,1,1,0,0,0)(M) = 0\n"

@@ -627,6 +627,42 @@ class TestUnsupportedRadicand:
         with pytest.raises(EntryError, match="expansion exceeds"):
             verify_entry(parse_registry(f"x: modeq3: {side}*(m+1) = 1")[0])
 
+    def test_bound_counts_products_of_sums(self):
+        # a sum written out is as long as its text; only a product of two
+        # sums is measured against the bound
+        k = identities.MAX_MONOMIALS + 1
+        s = "+".join(["m"] * k)
+        spec = parse_registry(f"x: modeq3: 2*({s}) = {2 * k}*m")[0]
+        assert verify_entry(spec).passed
+        with pytest.raises(EntryError, match="expansion exceeds"):
+            verify_entry(parse_registry(f"x: modeq3: ({s})*(m+1) = 1")[0])
+
+    @pytest.mark.parametrize("entry, message", [
+        ("x: modeq3: 2^999999999999 = 1", "power of a coefficient may exceed 2^256"),
+        ("x: modeq3: ((2^128)^2)^2 = 1", "power of a coefficient may exceed 2^256"),
+        ("x: modeq3: m^1000000000 = 1", "exponent exceeds 256"),
+        ("x: modeq3: m^200*m^200 = 1", "exponent exceeds 256"),
+        ("x: modeq3: alpha^33 = 1", "exponent exceeds 256"),
+        ("x: eta: eta{2:1}^999999999999 = 1 where level 2", "exponent exceeds 256"),
+        ("x: eta: eta{2:999999999999} = 1 where level 2", "exponent exceeds 256"),
+    ], ids=["scalar", "nested", "m", "product", "eighths", "eta-power", "eta-atom"])
+    def test_exponent_is_bounded(self, entry, message):
+        assert identities.MAX_EXPONENT == 256
+        spec = parse_registry(entry)[0]
+        start = time.perf_counter()
+        with pytest.raises(EntryError) as err:
+            verify_entry(spec)
+        assert time.perf_counter() - start < 1.0
+        assert str(err.value) == f"x: {message}"
+        assert isinstance(err.value.__cause__, UnsupportedRadicand)
+
+    def test_exponent_up_to_the_bound_is_verified(self):
+        # alpha^32 is 256 eighths, 2^256 the largest coefficient a power of
+        # 2 makes, and 1 and -1 take any power
+        for statement in ("alpha^32*m^256 = alpha^16*alpha^16*m^256",
+                          "(2^128)^2 = 2^256", "(-1)^1000000000000 = 1"):
+            assert verify_entry(parse_registry(f"x: modeq3: {statement}")[0]).passed
+
 
 class TestEtaWalk:
     # entry 4.1 with its first quotient eta{14:10,4:4,1:4,28:-4,7:-4,2:-10}
