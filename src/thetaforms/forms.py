@@ -26,7 +26,7 @@ Classes are enumerated from the reduced box 0 < a <= b <= c, |d| <= b,
 `_candidate_box` for why no class is lost), and deduped by
 `distinct_classes`, which keeps the `_sort_key`-least form of each class.
 A caller that knows the classes' doubled-Gram gcd g walks only the forms
-with g | d, e, f; `enumerate_ternary_classes` walks the whole half box.
+with g | d, e, f.  A box is walked on each call; its callers cache it.
 """
 
 from __future__ import annotations
@@ -461,12 +461,6 @@ def ternary_candidates(disc: int, g: int = 1) -> tuple[TernaryForm, ...]:
         raise ValueError("discriminant must be positive")
     if g <= 0:
         raise ValueError("the gcd step g must be positive")
-    return _sorted_box(disc, g)
-
-
-@lru_cache(maxsize=None)
-def _sorted_box(disc: int, g: int) -> tuple[TernaryForm, ...]:
-    """`ternary_candidates`, cached once per (disc, g) however g is passed."""
     return tuple(sorted((TernaryForm(*tup) for tup in _candidate_box(disc, g)),
                         key=_sort_key))
 

@@ -29,8 +29,8 @@ the genus has its least member there; every S-genus class has g = 2), and
 keeps the candidates whose content, doubled-Gram gcd and adjoint gcd equal
 the form's.  Those invariants are necessary conditions only; the exact
 local symbols then decide membership, and only that genus's candidates are
-deduped into classes.  `genus_partition` walks only the full box and
-groups it the same way.  A record is cached by its genus's sorted
+deduped into classes.  `genus_partition` splits each pool of the full
+box by local symbols.  A record is cached by its genus's sorted
 candidates, which both boxes give alike, so both hand out the same objects.
 """
 
@@ -141,65 +141,51 @@ def _scales(gram, p: int) -> list:
     return [rows[e] for e in sorted(rows)]
 
 
+def _runs(indices, joined) -> list[list[int]]:
+    """The maximal runs of indices whose neighbouring pairs satisfy joined."""
+    runs: list[list[int]] = []
+    for j in indices:
+        if runs and joined(runs[-1][-1], j):
+            runs[-1].append(j)
+        else:
+            runs.append([j])
+    return runs
+
+
 def _canonical_two(symbol: list) -> tuple:
     """Canonical form of the 2-adic `_scales` rows under the allowed moves.
 
     Signs: + when det = +-1 (mod 8).  Compartments are maximal runs of
     type-odd entries at consecutive scales; only their total oddity counts.
-    Sign walking moves every non-leading minus sign of a train onto the
-    train's first entry, adding 4 to the oddity of each compartment that
-    touches a walked pair.
+    Trains are maximal runs bound at a scale gap of 1 by one type-odd
+    entry, at a gap of 2 by two.  Sign walking moves every non-leading
+    minus sign of a train onto the train's first entry, adding 4 to the
+    oddity of each compartment that touches a walked pair.
     """
-    n = len(symbol)
-    signs = [1 if entry[2] in (1, 7) else -1 for entry in symbol]
-    # compartments: indices of consecutive-scale odd-type entries
-    compartments: list[list[int]] = []
-    cur: list[int] = []
-    for i, entry in enumerate(symbol):
-        if entry[3]:
-            if cur and symbol[i - 1][3] and entry[0] == symbol[i - 1][0] + 1:
-                cur.append(i)
-            else:
-                if cur:
-                    compartments.append(cur)
-                cur = [i]
-        else:
-            if cur:
-                compartments.append(cur)
-            cur = []
-    if cur:
-        compartments.append(cur)
-    oddity = {tuple(comp): sum(symbol[i][4] for i in comp) % 8
-              for comp in compartments}
-    # trains: consecutive entries bound through adjacent scales
-    trains: list[list[int]] = []
-    cur = [0] if n else []
-    for i in range(1, n):
-        gap = symbol[i][0] - symbol[i - 1][0]
-        bound = (gap == 1 and (symbol[i][3] or symbol[i - 1][3])) or \
-                (gap == 2 and symbol[i][3] and symbol[i - 1][3])
-        if bound:
-            cur.append(i)
-        else:
-            trains.append(cur)
-            cur = [i]
-    if cur:
-        trains.append(cur)
-    # walk minus signs toward the head of each train
-    for train in trains:
-        for pos in range(len(train) - 1, 0, -1):
-            i = train[pos]
-            if signs[i] == -1:
-                signs[i] = 1
-                signs[train[pos - 1]] *= -1
-                for comp in compartments:
-                    if i in comp or train[pos - 1] in comp:
-                        key = tuple(comp)
-                        oddity[key] = (oddity[key] + 4) % 8
+    signs = [1 if row[2] in (1, 7) else -1 for row in symbol]
+    compartments = _runs(
+        [i for i, row in enumerate(symbol) if row[3]],
+        lambda i, j: j == i + 1 and symbol[j][0] == symbol[i][0] + 1)
+    oddities = [sum(symbol[i][4] for i in comp) % 8 for comp in compartments]
+
+    def bound(i, j):
+        gap = symbol[j][0] - symbol[i][0]
+        odd = symbol[i][3], symbol[j][3]
+        return (gap == 1 and any(odd)) or (gap == 2 and all(odd))
+
+    # walk minus signs toward the head of each train, last pair first
+    for train in _runs(range(len(symbol)), bound):
+        for j in reversed(train[1:]):
+            if signs[j] == -1:
+                signs[j] = 1
+                signs[j - 1] *= -1
+                for k, comp in enumerate(compartments):
+                    if j in comp or j - 1 in comp:
+                        oddities[k] = (oddities[k] + 4) % 8
     canon_entries = tuple(
-        (entry[0], entry[1], signs[i], entry[3]) for i, entry in enumerate(symbol))
-    canon_oddities = tuple(sorted(
-        (comp[0], oddity[tuple(comp)]) for comp in compartments))
+        (row[0], row[1], sign, row[3]) for row, sign in zip(symbol, signs))
+    canon_oddities = tuple(
+        (comp[0], odd) for comp, odd in zip(compartments, oddities))
     return canon_entries, canon_oddities
 
 
@@ -277,7 +263,7 @@ def _cheap_invariants(form: TernaryForm) -> tuple[int, int, int]:
 
 @lru_cache(maxsize=None)
 def _candidate_pools(disc: int, g: int) -> dict[tuple, tuple[TernaryForm, ...]]:
-    """The discriminant's g-box candidates grouped by their cheap invariants."""
+    """The g-box, walked once, its candidates grouped by cheap invariants."""
     pools: dict[tuple, list[TernaryForm]] = {}
     for form in ternary_candidates(disc, g):
         pools.setdefault(_cheap_invariants(form), []).append(form)
@@ -311,14 +297,15 @@ def _genus_record(disc: int, members: tuple[TernaryForm, ...]) -> GenusRecord:
 def genus_partition(disc: int) -> tuple[GenusRecord, ...]:
     """Partition of all classes of the discriminant into genera.
 
-    It walks the full box once and groups it as `_genus_cell` does, so
-    the cells are the very records `genus_of` returns.
+    Each pool of the full box is split by local symbols as `_genus_cell`
+    does, so the cells are the very records `genus_of` returns.
     """
-    cells: dict[tuple, list[TernaryForm]] = {}
-    for form in ternary_candidates(disc, 1):
-        cells.setdefault((_cheap_invariants(form), _genus_key(form)),
-                         []).append(form)
-    records = (_genus_record(disc, tuple(members)) for members in cells.values())
+    records = []
+    for pool in _candidate_pools(disc, 1).values():
+        cells: dict[tuple, list[TernaryForm]] = {}
+        for form in pool:
+            cells.setdefault(_genus_key(form), []).append(form)
+        records += (_genus_record(disc, tuple(cell)) for cell in cells.values())
     return tuple(sorted(records, key=lambda r: r.classes[0].sextuple()))
 
 
@@ -365,9 +352,9 @@ def binary_genus_partition(disc: int) -> tuple[tuple[BinaryForm, ...], ...]:
     for form in enumerate_binary_classes(disc):
         n = _coprime_value(form, 2 * s)
         cells.setdefault(tuple(jacobi(n, p) for p in primes), []).append(form)
-    out = [tuple(cell) for cell in cells.values()]
-    out.sort(key=lambda cell: min((f.a, abs(f.b), f.c, f.b < 0) for f in cell))
-    return tuple(out)
+    # the classes arrive sorted by (a, |b|, c, b < 0), so the cells arrive
+    # in the order of their least class
+    return tuple(tuple(cell) for cell in cells.values())
 
 
 def lift_binary_to_ternary(s: int, bf: BinaryForm) -> TernaryForm:
@@ -410,8 +397,7 @@ def build_sgenus(s: int) -> SGenus:
                     f"lift of {other} escapes the genus of {lifted[0]}; "
                     "the binary-to-ternary map is not well defined here")
         records.append(record)
-    if len({id(r) for r in records}) != len(records) or \
-            len({r.classes for r in records}) != len(records):
+    if len({r.classes for r in records}) != len(records):
         raise RuntimeError("lifted genera are not pairwise distinct")
     eps = {}
     for i, record in enumerate(records):

@@ -12,7 +12,8 @@ Modes and statements:
   prefactors, named series ``phi(q^k)``, ``psi(-q^3)``, ``E(q^k)``,
   ``chi(q)``, ``u(q)``, two-parameter sums ``f(q^a,q^b)`` with optional
   minus signs on either argument, sifting ``S[t,s](expr)``, and the
-  operators ``+ - * / ^``.  Division requires a unit constant term.
+  operators ``+ - * / ^``.  Division requires a unit constant term, and
+  a power whose coefficients could pass 2^`MAX_EXPONENT` is refused.
 * ``ternary`` -- both sides are integer combinations of counts: the
   representation counts ``(a,b,c,d,e,f)(M)`` and ``(a,b,c,d,e,f)(M/w^2)``,
   weighted genus counts ``W(a,b,c,d,e,f)(M)``, and the lifted-union
@@ -52,8 +53,9 @@ Conditions: ``M = r1,r2 mod t`` (also accepts the congruence sign),
 ``w|M``, ``p||M`` (exact division), ``(M|a) = +-1``; these belong to
 ``ternary`` entries, as ``expect`` belongs to ``positivity``, ``level`` to
 ``eta`` and ``theta`` to ``modeq3``, and a clause in another mode's entry
-is an error.  An expression may nest parentheses, sifts and unary minus
-signs `MAX_DEPTH` deep.
+is an error.  Divisor and Jacobi clauses may repeat; a second ``M = ...``,
+``expect``, ``level`` or ``theta`` clause is an error.  An expression may
+nest parentheses, sifts and unary minus signs `MAX_DEPTH` deep.
 
 Each entry is one list of ``(text, line, col)`` token tuples, ended by a
 sentinel ``("", line, col)`` where errors past the end point.
@@ -254,7 +256,8 @@ MAX_TERMS = 10**7
 # of k sums of two terms has 2^k of them.
 MAX_MONOMIALS = 1024
 # Largest exponent of a modeq3 or eta monomial (alpha and beta count in
-# eighths); a power c^e of a coefficient may reach e*ceil(log2 |c|) of it.
+# eighths); a power c^e of a coefficient may reach e*ceil(log2 |c|) of it,
+# and a series power B^k may reach |k|*ceil(log2 of the sum of B's |c|).
 MAX_EXPONENT = 256
 
 
@@ -550,10 +553,16 @@ class _Parser:
         expect_negative = False
         level = 0
         theta_ref, theta_at = "", (0, 0)
+        seen: set[str] = set()
         while True:
             tok = self.peek()
             text = tok[0]
             owner = CLAUSE_MODES.get(text, "ternary")
+            # divisor and Jacobi clauses add up; any other kind comes once
+            if text in seen:
+                raise RegistryError(f"duplicate {text!r} clause", *tok[1:])
+            if text == "M" or text in CLAUSE_MODES:
+                seen.add(text)
             if text == "M":
                 self.pos += 1
                 self.expect("=")
@@ -585,7 +594,7 @@ class _Parser:
                 self.pos += 1
                 what = self.take(lambda t: t in ("negative", "nonnegative"),
                                  "expect clause takes negative/nonnegative")
-                expect_negative |= what == "negative"
+                expect_negative = what == "negative"
             elif text == "level":
                 self.pos += 1
                 level = self.parse_int()
@@ -646,8 +655,12 @@ def parse_registry(text: str) -> list[IdentitySpec]:
     names = set()
     for chunk in _split_entries(text):
         first_line, first_text = chunk[0]
-        header = re.match(r"\s*([A-Za-z0-9._]+)\s*:\s*([a-z0-9]+)\s*:\s*",
-                          first_text)
+        # a bad character anywhere in the entry, the header included, is
+        # reported at its column; the header is its first four tokens
+        tokens = [tok for lineno, line in chunk
+                  for tok in _tokenize(line, lineno, 0)]
+        header = re.match(
+            r"\s*([A-Za-z0-9._]+)\s*:\s*([A-Za-z0-9._]+)\s*:\s*", first_text)
         if header is None:
             raise RegistryError("entry must start with 'name: mode:'",
                                 first_line, 1)
@@ -659,9 +672,7 @@ def parse_registry(text: str) -> list[IdentitySpec]:
             raise RegistryError(f"duplicate identity name {name!r}",
                                 first_line, 1)
         names.add(name)
-        tokens = _tokenize(first_text[header.end():], first_line, header.end())
-        for lineno, more in chunk[1:]:
-            tokens += _tokenize(more, lineno, 0)
+        tokens = tokens[4:]
         # the statement ends at the first 'where'
         where_at = next((i for i, tok in enumerate(tokens) if tok[0] == "where"),
                         len(tokens))
@@ -781,9 +792,14 @@ def _expand(node, n: int) -> Series:
         if node.exponent.denominator != 1:
             raise ValueError("fractional exponent outside modeq3")
         k = node.exponent.numerator
+        base = eval_series(node.base, n)
         if k < 0:
-            return invert(eval_series(node.base, n)) ** (-k)
-        return eval_series(node.base, n) ** k
+            base = invert(base)
+        # |c| of base^k is at most (sum of |c| over base)^k
+        if abs(k) * (sum(map(abs, base.coeffs)) - 1).bit_length() > MAX_EXPONENT:
+            raise ValueError(
+                f"coefficients of a power may exceed 2^{MAX_EXPONENT}")
+        return base ** abs(k)
     if isinstance(node, FormCount):
         theta = theta_series(TernaryForm(*node.form), n)
         return compose_power(theta, node.divisor * node.divisor, n)
@@ -877,6 +893,8 @@ def _power(terms, e: Fraction, refusal: str) -> list[tuple[Fraction, dict]]:
         raise UnsupportedRadicand(f"exponent {e} leaves the eighth lattice")
     if c != 1 and e.denominator != 1:
         raise UnsupportedRadicand("fractional power of a scalar")
+    if c == 0 and e < 0:
+        raise UnsupportedRadicand("division by zero")
     # (k - 1).bit_length() is ceil(log2 k), so this bounds log2 |c^e|
     if abs(e) * (max(abs(c.numerator), c.denominator) - 1).bit_length() > MAX_EXPONENT:
         raise UnsupportedRadicand(

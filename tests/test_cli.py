@@ -220,6 +220,34 @@ class TestEntryEvaluationErrors:
         assert err == ("cannot evaluate x: power of a coefficient may exceed "
                        "2^256\n")
 
+    @pytest.mark.parametrize("side", [
+        "2^999999999999", "phi(q)^999999999999", "(1+q)^999999999999",
+        "((2^256)^256)^256"])
+    def test_series_power_past_the_bound(self, capsys, tmp_path, side):
+        start = time.perf_counter()
+        err = self.check(capsys, tmp_path, f"x: series: {side} = 1\n",
+                         "verify", "--id", "x")
+        assert time.perf_counter() - start < 1.0
+        assert err == ("cannot evaluate x: coefficients of a power may "
+                       "exceed 2^256\n")
+
+    def test_series_power_up_to_the_bound(self, capsys, tmp_path):
+        registry = tmp_path / "reg.txt"
+        # 2^256 is the largest power of 2 admitted, and -1 takes any power
+        registry.write_text("x: series: 2^256 = (2^128)^2*(-1)^999999999999"
+                            " + 2*2^256\n", encoding="utf-8")
+        code, out, _ = run_cli(capsys, "--registry", str(registry),
+                               "verify", "--id", "x", "--terms", "20")
+        assert code == 0, out
+
+    @pytest.mark.parametrize("text", [
+        "x: modeq3: 1/0 = 1\n", "x: modeq3: 0^-1 = 1\n",
+        "x: eta: eta{2:1}/0 = 1 where level 2\n"],
+        ids=["modeq3-quotient", "modeq3-power", "eta-quotient"])
+    def test_zero_divisor_is_named(self, capsys, tmp_path, text):
+        err = self.check(capsys, tmp_path, text, "verify", "--id", "x")
+        assert err == "cannot evaluate x: division by zero\n"
+
     def test_weight_not_dividing_sixteen(self, capsys, tmp_path):
         # |Aut(1,1,1,0,0,0)| = 48: the weight 16/48 is no integer
         text = "x: ternary: W(1,1,1,0,0,0)(M) = 0\n"

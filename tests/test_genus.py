@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from functools import lru_cache
@@ -11,7 +12,7 @@ from thetaforms.forms import (BinaryForm, TernaryForm,
                               enumerate_binary_classes,
                               enumerate_ternary_classes, ternary_candidates,
                               theta_series, transform_ternary)
-from thetaforms.genus import (GenusRecord, _jordan_blocks,
+from thetaforms.genus import (GenusRecord, _canonical_two, _jordan_blocks,
                               binary_genus_partition, build_sgenus, epsilon,
                               genus_of, genus_partition,
                               lift_binary_to_ternary, local_symbols,
@@ -87,7 +88,44 @@ class TestLocalSymbols:
             list(_jordan_blocks([[2, 2, 4], [2, 2, 4], [4, 4, 8]], 2))
 
 
+class TestCanonicalTwo:
+    # rows [scale, dim, det unit mod 8, type odd, oddity] as `_scales` gives
+    @pytest.mark.parametrize("rows, entries, oddities", [
+        pytest.param([[0, 1, 1, True, 3], [1, 2, 7, True, 7]],
+                     ((0, 1, 1, True), (1, 2, 1, True)), ((0, 2),),
+                     id="oddity-fusion"),
+        # scales 0 and 2, both odd: one train of two compartments, so the
+        # walked sign adds 4 to the oddity of each
+        pytest.param([[0, 1, 1, True, 1], [2, 1, 3, True, 3]],
+                     ((0, 1, -1, True), (2, 1, 1, True)), ((0, 5), (1, 7)),
+                     id="gap-2-train"),
+        pytest.param([[0, 1, 3, True, 3], [2, 2, 3, False, 0]],
+                     ((0, 1, -1, True), (2, 2, -1, False)), ((0, 3),),
+                     id="gap-2-even-unbound"),
+        # one train over all four rows: the minus sign at scale 3 walks
+        # through the even entry at scale 2 and cancels the one at scale 1,
+        # adding 4 to each compartment a walked pair touches
+        pytest.param([[0, 1, 3, True, 3], [1, 1, 5, True, 5],
+                      [2, 2, 1, False, 0], [3, 1, 3, True, 1]],
+                     ((0, 1, -1, True), (1, 1, 1, True), (2, 2, 1, False),
+                      (3, 1, 1, True)), ((0, 4), (3, 5)),
+                     id="walk-through-even"),
+        pytest.param([], (), (), id="empty"),
+    ])
+    def test_hand_made_rows(self, rows, entries, oddities):
+        assert _canonical_two(rows) == (entries, oddities)
+
+
 class TestGenusPartition:
+    def test_partitions_and_sgenera_are_pinned(self):
+        # the repr of every record, class by class; a change to the genus
+        # layer that alters any of them changes the digest
+        text = "\n".join([repr(genus_partition(d))
+                          for d in (144, 400, 784, 1936, 3600)]
+                         + [repr(build_sgenus(s)) for s in MASS_SHIFTS])
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "f50c15cfa80fd1143ca33ce7d0970aad9923c634d1c570903fb234b1e9db4ba6")
+
     def test_disc_400_groups(self):
         cells = {tuple(sorted(f.sextuple() for f in rec.classes))
                  for rec in genus_partition(400)}
@@ -209,7 +247,6 @@ class TestGcdBox:
             return walk(disc, g)
 
         monkeypatch.setattr(forms, "_candidate_box", counted)
-        fresh_cache(monkeypatch, forms, "_sorted_box")
         for name in ("_candidate_pools", "_genus_record", "genus_partition"):
             fresh_cache(monkeypatch, genus, name)
         part = genus.genus_partition(3600)
@@ -366,6 +403,16 @@ class TestSGenus:
         for bad in (9, 2, 21 * 3):
             with pytest.raises(ValueError):
                 build_sgenus(bad)
+
+    def test_repeated_genus_is_refused(self, monkeypatch):
+        # every lift landing in one record must not pass as two genera
+        record = genus.genus_of(lift_binary_to_ternary(
+            15, enumerate_binary_classes(-120)[0]))
+        monkeypatch.setattr(genus, "genus_of", lambda form: record)
+        monkeypatch.setattr(GenusRecord, "contains", lambda self, form: True)
+        fresh_cache(monkeypatch, genus, "build_sgenus")
+        with pytest.raises(RuntimeError, match="not pairwise distinct"):
+            genus.build_sgenus(15)
 
     @pytest.mark.parametrize("s", MASS_SHIFTS)
     def test_disjoint_cells(self, s):

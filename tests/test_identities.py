@@ -152,6 +152,43 @@ class TestParser:
             parse_registry(text)
         assert str(err.value) == f"line {line}, col {col}: {message}"
 
+    @pytest.mark.parametrize("text, col, message", [
+        pytest.param("a: Series: phi(q) = 1", 4, "unknown mode 'Series'",
+                     id="mode-case"),
+        pytest.param("a$: series: phi(q) = 1", 2, "bad character '$'",
+                     id="name-character"),
+        pytest.param("a series phi(q) = 1", 1,
+                     "entry must start with 'name: mode:'", id="no-colons"),
+    ])
+    def test_header_error_at_its_column(self, text, col, message):
+        with pytest.raises(RegistryError) as err:
+            parse_registry(text)
+        assert str(err.value) == f"line 1, col {col}: {message}"
+
+    @pytest.mark.parametrize("entry, clauses", [
+        pytest.param("a: ternary: (1,1,1,0,0,0)(M) = (1,1,1,0,0,0)(M)",
+                     "M = 1 mod 8, M = 3 mod 4", id="congruence"),
+        pytest.param("a: positivity: psi(q)",
+                     "expect negative, expect nonnegative", id="expect"),
+        pytest.param("a: eta: eta{1:24} = 1", "level 1, level 2", id="level"),
+        pytest.param("a: modeq3: m = m", "theta 2.4, theta 2.5", id="theta"),
+    ])
+    def test_repeated_clause_rejected_at_its_keyword(self, entry, clauses):
+        text = f"{entry}\n    where {clauses}\n"
+        keyword = clauses.split()[0]
+        with pytest.raises(RegistryError) as err:
+            parse_registry(text)
+        col = len("    where ") + clauses.index(keyword, 1) + 1
+        assert str(err.value) == (f"line 2, col {col}: "
+                                  f"duplicate {keyword!r} clause")
+
+    def test_divisor_and_jacobi_clauses_repeat(self):
+        text = ("a: ternary: (1,1,1,0,0,0)(M) = (1,1,1,0,0,0)(M) "
+                "where 3|M, 5||M, (M|3) = 1, (M|7) = -1")
+        cond = parse_registry(text)[0].conditions
+        assert cond.divides == ((3, False), (5, True))
+        assert cond.jacobi == ((3, 1), (7, -1))
+
     @pytest.mark.parametrize("where", ["where", "where M = 1 mod 4,"])
     def test_where_needs_a_condition(self, where):
         text = f"a: ternary: (1,1,1,0,0,0)(M) = 0 {where}"
