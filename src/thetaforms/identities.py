@@ -20,8 +20,8 @@ Modes and statements:
   aggregates ``SW(S)(M)`` and ``SEW(S;w)(M)``; a count may be scaled by
   integers and characters ``eps(a,b,c,d,e,f;w)``.  Each count is read as
   its generating series sum_M count(M) q^M, so an entry is checked as a
-  coefficient identity of theta series, evaluated like any series entry
-  and compared at the qualifying M only: ``(form)(M/w^2)`` is the form's
+  coefficient identity of theta series at the qualifying M, with the count
+  series that `eval_series` also reads: ``(form)(M/w^2)`` is the form's
   theta series under q -> q^(w^2), ``W`` is the weighted sum of the
   genus's theta series, ``eps`` is a constant, and ``SW``/``SEW`` sum the
   ``W`` series of the lifted genera, times their characters for ``SEW``.
@@ -73,7 +73,12 @@ Evaluation computes only the coefficients a verdict reads:
   scales the product of the other factors once (``/2`` still inverts, and
   fails as a non-unit);
 * the mask of qualifying M is computed over one period of the conditions
-  and tiled out to Mmax.
+  and tiled out to Mmax;
+* a ternary side is formed at the qualifying M only: its integer factors
+  and ``eps`` values fold into one integer per count, each count's series
+  (one per lifted genus for ``SW``/``SEW``) is read at those M, scaled and
+  added, and the smallest failing M is looked for only after the two value
+  lists differ.
 """
 
 from __future__ import annotations
@@ -82,8 +87,9 @@ import re
 import time
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, repeat
 from math import lcm
+from operator import add, mul
 from typing import NamedTuple
 
 from .arith import jacobi
@@ -735,11 +741,12 @@ def eval_series(node, n: int, t: int = 1, s: int = 0) -> Series:
     """S[t,s](node) to exactly n coefficients; t = 1 evaluates the node.
 
     A ternary count becomes its generating series in M (see the module
-    docstring), so ternary entries are series arithmetic too.  Sums and
-    minus signs pass the sift through, and nested sifts compose, since
-    S[t,s](S[u,r](X)) is S[t*u, u*s+r](X).  Anything else reads the body's
-    coefficients up to t*(n-1)+s, and a sift that would need more than
-    `MAX_TERMS` of them raises ValueError before any is computed.
+    docstring), the series that `verify_ternary` reads at the qualifying M
+    only.  Sums and minus signs pass the sift through, and nested sifts
+    compose, since S[t,s](S[u,r](X)) is S[t*u, u*s+r](X).  Anything else
+    reads the body's coefficients up to t*(n-1)+s, and a sift that would
+    need more than `MAX_TERMS` of them raises ValueError before any is
+    computed.
     """
     if isinstance(node, Neg):
         return -eval_series(node.body, n, t, s)
@@ -802,6 +809,8 @@ def _expand(node, n: int) -> Series:
         return base ** abs(k)
     if isinstance(node, FormCount):
         theta = theta_series(TernaryForm(*node.form), n)
+        if node.divisor == 1:
+            return theta
         return compose_power(theta, node.divisor * node.divisor, n)
     if isinstance(node, WeightedCount):
         record = genus_of(TernaryForm(*node.form))
@@ -810,10 +819,16 @@ def _expand(node, n: int) -> Series:
         record = genus_of(TernaryForm(*node.form))
         return Series.monomial(0, n, epsilon(record, node.w))
     if isinstance(node, UnionCount):
-        sg = build_sgenus(node.s)
-        return sum((sg.eps[(i, node.w)] * Series._raw(weighted_coefficients(tg, n))
-                    for i, tg in enumerate(sg.tg)), Series.zero(n))
+        return sum((eps * Series._raw(coeffs)
+                    for eps, coeffs in _union_parts(node, n)), Series.zero(n))
     raise TypeError(f"cannot evaluate {type(node).__name__} as a series")
+
+
+def _union_parts(node: UnionCount, n: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(character at w, weighted counts of M < n) of each lifted genus of S."""
+    sg = build_sgenus(node.s)
+    return [(sg.eps[(i, node.w)], weighted_coefficients(tg, n))
+            for i, tg in enumerate(sg.tg)]
 
 
 def _split_scalar(factors) -> tuple[int, list]:
@@ -984,11 +999,52 @@ def _qualifying(conditions: Conditions, n: int) -> bytes:
     return (b"\x00" + block * ((n - 1) // len(block) + 1))[:n]
 
 
+def _count_factors(side) -> dict:
+    """{count: integer factor} of a ternary side, its eps values folded in.
+
+    A monomial without a count is a constant, which is nonzero at M = 0
+    only, and M = 0 never qualifies.
+    """
+    factors: dict = {}
+    for coef, atoms in _terms(side, lambda node: {node: 1}):
+        counts = [a for a in atoms if not isinstance(a, EpsScalar)]
+        if not counts:
+            continue
+        if len(counts) > 1 or atoms[counts[0]] > 1:
+            raise ValueError("a ternary product takes one count")
+        for atom, x in atoms.items():
+            if isinstance(atom, EpsScalar):
+                coef *= epsilon(genus_of(TernaryForm(*atom.form)), atom.w) ** x
+        factors[counts[0]] = factors.get(counts[0], 0) + int(coef)
+    return factors
+
+
+def _gather(side, n: int, mask: bytes) -> list[int]:
+    """A ternary side's values at the M < n that `mask` marks, in order.
+
+    Each count is read at n coefficients, as `eval_series` reads it, and
+    only its values at those M are scaled and added; SW and SEW are read
+    one lifted genus at a time.
+    """
+    total = None
+    for count, factor in _count_factors(side).items():
+        parts = (_union_parts(count, n) if isinstance(count, UnionCount)
+                 else [(1, _expand(count, n).coeffs)])
+        for eps, coeffs in parts:
+            values = compress(coeffs, mask)
+            if factor * eps != 1:
+                values = map(mul, values, repeat(factor * eps))
+            # the first part is the total; a later one adds to it
+            total = list(values if total is None else map(add, total, values))
+    return [0] * mask.count(1) if total is None else total
+
+
 def verify_ternary(spec: IdentitySpec, mmax: int) -> VerifyResult:
     """Compare the coefficients of q^M of both sides at every qualifying M <= mmax.
 
-    No qualifying M means nothing is compared, which is no pass: it raises
-    ValueError.
+    Both sides are gathered at the qualifying M only; after a mismatch the
+    smallest such M is the witness.  No qualifying M means nothing is
+    compared, which is no pass: it raises ValueError.
     """
     if spec.mode != "ternary":
         raise ValueError(f"{spec.name} is not a ternary entry")
@@ -997,12 +1053,13 @@ def verify_ternary(spec: IdentitySpec, mmax: int) -> VerifyResult:
     values = mask.count(1)
     if not values:
         raise ValueError(f"no M <= {mmax} meets the where conditions")
-    lhs = eval_series(spec.lhs, n).coeffs
-    rhs = eval_series(spec.rhs, n).coeffs
-    for m in compress(range(n), mask):
-        if lhs[m] != rhs[m]:
-            return VerifyResult(spec.name, spec.mode, False, f"Mmax={mmax}",
-                                f"M={m}: {lhs[m]} != {rhs[m]}")
+    lhs = _gather(spec.lhs, n, mask)
+    rhs = _gather(spec.rhs, n, mask)
+    if lhs != rhs:
+        m, left, right = next(v for v in zip(compress(range(n), mask), lhs, rhs)
+                              if v[1] != v[2])
+        return VerifyResult(spec.name, spec.mode, False, f"Mmax={mmax}",
+                            f"M={m}: {left} != {right}")
     return VerifyResult(spec.name, spec.mode, True,
                         f"Mmax={mmax} ({values} values)")
 

@@ -2,6 +2,8 @@ import hashlib
 import re
 import time
 from fractions import Fraction
+from functools import lru_cache
+from itertools import compress
 from math import lcm
 
 import pytest
@@ -14,7 +16,7 @@ from thetaforms.identities import (EntryError, EpsScalar, RegistryError,
                                    load_default_registry, load_registry,
                                    parse_registry, run_suite, verify_entry,
                                    verify_modeq3, verify_positivity,
-                                   verify_series, verify_ternary)
+                                   verify_series, verify_ternary, VerifyResult)
 from thetaforms.modeq import (ALPHA, BETA, UnsupportedRadicand, cleared,
                               rational_root)
 from thetaforms.series import Series, invert, sift
@@ -56,6 +58,17 @@ class TestRunSuite:
         results = run_suite(registry, terms=60)
         assert all(r.passed for r in results)
         assert [r.name for r in results] == sorted(registry)
+
+    def test_shipped_verdicts_are_pinned(self, registry):
+        # name, mode, params, verdict and witness of every entry at the
+        # defaults; an evaluator change that moves any of them changes the
+        # digest
+        rows = [(r.name, r.mode, r.params, r.passed, r.witness)
+                for r in run_suite(registry)]
+        digest = hashlib.sha256("\n".join(map(repr, rows)).encode())
+        assert len(rows) == 123
+        assert digest.hexdigest() == (
+            "3d80668cdfbd6f89b85a95a1cb4837af6abfe3c62525dd080d44b66948a21511")
 
 
 class TestParser:
@@ -491,6 +504,124 @@ class TestTernaryLeaves:
             assert coeffs[m] == expected, m
         if w == 1:
             assert self.leaf(f"SW({s})(M)") == coeffs
+
+
+@lru_cache(maxsize=None)
+def _mask_by_qualifies(conditions, n):
+    return bytes(m > 0 and conditions.qualifies(m) for m in range(n))
+
+
+def series_ternary(spec, mmax):
+    """The full-series check: both sides to Mmax + 1 coefficients by
+    `eval_series`, compared at every qualifying M in increasing order."""
+    n = max(mmax, 0) + 1
+    mask = _mask_by_qualifies(spec.conditions, n)
+    values = mask.count(1)
+    if not values:
+        raise ValueError(f"no M <= {mmax} meets the where conditions")
+    lhs = eval_series(spec.lhs, n).coeffs
+    rhs = eval_series(spec.rhs, n).coeffs
+    for m in compress(range(n), mask):
+        if lhs[m] != rhs[m]:
+            return VerifyResult(spec.name, spec.mode, False, f"Mmax={mmax}",
+                                f"M={m}: {lhs[m]} != {rhs[m]}")
+    return VerifyResult(spec.name, spec.mode, True,
+                        f"Mmax={mmax} ({values} values)")
+
+
+def _raised(node):
+    """Copies of a ternary side with one integer literal raised by one."""
+    if isinstance(node, identities.Num):
+        yield identities.Num(node.value + 1)
+    elif isinstance(node, identities.Neg):
+        yield from map(identities.Neg, _raised(node.body))
+    elif isinstance(node, identities.Add):
+        for i, term in enumerate(node.terms):
+            for new in _raised(term):
+                yield identities.Add(node.terms[:i] + (new,) + node.terms[i + 1:])
+    elif isinstance(node, identities.Mul):
+        for i, (factor, inverted) in enumerate(node.factors):
+            for new in _raised(factor):
+                yield identities.Mul(node.factors[:i] + ((new, inverted),)
+                                     + node.factors[i + 1:])
+
+
+class TestTernaryGather:
+    """`verify_ternary` gathers each count at the qualifying M only; the
+    full series of both sides, compared M by M, must give the same result."""
+
+    @pytest.fixture(scope="class")
+    def ternary(self, registry):
+        return [s for s in registry.values() if s.mode == "ternary"]
+
+    def test_shipped_entries(self, ternary):
+        for spec in ternary:
+            got = verify_ternary(spec, identities.DEFAULT_MMAX)
+            assert got.passed, spec.name
+            assert got == series_ternary(spec, identities.DEFAULT_MMAX)
+
+    def test_raised_coefficients(self, ternary):
+        copies = [spec._replace(**{side: new})
+                  for spec in ternary for side in ("lhs", "rhs")
+                  for new in _raised(getattr(spec, side))]
+        # each literal is a coefficient of a summand with a count, so
+        # raising it adds a nonzero count and every copy fails
+        assert len(copies) == 77
+        for spec in copies:
+            got = verify_ternary(spec, identities.DEFAULT_MMAX)
+            assert not got.passed, spec
+            assert got == series_ternary(spec, identities.DEFAULT_MMAX), spec
+
+    @pytest.mark.parametrize("mmax", [0, 1, 8, 9, 100])
+    def test_small_mmax(self, ternary, mmax):
+        # Mmax 0 leaves no M; 1, 8 and 9 leave none or one for many entries
+        outcomes = set()
+        for spec in ternary:
+            got = _outcome(verify_ternary, spec, mmax)
+            assert got == _outcome(series_ternary, spec, mmax), spec.name
+            outcomes.add(got if isinstance(got, str) else got.params)
+        if mmax == 0:
+            assert outcomes == {"ValueError: no M <= 0 meets the where conditions"}
+        if mmax in (1, 8, 9):
+            assert f"Mmax={mmax} (1 values)" in outcomes
+
+    def test_hand_built_sides(self):
+        # the parser makes neither side; a constant summand is nonzero at
+        # M = 0 only, and a product of two counts is no count at one M
+        spec = parse_registry("x: ternary: (1,1,1,0,0,0)(M) = "
+                              "(1,1,1,0,0,0)(M) where M = 1,2 mod 4")[0]
+        count = spec.lhs
+        constant = spec._replace(lhs=identities.Add((count, identities.Num(5))))
+        assert verify_ternary(constant, 50) == series_ternary(constant, 50)
+        assert verify_ternary(constant, 50).passed
+        product = spec._replace(lhs=identities.Mul(((count, False), (count, False))))
+        with pytest.raises(EntryError, match="^x: a ternary product takes one count"):
+            verify_entry(product, mmax=50)
+
+    @pytest.mark.parametrize("a, b, where, period", [
+        ((1, 1, 2), (1, 1, 5), "M = 1,2 mod 4", 4),
+        ((1, 1, 2), (1, 1, 5), "M = 2,1 mod 4", 4),
+        ((1, 3, 3), (1, 3, 6), "M = 1,2 mod 4", 4),
+        ((1, 1, 1), (1, 1, 2), "M = 1,2 mod 4", 4),
+        ((1, 1, 3), (1, 1, 5), "(M|7) = 1", 7),
+        ((1, 3, 3), (1, 6, 6), "(M|7) = 1", 7),
+        ((1, 1, 2), (1, 1, 3), "(M|7) = 1", 7),
+    ])
+    def test_witness_is_the_smallest_failing_m(self, a, b, where, period):
+        fa, fb = TernaryForm(*a, 0, 0, 0), TernaryForm(*b, 0, 0, 0)
+        text = (f"x: ternary: ({','.join(map(str, fa))})(M) = "
+                f"({','.join(map(str, fb))})(M) where {where}")
+        spec = parse_registry(text)[0]
+        failing = [m for m in range(1, 61) if spec.conditions.qualifies(m)
+                   and repcount(fa, m) != repcount(fb, m)]
+        # the mismatches span residue classes, so an order by class would
+        # report a larger M
+        assert len({m % period for m in failing}) > 1
+        m = failing[0]
+        result = verify_ternary(spec, 60)
+        assert not result.passed
+        assert result.witness == f"M={m}: {repcount(fa, m)} != {repcount(fb, m)}"
+        assert result == series_ternary(spec, 60)
 
 
 class TestEntryErrors:
