@@ -116,11 +116,11 @@ def ligozat_order(eq: EtaQuotient, cusp: Cusp) -> Fraction:
     """Order of the quotient at b/c on Gamma_0(level); depends only on c."""
     n = eq.level
     c = cusp.denominator
-    total = Fraction(0)
-    for delta, r in eq.exponents:
-        g = gcd(c, delta)
-        total += Fraction(r * g * g, delta)
-    return Fraction(n, 24 * gcd(n, c * c)) * total
+    # n / 24 gcd(n, c^2) * sum r gcd(c, delta)^2 / delta over the common
+    # denominator; every delta divides n
+    return Fraction(sum(r * gcd(c, delta) ** 2 * (n // delta)
+                        for delta, r in eq.exponents),
+                    24 * gcd(n, c * c))
 
 
 class _CombinationFields(NamedTuple):

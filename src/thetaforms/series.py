@@ -7,30 +7,62 @@ arithmetic is over the integers -- no floating point anywhere -- and values
 are immutable after construction, so they are safe to share between
 threads.
 
-Multiplication takes one of three kernels, chosen from the operands'
-nonzero counts nza <= nzb (counted in C, with ``len(c) - c.count(0)``)
-and the output length n:
+Multiplication takes one of three kernels.  With nza <= nzb the operands'
+nonzero counts (counted in C, with ``len(c) - c.count(0)``) and n the
+output length, each is priced in integer steps of the pair loop (one
+multiply-add), and the cheapest runs:
 
-* the pair loop, when nza * nzb <= ``_PAIRS_PER_COEFF`` * n: a double loop
-  over the nonzero coefficients of both operands, each row stopped at the
-  output truncation.  Products of two theta factors such as phi and psi
-  take it; at 40 000 terms they have 200 and 283 nonzeros.
-* the row kernel, when nza * ``_COEFFS_PER_ROW`` <= n: the denser operand
-  is packed once, and one shifted copy of it, times the coefficient, is
-  added per nonzero of the sparser one.  A theta factor times a dense
-  series takes it, such as psi * (phi^2 - phi(q^7)^2) at 40 000 terms.
-* otherwise one big-integer product (Kronecker substitution) of both
-  packed operands.
+* the pair loop, nza * nzb steps: a double loop over the nonzero
+  coefficients of both operands, each row stopped at the output
+  truncation.  Products of two theta factors such as phi and psi take it;
+  at 40 000 terms they have 200 and 283 nonzeros.
+* the row kernel, about 2 n steps to pack the denser operand and unpack
+  the sum, plus n / 32 steps for each of its nza rows: one shifted copy of
+  the packed operand, times the coefficient, is added per nonzero of the
+  sparser one.  So the pair loop runs while
+  nza * nzb * 32 <= n * (64 + nza), and the row kernel takes a theta
+  factor times a dense series, such as psi * (phi^2 - phi(q^7)^2) at
+  40 000 terms, or a split ternary theta series, a unary factor of 27 to
+  45 nonzeros times a binary one of 1 000 to 2 100 at 10 001 terms.
+* one big-integer product (Kronecker substitution) of both packed
+  operands.  CPython multiplies by Karatsuba, so this cost grows about as
+  n^1.6 where the row kernel's grows as nza * n; the row kernel runs while
+  nza^3 <= 2 n^2 (about 79 rows at n = 500, 317 at 4000, 1473 at 40 000).
 
-Time of the row kernel over the big multiply, for a sparser operand of
-+-1 at random places times phi(q)^2 - phi(q^7)^2, by n and by the sparser
-operand's nonzero count (median of 15 calls, CPython 3.11, x86-64 Xeon):
+Each kernel was timed on the operands of every product of one cold pass
+of each benchmark workload, recorded while the operations of
+``bench/worker.py`` ran (best of 5, total ms, CPython 3.11.7, 2-core
+x86-64 sandbox):
 
-    n = 500:     0.81 at 8,    0.86 at 32,   1.04 at 64
-    n = 4000:    0.56 at 64,   0.98 at 256,  1.52 at 512
-    n = 40 000:  0.47 at 512,  0.81 at 1024, 1.20 at 1536
+    products              pair    row    big   fastest   rule   n/64 rule
+    registry (1 183)       243    167    348       104    107         146
+    positivity-long (36)  2233    617   1684       290    290         290
+    sgenus (59)            0.2    0.4    0.6       0.2    0.2         0.2
 
-so the cutoff n / 64 stays below the crossover at every size.
+where the n/64 rule is the one this replaced (pair loop while
+nza * nzb <= 16 n, row kernel while 64 nza <= n).  The two boundaries come
+from these shapes, a sparser operand of +-1 at random places times b,
+either phi(q)^2 - phi(q^7)^2 ("dense", about 0.3 n nonzeros) or n / 16
+random nonzeros of at most 3 (best of 7, ms, same machine):
+
+    n       b       nza     pair      row      big    rule
+    500     dense     4    0.051    0.043    0.085    pair
+    500     dense     8    0.083    0.051    0.119    row
+    500     dense    79    0.633    0.113    0.126    row
+    500     dense   158    1.251    0.182    0.127    big
+    4000    n/16     64    0.618    0.640    1.694    pair
+    4000    n/16    128    1.133    0.895    1.653    row
+    4000    dense   317    16.67    1.803    1.680    row
+    4000    dense   634    34.30    3.475    1.802    big
+    40 000  n/16     64    7.217    6.703    42.85    pair
+    40 000  n/16    128    15.60    9.108    49.60    row
+    40 000  dense  1473        -    157.8    165.9    row
+    40 000  dense  2946        -    354.0    257.3    big
+
+The slot width (below) was tried as a third input: with 8-byte slots in
+place of 2 the row/big crossover moves from about nza^3 = n^2 to 8 n^2,
+but on the recorded products a width term saved under 1 ms of 107, so
+the rule leaves it out and scans no operand before choosing.
 
 Both packed kernels share one codec.  Each coefficient gets a fixed-width
 slot wide enough for every output coefficient plus a sign bit
@@ -62,12 +94,19 @@ __all__ = [
     "alternate_sign", "is_nonnegative",
 ]
 
-# The pair loop runs when it multiplies at most this many coefficient pairs
-# per output coefficient; past that, a packed kernel is cheaper.
-_PAIRS_PER_COEFF = 16
-# The row kernel runs when the sparser operand has at most one nonzero per
-# this many output coefficients; past that, one big multiply is cheaper.
-_COEFFS_PER_ROW = 64
+# Kernel costs in pair-loop steps (one multiply-add), fitted as the module
+# docstring shows.  Packing b and unpacking the sum cost the row kernel
+# about _PACK_STEPS steps per output coefficient, and each of its shifted
+# adds about one step per _SLOTS_PER_STEP output coefficients.
+_PACK_STEPS = 2
+_SLOTS_PER_STEP = 32
+# The row kernel beats the big multiply while nza**3 <= _ROW_CUBE * n**2.
+_ROW_CUBE = 2
+
+# Calls per product kernel since import.  Only _convolve adds to it, without
+# a lock, so threads multiplying at once may lose counts; tests and
+# profiling read it.
+kernel_calls = {"pair": 0, "row": 0, "big": 0}
 
 # little-endian signed struct codes by slot width in bytes
 _SIGNED = {1: "b", 2: "h", 4: "i", 8: "q"}
@@ -205,10 +244,16 @@ def _convolve(a: Sequence[int], b: Sequence[int], n_out: int) -> list[int]:
         return [0] * n_out
     if nza > nzb:
         a, b, nza, nzb = b, a, nzb, nza
-    if nza * nzb <= _PAIRS_PER_COEFF * n_out:
+    # pair loop nza * nzb steps against row kernel
+    # n_out * (_PACK_STEPS + nza / _SLOTS_PER_STEP), times _SLOTS_PER_STEP
+    if nza * nzb * _SLOTS_PER_STEP <= n_out * (
+            _PACK_STEPS * _SLOTS_PER_STEP + nza):
+        kernel_calls["pair"] += 1
         return _pair_loop(a, b, n_out)
-    if nza * _COEFFS_PER_ROW <= n_out:
+    if nza * nza * nza <= _ROW_CUBE * n_out * n_out:
+        kernel_calls["row"] += 1
         return _row_kernel(a, b, n_out)
+    kernel_calls["big"] += 1
     return _big_multiply(a, b, n_out)
 
 

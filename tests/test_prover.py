@@ -219,6 +219,19 @@ class TestShippedInvariants:
             assert sum(ligozat_order(eq, cusp)
                        for cusp in cusp_reps(comb.level)) == 0, eq
 
+    @pytest.mark.parametrize("name", ["4.1", "5.4"])
+    def test_order_is_ligozat_sum_term_by_term(self, shipped, name):
+        # Ligozat's formula read literally: a Fraction per eta factor
+        comb = shipped[name]
+        n = comb.level
+        for _, eq in comb.terms:
+            for cusp in cusp_reps(n):
+                c = cusp.denominator
+                total = sum(Fraction(r * gcd(c, d) ** 2, d)
+                            for d, r in eq.exponents)
+                assert ligozat_order(eq, cusp) == \
+                    Fraction(n, 24 * gcd(n, c * c)) * total
+
     @pytest.mark.parametrize("name, index", [("4.1", i) for i in range(4)]
                              + [("5.4", i) for i in range(11)])
     def test_raised_coefficient_is_refuted_within_the_bound(self, shipped,

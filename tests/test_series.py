@@ -213,6 +213,109 @@ class TestProductPaths:
         assert (dense * psi).coeffs == tuple(expected)
 
 
+def kernel_of(a: Series, b: Series) -> str:
+    """The one kernel that a * b ran, read from series.kernel_calls."""
+    before = dict(series.kernel_calls)
+    a * b
+    ran = [k for k, v in series.kernel_calls.items() if v != before[k]]
+    assert len(ran) == 1 and series.kernel_calls[ran[0]] == before[ran[0]] + 1
+    return ran[0]
+
+
+def spread(n, count, values=(1, -1)):
+    """count nonzeros at evenly spaced exponents below n, cycling values."""
+    out = [0] * n
+    for i in range(count):
+        out[i * n // count] = values[i % len(values)]
+    return Series._raw(out)
+
+
+def dense_operand(n):
+    """phi(q)^2 - phi(q^7)^2, about 0.3 n nonzeros."""
+    phi, phi7 = named_function("phi", n), named_function("phi", n, 7)
+    return phi * phi - phi7 * phi7
+
+
+class TestKernelSelection:
+    """The kernel that each product shape takes, on each side of the two
+    fitted boundaries of the module docstring's table."""
+
+    @pytest.mark.parametrize("n, b_kind, nza, kernel", [
+        # pair loop / row kernel: nza * nzb * 32 <= n * (64 + nza)
+        (500, "dense", 5, "pair"), (500, "dense", 6, "row"),
+        (4000, "n/16", 64, "pair"), (4000, "n/16", 65, "row"),
+        (40000, "n/16", 64, "pair"), (40000, "n/16", 65, "row"),
+        # row kernel / big multiply: nza**3 <= 2 * n**2
+        (500, "dense", 79, "row"), (500, "dense", 80, "big"),
+        (4000, "dense", 317, "row"), (4000, "dense", 318, "big"),
+        (40000, "dense", 1473, "row"), (40000, "dense", 1474, "big"),
+    ])
+    def test_boundary_rows(self, n, b_kind, nza, kernel):
+        if b_kind == "dense":
+            b = dense_operand(n)
+        else:
+            b = spread(n, n // 16, (1, -2, 3))
+        a = spread(n, nza)
+        assert kernel_of(a, b) == kernel
+        assert kernel_of(b, a) == kernel
+
+    def test_split_ternary_takes_row_kernel(self):
+        # theta(5 z^2) * theta(2 x^2 + 3 y^2) at Mmax + 1 = 10 001 terms, a
+        # unary times a binary factor of forms._theta_ternary
+        n = 10001
+        unary = named_function("phi", n, 5)
+        binary = named_function("phi", n, 2) * named_function("phi", n, 3)
+        assert n - unary.coeffs.count(0) == 45
+        assert n - binary.coeffs.count(0) == 2066
+        assert kernel_of(unary, binary) == "row"
+
+    def test_two_sparse_factors_take_pair_loop(self):
+        n = 40000
+        assert kernel_of(spread(n, 200), spread(n, 200, (2, 1))) == "pair"
+
+    @pytest.mark.parametrize("psi_step, s", [(1, 7), (2, 3)])
+    def test_positivity_shape_counts_row_kernel(self, psi_step, s):
+        n = 40000
+        phi, phis = named_function("phi", n), named_function("phi", n, s)
+        psi = named_function("psi", n, psi_step)
+        assert kernel_of(psi, phi * phi - phis * phis) == "row"
+
+    def test_long_dense_product_takes_big_multiply(self):
+        n = 40000
+        assert kernel_of(spread(n, n // 8), dense_operand(n)) == "big"
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_shapes_at_each_boundary_match_schoolbook(self, data):
+        n = data.draw(st.integers(min_value=40, max_value=1200))
+        if data.draw(st.booleans()):
+            # the pair loop / row kernel boundary, for a b sparse enough
+            # that the row kernel's shifted adds cost less than its rows
+            nzb = data.draw(st.integers(min_value=n // 16, max_value=n))
+            steps = series._SLOTS_PER_STEP
+            edge = n * series._PACK_STEPS * steps // (nzb * steps - n)
+        else:
+            # the row kernel / big multiply boundary, for a dense b
+            nzb = n
+            edge = 1
+            while (edge + 1) ** 3 <= series._ROW_CUBE * n * n:
+                edge += 1
+        nza = min(max(1, edge + data.draw(st.integers(-3, 3))), nzb)
+        bound = data.draw(st.sampled_from((1, 40, 2 ** 70)))
+        rng = data.draw(st.randoms(use_true_random=False))
+
+        def operand(count):
+            out = [0] * n
+            for i in rng.sample(range(n), count):
+                out[i] = rng.choice((-1, 1)) * rng.randint(1, bound)
+            return out
+
+        a, b = operand(nza), operand(nzb)
+        expected = tuple(schoolbook(a, b, n))
+        assert (Series(a) * Series(b)).coeffs == expected
+        assert (Series(b) * Series(a)).coeffs == expected
+
+
 class TestComposePower:
     def test_basic(self):
         assert compose_power(Series([1, 1, 0, 0]), 2) == Series([1, 0, 1, 0])
