@@ -753,7 +753,10 @@ def eval_series(node, n: int, t: int = 1, s: int = 0) -> Series:
     if isinstance(node, Add):
         total = eval_series(node.terms[0], n, t, s)
         for term in node.terms[1:]:
-            total = total + eval_series(term, n, t, s)
+            if isinstance(term, Neg):
+                total = total - eval_series(term.body, n, t, s)
+            else:
+                total = total + eval_series(term, n, t, s)
         return total
     if isinstance(node, Sift):
         u, r = node.step, node.residue

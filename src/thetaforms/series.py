@@ -15,7 +15,9 @@ multiply-add), and the cheapest runs:
 * the pair loop, nza * nzb steps: a double loop over the nonzero
   coefficients of both operands, each row stopped at the output
   truncation.  Products of two theta factors such as phi and psi take it;
-  at 40 000 terms they have 200 and 283 nonzeros.
+  at 40 000 terms they have 200 and 283 nonzeros.  A square, one operand
+  object on both sides as ``Series.__pow__``, ``phi * phi`` and the cached
+  theta factors give it, walks each unordered pair once, in half the steps.
 * the row kernel, about 2 n steps to pack the denser operand and unpack
   the sum, plus n / 32 steps for each of its nza rows: one shifted copy of
   the packed operand, times the coefficient, is added per nonzero of the
@@ -23,46 +25,55 @@ multiply-add), and the cheapest runs:
   nza * nzb * 32 <= n * (64 + nza), and the row kernel takes a theta
   factor times a dense series, such as psi * (phi^2 - phi(q^7)^2) at
   40 000 terms, or a split ternary theta series, a unary factor of 27 to
-  45 nonzeros times a binary one of 1 000 to 2 100 at 10 001 terms.
+  45 nonzeros times a binary one of 1 000 to 2 100 at 10 001 terms.  The
+  kernel computes only the n coefficients it keeps: the packed operand is
+  reversed, so that shifting it right by i slots drops the terms past the
+  truncation, and the row of exponent i costs n - i slots, not n + i.
 * one big-integer product (Kronecker substitution) of both packed
   operands.  CPython multiplies by Karatsuba, so this cost grows about as
   n^1.6 where the row kernel's grows as nza * n; the row kernel runs while
   nza^3 <= 2 n^2 (about 79 rows at n = 500, 317 at 4000, 1473 at 40 000).
+  A square is packed once, and CPython squares the packed int.
 
 Each kernel was timed on the operands of every product of one cold pass
 of each benchmark workload, recorded while the operations of
 ``bench/worker.py`` ran (best of 5, total ms, CPython 3.11.7, 2-core
 x86-64 sandbox):
 
-    products              pair    row    big   fastest   rule   n/64 rule
-    registry (1 183)       243    167    348       104    107         146
-    positivity-long (36)  2233    617   1684       290    290         290
-    sgenus (59)            0.2    0.4    0.6       0.2    0.2         0.2
+    products              pair    row    big   fastest   rule   before
+    registry (1 183)       245    170    387       103    106      115
+    positivity-long (36)  1758    384   1147       177    177      274
+    sgenus (59)            0.3    0.9    0.9       0.3    0.3      0.3
 
-where the n/64 rule is the one this replaced (pair loop while
-nza * nzb <= 16 n, row kernel while 64 nza <= n).  The two boundaries come
-from these shapes, a sparser operand of +-1 at random places times b,
-either phi(q)^2 - phi(q^7)^2 ("dense", about 0.3 n nonzeros) or n / 16
-random nonzeros of at most 3 (best of 7, ms, same machine):
+where "before" is the same rule with the untruncated row kernel and no
+square paths.  The two boundaries were fitted, before the row kernel was
+truncated, on these shapes, timed here with the kernels as they are: a
+sparser operand of +-1 at random places times b, either
+phi(q)^2 - phi(q^7)^2 ("dense", about 0.3 n nonzeros) or n / 16 random
+nonzeros of at most 3 (best of 7, ms, same machine):
 
     n       b       nza     pair      row      big    rule
-    500     dense     4    0.051    0.043    0.085    pair
-    500     dense     8    0.083    0.051    0.119    row
-    500     dense    79    0.633    0.113    0.126    row
-    500     dense   158    1.251    0.182    0.127    big
-    4000    n/16     64    0.618    0.640    1.694    pair
-    4000    n/16    128    1.133    0.895    1.653    row
-    4000    dense   317    16.67    1.803    1.680    row
-    4000    dense   634    34.30    3.475    1.802    big
-    40 000  n/16     64    7.217    6.703    42.85    pair
-    40 000  n/16    128    15.60    9.108    49.60    row
-    40 000  dense  1473        -    157.8    165.9    row
-    40 000  dense  2946        -    354.0    257.3    big
+    500     dense     4    0.048    0.051    0.089    pair
+    500     dense     8    0.078    0.058    0.123    row
+    500     dense    79    0.742    0.135    0.151    row
+    500     dense   158    1.375    0.200    0.138    big
+    4000    n/16     64    0.647    0.550    1.795    pair
+    4000    n/16    128    1.155    0.729    1.715    row
+    4000    dense   317    19.55    1.264    1.893    row
+    4000    dense   634    36.73    1.900    1.863    big
+    40 000  n/16     64    6.014    5.640    42.27    pair
+    40 000  n/16    128    11.48    6.504    44.82    row
+    40 000  dense  1473        -    62.85    137.5    row
+    40 000  dense  2946        -    117.5    139.0    big
 
-The slot width (below) was tried as a third input: with 8-byte slots in
-place of 2 the row/big crossover moves from about nza^3 = n^2 to 8 n^2,
-but on the recorded products a width term saved under 1 ms of 107, so
-the rule leaves it out and scans no operand before choosing.
+With rows spread evenly, the truncated row kernel now beats the big
+multiply up to about 630 rows at n = 4000 and 3 500 at 40 000, well past
+nza^3 = 2 n^2, but on the recorded products the rule's choices cost only
+3 ms more, in total, than the fastest kernel of each product.  The slot
+width (below) was tried as a third input: with 8-byte slots in place of
+2 the row/big crossover moved from about nza^3 = n^2 to 8 n^2, but on the
+recorded products a width term saved under 1 ms of 107, so the rule
+leaves it out and scans no operand before choosing.
 
 Both packed kernels share one codec.  Each coefficient gets a fixed-width
 slot wide enough for every output coefficient plus a sign bit
@@ -119,10 +130,23 @@ def _nonzero(coeffs: Sequence[int]) -> list[int]:
 def _pair_loop(a: Sequence[int], b: Sequence[int], n_out: int) -> list[int]:
     """Cauchy product over nonzero pairs only, each row stopped at n_out.
 
-    One row per nonzero of a, which should be the sparser operand.
+    One row per nonzero of a, which should be the sparser operand.  A
+    square (a is b) walks each unordered pair once: a_i**2 at 2i, and
+    2 * a_i * a_j for i < j.
     """
-    ia, ib = _nonzero(a), _nonzero(b)
+    ia = _nonzero(a)
     out = [0] * n_out
+    if a is b:
+        for k, i in enumerate(ia):
+            if 2 * i >= n_out:
+                break
+            ai = a[i]
+            out[2 * i] += ai * ai
+            ai += ai
+            for j in ia[k + 1:bisect_left(ia, n_out - i)]:
+                out[i + j] += ai * a[j]
+        return out
+    ib = _nonzero(b)
     for i in ia:
         ai = a[i]
         for j in ib[:bisect_left(ib, n_out - i)]:
@@ -201,43 +225,77 @@ def _unpack(value: int, n_out: int, width: int) -> list[int]:
 def _row_kernel(a: Sequence[int], b: Sequence[int], n_out: int) -> list[int]:
     """Cauchy product as one shifted add of packed b per nonzero of a.
 
-    Both operands must have a nonzero coefficient; a should be the sparser.
+    b is packed in reverse, b_j in slot n_out - 1 - j, with the offset left
+    in so that every slot is nonnegative.  A right shift by i slots then
+    drops exactly the terms that would land at or past n_out, with no
+    borrow, and the rows, added from the highest exponent of a down, keep
+    the sum n_out - i slots long.  Slot n_out - 1 - k of the sum holds
+    c_k + 2**(8*width - 1) * A_k, for the product c and the prefix sums
+    A_k = a_0 + ... + a_k, which are taken off before unpacking.  a should
+    be the sparser operand; a b shorter than n_out counts as padded with
+    zeros.
     """
+    a = a[:n_out]
     rows = _nonzero(a)
-    # sum|a| * max|b| bounds every output coefficient too, and a sum over
-    # the few listed nonzeros of a costs less than one over all of b
+    if not rows:
+        return [0] * n_out
+    # sum|a| * max|b| bounds every output coefficient and every |A_k| too,
+    # and a sum over the few listed nonzeros of a costs less than one over
+    # all of b
     width = _layout(sum(map(abs, map(a.__getitem__, rows)))
                     * max(max(b), -min(b)))
     bits = 8 * width
-    row = _pack(b, width)
+    offsets = _offset(width, n_out)
+    rev = [0] * (n_out - len(b))
+    rev += reversed(b[:n_out])
+    row = _pack(rev, width) + offsets
     acc = 0
-    for i in rows:
+    for i in reversed(rows):
         c = a[i]
         if c == 1:
-            acc += row << (bits * i)
+            acc += row >> (bits * i)
         elif c == -1:
-            acc -= row << (bits * i)
+            acc -= row >> (bits * i)
         else:
-            acc += c * (row << (bits * i))
-    return _unpack(acc, n_out, width)
+            acc += c * (row >> (bits * i))
+    # A is constant from one row to the next, so its slots, offset like
+    # b's, are written as one run of equal bytes per row, from the top
+    half = 1 << (bits - 1)
+    total = sum(map(a.__getitem__, rows))
+    runs = []
+    top = n_out
+    for i in reversed(rows):
+        runs.append((total + half).to_bytes(width, "little") * (top - i))
+        total -= a[i]
+        top = i
+    runs.append(half.to_bytes(width, "little") * top)
+    prefix = int.from_bytes(b"".join(runs), "little") - offsets
+    out = _unpack(acc - (prefix << (bits - 1)), n_out, width)
+    out.reverse()
+    return out
 
 
 def _big_multiply(a: Sequence[int], b: Sequence[int],
                   n_out: int) -> list[int]:
     """Cauchy product by one signed big-integer multiply (Kronecker).
 
-    Both operands must have a nonzero coefficient.
+    Both operands must have a nonzero coefficient.  A square (a is b) is
+    packed once, and the packed int times itself takes CPython's squaring.
     """
     width = _slot_width(a, b)
-    return _unpack(_pack(a, width) * _pack(b, width), n_out, width)
+    packed = _pack(a, width)
+    other = packed if a is b else _pack(b, width)
+    return _unpack(packed * other, n_out, width)
 
 
 def _convolve(a: Sequence[int], b: Sequence[int], n_out: int) -> list[int]:
     """First n_out coefficients of the Cauchy product of a and b."""
     if n_out <= 0:
         return []
+    square = a is b
     a = a[:n_out]
-    b = b[:n_out]
+    # a square stays one object, for the kernels' square paths
+    b = a if square else b[:n_out]
     nza = len(a) - a.count(0)
     nzb = len(b) - b.count(0)
     if not nza or not nzb:

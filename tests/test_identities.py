@@ -1044,6 +1044,46 @@ class TestSiftedEvaluation:
         assert verify_entry(registry["4.s56a"], terms=10000).passed
 
 
+class TestSignedSums:
+    """A minus sign after the first term of a sum subtracts that term; only
+    a leading one negates.  The values are those of negating every minus
+    term and adding, as reference_eval does."""
+
+    @pytest.mark.parametrize("text, whole, odd, negations", [
+        ("phi(q)^2 - psi(q^2)^2",
+         [0, 4, 2, 0, 3, 8, -2, 0, 2, 4, 8, 0], [4, 0, 8, 0, 4, 0], 0),
+        ("-phi(q)^2 + psi(q^2)^2",
+         [0, -4, -2, 0, -3, -8, 2, 0, -2, -4, -8, 0], [-4, 0, -8, 0, -4, 0],
+         1),
+        ("-phi(q)^2 - psi(q^2)^2",
+         [-2, -4, -6, 0, -5, -8, -2, 0, -6, -4, -8, 0], [-4, 0, -8, 0, -4, 0],
+         1),
+    ])
+    def test_pinned_values(self, text, whole, odd, negations, monkeypatch):
+        node = _expr(text, "series")
+        assert eval_series(node, 12) == reference_eval(node, 12)
+        calls = []
+        negate = Series.__neg__
+        monkeypatch.setattr(Series, "__neg__",
+                            lambda self: calls.append(1) or negate(self))
+        assert list(eval_series(node, 12).coeffs) == whole
+        assert list(eval_series(node, 6, 2, 1).coeffs) == odd
+        assert len(calls) == 2 * negations
+
+    @pytest.mark.parametrize("text", [
+        "phi(q) - 2*psi(q) - E(q^3)",
+        "-psi(q)*E(q) - phi(q)^2 + q*chi(q) - 3",
+        "phi(q) - -psi(q)",
+        "phi(q) - S[3,1](psi(q)*E(q))",
+    ])
+    @pytest.mark.parametrize("t, s", [(1, 0), (3, 2)])
+    def test_matches_negate_then_add(self, text, t, s):
+        node = _expr(text)
+        need = t * 39 + s + 1
+        assert eval_series(node, 40, t, s) == sift(
+            reference_eval(node, need), t, s)
+
+
 class TestScalarFolding:
     @pytest.mark.parametrize("text", [
         "2*3", "0*phi(q)", "-3*q^2*psi(q)*2", "phi(q)*E(q)^-1",

@@ -34,6 +34,26 @@ def long_coeffs(draw, min_size=200, max_size=2000):
     return out
 
 
+WIDTH_EDGE_BITS = [7, 8, 15, 16, 31, 32, 63, 64, 127, 128, 201]
+
+
+def width_edge_cases(bits):
+    """(m, b, cases): for each a in cases, a * b at 40 terms has largest
+    |coefficient| m, of the given bit length (2**200 for 201).
+
+    The output bound min(sum|a| * max|b|, sum|b| * max|a|) is m too, and
+    the outputs reach -m and m, so both signs reach the top byte of a slot
+    on either side of each width change.
+    """
+    m = 2 ** bits - 1 if bits != 201 else 2 ** 200
+    n = 40
+    b = [(-1) ** j for j in range(n)]
+    cases = ([-m] + [0] * (n - 1),
+             [-(m - 1), 1] + [0] * (n - 2),
+             [m - 1, 0, 0, -1] + [0] * (n - 4))
+    return m, b, cases
+
+
 def schoolbook(a, b, n):
     out = [0] * n
     for i, ai in enumerate(a[:n]):
@@ -170,19 +190,10 @@ class TestProductPaths:
     def test_layout(self, bound, width):
         assert _layout(bound) == width
 
-    @pytest.mark.parametrize("bits", [7, 8, 15, 16, 31, 32, 63, 64, 127,
-                                      128, 201])
+    @pytest.mark.parametrize("bits", WIDTH_EDGE_BITS)
     def test_slot_width_edges(self, bits):
-        # The output bound min(sum|a| * max|b|, sum|b| * max|a|) is m, of
-        # the given bit length, and the outputs reach -m and m, so both
-        # signs reach the top byte of a slot on either side of each width
-        # change.
-        m = 2 ** bits - 1 if bits != 201 else 2 ** 200
-        n = 40
-        b = [(-1) ** j for j in range(n)]
-        cases = ([-m] + [0] * (n - 1),
-                 [-(m - 1), 1] + [0] * (n - 2),
-                 [m - 1, 0, 0, -1] + [0] * (n - 4))
+        m, b, cases = width_edge_cases(bits)
+        n = len(b)
         for a in cases:
             expected = schoolbook(a, b, n)
             assert max(map(abs, expected)) == m
@@ -190,6 +201,23 @@ class TestProductPaths:
             for kernel in KERNELS:
                 assert kernel(a, b, n) == expected
                 assert kernel(b, a, n) == expected
+
+    @pytest.mark.parametrize("bits", WIDTH_EDGE_BITS)
+    def test_truncation_edges(self, bits):
+        # The row kernel packs b in reverse and drops what a right shift
+        # takes past n_out: rows at and past n_out, a b shorter than n_out,
+        # and a first row above exponent 0, at odd and even n_out, at each
+        # slot width of test_slot_width_edges.
+        _, b, cases = width_edge_cases(bits)
+        n = len(b)
+        for a in cases:
+            for n_out in (n - 1, n):
+                for x, y in ((a + [7, -9], b), (a, b[:n // 2]),
+                             ([0] * 5 + a[:n - 5], b[:n - 3])):
+                    expected = schoolbook(x, y, n_out)
+                    for kernel in KERNELS:
+                        assert kernel(x, y, n_out) == expected
+                        assert kernel(y, x, n_out) == expected
 
     @pytest.mark.parametrize("psi_step, s", [(1, 7), (2, 3)])
     def test_positivity_shape_takes_row_kernel(self, psi_step, s,
@@ -211,6 +239,71 @@ class TestProductPaths:
         monkeypatch.setattr(series, "_pair_loop", refuse)
         assert (psi * dense).coeffs == tuple(expected)
         assert (dense * psi).coeffs == tuple(expected)
+
+
+class TestSquares:
+    """a * a with one object on both sides: the pair loop walks each
+    unordered pair once and the big multiply packs once.  An equal but
+    distinct operand takes the general path, to the same result."""
+
+    @pytest.mark.parametrize("n_out", [9, 10, 40, 41])
+    def test_nonzeros_around_half_and_end(self, n_out):
+        # nonzeros below, at and past n_out / 2 and n_out, so the last
+        # diagonal term lands just inside n_out (odd) or just past (even)
+        half = n_out // 2
+        a = [0] * (n_out + 3)
+        for i, c in zip((0, half - 1, half, half + 1, n_out - 1, n_out,
+                         n_out + 2), (3, -1, 2 ** 70, -5, 1, 7, -2)):
+            a[i] = c
+        a = tuple(a)
+        twin = tuple(list(a))
+        assert twin == a and twin is not a
+        expected = schoolbook(a, a, n_out)
+        for kernel in KERNELS:
+            assert kernel(a, a, n_out) == expected
+            assert kernel(a, twin, n_out) == expected
+        assert series._convolve(a, a, n_out) == expected
+        assert series._convolve(a, twin, n_out) == expected
+
+    def test_square_reaches_its_kernel_as_one_object(self, monkeypatch):
+        seen = []
+        for name in ("_pair_loop", "_row_kernel", "_big_multiply"):
+            monkeypatch.setattr(series, name, lambda a, b, n_out: (
+                seen.append(a is b) or [0] * n_out))
+        a = tuple(range(1, 50))
+        series._convolve(a, a, 30)  # the slices of a are two new tuples
+        series._convolve(a, tuple(list(a)), 30)
+        assert seen == [True, False]
+
+    def test_square_scans_and_packs_once(self, monkeypatch):
+        calls = []
+
+        def counted(name):
+            inner = getattr(series, name)
+            return lambda *args: calls.append(name) or inner(*args)
+
+        for name in ("_nonzero", "_pack"):
+            monkeypatch.setattr(series, name, counted(name))
+        a = (3, 0, -1, 2, 0, 5)
+        assert _pair_loop(a, a, 6) == schoolbook(a, a, 6)
+        assert _big_multiply(a, a, 6) == schoolbook(a, a, 6)
+        assert calls == ["_nonzero", "_pack"]
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(long_coeffs(min_size=1, max_size=600), st.data())
+    def test_square_matches_schoolbook(self, coeffs, data):
+        a = tuple(coeffs)
+        twin = tuple(coeffs)
+        n_out = data.draw(st.integers(min_value=1, max_value=len(a) + 3))
+        expected = schoolbook(a, a, n_out)
+        for kernel in KERNELS if any(a) else (_pair_loop,):
+            assert kernel(a, a, n_out) == expected
+            assert kernel(a, twin, n_out) == expected
+        x = Series(a)
+        square = tuple(schoolbook(a, a, len(a)))
+        assert (x * x).coeffs == square
+        assert (x * Series(twin)).coeffs == square
+        assert (x ** 2).coeffs == square
 
 
 def kernel_of(a: Series, b: Series) -> str:
@@ -279,6 +372,11 @@ class TestKernelSelection:
         phi, phis = named_function("phi", n), named_function("phi", n, s)
         psi = named_function("psi", n, psi_step)
         assert kernel_of(psi, phi * phi - phis * phis) == "row"
+
+    def test_theta_squares_take_pair_loop(self):
+        # phi(q)^2 at 40 000 terms, as the positivity entries square it
+        phi = named_function("phi", 40000)
+        assert kernel_of(phi, phi) == "pair"
 
     def test_long_dense_product_takes_big_multiply(self):
         n = 40000
