@@ -232,8 +232,8 @@ def _row_kernel(a: Sequence[int], b: Sequence[int], n_out: int) -> list[int]:
     the sum n_out - i slots long.  Slot n_out - 1 - k of the sum holds
     c_k + 2**(8*width - 1) * A_k, for the product c and the prefix sums
     A_k = a_0 + ... + a_k, which are taken off before unpacking.  a should
-    be the sparser operand; a b shorter than n_out counts as padded with
-    zeros.
+    be the sparser operand, and b must have a nonzero coefficient; a b
+    shorter than n_out counts as padded with zeros.
     """
     a = a[:n_out]
     rows = _nonzero(a)
