@@ -25,8 +25,12 @@ Classes are enumerated from the reduced box 0 < a <= b <= c, |d| <= b,
 |e| <= a, |f| <= a cut to its sign-canonical half d, e >= 0 (see
 `_candidate_box` for why no class is lost), and deduped by
 `distinct_classes`, which keeps the `_sort_key`-least form of each class.
-A caller that knows the classes' doubled-Gram gcd g walks only the forms
-with g | d, e, f.  A box is walked on each call; its callers cache it.
+A caller that knows the classes' doubled-Gram gcd g and adjugate gcd h
+walks only the (g, h)-box: the forms with g | d, e, f whose doubled Gram
+matrix G has h | adj(G).  Both gcds are GL3(Z) invariants, h because
+adj(U^T G U) = adj(U) adj(G) adj(U)^T with adj(U) = +-U^-1, so the box
+holds the least member of every such class.  A box is walked on each
+call; its callers cache it.
 """
 
 from __future__ import annotations
@@ -396,8 +400,9 @@ def transform_ternary(form: TernaryForm, u) -> TernaryForm:
 # class enumeration
 # ---------------------------------------------------------------------------
 
-def _candidate_box(disc: int, g: int):
-    """Reduced candidates (a,b,c,d,e,f) of the discriminant with g | d, e, f.
+def _candidate_box(disc: int, g: int = 1, h: int = 1):
+    """Reduced candidates (a,b,c,d,e,f) of the discriminant with g | d, e, f
+    and h dividing every entry of the adjugate of the doubled Gram matrix.
 
     Box: 0 < a <= b <= c, 0 <= d <= b, 0 <= e <= a, |f| <= a, abc <= disc/2.
     c is solved exactly from the discriminant:
@@ -411,11 +416,17 @@ def _candidate_box(disc: int, g: int):
     those of e and f, so the least member of a class already has that
     shape; it is the representative the dedupe keeps.
 
-    d, e and f step over multiples of g.  The doubled-Gram gcd
-    gcd(2a, 2b, 2c, d, e, f) is a GL3(Z) invariant, so every member of a
-    class where it is a multiple of g, the least one included, has
-    g | d, e, f: the g-box is exactly the half box's forms with g | d, e, f
-    and holds every such class.  g = 1 walks the whole half box.
+    d, e and f step over multiples of g, and an (a, b, f) is skipped
+    unless h divides the adjugate entry 4ab - f^2; a hit is kept only if h
+    also divides the other five, 4bc - d^2, 4ac - e^2, de - 2cf, df - 2be
+    and ef - 2ad.  Both gcds are GL3(Z) invariants.  The doubled-Gram gcd
+    gcd(2a, 2b, 2c, d, e, f) is one because U^T G U and G have the same
+    lattice of entries; the adjugate gcd h is one because
+    adj(U^T G U) = adj(U) adj(G) adj(U)^T with adj(U) = +-U^-1 in
+    GL3(Z).  So every member of a class whose two gcds are multiples of g
+    and h, the least one included, passes both filters: the (g, h)-box is
+    exactly the half box's forms with g | d, e, f and h | adj(G), and
+    holds every such class.  g = h = 1 walks the whole half box.
     """
     for a in range(1, isqrt(disc // 2) + 2):
         if a * a * a > disc // 2:
@@ -425,7 +436,7 @@ def _candidate_box(disc: int, g: int):
             cmax = disc // (2 * a * b)
             for f in range(-(a // g) * g, a + 1, g):
                 den = 4 * a * b - f * f
-                if den <= 0:
+                if den <= 0 or den % h:
                     continue
                 # b <= c <= cmax, with num = c * den
                 lo, hi = b * den, cmax * den
@@ -439,8 +450,15 @@ def _candidate_box(disc: int, g: int):
                     fd = f * d
                     for e in range(0, a + 1, g):
                         num = base + (b * e - fd) * e
-                        if num % den == 0 and lo <= num <= hi:
-                            yield a, b, num // den, d, e, f
+                        if num % den or not lo <= num <= hi:
+                            continue
+                        c = num // den
+                        if not ((4 * b * c - d * d) % h
+                                or (4 * a * c - e * e) % h
+                                or (d * e - 2 * c * f) % h
+                                or (fd - 2 * b * e) % h
+                                or (e * f - 2 * a * d) % h):
+                            yield a, b, c, d, e, f
 
 
 def _sort_key(form: TernaryForm):
@@ -449,20 +467,25 @@ def _sort_key(form: TernaryForm):
             0 if d >= 0 else 1, 0 if e >= 0 else 1, 0 if f >= 0 else 1)
 
 
-def ternary_candidates(disc: int, g: int = 1) -> tuple[TernaryForm, ...]:
-    """The g-box's forms of the discriminant, sorted by `_sort_key`.
+def ternary_candidates(disc: int, g: int = 1,
+                       h: int = 1) -> tuple[TernaryForm, ...]:
+    """The (g, h)-box's forms of the discriminant, sorted by `_sort_key`.
 
-    Every class whose doubled-Gram gcd is a multiple of g (every class,
-    for g = 1) has at least one member here, and its least member is the
-    class representative.  Each box tuple is positive definite (a > 0,
+    Every class whose doubled-Gram gcd is a multiple of g and whose
+    adjugate gcd is a multiple of h (every class, for g = h = 1) has at
+    least one member here, and its least member is the class
+    representative.  Each box tuple is positive definite (a > 0,
     4ab - f^2 > 0, determinant 2*disc > 0) with exactly this discriminant.
     """
     if disc <= 0:
         raise ValueError("discriminant must be positive")
     if g <= 0:
         raise ValueError("the gcd step g must be positive")
-    return tuple(sorted((TernaryForm(*tup) for tup in _candidate_box(disc, g)),
-                        key=_sort_key))
+    if h <= 0:
+        raise ValueError("the adjugate gcd h must be positive")
+    return tuple(sorted(
+        (TernaryForm(*tup) for tup in _candidate_box(disc, g, h)),
+        key=_sort_key))
 
 
 def distinct_classes(forms) -> tuple[TernaryForm, ...]:

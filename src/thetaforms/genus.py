@@ -23,15 +23,18 @@ the 1-dimensional scale-0 Jordan block at p | S (Conway-Sloane, *SPLAG*
 ch. 15), since every represented n prime to p is (u/2) x^2 mod p.
 
 Genus cells are built one genus at a time.  `genus_of` walks only the
-candidate box of `forms.ternary_candidates` whose d, e and f are multiples
-of the form's doubled-Gram gcd g (a GL3(Z) invariant, so every class of
-the genus has its least member there; every S-genus class has g = 2), and
-keeps the candidates whose content, doubled-Gram gcd and adjoint gcd equal
-the form's.  Those invariants are necessary conditions only; the exact
-local symbols then decide membership, and only that genus's candidates are
-deduped into classes.  `genus_partition` splits each pool of the full
-box by local symbols.  A record is cached by its genus's sorted
-candidates, which both boxes give alike, so both hand out the same objects.
+(g, h)-box of `forms.ternary_candidates`: the candidates with d, e and f
+divisible by the form's doubled-Gram gcd g and every entry of adj(G), G the
+doubled Gram matrix, divisible by its adjugate gcd h.  Both gcds are
+GL3(Z) invariants (for h, adj(U^T G U) = adj(U) adj(G) adj(U)^T with
+adj(U) = +-U^-1), so every class of the genus has its least member there;
+every S-genus class has (g, h) = (2, 8S).  It keeps the candidates whose
+content, g and h equal the form's.  Those invariants are necessary
+conditions only; the exact local symbols then decide membership, and only
+that genus's candidates are deduped into classes.  `genus_partition`
+splits each pool of the full box by local symbols.  A record is cached by
+its genus's sorted candidates, which both boxes give alike, so both hand
+out the same objects.
 """
 
 from __future__ import annotations
@@ -251,8 +254,10 @@ def _cheap_invariants(form: TernaryForm) -> tuple[int, int, int]:
     All three are GL3(Z)-invariants fixed by the genus, so forms of one
     genus share them; the converse fails, and only `local_symbols`
     decides membership.  The second, g, divides d, e and f of every
-    member of a class, so a genus's candidates all lie in the g-box of
-    `forms.ternary_candidates`.
+    member of a class, and the third, h, every adjugate entry of its
+    doubled Gram matrix G (adj(U^T G U) = adj(U) adj(G) adj(U)^T, and
+    adj(U) = +-U^-1 is integral), so a genus's candidates all lie in the
+    (g, h)-box of `forms.ternary_candidates`.
     """
     a, b, c, d, e, f = form.sextuple()
     return (gcd(a, b, c, d, e, f),
@@ -262,10 +267,11 @@ def _cheap_invariants(form: TernaryForm) -> tuple[int, int, int]:
 
 
 @lru_cache(maxsize=None)
-def _candidate_pools(disc: int, g: int) -> dict[tuple, tuple[TernaryForm, ...]]:
-    """The g-box, walked once, its candidates grouped by cheap invariants."""
+def _candidate_pools(disc: int, g: int,
+                     h: int) -> dict[tuple, tuple[TernaryForm, ...]]:
+    """The (g, h)-box, walked once, its forms grouped by cheap invariants."""
     pools: dict[tuple, list[TernaryForm]] = {}
-    for form in ternary_candidates(disc, g):
+    for form in ternary_candidates(disc, g, h):
         pools.setdefault(_cheap_invariants(form), []).append(form)
     return {inv: tuple(forms) for inv, forms in pools.items()}
 
@@ -274,10 +280,11 @@ def _genus_cell(disc: int, invariants: tuple, key: tuple) -> GenusRecord | None:
     """The classes of the genus with these local symbols, or None if empty.
 
     The cheap invariants only narrow the candidates down to the pool of
-    their g-box; the exact local symbols pick the genus, and only its own
-    candidates are deduped.
+    their (g, h)-box, g = invariants[1] and h = invariants[2]; the exact
+    local symbols pick the genus, and only its own candidates are deduped.
     """
-    pool = _candidate_pools(disc, invariants[1]).get(invariants, ())
+    pool = _candidate_pools(disc, invariants[1], invariants[2]).get(
+        invariants, ())
     members = tuple(form for form in pool if _genus_key(form) == key)
     return _genus_record(disc, members) if members else None
 
@@ -286,8 +293,8 @@ def _genus_cell(disc: int, invariants: tuple, key: tuple) -> GenusRecord | None:
 def _genus_record(disc: int, members: tuple[TernaryForm, ...]) -> GenusRecord:
     """The record of one genus, cached by its sorted candidates.
 
-    The g-box holds the same candidates of the genus as the full box, in
-    the same order, so `genus_of` and `genus_partition` get one record
+    The (g, h)-box holds the same candidates of the genus as the full box,
+    in the same order, so `genus_of` and `genus_partition` get one record
     object whichever box they read.
     """
     return GenusRecord(disc, distinct_classes(members))
@@ -301,7 +308,7 @@ def genus_partition(disc: int) -> tuple[GenusRecord, ...]:
     does, so the cells are the very records `genus_of` returns.
     """
     records = []
-    for pool in _candidate_pools(disc, 1).values():
+    for pool in _candidate_pools(disc, 1, 1).values():
         cells: dict[tuple, list[TernaryForm]] = {}
         for form in pool:
             cells.setdefault(_genus_key(form), []).append(form)

@@ -1,9 +1,11 @@
 import random
+from functools import lru_cache
 from math import isqrt
 
 import pytest
 
 from thetaforms import forms
+from thetaforms.arith import divisors
 from thetaforms.forms import (BinaryForm, TernaryForm, aut_count,
                               distinct_classes, enumerate_binary_classes,
                               enumerate_ternary_classes, reduce_binary,
@@ -441,6 +443,26 @@ def full_box_classes(disc):
     return sorted((f for group in kept.values() for f in group), key=rep_key)
 
 
+@lru_cache(maxsize=None)
+def full_candidates(disc):
+    return ternary_candidates(disc, 1, 1)
+
+
+def adjugate_entries(form):
+    """The nine cofactors of the doubled Gram matrix (cyclic indices)."""
+    g = form.gram_doubled()
+    return [g[(i + 1) % 3][(j + 1) % 3] * g[(i + 2) % 3][(j + 2) % 3]
+            - g[(i + 1) % 3][(j + 2) % 3] * g[(i + 2) % 3][(j + 1) % 3]
+            for i in range(3) for j in range(3)]
+
+
+def filtered_box(disc, g, h):
+    """The full box's forms with g | d, e, f and h | adj(G)."""
+    return tuple(f for f in full_candidates(disc)
+                 if f.d % g == 0 and f.e % g == 0 and f.f % g == 0
+                 and all(x % h == 0 for x in adjugate_entries(f)))
+
+
 class TestHalfBox:
     @pytest.mark.parametrize("disc", [144, 400, 784, 1936, 3600])
     def test_matches_full_box_oracle(self, disc):
@@ -480,6 +502,31 @@ class TestHalfBox:
         for g in (0, -2):
             with pytest.raises(ValueError):
                 ternary_candidates(144, g)
+
+    # (disc, g, h): every lifted S-genus class has (g, h) = (2, 8S)
+    ADJUGATE_BOXES = [(16 * s * s, g, h)
+                      for s in (3, 5, 7, 11, 13, 15, 21, 33, 35)
+                      for g, h in ((2, 8 * s), (1, 8 * s), (2, 4))]
+
+    @pytest.mark.parametrize("disc, g, h", ADJUGATE_BOXES)
+    def test_adjugate_box_is_the_filtered_full_box(self, disc, g, h):
+        got = ternary_candidates(disc, g, h)
+        assert got == filtered_box(disc, g, h)
+        assert got
+
+    # at each of these the least disc where one of the six adjugate
+    # entries alone rejects a form the other five let through
+    @pytest.mark.parametrize("disc", [8, 24, 48, 176, 432])
+    def test_adjugate_box_at_every_h(self, disc):
+        for g in (1, 2):
+            for h in divisors(2 * disc):
+                assert ternary_candidates(disc, g, h) == \
+                    filtered_box(disc, g, h)
+
+    def test_rejects_nonpositive_adjugate_gcd(self):
+        for h in (0, -8):
+            with pytest.raises(ValueError):
+                ternary_candidates(144, 2, h)
 
 
 class TestBinaryForms:

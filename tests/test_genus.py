@@ -219,42 +219,96 @@ def fresh_cache(monkeypatch, module, name, func=None):
     monkeypatch.setattr(module, name, lru_cache(maxsize=None)(func))
 
 
+def sgenus_from_pools(monkeypatch, s, box):
+    """build_sgenus(s) on fresh caches, each genus read from the pool of
+    the candidate box box(disc, g, h) in place of the (g, h)-box."""
+    pools = genus._candidate_pools.__wrapped__
+    fresh_cache(monkeypatch, genus, "_candidate_pools",
+                lambda *key: pools(*box(*key)))
+    fresh_cache(monkeypatch, genus, "_genus_record")
+    fresh_cache(monkeypatch, genus, "build_sgenus")
+    return genus.build_sgenus(s)
+
+
+def assert_same_sgenus(got, want):
+    assert [tg.classes for tg in got.tg] == [tg.classes for tg in want.tg]
+    assert got.sources == want.sources
+    assert got.eps == want.eps
+
+
 class TestGcdBox:
     """`genus_of` walks only the candidate box of its genus's doubled-Gram
-    gcd g; the full g = 1 box is the oracle."""
+    gcd g and adjugate gcd h; the full (1, 1) box is the oracle."""
 
     @pytest.mark.parametrize("s", MASS_SHIFTS + (39, 51, 55))
     def test_sgenus_matches_the_full_pool(self, s, monkeypatch):
         got = build_sgenus(s)
         assert {genus._cheap_invariants(tg.classes[0])[1] for tg in got.tg} \
             == {2}
-        pools = genus._candidate_pools.__wrapped__
-        fresh_cache(monkeypatch, genus, "_candidate_pools",
-                    lambda disc, g: pools(disc, 1))
-        fresh_cache(monkeypatch, genus, "_genus_record")
-        fresh_cache(monkeypatch, genus, "build_sgenus")
-        want = genus.build_sgenus(s)
-        assert [tg.classes for tg in got.tg] == [tg.classes for tg in want.tg]
-        assert got.sources == want.sources
-        assert got.eps == want.eps
+        assert_same_sgenus(got, sgenus_from_pools(
+            monkeypatch, s, lambda disc, g, h: (disc, 1, 1)))
+
+    # unimodular changes of variables; the last two have determinant -1
+    UNIMODULAR = (((1, 1, 0), (0, 1, 1), (0, 0, 1)),
+                  ((0, 1, 0), (0, 0, 1), (1, 0, 0)),
+                  ((2, 1, 0), (1, 1, 0), (3, -2, 1)),
+                  ((1, 0, 0), (0, 1, 0), (0, 0, -1)),
+                  ((1, 2, 0), (0, 1, 0), (1, 1, -1)))
+
+    @pytest.mark.parametrize("s", [3, 5, 7])
+    def test_cheap_invariants_are_class_invariants(self, s):
+        assert sorted(forms._det3(u) for u in self.UNIMODULAR) == \
+            [-1, -1, 1, 1, 1]
+        for form in enumerate_ternary_classes(16 * s * s):
+            inv = genus._cheap_invariants(form)
+            for u in self.UNIMODULAR:
+                assert genus._cheap_invariants(
+                    transform_ternary(form, u)) == inv
+
+    @pytest.mark.parametrize("s", MASS_SHIFTS)
+    def test_sgenus_classes_share_one_box(self, s):
+        assert {genus._cheap_invariants(form)
+                for tg in build_sgenus(s).tg for form in tg.classes} \
+            == {(1, 2, 8 * s)}
 
     def test_each_box_is_walked_once(self, monkeypatch):
         walks = Counter()
         walk = forms._candidate_box
 
-        def counted(disc, g):
-            walks[disc, g] += 1
-            return walk(disc, g)
+        def counted(disc, g, h):
+            walks[disc, g, h] += 1
+            return walk(disc, g, h)
 
         monkeypatch.setattr(forms, "_candidate_box", counted)
         for name in ("_candidate_pools", "_genus_record", "genus_partition"):
             fresh_cache(monkeypatch, genus, name)
         part = genus.genus_partition(3600)
-        assert walks == {(3600, 1): 1}
+        assert walks == {(3600, 1, 1): 1}
         for record in part:
             for form in record.classes:
                 assert genus.genus_of(form) is record
-        assert walks == {(3600, 1): 1, (3600, 2): 1}
+        boxes = {(3600, *genus._cheap_invariants(form)[1:])
+                 for record in part for form in record.classes}
+        assert walks == {(3600, 1, 1): 1, **dict.fromkeys(boxes, 1)}
+
+
+class TestThreePrimeShifts:
+    """S with r = 3 prime factors: eight lifted genera of 16 S^2."""
+
+    @pytest.mark.parametrize("s", [105, 165, 195, 231])
+    def test_masses_and_orthogonality(self, s):
+        sg = build_sgenus(s)
+        assert len(sg.tg) == 8
+        for tg in sg.tg:
+            assert mass_formula(tg, s) == mass_direct(tg)
+        assert sgenus_mass(sg) == s
+        for w in divisors(s):
+            if w >= 2:
+                assert orthogonality_check(sg, w)
+
+    def test_105_matches_the_h1_pool(self, monkeypatch):
+        assert_same_sgenus(build_sgenus(105), sgenus_from_pools(
+            monkeypatch, 105, lambda disc, g, h: (disc, g, 1)))
 
 
 class TestLocalCountConsistency:
