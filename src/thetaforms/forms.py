@@ -45,7 +45,7 @@ __all__ = [
     "TernaryForm", "BinaryForm", "discriminant", "repcount", "theta_series",
     "aut_count", "ternary_equivalent", "enumerate_ternary_classes",
     "ternary_candidates", "distinct_classes",
-    "reduce_binary", "enumerate_binary_classes", "transform_ternary",
+    "reduce_binary", "enumerate_binary_classes",
 ]
 
 
@@ -383,17 +383,6 @@ def ternary_equivalent(f1: TernaryForm, f2: TernaryForm) -> bool:
     if f1 == f2:
         return True
     return _isometries(f1, f2, count_only=False) > 0
-
-
-def transform_ternary(form: TernaryForm, u) -> TernaryForm:
-    """Form of Q(U v): Gram changes to U^T G U.  u is a 3x3 integer matrix."""
-    g = form.gram_doubled()
-    gu = [[sum(g[i][k] * u[k][j] for k in range(3)) for j in range(3)]
-          for i in range(3)]
-    h = [[sum(u[k][i] * gu[k][j] for k in range(3)) for j in range(3)]
-         for i in range(3)]
-    return TernaryForm(h[0][0] // 2, h[1][1] // 2, h[2][2] // 2,
-                       h[1][2], h[0][2], h[0][1])
 
 
 # ---------------------------------------------------------------------------

@@ -22,19 +22,18 @@ form x^2+ny^2*, Thm 3.15), and epsilon(tg, p) = (-2u|p) for the unit u of
 the 1-dimensional scale-0 Jordan block at p | S (Conway-Sloane, *SPLAG*
 ch. 15), since every represented n prime to p is (u/2) x^2 mod p.
 
-Genus cells are built one genus at a time.  `genus_of` walks only the
-(g, h)-box of `forms.ternary_candidates`: the candidates with d, e and f
-divisible by the form's doubled-Gram gcd g and every entry of adj(G), G the
-doubled Gram matrix, divisible by its adjugate gcd h.  Both gcds are
-GL3(Z) invariants (for h, adj(U^T G U) = adj(U) adj(G) adj(U)^T with
-adj(U) = +-U^-1), so every class of the genus has its least member there;
-every S-genus class has (g, h) = (2, 8S).  It keeps the candidates whose
-content, g and h equal the form's.  Those invariants are necessary
-conditions only; the exact local symbols then decide membership, and only
-that genus's candidates are deduped into classes.  `genus_partition`
-splits each pool of the full box by local symbols.  A record is cached by
-its genus's sorted candidates, which both boxes give alike, so both hand
-out the same objects.
+Genus cells are built one genus at a time.  The local symbols decide the
+cell: `_genus_cells` walks one box of `forms.ternary_candidates` once and
+groups its forms by their symbols.  The cheap invariants pick the box:
+`genus_of` reads the (g, h)-box of the form's doubled-Gram gcd g and
+adjugate gcd h, the candidates with g | d, e, f and h | adj(G), G the
+doubled Gram matrix.  Both gcds are invariants of every Z_p-class (for h,
+adj(U^T G U) = adj(U) adj(G) adj(U)^T with adj(U) = +-U^-1), so the
+symbols fix them and the box holds the least member of every class of the
+genus; every S-genus class has (g, h) = (2, 8S).  `genus_partition` reads
+the cells of the full (1, 1) box.  A record is cached by its genus's
+sorted candidates, which both boxes give alike, so both hand out the same
+objects.
 """
 
 from __future__ import annotations
@@ -245,19 +244,21 @@ class GenusRecord(_GenusFields):
 
 
 def _genus_key(form: TernaryForm) -> tuple:
-    return tuple(sorted(local_symbols(form).items()))
+    # `local_symbols` lists the primes in ascending order
+    return tuple(local_symbols(form).items())
 
 
 def _cheap_invariants(form: TernaryForm) -> tuple[int, int, int]:
     """Content, gcd of the doubled Gram matrix, gcd of its adjoint.
 
-    All three are GL3(Z)-invariants fixed by the genus, so forms of one
-    genus share them; the converse fails, and only `local_symbols`
-    decides membership.  The second, g, divides d, e and f of every
-    member of a class, and the third, h, every adjugate entry of its
-    doubled Gram matrix G (adj(U^T G U) = adj(U) adj(G) adj(U)^T, and
-    adj(U) = +-U^-1 is integral), so a genus's candidates all lie in the
-    (g, h)-box of `forms.ternary_candidates`.
+    At every p the p-part of each is an invariant of the Z_p-class: the
+    content is the gcd of the form's values, g the gcd of the doubled Gram
+    matrix G, and h the gcd of adj(G), where adj(U^T G U) =
+    adj(U) adj(G) adj(U)^T and adj(U) = +-U^-1 is p-integral.  A prime
+    prime to 2 * disc divides none of them, so the local symbols fix all
+    three, and every class of a genus has its least member in the
+    (g, h)-box of `forms.ternary_candidates`: the invariants pick the box,
+    and the symbols decide the cell.
     """
     a, b, c, d, e, f = form.sextuple()
     return (gcd(a, b, c, d, e, f),
@@ -267,26 +268,13 @@ def _cheap_invariants(form: TernaryForm) -> tuple[int, int, int]:
 
 
 @lru_cache(maxsize=None)
-def _candidate_pools(disc: int, g: int,
-                     h: int) -> dict[tuple, tuple[TernaryForm, ...]]:
-    """The (g, h)-box, walked once, its forms grouped by cheap invariants."""
-    pools: dict[tuple, list[TernaryForm]] = {}
+def _genus_cells(disc: int, g: int,
+                 h: int) -> dict[tuple, tuple[TernaryForm, ...]]:
+    """The (g, h)-box, walked once, its forms grouped by local symbols."""
+    cells: dict[tuple, list[TernaryForm]] = {}
     for form in ternary_candidates(disc, g, h):
-        pools.setdefault(_cheap_invariants(form), []).append(form)
-    return {inv: tuple(forms) for inv, forms in pools.items()}
-
-
-def _genus_cell(disc: int, invariants: tuple, key: tuple) -> GenusRecord | None:
-    """The classes of the genus with these local symbols, or None if empty.
-
-    The cheap invariants only narrow the candidates down to the pool of
-    their (g, h)-box, g = invariants[1] and h = invariants[2]; the exact
-    local symbols pick the genus, and only its own candidates are deduped.
-    """
-    pool = _candidate_pools(disc, invariants[1], invariants[2]).get(
-        invariants, ())
-    members = tuple(form for form in pool if _genus_key(form) == key)
-    return _genus_record(disc, members) if members else None
+        cells.setdefault(_genus_key(form), []).append(form)
+    return {key: tuple(forms) for key, forms in cells.items()}
 
 
 @lru_cache(maxsize=None)
@@ -302,28 +290,23 @@ def _genus_record(disc: int, members: tuple[TernaryForm, ...]) -> GenusRecord:
 
 @lru_cache(maxsize=None)
 def genus_partition(disc: int) -> tuple[GenusRecord, ...]:
-    """Partition of all classes of the discriminant into genera.
-
-    Each pool of the full box is split by local symbols as `_genus_cell`
-    does, so the cells are the very records `genus_of` returns.
-    """
-    records = []
-    for pool in _candidate_pools(disc, 1, 1).values():
-        cells: dict[tuple, list[TernaryForm]] = {}
-        for form in pool:
-            cells.setdefault(_genus_key(form), []).append(form)
-        records += (_genus_record(disc, tuple(cell)) for cell in cells.values())
+    """Partition of all classes of the discriminant into genera: the cells
+    of the full box, so the very records `genus_of` returns."""
+    records = (_genus_record(disc, cell)
+               for cell in _genus_cells(disc, 1, 1).values())
     return tuple(sorted(records, key=lambda r: r.classes[0].sextuple()))
 
 
 def genus_of(form: TernaryForm) -> GenusRecord:
     """The GenusRecord of the class list that contains the given form.
 
-    Only the form's own genus is enumerated.  The record must hold a class
-    equivalent to the form, or LookupError is raised.
+    Only the form's own genus is deduped, from the cell of its local
+    symbols in the (g, h)-box of its cheap invariants.  The record must
+    hold a class equivalent to the form, or LookupError is raised.
     """
-    record = _genus_cell(form.discriminant, _cheap_invariants(form),
-                         _genus_key(form))
+    disc, (_, g, h) = form.discriminant, _cheap_invariants(form)
+    members = _genus_cells(disc, g, h).get(_genus_key(form))
+    record = _genus_record(disc, members) if members else None
     if record is None or not (form in record.classes or any(
             ternary_equivalent(form, cls) for cls in record.classes)):
         raise LookupError(f"no genus found for {form}")

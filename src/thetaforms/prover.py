@@ -21,8 +21,7 @@ from .theta import EtaQuotient, expand_eta_quotient
 
 __all__ = [
     "Cusp", "NewmanReport", "ProofCertificate", "EtaCombination",
-    "newman_check", "cusp_reps", "cusp_equivalent", "ligozat_order",
-    "order_table", "prove",
+    "newman_check", "cusp_reps", "ligozat_order", "order_table", "prove",
 ]
 
 
@@ -98,18 +97,6 @@ def cusp_reps(level: int) -> tuple[Cusp, ...]:
     expected = sum(euler_phi(gcd(c, level // c)) for c in divisors(level))
     assert len(out) == expected
     return tuple(out)
-
-
-def cusp_equivalent(level: int, c1: Cusp, c2: Cusp) -> bool:
-    """Gamma_0(level)-equivalence: s1*q2 = s2*q1 mod gcd(q1*q2, level),
-
-    where s_i inverts the numerator mod the denominator.
-    """
-    q1, q2 = c1.denominator, c2.denominator
-    s1 = pow(c1.numerator, -1, q1) if q1 > 1 else 0
-    s2 = pow(c2.numerator, -1, q2) if q2 > 1 else 0
-    g = gcd(q1 * q2, level)
-    return (s1 * q2 - s2 * q1) % g == 0
 
 
 def ligozat_order(eq: EtaQuotient, cusp: Cusp) -> Fraction:

@@ -80,6 +80,19 @@ def euler(n: int) -> Series:
     return euler_power(1, n)
 
 
+# the built-in series of the registry, by name, as functions of the length
+_BUILTINS = {
+    "phi": lambda m: general_theta(1, 1, m),
+    "psi": lambda m: general_theta(1, 3, m),
+    "f12": lambda m: general_theta(1, 2, m),
+    "f15": lambda m: general_theta(1, 5, m),
+    "E": euler,
+    "chi": lambda m: theta_series(BinaryForm(*_CHI_FORM), m),
+    "u": lambda m: theta_series(BinaryForm(*_U_FORM), m),
+}
+BUILTIN_NAMES = tuple(_BUILTINS)
+
+
 @lru_cache(maxsize=None)
 def named_function(name: str, n: int, power: int = 1, negate: bool = False) -> Series:
     """Built-in series by name, with the substitution q -> (+-)q^power.
@@ -89,27 +102,15 @@ def named_function(name: str, n: int, power: int = 1, negate: bool = False) -> S
     """
     if power < 1:
         raise ValueError("power must be >= 1")
-    builders = {
-        "phi": lambda m: general_theta(1, 1, m),
-        "psi": lambda m: general_theta(1, 3, m),
-        "f12": lambda m: general_theta(1, 2, m),
-        "f15": lambda m: general_theta(1, 5, m),
-        "E": euler,
-        "chi": lambda m: theta_series(BinaryForm(*_CHI_FORM), m),
-        "u": lambda m: theta_series(BinaryForm(*_U_FORM), m),
-    }
-    if name not in builders:
+    if name not in _BUILTINS:
         raise KeyError(f"unknown built-in function {name!r}")
     if power == 1 and not negate:
-        return builders[name](n)
+        return _BUILTINS[name](n)
     m = (n + power - 1) // power
-    base = builders[name](m)
+    base = _BUILTINS[name](m)
     if negate:
         base = alternate_sign(base)
     return compose_power(base, power, n)
-
-
-BUILTIN_NAMES = ("phi", "psi", "f12", "f15", "E", "chi", "u")
 
 
 class _EtaFields(NamedTuple):

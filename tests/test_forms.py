@@ -10,8 +10,8 @@ from thetaforms.forms import (BinaryForm, TernaryForm, aut_count,
                               distinct_classes, enumerate_binary_classes,
                               enumerate_ternary_classes, reduce_binary,
                               repcount, short_vectors, ternary_candidates,
-                              ternary_equivalent, theta_series,
-                              transform_ternary)
+                              ternary_equivalent, theta_series)
+from oracles import transform_ternary
 
 KNOWN_FORMS = {
     (1, 6, 6, 0, 0, 0): 16,

@@ -11,7 +11,7 @@ from thetaforms.arith import divisors, is_squarefree, jacobi, prime_divisors
 from thetaforms.forms import (BinaryForm, TernaryForm,
                               enumerate_binary_classes,
                               enumerate_ternary_classes, ternary_candidates,
-                              theta_series, transform_ternary)
+                              theta_series)
 from thetaforms.genus import (GenusRecord, _canonical_two, _jordan_blocks,
                               binary_genus_partition, build_sgenus, epsilon,
                               genus_of, genus_partition,
@@ -19,6 +19,7 @@ from thetaforms.genus import (GenusRecord, _canonical_two, _jordan_blocks,
                               mass_direct, mass_formula, orthogonality_check,
                               same_genus, sgenus_mass, weighted_coefficients,
                               weighted_count)
+from oracles import transform_ternary
 
 MASS_SHIFTS = (3, 5, 7, 11, 13, 15, 21, 33, 35)
 ODD_SQUAREFREE = [s for s in range(3, 36, 2) if is_squarefree(s)]
@@ -186,12 +187,15 @@ class TestGenusOf:
         form = TernaryForm(1, 10, 10, 0, 0, 0)
         other = GenusRecord(400, (TernaryForm(4, 5, 6, 0, 4, 0),))
         assert other.contains(form)
-        monkeypatch.setattr(genus, "_genus_cell", lambda *key: other)
+        key = genus._genus_key(form)
+        monkeypatch.setattr(genus, "_genus_cells",
+                            lambda *box: {key: other.classes})
+        fresh_cache(monkeypatch, genus, "_genus_record")
         with pytest.raises(LookupError):
             genus_of(form)
 
     def test_empty_cell(self, monkeypatch):
-        monkeypatch.setattr(genus, "_genus_cell", lambda *key: None)
+        monkeypatch.setattr(genus, "_genus_cells", lambda *box: {})
         with pytest.raises(LookupError):
             genus_of(TernaryForm(1, 6, 6, 0, 0, 0))
 
@@ -219,12 +223,12 @@ def fresh_cache(monkeypatch, module, name, func=None):
     monkeypatch.setattr(module, name, lru_cache(maxsize=None)(func))
 
 
-def sgenus_from_pools(monkeypatch, s, box):
-    """build_sgenus(s) on fresh caches, each genus read from the pool of
+def sgenus_from_cells(monkeypatch, s, box):
+    """build_sgenus(s) on fresh caches, each genus read from the cells of
     the candidate box box(disc, g, h) in place of the (g, h)-box."""
-    pools = genus._candidate_pools.__wrapped__
-    fresh_cache(monkeypatch, genus, "_candidate_pools",
-                lambda *key: pools(*box(*key)))
+    cells = genus._genus_cells.__wrapped__
+    fresh_cache(monkeypatch, genus, "_genus_cells",
+                lambda *key: cells(*box(*key)))
     fresh_cache(monkeypatch, genus, "_genus_record")
     fresh_cache(monkeypatch, genus, "build_sgenus")
     return genus.build_sgenus(s)
@@ -245,7 +249,7 @@ class TestGcdBox:
         got = build_sgenus(s)
         assert {genus._cheap_invariants(tg.classes[0])[1] for tg in got.tg} \
             == {2}
-        assert_same_sgenus(got, sgenus_from_pools(
+        assert_same_sgenus(got, sgenus_from_cells(
             monkeypatch, s, lambda disc, g, h: (disc, 1, 1)))
 
     # unimodular changes of variables; the last two have determinant -1
@@ -271,6 +275,16 @@ class TestGcdBox:
                 for tg in build_sgenus(s).tg for form in tg.classes} \
             == {(1, 2, 8 * s)}
 
+    @pytest.mark.parametrize("disc", [27, 100, 144, 400, 784, 3600, 7056])
+    def test_cells_do_not_mix_cheap_invariants(self, disc):
+        # the premise of keying cells by local symbols alone: the symbols
+        # fix content, g and h, although the box mixes them
+        cells = genus._genus_cells(disc, 1, 1).values()
+        assert len({genus._cheap_invariants(form)
+                    for cell in cells for form in cell}) > 1
+        for cell in cells:
+            assert len({genus._cheap_invariants(form) for form in cell}) == 1
+
     def test_each_box_is_walked_once(self, monkeypatch):
         walks = Counter()
         walk = forms._candidate_box
@@ -280,7 +294,7 @@ class TestGcdBox:
             return walk(disc, g, h)
 
         monkeypatch.setattr(forms, "_candidate_box", counted)
-        for name in ("_candidate_pools", "_genus_record", "genus_partition"):
+        for name in ("_genus_cells", "_genus_record", "genus_partition"):
             fresh_cache(monkeypatch, genus, name)
         part = genus.genus_partition(3600)
         assert walks == {(3600, 1, 1): 1}
@@ -307,7 +321,7 @@ class TestThreePrimeShifts:
                 assert orthogonality_check(sg, w)
 
     def test_105_matches_the_h1_pool(self, monkeypatch):
-        assert_same_sgenus(build_sgenus(105), sgenus_from_pools(
+        assert_same_sgenus(build_sgenus(105), sgenus_from_cells(
             monkeypatch, 105, lambda disc, g, h: (disc, g, 1)))
 
 

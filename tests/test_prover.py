@@ -4,10 +4,11 @@ from math import gcd
 import pytest
 
 from thetaforms.arith import divisors, euler_phi, is_squarefree
-from thetaforms.prover import (Cusp, EtaCombination, cusp_equivalent,
-                               cusp_reps, ligozat_order, newman_check,
-                               order_table, prove)
+from thetaforms.prover import (Cusp, EtaCombination, cusp_reps,
+                               ligozat_order, newman_check, order_table,
+                               prove)
 from thetaforms.theta import EtaQuotient
+from oracles import cusp_equivalent
 
 G1 = EtaQuotient.from_dict(84, {14: 10, 4: 4, 1: 4, 28: -4, 7: -4, 2: -10})
 G2 = EtaQuotient.from_dict(84, {14: 7, 4: 6, 1: 5, 28: -2, 7: -3, 2: -13})
