@@ -805,8 +805,10 @@ def _expand(node, n: int) -> Series:
         base = eval_series(node.base, n)
         if k < 0:
             base = invert(base)
-        # |c| of base^k is at most (sum of |c| over base)^k
-        if abs(k) * (sum(map(abs, base.coeffs)) - 1).bit_length() > MAX_EXPONENT:
+        # |c| of base^k is at most (sum of |c| over base)^k; the sum runs
+        # over the support, which the first product of the power reads too
+        size = sum(map(abs, map(base.coeffs.__getitem__, base._nonzeros())))
+        if abs(k) * (size - 1).bit_length() > MAX_EXPONENT:
             raise ValueError(
                 f"coefficients of a power may exceed 2^{MAX_EXPONENT}")
         return base ** abs(k)

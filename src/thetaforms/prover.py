@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from itertools import repeat
+from math import gcd, lcm
+from operator import add, mul
 from typing import NamedTuple
 
 from .arith import divisors, euler_phi, factorize
@@ -164,21 +166,26 @@ class ProofCertificate(NamedTuple):
         return "\n".join(lines)
 
 
-def _expand_combination(comb: EtaCombination, n: int) -> list[Fraction]:
-    """Coefficients 0..n-1 of sum coeff_i q^{offset_i} s_i - constant."""
-    out = [Fraction(0)] * n
-    out[0] -= comb.constant
+def _expand_combination(comb: EtaCombination, n: int) -> list[int]:
+    """Coefficients 0..n-1 of D * (sum coeff_i q^{offset_i} s_i - constant).
+
+    D is the least common denominator of the coefficients and the constant,
+    so every coefficient is an integer, and it is zero exactly where the
+    combination's is.
+    """
+    den = lcm(comb.constant.denominator,
+              *(coeff.denominator for coeff, _ in comb.terms))
+    out = [0] * n
+    out[0] -= comb.constant.numerator * (den // comb.constant.denominator)
     for coeff, eq in comb.terms:
         offset, unit = expand_eta_quotient(eq, n)
         if offset < 0:
             raise ValueError(
                 f"quotient {eq} has a pole at infinity (offset {offset})")
-        for i, c in enumerate(unit.coeffs):
-            j = i + offset
-            if j >= n:
-                break
-            if c:
-                out[j] += coeff * c
+        scale = coeff.numerator * (den // coeff.denominator)
+        # map stops at the n - offset coefficients that land below n
+        out[offset:] = map(add, out[offset:],
+                           map(mul, unit.coeffs, repeat(scale)))
     return out
 
 

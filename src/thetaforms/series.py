@@ -3,14 +3,16 @@
 A :class:`Series` stores exactly ``truncation`` coefficients, indexed by
 exponent ``0 .. truncation-1``.  Binary operations truncate to the shorter
 operand; unknown coefficients are never silently treated as zero.  All
-arithmetic is over the integers -- no floating point anywhere -- and values
-are immutable after construction, so they are safe to share between
-threads.
+arithmetic is over the integers -- no floating point anywhere -- and the
+coefficients are immutable after construction.  A series also keeps its
+support, the sorted exponents of its nonzero coefficients, in one slot
+that is filled the first time a product or a power needs it and never
+changes after; two threads that fill it at once compute equal lists, and
+either one is kept.  So a series is safe to share between threads.
 
 Multiplication takes one of three kernels.  With nza <= nzb the operands'
-nonzero counts (counted in C, with ``len(c) - c.count(0)``) and n the
-output length, each is priced in integer steps of the pair loop (one
-multiply-add), and the cheapest runs:
+nonzero counts below the output length n, each is priced in integer steps
+of the pair loop (one multiply-add), and the cheapest runs:
 
 * the pair loop, nza * nzb steps: a double loop over the nonzero
   coefficients of both operands, each row stopped at the output
@@ -75,6 +77,14 @@ width (below) was tried as a third input: with 8-byte slots in place of
 recorded products a width term saved under 1 ms of 107, so the rule
 leaves it out and scans no operand before choosing.
 
+The counts come from the support where it is already filled, cut at n by
+a binary search, and are otherwise counted in C with
+``len(c) - c.count(0)``, about a third of the cost of listing the support.
+A kernel that walks nonzeros (the pair loop both operands, the row kernel
+the sparser one) reads the support, filling it if need be, so a cached
+theta factor such as phi(q) at 40 000 terms is scanned once however many
+products it enters; the big multiply needs none.
+
 Both packed kernels share one codec.  Each coefficient gets a fixed-width
 slot wide enough for every output coefficient plus a sign bit
 (:func:`_layout`).  Up to 8 bytes the width rounds up to 1, 2, 4 or 8, and
@@ -127,14 +137,18 @@ def _nonzero(coeffs: Sequence[int]) -> list[int]:
     return list(compress(range(len(coeffs)), coeffs))
 
 
-def _pair_loop(a: Sequence[int], b: Sequence[int], n_out: int) -> list[int]:
+def _pair_loop(a: Sequence[int], b: Sequence[int], n_out: int,
+               ia: Optional[list[int]] = None,
+               ib: Optional[list[int]] = None) -> list[int]:
     """Cauchy product over nonzero pairs only, each row stopped at n_out.
 
     One row per nonzero of a, which should be the sparser operand.  A
     square (a is b) walks each unordered pair once: a_i**2 at 2i, and
-    2 * a_i * a_j for i < j.
+    2 * a_i * a_j for i < j.  ia and ib are the sorted nonzero exponents
+    of a and b, scanned here when not given.
     """
-    ia = _nonzero(a)
+    if ia is None:
+        ia = _nonzero(a)
     out = [0] * n_out
     if a is b:
         for k, i in enumerate(ia):
@@ -146,7 +160,8 @@ def _pair_loop(a: Sequence[int], b: Sequence[int], n_out: int) -> list[int]:
             for j in ia[k + 1:bisect_left(ia, n_out - i)]:
                 out[i + j] += ai * a[j]
         return out
-    ib = _nonzero(b)
+    if ib is None:
+        ib = _nonzero(b)
     for i in ia:
         ai = a[i]
         for j in ib[:bisect_left(ib, n_out - i)]:
@@ -222,7 +237,8 @@ def _unpack(value: int, n_out: int, width: int) -> list[int]:
     return list(map(sub, slots, repeat(1 << (8 * width - 1))))
 
 
-def _row_kernel(a: Sequence[int], b: Sequence[int], n_out: int) -> list[int]:
+def _row_kernel(a: Sequence[int], b: Sequence[int], n_out: int,
+                rows: Optional[list[int]] = None) -> list[int]:
     """Cauchy product as one shifted add of packed b per nonzero of a.
 
     b is packed in reverse, b_j in slot n_out - 1 - j, with the offset left
@@ -233,10 +249,12 @@ def _row_kernel(a: Sequence[int], b: Sequence[int], n_out: int) -> list[int]:
     c_k + 2**(8*width - 1) * A_k, for the product c and the prefix sums
     A_k = a_0 + ... + a_k, which are taken off before unpacking.  a should
     be the sparser operand, and b must have a nonzero coefficient; a b
-    shorter than n_out counts as padded with zeros.
+    shorter than n_out counts as padded with zeros.  rows are the sorted
+    exponents below n_out of the nonzeros of a, scanned here when not
+    given.
     """
-    a = a[:n_out]
-    rows = _nonzero(a)
+    if rows is None:
+        rows = _nonzero(a[:n_out])
     if not rows:
         return [0] * n_out
     # sum|a| * max|b| bounds every output coefficient and every |A_k| too,
@@ -288,37 +306,66 @@ def _big_multiply(a: Sequence[int], b: Sequence[int],
     return _unpack(packed * other, n_out, width)
 
 
-def _convolve(a: Sequence[int], b: Sequence[int], n_out: int) -> list[int]:
-    """First n_out coefficients of the Cauchy product of a and b."""
+def _count(a: Sequence[int], owner: Optional["Series"], n_out: int) -> int:
+    """How many coefficients of a, the head of owner's coefficients up to
+    n_out, are nonzero: a binary search in owner's support when that is
+    filled, else counted in C."""
+    support = None if owner is None else owner._support
+    if support is None:
+        return len(a) - a.count(0)
+    return bisect_left(support, n_out)
+
+
+def _exponents(owner: Optional["Series"], count: int) -> Optional[list[int]]:
+    """The first count exponents of owner's support, which this fills if
+    need be; None for an operand of no series, which the kernel scans."""
+    return None if owner is None else owner._nonzeros()[:count]
+
+
+def _convolve(a: Sequence[int], b: Sequence[int], n_out: int,
+              sa: Optional["Series"] = None,
+              sb: Optional["Series"] = None) -> list[int]:
+    """First n_out coefficients of the Cauchy product of a and b.
+
+    sa and sb, when given, are the series whose coefficients a and b are;
+    their supports stand in for scans of a and b.
+    """
     if n_out <= 0:
         return []
     square = a is b
     a = a[:n_out]
     # a square stays one object, for the kernels' square paths
     b = a if square else b[:n_out]
-    nza = len(a) - a.count(0)
-    nzb = len(b) - b.count(0)
+    nza = _count(a, sa, n_out)
+    nzb = nza if square else _count(b, sb, n_out)
     if not nza or not nzb:
         return [0] * n_out
     if nza > nzb:
-        a, b, nza, nzb = b, a, nzb, nza
+        a, b, sa, sb, nza, nzb = b, a, sb, sa, nzb, nza
     # pair loop nza * nzb steps against row kernel
     # n_out * (_PACK_STEPS + nza / _SLOTS_PER_STEP), times _SLOTS_PER_STEP
     if nza * nzb * _SLOTS_PER_STEP <= n_out * (
             _PACK_STEPS * _SLOTS_PER_STEP + nza):
         kernel_calls["pair"] += 1
-        return _pair_loop(a, b, n_out)
+        return _pair_loop(a, b, n_out, _exponents(sa, nza),
+                          None if square else _exponents(sb, nzb))
     if nza * nza * nza <= _ROW_CUBE * n_out * n_out:
         kernel_calls["row"] += 1
-        return _row_kernel(a, b, n_out)
+        return _row_kernel(a, b, n_out, _exponents(sa, nza))
     kernel_calls["big"] += 1
     return _big_multiply(a, b, n_out)
 
 
 class Series:
-    """Dense integer power series truncated at a fixed exponent bound."""
+    """Dense integer power series truncated at a fixed exponent bound.
 
-    __slots__ = ("coeffs", "truncation")
+    ``coeffs`` is the tuple of the ``truncation`` coefficients.  The support,
+    the sorted exponents of the nonzero ones, is listed by
+    :meth:`_nonzeros` on first use and kept; it takes no part in ``==``,
+    ``hash`` or ``repr``.
+    """
+
+    __slots__ = ("coeffs", "truncation", "_support")
 
     def __init__(self, coeffs: Iterable[int], truncation: Optional[int] = None):
         cs = tuple(coeffs)
@@ -334,6 +381,7 @@ class Series:
                 raise TypeError("coefficients must be plain integers")
         object.__setattr__(self, "coeffs", cs)
         object.__setattr__(self, "truncation", truncation)
+        object.__setattr__(self, "_support", None)
 
     @classmethod
     def _raw(cls, coeffs: list[int]) -> "Series":
@@ -342,6 +390,7 @@ class Series:
         cs = tuple(coeffs)
         object.__setattr__(self, "coeffs", cs)
         object.__setattr__(self, "truncation", len(cs))
+        object.__setattr__(self, "_support", None)
         return self
 
     @classmethod
@@ -363,6 +412,15 @@ class Series:
 
     def __setattr__(self, name, value):
         raise AttributeError("Series objects are immutable")
+
+    def _nonzeros(self) -> list[int]:
+        """The support, scanned on the first call and shared after; callers
+        must not change the list."""
+        support = self._support
+        if support is None:
+            support = _nonzero(self.coeffs)
+            object.__setattr__(self, "_support", support)
+        return support
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Series)
@@ -404,7 +462,8 @@ class Series:
     def __mul__(self, other):
         if isinstance(other, Series):
             n = min(self.truncation, other.truncation)
-            return Series._raw(_convolve(self.coeffs, other.coeffs, n))
+            return Series._raw(
+                _convolve(self.coeffs, other.coeffs, n, self, other))
         if isinstance(other, int):
             return Series._raw([other * c for c in self.coeffs])
         return NotImplemented

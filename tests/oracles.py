@@ -1,9 +1,11 @@
 """Reference helpers that only the tests use, as oracles for the package."""
 
+from fractions import Fraction
 from math import gcd
 
 from thetaforms.forms import TernaryForm
-from thetaforms.prover import Cusp
+from thetaforms.prover import Cusp, EtaCombination
+from thetaforms.theta import expand_eta_quotient
 
 
 def transform_ternary(form: TernaryForm, u) -> TernaryForm:
@@ -27,3 +29,16 @@ def cusp_equivalent(level: int, c1: Cusp, c2: Cusp) -> bool:
     s2 = pow(c2.numerator, -1, q2) if q2 > 1 else 0
     g = gcd(q1 * q2, level)
     return (s1 * q2 - s2 * q1) % g == 0
+
+
+def expand_combination_fractions(comb: EtaCombination, n: int) -> list[Fraction]:
+    """Coefficients 0..n-1 of sum coeff_i q^{offset_i} s_i - constant, one
+    Fraction at a time, with no common denominator."""
+    out = [Fraction(0)] * n
+    out[0] -= comb.constant
+    for coeff, eq in comb.terms:
+        offset, unit = expand_eta_quotient(eq, n)
+        assert offset >= 0
+        for i, c in enumerate(unit.coeffs[:max(n - offset, 0)]):
+            out[i + offset] += coeff * c
+    return out

@@ -1,14 +1,14 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
 from thetaforms.arith import divisors, euler_phi, is_squarefree
-from thetaforms.prover import (Cusp, EtaCombination, cusp_reps,
-                               ligozat_order, newman_check, order_table,
-                               prove)
+from thetaforms.prover import (Cusp, EtaCombination, _expand_combination,
+                               cusp_reps, ligozat_order, newman_check,
+                               order_table, prove)
 from thetaforms.theta import EtaQuotient
-from oracles import cusp_equivalent
+from oracles import cusp_equivalent, expand_combination_fractions
 
 G1 = EtaQuotient.from_dict(84, {14: 10, 4: 4, 1: 4, 28: -4, 7: -4, 2: -10})
 G2 = EtaQuotient.from_dict(84, {14: 7, 4: 6, 1: 5, 28: -2, 7: -3, 2: -13})
@@ -246,3 +246,65 @@ class TestShippedInvariants:
         exponent = int(cert.verdict.rsplit(" ", 1)[1])
         assert exponent <= cert.valence_bound
         assert cert.valence_bound == prove(comb).valence_bound
+
+
+def _first_nonzero(coeffs):
+    return next((k for k, c in enumerate(coeffs) if c != 0), None)
+
+
+def _rational_variants(comb):
+    """comb scaled by 2/3, and comb with each term split in three parts,
+    c/4 + 2c/3 + c/12 (least common denominator 12): both vanish exactly
+    when comb does."""
+    scale = Fraction(2, 3)
+    scaled = EtaCombination(comb.level,
+                            tuple((c * scale, eq) for c, eq in comb.terms),
+                            comb.constant * scale)
+    parts = (Fraction(1, 4), Fraction(2, 3), Fraction(1, 12))
+    split = EtaCombination(comb.level,
+                           tuple((c * p, eq) for c, eq in comb.terms
+                                 for p in parts), comb.constant)
+    return scaled, split
+
+
+class TestIntegerExpansion:
+    """The prover expands over one common denominator, in integers; the
+    Fraction expansion of the oracle decides the same verdict at the same
+    exponent."""
+
+    def cases(self, shipped):
+        for name in ("4.1", "5.4"):
+            comb = shipped[name]
+            yield comb
+            yield from _rational_variants(comb)
+            terms = list(comb.terms)
+            coeff, eq = terms[1]
+            terms[1] = (coeff + Fraction(1, 7), eq)
+            yield EtaCombination(comb.level, tuple(terms), comb.constant)
+            yield EtaCombination(comb.level, comb.terms,
+                                 comb.constant - Fraction(1, 3))
+
+    def test_verdict_and_exponent_match_fraction_oracle(self, shipped):
+        verdicts = []
+        for comb in self.cases(shipped):
+            cert = prove(comb)
+            n = cert.coefficients_checked
+            ints = _expand_combination(comb, n)
+            assert all(type(c) is int for c in ints)
+            exact = expand_combination_fractions(comb, n)
+            assert _first_nonzero(ints) == _first_nonzero(exact)
+            k = _first_nonzero(exact)
+            expected = "proved" if k is None else f"refuted at exponent {k}"
+            assert cert.verdict == expected
+            verdicts.append(cert.verdict)
+        # the shipped and rational ones proved, the perturbed ones refuted
+        assert [v == "proved" for v in verdicts] == [True] * 3 + [False] * 2 \
+            + [True] * 3 + [False] * 2
+
+    def test_integers_are_the_fractions_times_the_denominator(self, shipped):
+        for comb in self.cases(shipped):
+            den = lcm(comb.constant.denominator,
+                      *(c.denominator for c, _ in comb.terms))
+            ints = _expand_combination(comb, 60)
+            assert ints == [den * c for c in
+                            expand_combination_fractions(comb, 60)]

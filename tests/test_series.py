@@ -1,4 +1,9 @@
+import json
+import os
+import subprocess
+import sys
 from math import isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +12,9 @@ import thetaforms.series as series
 from thetaforms.series import (Series, _big_multiply, _layout, _pair_loop,
                                _row_kernel, alternate_sign, compose_power,
                                invert, is_nonnegative, sift, sift_product)
-from thetaforms.theta import euler, named_function
+from thetaforms.theta import euler, euler_power, general_theta, named_function
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # every product kernel; the packed ones need a nonzero in each operand
 KERNELS = (_pair_loop, _row_kernel, _big_multiply)
@@ -412,6 +419,163 @@ class TestKernelSelection:
         expected = tuple(schoolbook(a, b, n))
         assert (Series(a) * Series(b)).coeffs == expected
         assert (Series(b) * Series(a)).coeffs == expected
+
+
+class TestSupport:
+    """The support of a series, its sorted nonzero exponents, is scanned
+    once per object and read by the kernel choice and the kernels."""
+
+    def made(self):
+        base = Series([0, 3, 0, -1, 0, 0, 2, 0, 5, 0, 0, 1])
+        raw = Series._raw([4, 0, 0, 7, -7, 0, 0, 0, 1, 0, 0, 0])
+        yield "constructor", base
+        yield "raw", raw
+        yield "empty", Series([])
+        yield "zero", Series.zero(9)
+        yield "monomial", Series.monomial(4, 9, -2)
+        yield "product", base * raw
+        yield "square", base * base
+        yield "power", raw ** 3
+        yield "scalar", 3 * base
+        yield "sum", base + raw
+        yield "compose_power", compose_power(base, 3, 30)
+        yield "sift", sift(base, 3, 2)
+        yield "alternate_sign", alternate_sign(raw)
+        yield "truncate", base.truncate(5)
+        yield "invert", invert(Series([1, -1, 2, 0, 3, 0, 0, 1]))
+        yield "named_function", named_function("psi", 300, 3, True)
+        yield "general_theta", general_theta(1, 5, 300)
+        yield "euler_power", euler_power(2, 300)
+
+    def test_support_is_the_scan_however_made(self):
+        for how, x in self.made():
+            support = x._nonzeros()
+            assert support == series._nonzero(x.coeffs), how
+            assert support == [i for i, c in enumerate(x.coeffs) if c], how
+            assert x._nonzeros() is support, how
+
+    def test_support_stays_out_of_eq_hash_and_repr(self):
+        for how, x in self.made():
+            twin = Series(list(x.coeffs))
+            x._nonzeros()
+            assert twin._support is None
+            assert x == twin and twin == x, how
+            assert hash(x) == hash(twin), how
+            assert repr(x) == repr(twin), how
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(long_coeffs(min_size=1, max_size=900),
+           long_coeffs(min_size=1, max_size=900), st.data())
+    def test_cached_operands_match_schoolbook(self, a, b, data):
+        # operands of unequal truncations, so one runs past n_out, with
+        # the support filled on neither, one or both sides
+        x, y = Series(a), Series(b)
+        for operand in (x, y):
+            if data.draw(st.booleans()):
+                operand._nonzeros()
+        n = min(len(a), len(b))
+        expected = tuple(schoolbook(a, b, n))
+        assert (x * y).coeffs == expected
+        assert (y * x).coeffs == expected
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(long_coeffs(min_size=1, max_size=900), st.booleans())
+    def test_cached_squares_match_schoolbook(self, a, filled):
+        x = Series(a)
+        twin = Series(list(a))
+        if filled:
+            x._nonzeros()
+        square = tuple(schoolbook(a, a, len(a)))
+        assert (x * x).coeffs == square
+        assert (x * twin).coeffs == square
+        assert (twin * x).coeffs == square
+        assert (x ** 2).coeffs == square
+
+    def test_longer_cached_operand_is_cut_at_n_out(self):
+        # the cached support of the longer operand runs past n_out, on
+        # each side of each kernel's choice
+        for n, count in ((500, 4), (500, 40), (4000, 600)):
+            long = spread(3 * n, 3 * count, (2, -1, 3))
+            long._nonzeros()
+            for short in (spread(n, count), dense_operand(n)):
+                expected = tuple(schoolbook(long.coeffs, short.coeffs, n))
+                assert (long * short).coeffs == expected
+                assert (short * long).coeffs == expected
+
+    def test_all_zero_operands(self):
+        zero = Series.zero(50)
+        zero._nonzeros()
+        one = named_function("phi", 60)
+        for x, y in ((zero, one), (one, zero), (zero, zero),
+                     (zero, Series.zero(70))):
+            assert x * y == Series.zero(50)
+        # a nonzero only at n_out and past it counts as zero
+        tail = Series._raw([0] * 50 + [5, -2])
+        tail._nonzeros()
+        for y in (one, dense_operand(60)):
+            assert tail * y.truncate(50) == Series.zero(50)
+            assert y.truncate(50) * tail == Series.zero(50)
+        assert tail * tail == Series.zero(52)
+
+    def test_cached_factor_is_scanned_once(self, monkeypatch):
+        # a length no other test asks the theta caches for
+        n = 12347
+        phi = named_function("phi", n)
+        psi = named_function("psi", n)
+        phi7 = named_function("phi", n, 7)
+        assert phi._support is psi._support is phi7._support is None
+        scanned = []
+        scan = series._nonzero
+        monkeypatch.setattr(series, "_nonzero",
+                            lambda cs: scanned.append(cs) or scan(cs))
+        before = dict(series.kernel_calls)
+        for _ in range(3):
+            dense = phi * phi - phi7 * phi7
+            product = psi * dense
+        assert {k: v - before[k] for k, v in series.kernel_calls.items()} \
+            == {"pair": 6, "row": 3, "big": 0}
+        # phi and phi7 once each for their squares, psi once for its rows;
+        # the dense operands are never scanned
+        names = {id(phi.coeffs): "phi", id(psi.coeffs): "psi",
+                 id(phi7.coeffs): "phi7"}
+        assert [names.get(id(cs)) for cs in scanned] == ["phi", "phi7", "psi"]
+        assert dense._support is None
+        assert product.coeffs == tuple(schoolbook(psi.coeffs, dense.coeffs, n))
+
+
+_KERNEL_PIN = """
+import contextlib, io, json, sys
+from thetaforms import cli, identities, series
+registry = identities.load_default_registry()
+if sys.argv[1] == "suite":
+    cfg = cli.Config()
+    identities.run_suite(registry, cfg.terms, cfg.mmax, cfg.limit)
+else:
+    for name in sorted(registry):
+        if registry[name].mode == "positivity":
+            identities.verify_entry(registry[name], limit=40000)
+    for s in (3, 5, 7, 15):
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(["positivity", "--s", str(s), "--limit", "40000"])
+print(json.dumps(series.kernel_calls))
+"""
+
+
+class TestKernelChoicePin:
+    """The kernels that one cold pass takes, product by product, so that a
+    change to the kernel choice or to what feeds it shows here."""
+
+    @pytest.mark.parametrize("run, calls", [
+        ("suite", {"pair": 704, "row": 321, "big": 158}),
+        ("positivity", {"pair": 26, "row": 10, "big": 0}),
+    ])
+    def test_cold_pass_kernel_calls(self, run, calls):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", _KERNEL_PIN, run],
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == calls
 
 
 class TestComposePower:
