@@ -54,8 +54,9 @@ Conditions: ``M = r1,r2 mod t`` (also accepts the congruence sign),
 ``ternary`` entries, as ``expect`` belongs to ``positivity``, ``level`` to
 ``eta`` and ``theta`` to ``modeq3``, and a clause in another mode's entry
 is an error.  Divisor and Jacobi clauses may repeat; a second ``M = ...``,
-``expect``, ``level`` or ``theta`` clause is an error.  An expression may
-nest parentheses, sifts and unary minus signs `MAX_DEPTH` deep.
+``expect``, ``level`` or ``theta`` clause is an error, and so is a residue
+that repeats mod t.  An expression may nest parentheses, sifts and unary
+minus signs `MAX_DEPTH` deep.
 
 Each entry is one list of ``(text, line, col)`` token tuples, ended by a
 sentinel ``("", line, col)`` where errors past the end point.
@@ -76,9 +77,9 @@ Evaluation computes only the coefficients a verdict reads:
   and tiled out to Mmax;
 * a ternary side is formed at the qualifying M only: its integer factors
   and ``eps`` values fold into one integer per count, each count's series
-  (one per lifted genus for ``SW``/``SEW``) is read at those M, scaled and
-  added, and the smallest failing M is looked for only after the two value
-  lists differ.
+  (one per lifted genus for ``SW``/``SEW``) is read at those M by one slice
+  per residue class, scaled and added, and the smallest failing M is
+  looked for only after the two value lists differ.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ import re
 import time
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from math import lcm
 from operator import add, mul
 from typing import NamedTuple
@@ -572,14 +573,18 @@ class _Parser:
             if text == "M":
                 self.pos += 1
                 self.expect("=")
-                rs = [self.parse_int()]
+                rs = [(self.peek(), self.parse_int())]
                 while (self.peek()[0] == "," and self.peek(1)[0].isdigit()
                        and self.peek(2)[0] in (",", "mod")):
                     self.pos += 1
-                    rs.append(self.parse_int())
+                    rs.append((self.peek(), self.parse_int()))
                 self.take(lambda t: t == "mod", "expected 'mod'")
                 modulus = abs(self.checked_int(bool, "modulus must be nonzero"))
-                residues = tuple(r % modulus for r in rs)
+                for at, r in rs:  # a repeat would be read twice
+                    if r % modulus in residues:
+                        raise RegistryError(f"residue {r} repeats an earlier "
+                                            f"one mod {modulus}", *at[1:])
+                    residues += (r % modulus,)
             elif text.isdigit():
                 w = self.checked_int(bool, "divisor must be positive")
                 bar = self.take(lambda t: t in ("|", "||"), "expected | or ||")
@@ -1024,8 +1029,9 @@ def _count_factors(side) -> dict:
     return factors
 
 
-def _gather(side, n: int, mask: bytes) -> list[int]:
-    """A ternary side's values at the M < n that `mask` marks, in order.
+def _gather(side, n: int, classes) -> list[int]:
+    """A ternary side's values at the M < n that the mask marks, class by
+    class: `classes` holds (slice(r, None, t), mask[r::t]) per residue r.
 
     Each count is read at n coefficients, as `eval_series` reads it, and
     only its values at those M are scaled and added; SW and SEW are read
@@ -1036,12 +1042,15 @@ def _gather(side, n: int, mask: bytes) -> list[int]:
         parts = (_union_parts(count, n) if isinstance(count, UnionCount)
                  else [(1, _expand(count, n).coeffs)])
         for eps, coeffs in parts:
-            values = compress(coeffs, mask)
+            values = chain.from_iterable(compress(coeffs[cut], m)
+                                         for cut, m in classes)
             if factor * eps != 1:
                 values = map(mul, values, repeat(factor * eps))
             # the first part is the total; a later one adds to it
             total = list(values if total is None else map(add, total, values))
-    return [0] * mask.count(1) if total is None else total
+    if total is None:
+        return [0] * sum(m.count(1) for _, m in classes)
+    return total
 
 
 def verify_ternary(spec: IdentitySpec, mmax: int) -> VerifyResult:
@@ -1058,11 +1067,15 @@ def verify_ternary(spec: IdentitySpec, mmax: int) -> VerifyResult:
     values = mask.count(1)
     if not values:
         raise ValueError(f"no M <= {mmax} meets the where conditions")
-    lhs = _gather(spec.lhs, n, mask)
-    rhs = _gather(spec.rhs, n, mask)
+    t = spec.conditions.modulus or 1
+    cuts = [slice(r, None, t) for r in spec.conditions.residues or (0,)]
+    classes = [(cut, mask[cut]) for cut in cuts]
+    lhs = _gather(spec.lhs, n, classes)
+    rhs = _gather(spec.rhs, n, classes)
     if lhs != rhs:
-        m, left, right = next(v for v in zip(compress(range(n), mask), lhs, rhs)
-                              if v[1] != v[2])
+        ms = chain.from_iterable(compress(range(n)[cut], m)
+                                 for cut, m in classes)
+        m, left, right = min(v for v in zip(ms, lhs, rhs) if v[1] != v[2])
         return VerifyResult(spec.name, spec.mode, False, f"Mmax={mmax}",
                             f"M={m}: {left} != {right}")
     return VerifyResult(spec.name, spec.mode, True,

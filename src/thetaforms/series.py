@@ -48,11 +48,12 @@ x86-64 sandbox):
     sgenus (59)            0.3    0.9    0.9       0.3    0.3      0.3
 
 where "before" is the same rule with the untruncated row kernel and no
-square paths.  The two boundaries were fitted, before the row kernel was
-truncated, on these shapes, timed here with the kernels as they are: a
-sparser operand of +-1 at random places times b, either
-phi(q)^2 - phi(q^7)^2 ("dense", about 0.3 n nonzeros) or n / 16 random
-nonzeros of at most 3 (best of 7, ms, same machine):
+square paths.  (Since the eta quotients are expanded by their recurrence,
+a registry pass makes 630 products, not 1 183.)  The two boundaries were
+fitted, before the row kernel was truncated, on these shapes, timed here
+with the kernels as they are: a sparser operand of +-1 at random places
+times b, either phi(q)^2 - phi(q^7)^2 ("dense", about 0.3 n nonzeros) or
+n / 16 random nonzeros of at most 3 (best of 7, ms, same machine):
 
     n       b       nza     pair      row      big    rule
     500     dense     4    0.048    0.051    0.089    pair
@@ -95,11 +96,11 @@ by ``map``.  The signed coefficients are offset into unsigned slots, so
 the low n slots of the packed result read back exactly.  Every kernel
 gives exactly the schoolbook product.
 
-A sifted product ``sift(a * b, t, s)`` reads one coefficient in t of the
-product.  :func:`sift_product` computes it from the sifts of the two
-operands instead, as t products each about 1/t as long, so a sift that
-keeps 500 coefficients of a 28 000-term product multiplies 500-term
-series only.
+:func:`sift` is one tuple slice ``a.coeffs[s::t]``.  A sifted product
+``sift(a * b, t, s)`` is computed by :func:`sift_product` from the slices
+of the two operands instead, skipping a pair with an all-zero slice, as t
+products each about 1/t as long, so a sift that keeps 500 coefficients of
+a 28 000-term product multiplies 500-term series only.
 """
 
 from __future__ import annotations
@@ -384,8 +385,8 @@ class Series:
         object.__setattr__(self, "_support", None)
 
     @classmethod
-    def _raw(cls, coeffs: list[int]) -> "Series":
-        # internal fast path; callers guarantee integer entries
+    def _raw(cls, coeffs: Sequence[int]) -> "Series":
+        # internal fast path: integer entries assumed, a tuple not copied
         self = cls.__new__(cls)
         cs = tuple(coeffs)
         object.__setattr__(self, "coeffs", cs)
@@ -535,7 +536,7 @@ def sift(a: Series, t: int, s: int) -> Series:
     """Arithmetic-progression extraction: output[k] = a[t*k + s]."""
     if t < 1 or not 0 <= s < t:
         raise ValueError(f"sift requires 0 <= s < t, got t={t}, s={s}")
-    return Series._raw(list(a.coeffs[s::t]))
+    return Series._raw(a.coeffs[s::t])
 
 
 def sift_product(a: Series, b: Series, t: int, s: int) -> Series:
@@ -554,11 +555,11 @@ def sift_product(a: Series, b: Series, t: int, s: int) -> Series:
         carry = int(r > s)
         if size <= carry:
             continue
-        x = sift(a, t, r)
-        y = sift(b, t, (s - r) % t)
-        if any(x.coeffs) and any(y.coeffs):
-            # both sifts hold at least size - carry coefficients
-            out[carry:] = map(add, out[carry:], (x * y).coeffs)
+        x, y = a.coeffs[r::t], b.coeffs[(s - r) % t::t]
+        if any(x) and any(y):
+            # both slices hold at least size - carry coefficients
+            xy = Series._raw(x) * Series._raw(y)
+            out[carry:] = map(add, out[carry:], xy.coeffs)
     return Series._raw(out)
 
 

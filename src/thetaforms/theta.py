@@ -14,10 +14,12 @@ square roots, so no term is ever dropped or duplicated.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress
 from math import isqrt
+from operator import mul
 from typing import NamedTuple
 
-from .series import Series, alternate_sign, compose_power, invert
+from .series import Series, alternate_sign, compose_power
 from .forms import BinaryForm, theta_series
 
 __all__ = [
@@ -160,25 +162,39 @@ class EtaQuotient(_EtaFields):
         return "eta{%s}" % inner
 
 
-def expand_eta_quotient(eq: EtaQuotient, n: int) -> tuple[int, Series]:
-    """Expansion as q^offset * s with s(0) = +-1.
+def _from_log_derivative(g: list[int]) -> list[int]:
+    """The a with a_0 = 1 and q a' = a * sum_i g_i q^i, to len(g) terms, by
+    k a_k = sum_{i=1..k} g_i a_(k-i); an inexact step raises ArithmeticError."""
+    a = [1] if g else []
+    for k in range(1, len(g)):
+        ak, rem = divmod(sum(map(mul, a, g[k:0:-1])), k)
+        if rem:
+            raise ArithmeticError(f"step {k} of the recurrence is not exact")
+        a.append(ak)
+    return a
 
-    offset = sum(delta * r_delta) / 24, which must be an integer; the unit
-    part is a product of E(q^delta)^{r_delta} factors.
+
+def expand_eta_quotient(eq: EtaQuotient, n: int) -> tuple[int, Series]:
+    """Expansion as q^offset * s with s(0) = 1.
+
+    offset = sum(delta * r_delta) / 24, which must be an integer.  The unit
+    part s = prod E(q^delta)^{r_delta} = prod_{m>=1} (1 - q^m)^{c_m}, with
+    c_m = sum_{delta | m} r_delta, has q s'/s = sum_i g_i q^i for
+    g_i = -sum_{m | i} m c_m, so k s_k = sum_{i=1..k} g_i s_(k-i).  The
+    division by k is exact, as s is an integer series: a product of integer
+    series with constant term 1 and of their inverses.
     """
     total = eq.delta_weighted_sum
     if total % 24:
         raise ValueError(
             f"eta quotient has non-integral leading exponent: "
             f"sum(delta*r) = {total} is not divisible by 24")
-    offset = total // 24
-    num = den = None
+    c = [0] * n
     for delta, r in eq.exponents:
-        piece = euler_power(delta, n) ** abs(r)
-        if r > 0:
-            num = piece if num is None else num * piece
-        else:
-            den = piece if den is None else den * piece
-    if den is not None:
-        num = invert(den) if num is None else num * invert(den)
-    return offset, Series.one(n) if num is None else num
+        for m in range(delta, n, delta):
+            c[m] += r
+    g = [0] * n
+    for m in compress(range(n), c):
+        for i in range(m, n, m):
+            g[i] -= m * c[m]
+    return total // 24, Series._raw(_from_log_derivative(g))

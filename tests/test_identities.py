@@ -252,6 +252,18 @@ class TestParser:
         cond = parse_registry(text)[0].conditions
         assert cond.residues == (1, 2) and cond.modulus == 4
 
+    @pytest.mark.parametrize("where, at", [("M = 1,5 mod 4", "5"),
+                                           ("M = 3,1,11 mod 8", "11"),
+                                           ("M = -3,1 mod 4", "1")])
+    def test_repeated_residue_rejected_at_its_token(self, where, at):
+        text = f"a: ternary: (1,1,1,0,0,0)(M) = 0 where {where}"
+        with pytest.raises(RegistryError) as err:
+            parse_registry(text)
+        col = text.rindex(f",{at} mod") + 2
+        modulus = where.split()[-1]
+        assert str(err.value) == (f"line 1, col {col}: residue {at} repeats "
+                                  f"an earlier one mod {modulus}")
+
     def test_zero_modulus_rejected_at_its_token(self):
         text = "a: ternary: (1,1,1,0,0,0)(M) = 0 where M = 1 mod 0"
         with pytest.raises(RegistryError, match="modulus must be nonzero") as err:
@@ -606,6 +618,8 @@ class TestTernaryGather:
         ((1, 1, 3), (1, 1, 5), "(M|7) = 1", 7),
         ((1, 3, 3), (1, 6, 6), "(M|7) = 1", 7),
         ((1, 1, 2), (1, 1, 3), "(M|7) = 1", 7),
+        # 21 fails first; in class order 9, 33, 57 come before it, and 57 fails
+        ((1, 1, 2), (1, 1, 7), "M = 1,5 mod 8, 3|M", 8),
     ])
     def test_witness_is_the_smallest_failing_m(self, a, b, where, period):
         fa, fb = TernaryForm(*a, 0, 0, 0), TernaryForm(*b, 0, 0, 0)

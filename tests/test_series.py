@@ -566,7 +566,7 @@ class TestKernelChoicePin:
     change to the kernel choice or to what feeds it shows here."""
 
     @pytest.mark.parametrize("run, calls", [
-        ("suite", {"pair": 704, "row": 321, "big": 158}),
+        ("suite", {"pair": 441, "row": 160, "big": 29}),
         ("positivity", {"pair": 26, "row": 10, "big": 0}),
     ])
     def test_cold_pass_kernel_calls(self, run, calls):

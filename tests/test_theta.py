@@ -1,9 +1,14 @@
-import pytest
+from math import lcm
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from thetaforms import theta
 from thetaforms.series import Series, invert
 from thetaforms.theta import (EtaQuotient, euler, euler_power,
                               expand_eta_quotient, general_theta,
                               named_function)
+from oracles import expand_eta_quotient_by_products
 
 
 def product_form(x, y, n):
@@ -186,6 +191,20 @@ LEVEL360_QUOTIENTS = [
 ]
 
 
+@st.composite
+def _eta_exponents(draw):
+    """{delta: r} with delta <= 12 and |r| <= 6 whose sum of delta * r is
+    divisible by 24: r_1 and the parity of r_12 are chosen last to make it
+    so (12 * r_12 adds 12 mod 24 when r_12 is odd)."""
+    exps = {d: draw(st.integers(-6, 6))
+            for d in draw(st.sets(st.integers(2, 11), max_size=5))}
+    x = -sum(d * r for d, r in exps.items()) % 24
+    odd = 7 <= x <= 17
+    exps[1] = x - 12 if odd else (x if x <= 6 else x - 24)
+    exps[12] = draw(st.sampled_from(range(-5 if odd else -6, 7, 2)))
+    return exps
+
+
 class TestEtaQuotients:
     def test_requires_divisors_of_level(self):
         with pytest.raises(ValueError):
@@ -210,6 +229,31 @@ class TestEtaQuotients:
                     den = den * euler_power(delta, n)
         eq = EtaQuotient.from_dict(level, exps)
         assert expand_eta_quotient(eq, n)[1] == num * invert(den)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 91, 200])
+    def test_shipped_quotients_match_the_product_oracle(self, n):
+        from thetaforms.identities import (_eta_combination,
+                                           load_default_registry)
+        registry = load_default_registry()
+        quotients = [eq for name in ("4.1", "5.4")
+                     for _, eq in _eta_combination(registry[name]).terms]
+        assert len(quotients) == 15
+        for eq in quotients:
+            assert (expand_eta_quotient(eq, n)
+                    == expand_eta_quotient_by_products(eq, n)), eq
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(exps=_eta_exponents(), n=st.integers(0, 120))
+    def test_drawn_quotients_match_the_product_oracle(self, exps, n):
+        eq = EtaQuotient.from_dict(lcm(*exps), exps)
+        assert (expand_eta_quotient(eq, n)
+                == expand_eta_quotient_by_products(eq, n))
+
+    def test_inexact_recurrence_step_raises(self):
+        # q a'/a = q has no integer solution: a_2 would be 1/2
+        assert theta._from_log_derivative([0, 1]) == [1, 1]
+        with pytest.raises(ArithmeticError, match="step 2"):
+            theta._from_log_derivative([0, 1, 0])
 
     def test_rejects_nonintegral_offset(self):
         with pytest.raises(ValueError):
