@@ -58,8 +58,9 @@ is an error.  Divisor and Jacobi clauses may repeat; a second ``M = ...``,
 that repeats mod t.  An expression may nest parentheses, sifts and unary
 minus signs `MAX_DEPTH` deep.
 
-Each entry is one list of ``(text, line, col)`` token tuples, ended by a
-sentinel ``("", line, col)`` where errors past the end point.
+An entry's tokens are the texts of one findall over its lines, then an
+empty text for the end, where errors past the last token point.  A token's
+line and column are found again from the entry's text only for an error.
 `parse_expression` reads a lone expression, as ``thetaforms expand`` does.
 
 Evaluation computes only the coefficients a verdict reads:
@@ -242,10 +243,19 @@ class IdentitySpec(NamedTuple):
 # tokenizing and parsing
 # ---------------------------------------------------------------------------
 
-# A token is a (text, line, col) tuple: a word or integer, '||', or one
-# symbol.  Each match skips the whitespace before a token; its last
-# alternative catches any other character.
-_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z0-9._]+|\|\||[-+*/^(){}\[\],:;|=])|(\S))")
+# A token is a word or integer, '||', or one symbol.  An entry's tokens are
+# the texts of one findall over its lines, once one search has found no
+# character that starts none of them.
+_TOKEN_RE = re.compile(r"\s*([-+*/^(){}\[\],:;=]|\|\|?|[A-Za-z0-9._]+)")
+_BAD_RE = re.compile(r"[^\sA-Za-z0-9._+*/^(){}\[\],:;|=-]")
+_HEADER_RE = re.compile(r"\s*([A-Za-z0-9._]+)\s*:\s*([A-Za-z0-9._]+)\s*:\s*")
+# the atoms with q-arguments, as phi(-q^3) and f(q,q^2), and the counts
+_QARG_ATOMS = frozenset(("f", *BUILTIN_NAMES))
+_COUNTS = (FormCount, WeightedCount, UnionCount)
+# Records are immutable, so equal leaves and whole exponents share one object
+# (907 leaves in the shipped registry, 85 distinct): a hit costs no call.
+_named, _num, _qpow, _whole = (lru_cache(maxsize=1024)(kind)
+                               for kind in (Named, Num, QPow, Fraction))
 
 MODES = ("series", "sift", "ternary", "positivity", "modeq3", "eta")
 # The mode whose entries may carry each where clause; the M conditions
@@ -268,447 +278,434 @@ MAX_MONOMIALS = 1024
 MAX_EXPONENT = 256
 
 
-def _tokenize(text: str, line: int, offset: int) -> list[tuple[str, int, int]]:
-    """Tokens of a line's text from `offset` on, with 1-based columns; the
-    congruence sign reads as '='."""
-    out = []
-    for m in _TOKEN_RE.finditer(text.replace("≡", "=")):
-        tok = m[1]
-        if tok is None:
-            raise RegistryError(f"bad character {m[2]!r}", line,
-                                offset + m.start(2) + 1)
-        out.append((tok, line, offset + m.start(1) + 1))
-    return out
+def _place(body: str, linenos, at: int) -> tuple[int, int]:
+    """(line, col) of offset `at` in an entry's lines joined by newlines."""
+    return linenos[body.count("\n", 0, at)], at - body.rfind("\n", 0, at)
+
+
+def _tokens(body: str, linenos) -> list[str]:
+    """An entry's token texts, then the end ""."""
+    bad = _BAD_RE.search(body)
+    if bad:
+        raise RegistryError(f"bad character {bad[0]!r}",
+                            *_place(body, linenos, bad.start()))
+    return _TOKEN_RE.findall(body) + [""]
 
 
 class _Parser:
-    def __init__(self, tokens: list[tuple[str, int, int]], mode: str,
-                 start: tuple[int, int]):
-        # the end token ("", line, col): just after the last token, or `start`
-        if tokens:
-            text, line, col = tokens[-1]
-            start = (line, col + len(text))
-        self.tokens = tokens + [("", *start)]
-        self.mode = mode
-        self.pos = 0
+    """Recursive descent over `toks`, an entry's token texts and the end "",
+    from `pos`; a statement is read up to an "" put in place of its 'where'.
+    """
+
+    def __init__(self, body: str, linenos, toks: list[str],
+                 mode: str, start: tuple[int, int], lo: int):
+        self.body, self.linenos, self.toks = body, linenos, toks
+        self.mode, self.start = mode, start
+        self.pos = self.lo = lo  # lo: the statement's first token
         self.depth = 0
 
-    # --- primitives ---
-    def peek(self, ahead: int = 0) -> tuple[str, int, int]:
-        return self.tokens[self.pos + ahead]
+    # --- errors and primitives ---
+    def spot(self, i: int) -> tuple[int, int]:
+        """Token i's (line, col), found again in the body; an "" stands just
+        after the token before it, or at `start` if the statement has none."""
+        end = not self.toks[i]
+        if end and i == self.lo:
+            return self.start
+        m = list(_TOKEN_RE.finditer(self.body))[i - end]
+        return _place(self.body, self.linenos, m.end(1) if end else m.start(1))
 
-    def next(self) -> tuple[str, int, int]:
-        tok = self.tokens[self.pos]
-        if not tok[0]:
-            raise RegistryError("unexpected end of entry", *tok[1:])
+    def fail(self, msg: str, i: int) -> RegistryError:
+        return RegistryError(msg, *self.spot(i))
+
+    def error(self, msg: str, named: str = " (at {!r})") -> RegistryError:
+        """msg at the current token, which `named` names unless it is the end."""
+        text = self.toks[self.pos]
+        return self.fail(msg + named.format(text) if text else msg, self.pos)
+
+    def wrong(self, msg: str, named: str = ", found {!r}") -> RegistryError:
+        """The current token is not the one msg asks for, or the entry ended."""
+        return self.error(msg if self.toks[self.pos] else
+                          "unexpected end of entry", named)
+
+    def expect(self, *texts: str) -> None:
+        for text in texts:
+            if self.toks[self.pos] != text:
+                raise self.wrong(f"expected {text!r}")
+            self.pos += 1
+
+    def take(self, options: tuple[str, ...], msg: str) -> str:
+        """The current token, stepped over, if it is one of options."""
+        text = self.toks[self.pos]
+        if text not in options:
+            raise self.wrong(msg, "")
         self.pos += 1
-        return tok
-
-    def expect(self, text: str) -> None:
-        found, line, col = self.next()
-        if found != text:
-            raise RegistryError(f"expected {text!r}, found {found!r}", line, col)
-
-    def accept(self, text: str) -> bool:
-        found = self.tokens[self.pos][0] == text
-        self.pos += found
-        return found
-
-    def error(self, msg: str) -> RegistryError:
-        text, line, col = self.tokens[self.pos]
-        return RegistryError(f"{msg} (at {text!r})" if text else msg, line, col)
-
-    def take(self, ok, msg: str) -> str:
-        """The next token's text; raises msg.format(text) at it unless
-        ok(text)."""
-        text, line, col = self.next()
-        if not ok(text):
-            raise RegistryError(msg.format(text), line, col)
         return text
 
-    def parse_int(self) -> int:
-        neg = self.accept("-")
-        text = self.take(str.isdigit, "expected integer, found {!r}")
-        return -int(text) if neg else int(text)
-
-    def checked_int(self, ok, msg: str) -> int:
-        """An integer; raises msg at its first token unless ok(value)."""
-        tok = self.tokens[self.pos]
-        value = self.parse_int()
-        if not ok(value):
-            raise RegistryError(msg, *tok[1:])
+    def num(self, ok=None, msg: str = "") -> int:
+        """An integer, digits after an optional '-'; raises msg at its first
+        token unless ok(value)."""
+        at = self.pos
+        neg = self.toks[at] == "-"
+        self.pos += neg
+        text = self.toks[self.pos]
+        if not text.isdigit():
+            raise self.wrong("expected integer")
+        self.pos += 1
+        value = -int(text) if neg else int(text)
+        if ok is not None and not ok(value):
+            raise self.fail(msg, at)
         return value
 
     # --- expressions ---
-    def ternary_reject(self, at: int, msg: str, bad=lambda: True) -> None:
-        """In ternary mode, raise msg at token index `at` when bad()."""
-        if self.mode == "ternary" and bad():
-            raise RegistryError(msg, *self.tokens[at][1:])
-
-    def parse_statement(self) -> tuple:
-        """expr ['=' expr] up to the end token: (lhs, rhs or None)."""
-        lhs = self.parse_expr()
-        rhs = self.parse_expr() if self.accept("=") else None
-        if self.peek()[0]:
-            raise self.error("trailing tokens after statement")
-        return lhs, rhs
-
-    def parse_expr(self):
-        nodes = []
-        sign = 1
+    def expr(self):
+        """Summands joined by '+' and '-', each a product of factors joined
+        by '*' and '/', each a power of an atom under unary minus signs; the
+        ternary rules are checked as each piece ends.  A factor nests one
+        level deeper than its expression, and so does each of its signs."""
+        toks, ternary, depth = self.toks, self.mode == "ternary", self.depth
+        terms = []
+        negate = held = False  # held: whether a summand holds a count
         while True:
-            start = self.pos
-            term = self.parse_term()
-            self.ternary_reject(start, "each ternary summand needs a count",
-                                lambda: not _holds_count(term) and not (
-                                    isinstance(term, Num) and term.value == 0))
-            nodes.append(term if sign > 0 else Neg(term))
-            if self.accept("+"):
-                sign = 1
-            elif self.accept("-"):
-                sign = -1
-            else:
-                break
-        return nodes[0] if len(nodes) == 1 else Add(tuple(nodes))
+            start, factors, inverted, counted = self.pos, [], False, False
+            while True:
+                at, signs = self.pos, 0
+                while toks[self.pos] == "-" and depth + signs < MAX_DEPTH:
+                    self.pos += 1
+                    signs += 1
+                if depth + signs >= MAX_DEPTH:
+                    raise self.error(f"expression nested deeper than {MAX_DEPTH}")
+                self.depth = depth + signs + 1
+                node = self.atom()
+                if toks[self.pos] == "^":
+                    if ternary:
+                        raise self.fail("ternary entries take no powers",
+                                        self.pos)
+                    self.pos += 1
+                    node = Pow(node, self.exponent())
+                # a ternary atom holds a count if it is one, or if it is a
+                # parenthesis whose expression held one
+                if ternary and (type(node) in _COUNTS or type(node) in (
+                        Add, Mul, Neg) and self.held):
+                    if counted:
+                        raise self.fail("a ternary product takes one count", at)
+                    counted = True
+                while signs:
+                    node, signs = Neg(node), signs - 1
+                factors.append((node, inverted))
+                op = toks[self.pos]
+                if op == "*":
+                    inverted = False
+                elif op != "/":
+                    break
+                elif ternary:
+                    raise self.fail("ternary entries do not divide", self.pos)
+                else:
+                    inverted = True
+                self.pos += 1
+            term = node if len(factors) == 1 else Mul(tuple(factors))
+            if ternary and not counted and (type(term) is not Num
+                                            or term.value):
+                raise self.fail("each ternary summand needs a count", start)
+            held = held or counted
+            terms.append(Neg(term) if negate else term)
+            op = toks[self.pos]
+            if op != "+" and op != "-":
+                self.depth, self.held = depth, held
+                return terms[0] if len(terms) == 1 else Add(tuple(terms))
+            negate = op == "-"
+            self.pos += 1
 
-    def parse_term(self):
-        factors = []
-        inverted = False
-        while True:
-            start = self.pos
-            node = self.parse_factor()
-            self.ternary_reject(start, "a ternary product takes one count",
-                                lambda: _holds_count(node) and any(
-                                    _holds_count(f) for f, _ in factors))
-            factors.append((node, inverted))
-            if self.accept("*"):
-                inverted = False
-            elif self.accept("/"):
-                self.ternary_reject(self.pos - 1, "ternary entries do not divide")
-                inverted = True
-            else:
-                break
-        if len(factors) == 1 and not factors[0][1]:
-            return factors[0][0]
-        return Mul(tuple(factors))
+    def exponent(self) -> Fraction:
+        if self.toks[self.pos] != "(":
+            return _whole(self.num())
+        self.pos += 1
+        num = self.num()
+        self.expect("/")
+        den = self.num(bool, "exponent denominator must be nonzero")
+        self.expect(")")
+        if self.mode != "modeq3":
+            raise self.error("fractional exponents only occur in modeq3")
+        return Fraction(num, den)
 
-    def parse_factor(self):
-        if self.depth >= MAX_DEPTH:
-            raise self.error(f"expression nested deeper than {MAX_DEPTH}")
-        self.depth += 1
-        try:
-            if self.accept("-"):
-                return Neg(self.parse_factor())
-            node = self.parse_atom()
-            if self.accept("^"):
-                self.ternary_reject(self.pos - 1, "ternary entries take no powers")
-                node = Pow(node, self.parse_exponent())
-            return node
-        finally:
-            self.depth -= 1
-
-    def parse_exponent(self) -> Fraction:
-        if self.accept("("):
-            num = self.parse_int()
-            self.expect("/")
-            den = self.checked_int(bool, "exponent denominator must be nonzero")
-            self.expect(")")
-            if self.mode != "modeq3":
-                raise self.error("fractional exponents only occur in modeq3")
-            return Fraction(num, den)
-        return Fraction(self.parse_int())
-
-    def parse_qarg(self) -> tuple[int, int]:
-        """(sign, power) from  q | -q | q^k | -q^k."""
-        sign = -1 if self.accept("-") else 1
-        self.take(lambda t: t == "q", "expected q, found {!r}")
-        power = 1
-        if self.accept("^"):
-            power = self.parse_int()
-        if power < 1:
-            raise self.error("substitution power must be >= 1")
-        return sign, power
-
-    def parse_form_tuple(self) -> tuple:
-        vals = [self.parse_int()]
+    def form(self) -> tuple:
+        """Six integers split by ','."""
+        pos, toks = self.pos, self.toks
+        vals = toks[pos:pos + 11:2]
+        if toks[pos + 1:pos + 11:2] == [","] * 5 and all(map(str.isdigit, vals)):
+            self.pos += 11
+            return tuple(map(int, vals))
+        vals = [self.num()]
         for _ in range(5):
             self.expect(",")
-            vals.append(self.parse_int())
+            vals.append(self.num())
         return tuple(vals)
 
-    def parse_count_arg(self) -> int:
-        """M | M/w^2 inside (...)"""
+    def count_arg(self) -> int:
+        """'(M)' or '(M/w^2)': w."""
+        if self.toks[self.pos:self.pos + 3] == ["(", "M", ")"]:
+            self.pos += 3
+            return 1
         self.expect("(")
-        self.take(lambda t: t == "M", "count argument must be M or M/w^2")
+        self.take(("M",), "count argument must be M or M/w^2")
         w = 1
-        if self.accept("/"):
-            w = self.checked_int(lambda w: w >= 1, "w in M/w^2 must be positive")
-            self.expect("^")
-            self.expect("2")
+        if self.toks[self.pos] == "/":
+            self.pos += 1
+            w = self.num(lambda w: w >= 1, "w in M/w^2 must be positive")
+            self.expect("^", "2")
         self.expect(")")
         return w
 
-    def parse_atom(self):
-        word = self.peek()[0]
-        if not word:
-            raise self.error("missing operand")
+    def atom(self):
+        toks, pos, mode = self.toks, self.pos, self.mode
+        word = toks[pos]
+        if word in _QARG_ATOMS and mode != "ternary" and mode != "modeq3":
+            # '(' then one q-argument, or two split by ',' for f, then ')'
+            self.pos += 1
+            sign = power = 0
+            for sep in ("(", ",") if word == "f" else ("(",):
+                sx, x = sign, power  # f's first argument, once both are read
+                if toks[self.pos] != sep:
+                    raise self.wrong(f"expected {sep!r}")
+                sign = -1 if toks[self.pos + 1] == "-" else 1
+                self.pos += 1 + (sign < 0)
+                if toks[self.pos] != "q":
+                    raise self.wrong("expected q")
+                self.pos += 1
+                power = 1
+                if toks[self.pos] == "^":
+                    self.pos += 1
+                    at, power = self.pos, self.num()
+                    if power < 1:
+                        raise self.fail("substitution power must be >= 1", at)
+            self.expect(")")
+            if word == "f":
+                return Theta2(x, sx, power, sign)
+            return _named(word, power, sign < 0)
         if word.isdigit():
             self.pos += 1
-            return Num(int(word))
+            return _num(int(word))
         if word == "(":
-            if (self.mode == "ternary" and self.peek(1)[0].isdigit()
-                    and self.peek(2)[0] == ","):
-                self.pos += 1
-                form = self.parse_form_tuple()
-                self.expect(")")
-                return FormCount(form, self.parse_count_arg())
-            if self.mode == "ternary" and self.peek(1)[0] == "M":
+            if mode == "ternary" and toks[pos + 1] == "M":
                 # Jacobi-style scalars never appear in expressions
                 raise self.error("unexpected (M...) in expression")
             self.pos += 1
-            node = self.parse_expr()
+            if (mode == "ternary" and toks[pos + 1].isdigit()
+                    and toks[pos + 2] == ","):
+                form = self.form()
+                self.expect(")")
+                return FormCount(form, self.count_arg())
+            node = self.expr()
             self.expect(")")
             return node
+        if not word:
+            raise self.error("missing operand")
         if not (word[0].isalnum() or word[0] in "._"):
             raise self.error("unexpected symbol")
-        if self.mode == "modeq3":
-            if word in ("m", "alpha", "beta"):
-                self.pos += 1
-                return ModSym(word)
-            raise self.error(f"unknown modeq3 symbol {word!r}")
-        if self.mode == "ternary":
+        if mode == "modeq3":
+            if word not in ("m", "alpha", "beta"):
+                raise self.error(f"unknown modeq3 symbol {word!r}")
+            self.pos += 1
+            return ModSym(word)
+        if mode == "ternary":
             if word not in ("W", "eps", "SW", "SEW"):
                 raise self.error(f"unknown ternary primitive {word!r}")
             self.pos += 1
             self.expect("(")
-            arg = (self.parse_int() if word in ("SW", "SEW")
-                   else self.parse_form_tuple())
+            arg = self.num() if word in ("SW", "SEW") else self.form()
             w = 1  # SW(S) is SEW(S;1): every character at 1 is +1
             if word == "eps":
                 self.expect(";")
-                w = self.checked_int(lambda w: w >= 1 and w % 2,
-                                     "eps character w must be odd and positive")
+                w = self.num(lambda w: w >= 1 and w % 2,
+                             "eps character w must be odd and positive")
             elif word == "SEW":
                 self.expect(";")
-                w = self.checked_int(lambda w: w >= 1 and arg % w == 0,
-                                     "SEW character w must be a positive "
-                                     "divisor of S")
+                w = self.num(lambda w: w >= 1 and arg % w == 0,
+                             "SEW character w must be a positive divisor of S")
             self.expect(")")
             if word == "eps":
                 return EpsScalar(arg, w)
-            if self.parse_count_arg() != 1:
+            if self.count_arg() != 1:
                 raise self.error(f"{word} takes the plain argument M")
             return WeightedCount(arg) if word == "W" else UnionCount(arg, w)
         # series / sift / positivity / eta expression atoms
-        if word not in ("q", "S", "eta", "f") and word not in BUILTIN_NAMES:
+        if word not in ("q", "S", "eta"):
             raise self.error(f"unknown primitive {word!r}")
         self.pos += 1
         if word == "q":
             power = 1
-            if self.accept("^"):
-                power = self.parse_int()
-            if power < 0:
-                raise self.error("negative q powers are not supported")
-            return QPow(power)
+            if toks[self.pos] == "^":
+                self.pos += 1
+                at, power = self.pos, self.num()
+                if power < 0:
+                    raise self.fail("negative q powers are not supported", at)
+            return _qpow(power)
         if word == "S":
             self.expect("[")
-            t = self.parse_int()
+            at, t = self.pos, self.num()
             self.expect(",")
-            s = self.parse_int()
-            self.expect("]")
-            self.expect("(")
-            body = self.parse_expr()
+            s_at, s = self.pos, self.num()
+            if not 0 <= s < t:  # t below 1 admits no s
+                raise self.fail(f"sift requires 0 <= s < t, got t={t}, s={s}",
+                                at if t < 1 else s_at)
+            self.expect("]", "(")
+            body = self.expr()
             self.expect(")")
-            if not 0 <= s < t:
-                raise self.error(f"sift requires 0 <= s < t, got t={t}, s={s}")
             return Sift(t, s, body)
-        if word == "eta":
-            self.expect("{")
-            exps = {}
-            while True:
-                delta = self.parse_int()
-                self.expect(":")
-                r = self.parse_int()
-                if delta in exps:
-                    raise self.error(f"duplicate eta divisor {delta}")
-                exps[delta] = r
-                if not self.accept(","):
-                    break
-            self.expect("}")
-            return EtaAtom(tuple(sorted(exps.items())))
-        if word == "f":
-            self.expect("(")
-            sx, x = self.parse_qarg()
-            self.expect(",")
-            sy, y = self.parse_qarg()
-            self.expect(")")
-            return Theta2(x, sx, y, sy)
-        self.expect("(")
-        sign, power = self.parse_qarg()
-        self.expect(")")
-        return Named(word, power, sign < 0)
+        self.expect("{")  # eta
+        exps = {}
+        while True:
+            delta = self.num()
+            self.expect(":")
+            r = self.num()
+            if delta in exps:
+                raise self.error(f"duplicate eta divisor {delta}")
+            exps[delta] = r
+            if toks[self.pos] != ",":
+                break
+            self.pos += 1
+        self.expect("}")
+        return EtaAtom(tuple(sorted(exps.items())))
 
     # --- conditions ---
-    def parse_conditions(self) -> Conditions:
-        """['where' COND {',' COND}] up to the end token."""
-        if not self.accept("where"):
+    def conditions(self) -> Conditions:
+        """['where' COND {',' COND}] up to the end."""
+        toks = self.toks
+        if toks[self.pos] != "where":
             return Conditions()
-        residues: tuple[int, ...] = ()
-        modulus = 0
-        divides: list[tuple[int, bool]] = []
-        jac: list[tuple[int, int]] = []
-        expect_negative = False
-        level = 0
-        theta_ref, theta_at = "", (0, 0)
-        seen: set[str] = set()
+        self.pos += 1
+        residues, modulus, divides, jac, seen = (), 0, [], [], set()
+        expect_negative, level, theta_ref, theta_at = False, 0, "", (0, 0)
         while True:
-            tok = self.peek()
-            text = tok[0]
+            at = self.pos
+            text = toks[at]
             owner = CLAUSE_MODES.get(text, "ternary")
             # divisor and Jacobi clauses add up; any other kind comes once
             if text in seen:
-                raise RegistryError(f"duplicate {text!r} clause", *tok[1:])
+                raise self.fail(f"duplicate {text!r} clause", at)
             if text == "M" or text in CLAUSE_MODES:
                 seen.add(text)
             if text == "M":
                 self.pos += 1
                 self.expect("=")
-                rs = [(self.peek(), self.parse_int())]
-                while (self.peek()[0] == "," and self.peek(1)[0].isdigit()
-                       and self.peek(2)[0] in (",", "mod")):
+                rs = [(self.pos, self.num())]
+                while (toks[self.pos] == "," and toks[self.pos + 1].isdigit()
+                       and toks[self.pos + 2] in (",", "mod")):
                     self.pos += 1
-                    rs.append((self.peek(), self.parse_int()))
-                self.take(lambda t: t == "mod", "expected 'mod'")
-                modulus = abs(self.checked_int(bool, "modulus must be nonzero"))
-                for at, r in rs:  # a repeat would be read twice
+                    rs.append((self.pos, self.num()))
+                self.take(("mod",), "expected 'mod'")
+                modulus = abs(self.num(bool, "modulus must be nonzero"))
+                for i, r in rs:  # a repeat would be read twice
                     if r % modulus in residues:
-                        raise RegistryError(f"residue {r} repeats an earlier "
-                                            f"one mod {modulus}", *at[1:])
+                        raise self.fail(f"residue {r} repeats an earlier one "
+                                        f"mod {modulus}", i)
                     residues += (r % modulus,)
             elif text.isdigit():
-                w = self.checked_int(bool, "divisor must be positive")
-                bar = self.take(lambda t: t in ("|", "||"), "expected | or ||")
+                w = self.num(bool, "divisor must be positive")
+                bar = self.take(("|", "||"), "expected | or ||")
                 self.expect("M")
                 divides.append((w, bar == "||"))
             elif text == "(":
                 self.pos += 1
-                self.expect("M")
-                self.expect("|")
-                den = self.checked_int(lambda d: d > 0 and d % 2,
-                                       "Jacobi denominator must be odd and positive")
-                self.expect(")")
-                self.expect("=")
-                want = self.checked_int(lambda v: v in (-1, 0, 1),
-                                        "Jacobi value must be -1, 0 or 1")
+                self.expect("M", "|")
+                den = self.num(lambda d: d > 0 and d % 2,
+                               "Jacobi denominator must be odd and positive")
+                self.expect(")", "=")
+                want = self.num(lambda v: v in (-1, 0, 1),
+                                "Jacobi value must be -1, 0 or 1")
                 jac.append((den, want))
             elif text == "expect":
                 self.pos += 1
-                what = self.take(lambda t: t in ("negative", "nonnegative"),
-                                 "expect clause takes negative/nonnegative")
-                expect_negative = what == "negative"
+                expect_negative = self.take(
+                    ("negative", "nonnegative"),
+                    "expect clause takes negative/nonnegative") == "negative"
             elif text == "level":
                 self.pos += 1
-                level = self.parse_int()
+                level = self.num()
             elif text == "theta":
                 self.pos += 1
-                ref = self.next()
-                theta_ref, theta_at = ref[0], ref[1:]
+                if not toks[self.pos]:
+                    raise self.wrong("")
+                theta_ref, theta_at = toks[self.pos], self.spot(self.pos)
+                self.pos += 1
             else:
                 raise self.error("unknown condition" if text
                                  else "expected a condition")
             if owner != self.mode:
-                raise RegistryError(f"this clause applies only to {owner} "
-                                    f"entries", *tok[1:])
-            if not self.accept(","):
+                raise self.fail(f"this clause applies only to {owner} "
+                                f"entries", at)
+            if toks[self.pos] != ",":
                 break
-        if self.peek()[0]:
+            self.pos += 1
+        if toks[self.pos]:
             raise self.error("trailing tokens after conditions")
         return Conditions(residues, modulus, tuple(divides), tuple(jac),
                           expect_negative, level, theta_ref, theta_at)
 
 
-def _holds_count(node) -> bool:
-    """Whether a ternary expression contains a representation count."""
-    if isinstance(node, (FormCount, WeightedCount, UnionCount)):
-        return True
-    if isinstance(node, Neg):
-        return _holds_count(node.body)
-    if isinstance(node, Add):
-        return any(_holds_count(t) for t in node.terms)
-    if isinstance(node, Mul):
-        return any(_holds_count(f) for f, _ in node.factors)
-    return False
-
-
-def _split_entries(text: str):
-    """Yield the (line number, text) lines of each registry entry."""
-    pending: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+def parse_registry(text: str) -> list[IdentitySpec]:
+    """Parse the registry text; raises RegistryError with line/column."""
+    entries: list[list[tuple[int, str]]] = []  # the numbered lines of each
+    for lineno, raw in enumerate(text.replace("≡", "=").splitlines(), 1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
             continue
-        if line[0] in " \t":
-            if not pending:
-                raise RegistryError("continuation line without an entry",
-                                    lineno, 1)
-            pending.append((lineno, line))
-            continue
-        if pending:
-            yield pending
-        pending = [(lineno, line)]
-    if pending:
-        yield pending
-
-
-def parse_registry(text: str) -> list[IdentitySpec]:
-    """Parse the registry text; raises RegistryError with line/column."""
+        if line[0] not in " \t":
+            entries.append([])
+        elif not entries:
+            raise RegistryError("continuation line without an entry", lineno, 1)
+        entries[-1].append((lineno, line))
     specs: list[IdentitySpec] = []
     names = set()
-    for chunk in _split_entries(text):
-        first_line, first_text = chunk[0]
+    for entry in entries:
         # a bad character anywhere in the entry, the header included, is
         # reported at its column; the header is its first four tokens
-        tokens = [tok for lineno, line in chunk
-                  for tok in _tokenize(line, lineno, 0)]
-        header = re.match(
-            r"\s*([A-Za-z0-9._]+)\s*:\s*([A-Za-z0-9._]+)\s*:\s*", first_text)
+        linenos, lines = zip(*entry)
+        body = "\n".join(lines)
+        tokens = _tokens(body, linenos)
+        header = _HEADER_RE.match(lines[0])
         if header is None:
             raise RegistryError("entry must start with 'name: mode:'",
-                                first_line, 1)
-        name, mode = header.group(1), header.group(2)
+                                linenos[0], 1)
+        name, mode = header.groups()
         if mode not in MODES:
-            raise RegistryError(f"unknown mode {mode!r}", first_line,
+            raise RegistryError(f"unknown mode {mode!r}", linenos[0],
                                 header.start(2) + 1)
         if name in names:
             raise RegistryError(f"duplicate identity name {name!r}",
-                                first_line, 1)
+                                linenos[0], 1)
         names.add(name)
-        tokens = tokens[4:]
-        # the statement ends at the first 'where'
-        where_at = next((i for i, tok in enumerate(tokens) if tok[0] == "where"),
-                        len(tokens))
-        start = (first_line, header.end() + 1)  # just after the header
-        lhs, rhs = _Parser(tokens[:where_at], mode, start).parse_statement()
-        if mode == "positivity":
-            if rhs is not None:
-                raise RegistryError("positivity entries take a single expression",
-                                    first_line, 1)
-        elif rhs is None:
-            rhs = Num(0)
-        conditions = _Parser(tokens[where_at:], mode, start).parse_conditions()
+        # the statement ends at the first 'where', or at the end
+        where_at = tokens.index("where", 4) if "where" in tokens[4:] else -1
+        where, tokens[where_at] = tokens[where_at], ""
+        p = _Parser(body, linenos, tokens, mode,
+                    (linenos[0], header.end() + 1), 4)
+        lhs = p.expr()
+        rhs = None
+        if tokens[p.pos] == "=":
+            p.pos += 1
+            rhs = p.expr()
+        if tokens[p.pos]:
+            raise p.error("trailing tokens after statement")
+        if mode == "positivity" and rhs is not None:
+            raise RegistryError("positivity entries take a single expression",
+                                linenos[0], 1)
+        tokens[where_at] = where
+        conditions = p.conditions()
         if mode == "eta" and conditions.level < 1:
             raise RegistryError(f"eta entry {name!r} needs a level clause",
-                                first_line, 1)
-        specs.append(IdentitySpec(name, mode, lhs, rhs, conditions, first_line))
+                                linenos[0], 1)
+        rhs = _num(0) if rhs is None and mode != "positivity" else rhs
+        specs.append(IdentitySpec(name, mode, lhs, rhs, conditions, linenos[0]))
     return specs
 
 
 def parse_expression(text: str):
     """The AST of one series expression on one line, such as ``thetaforms
     expand`` reads; raises RegistryError with line 1 and the column."""
-    parser = _Parser(_tokenize(text, 1, 0), "series", (1, 1))
-    node = parser.parse_expr()
-    if parser.peek()[0]:
+    text = text.replace("≡", "=").replace("\n", " ")  # all of it is line 1
+    parser = _Parser(text, [1], _tokens(text, [1]), "series", (1, 1), 0)
+    node = parser.expr()
+    if parser.toks[parser.pos]:
         raise parser.error("trailing tokens")
     return node
 
@@ -976,10 +973,11 @@ def verify_series(spec: IdentitySpec, n: int) -> VerifyResult:
         if value.truncation < n:
             return VerifyResult(spec.name, spec.mode, False, f"terms={n}",
                                 f"{side} has {value.truncation} coefficients")
-    for i in range(n):
-        if lhs.coeffs[i] != rhs.coeffs[i]:
-            return VerifyResult(spec.name, spec.mode, False, f"terms={n}",
-                                f"exponent {i}: {lhs.coeffs[i]} != {rhs.coeffs[i]}")
+    a, b = lhs.coeffs[:n], rhs.coeffs[:n]
+    if a != b:  # compared in C; the first mismatch is looked for only now
+        i = next(i for i in range(n) if a[i] != b[i])
+        return VerifyResult(spec.name, spec.mode, False, f"terms={n}",
+                            f"exponent {i}: {a[i]} != {b[i]}")
     return VerifyResult(spec.name, spec.mode, True, f"terms={n}")
 
 

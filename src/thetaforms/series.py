@@ -48,12 +48,14 @@ x86-64 sandbox):
     sgenus (59)            0.3    0.9    0.9       0.3    0.3      0.3
 
 where "before" is the same rule with the untruncated row kernel and no
-square paths.  (Since the eta quotients are expanded by their recurrence,
-a registry pass makes 630 products, not 1 183.)  The two boundaries were
-fitted, before the row kernel was truncated, on these shapes, timed here
-with the kernels as they are: a sparser operand of +-1 at random places
-times b, either phi(q)^2 - phi(q^7)^2 ("dense", about 0.3 n nonzeros) or
-n / 16 random nonzeros of at most 3 (best of 7, ms, same machine):
+square paths.  The timings come from commit e63c936; since be854da expands
+the eta quotients by their recurrence, a registry pass makes 630 products
+(441 pair, 160 row, 29 big), and its row was not timed again.  The two
+boundaries were fitted, before the row kernel was truncated, on these
+shapes, timed here with the kernels as they are: a sparser operand of +-1
+at random places times b, either phi(q)^2 - phi(q^7)^2 ("dense", about
+0.3 n nonzeros) or n / 16 random nonzeros of at most 3 (best of 7, ms,
+same machine):
 
     n       b       nza     pair      row      big    rule
     500     dense     4    0.048    0.051    0.089    pair

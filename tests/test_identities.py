@@ -1,5 +1,6 @@
 import hashlib
 import re
+import sys
 import time
 from fractions import Fraction
 from functools import lru_cache
@@ -7,14 +8,17 @@ from itertools import compress
 from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import parse_expression_by_tuples, parse_registry_by_tuples
 from thetaforms import identities
 from thetaforms.forms import TernaryForm, repcount
 from thetaforms.genus import build_sgenus, epsilon, genus_of, weighted_count
 from thetaforms.identities import (EntryError, EpsScalar, RegistryError,
                                    default_registry_file, eval_series,
                                    load_default_registry, load_registry,
-                                   parse_registry, run_suite, verify_entry,
+                                   parse_expression, parse_registry,
+                                   run_suite, verify_entry,
                                    verify_modeq3, verify_positivity,
                                    verify_series, verify_ternary, VerifyResult)
 from thetaforms.modeq import (ALPHA, BETA, UnsupportedRadicand, cleared,
@@ -1179,3 +1183,157 @@ class TestNestingDepth:
         text = open_ * levels + "phi(q)" + close * levels
         node = _expr(text, "series")
         assert eval_series(node, 5) == reference_eval(node, 5)
+
+
+class TestRangeErrorsAtTheirInteger:
+    """A sift range, a q power and a substitution power out of range are
+    reported at the offending integer, its '-' included, as where values
+    are; t is the one at fault when it is below 1."""
+
+    @pytest.mark.parametrize("statement, col, message", [
+        ("S[8,9](phi(q)) = 0", 16, "sift requires 0 <= s < t, got t=8, s=9"),
+        ("S[8,-1](phi(q))", 16, "sift requires 0 <= s < t, got t=8, s=-1"),
+        ("S[0,0](phi(q))", 14, "sift requires 0 <= s < t, got t=0, s=0"),
+        ("S[-2,1](phi(q))", 14, "sift requires 0 <= s < t, got t=-2, s=1"),
+        ("phi(q^0) = 1", 18, "substitution power must be >= 1"),
+        ("psi(-q^-2)", 19, "substitution power must be >= 1"),
+        ("f(q,-q^0) = 0", 19, "substitution power must be >= 1"),
+        ("q^-1 = 0", 14, "negative q powers are not supported"),
+    ])
+    def test_reported_at_the_integer(self, statement, col, message):
+        text = f"a: series: {statement}"
+        assert text[col - 1] in "-0123456789"
+        with pytest.raises(RegistryError) as err:
+            parse_registry(text)
+        assert str(err.value) == f"line 1, col {col}: {message}"
+
+    def test_expression_error_at_the_integer(self):
+        with pytest.raises(RegistryError) as err:
+            parse_expression("2*S[4, 4](phi(q))")
+        assert (err.value.line, err.value.col) == (1, 8)
+
+
+def _shipped_entries() -> list[str]:
+    """Each shipped entry's text, its continuation lines included."""
+    text = default_registry_file().read_text(encoding="utf-8")
+    entries: list[str] = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].rstrip()
+        if line.strip():
+            if line[0] in " \t":
+                entries[-1] += "\n" + line
+            else:
+                entries.append(line)
+    return entries
+
+
+# whitespace runs and tokens, and any other character on its own
+_PIECE = re.compile(r"\s+|[A-Za-z0-9._]+|\|\||\S")
+# the DSL's words and symbols, characters that start no token, and breaks
+# that start or continue a line
+_EDITS = (
+    "phi", "psi", "E", "chi", "u", "f", "q", "S", "eta", "M", "W", "eps",
+    "SW", "SEW", "m", "alpha", "beta", "where", "mod", "expect", "negative",
+    "level", "theta", "series", "ternary", "modeq3", "2.4", "0", "1", "2",
+    "8", "-", "+", "*", "/", "^", "(", ")", "{", "}", "[", "]", ",", ":",
+    ";", "|", "||", "=", "$", "\u2261", "\t", " ", "\n", "\n    ")
+# pieces that one mode admits and another refuses
+_FRAGMENTS = (
+    "^2", "/2", "^(1/2)", "+1", "*(1,1,1,0,0,0)(M)", "*W(1,1,1,0,0,0)(M)",
+    "*eps(1,1,1,0,0,0;3)", "*(M|3)", "*m", "*phi(q^2)", "*eta{1:24}", "-0",
+    " where M = 1 mod 4", " where 3|M", " where level 4", " where theta 2.4",
+    " where expect negative", ", level 4", ", (M|3) = 1")
+
+
+@st.composite
+def _edited(draw, texts):
+    """One or two of texts, joined by a line break, after 1 to 3 edits:
+    a piece inserted, deleted or replaced, or a fragment inserted."""
+    pieces = _PIECE.findall("\n".join(
+        draw(st.lists(st.sampled_from(texts), min_size=1, max_size=2))))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(pieces)))
+        edit = draw(st.sampled_from(("insert", "delete", "replace",
+                                     "fragment")))
+        if edit == "delete" and at < len(pieces):
+            del pieces[at]
+        else:
+            new = draw(st.sampled_from(
+                _FRAGMENTS if edit == "fragment" else _EDITS))
+            pieces[at:at + (edit == "replace")] = [new]
+    return "".join(pieces)
+
+
+def _read(parse, text) -> str:
+    try:
+        return repr(parse(text))
+    except RegistryError as err:
+        return f"RegistryError: {err}"
+
+
+class TestReaderOracle:
+    """The reader against the reader by token tuples in tests/oracles.py on
+    edited shipped entries: equal specs, or errors with equal messages and
+    positions."""
+
+    ENTRIES = _shipped_entries()
+    # the statements of the expression modes, as `thetaforms expand` reads
+    STATEMENTS = [e.split(":", 2)[2].split("where")[0] for e in ENTRIES
+                  if e.split(":")[1].strip() in ("series", "sift", "positivity")]
+
+    def test_shipped_registry(self):
+        text = default_registry_file().read_text(encoding="utf-8")
+        assert _read(parse_registry, text) == _read(parse_registry_by_tuples,
+                                                    text)
+
+    def test_fragments_after_each_atom(self):
+        # every fragment after every piece that can end an atom, in the
+        # shortest shipped entry of each mode; both eta entries are long
+        shortest = {"eta": "e: eta: eta{2:24}/eta{1:24} - q^2 = 1 where level 2"}
+        for entry in sorted(self.ENTRIES, key=len):
+            shortest.setdefault(entry.split(":")[1].strip(), entry)
+        cases = 0
+        for entry in shortest.values():
+            pieces = _PIECE.findall(entry)
+            for at, piece in enumerate(pieces, 1):
+                if piece not in (")", "}") and not piece[0].isalnum():
+                    continue
+                for fragment in _FRAGMENTS:
+                    text = "".join(pieces[:at] + [fragment] + pieces[at:])
+                    cases += 1
+                    assert _read(parse_registry, text) == _read(
+                        parse_registry_by_tuples, text), text
+        assert cases > 500
+
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(_edited(ENTRIES))
+    def test_edited_entries(self, text):
+        assert _read(parse_registry, text) == _read(parse_registry_by_tuples,
+                                                    text)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_edited(STATEMENTS))
+    def test_edited_expressions(self, text):
+        assert _read(parse_expression, text) == _read(
+            parse_expression_by_tuples, text)
+
+
+class TestReaderCallCount:
+    """A bound on the reader's work that no timer decides: the Python-level
+    calls of one parse of the shipped registry, 5,985 when this was written
+    (the reader by token tuples made 35,497)."""
+
+    def test_calls_per_shipped_parse(self):
+        text = default_registry_file().read_text(encoding="utf-8")
+        parse_registry(text)  # fills the leaf caches
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            calls += event == "call"
+        sys.setprofile(count)
+        try:
+            parse_registry(text)
+        finally:
+            sys.setprofile(None)
+        assert calls <= 6600
