@@ -1281,11 +1281,6 @@ class TestReaderOracle:
     STATEMENTS = [e.split(":", 2)[2].split("where")[0] for e in ENTRIES
                   if e.split(":")[1].strip() in ("series", "sift", "positivity")]
 
-    def test_shipped_registry(self):
-        text = default_registry_file().read_text(encoding="utf-8")
-        assert _read(parse_registry, text) == _read(parse_registry_by_tuples,
-                                                    text)
-
     def test_fragments_after_each_atom(self):
         # every fragment after every piece that can end an atom, in the
         # shortest shipped entry of each mode; both eta entries are long
