@@ -1279,12 +1279,14 @@ class TestReaderOracle:
     ENTRIES = _shipped_entries()
     # the statements of the expression modes, as `thetaforms expand` reads
     STATEMENTS = [e.split(":", 2)[2].split("where")[0] for e in ENTRIES
-                  if e.split(":")[1].strip() in ("series", "sift", "positivity")]
+                  if e.split(":")[1].strip() in ("series", "sift",
+                                                 "positivity")]
 
     def test_fragments_after_each_atom(self):
         # every fragment after every piece that can end an atom, in the
         # shortest shipped entry of each mode; both eta entries are long
-        shortest = {"eta": "e: eta: eta{2:24}/eta{1:24} - q^2 = 1 where level 2"}
+        shortest = {"eta": "e: eta: eta{2:24}/eta{1:24} - q^2 = 1 "
+                           "where level 2"}
         for entry in sorted(self.ENTRIES, key=len):
             shortest.setdefault(entry.split(":")[1].strip(), entry)
         cases = 0
