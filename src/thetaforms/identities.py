@@ -86,6 +86,7 @@ Evaluation computes only the coefficients a verdict reads:
 from __future__ import annotations
 
 import re
+import sys
 import time
 from fractions import Fraction
 from functools import lru_cache
@@ -303,6 +304,13 @@ class _Parser:
         self.mode, self.start = mode, start
         self.pos = self.lo = lo  # lo: the statement's first token
         self.depth = 0
+        # int() refuses a literal longer than the interpreter's limit (0: none)
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        if limit and len(body) > limit:
+            for i in range(lo, len(toks)):
+                if len(toks[i]) > limit and toks[i].isdigit():
+                    raise self.fail(
+                        f"integer literal longer than {limit} digits", i)
 
     # --- errors and primitives ---
     def spot(self, i: int) -> tuple[int, int]:

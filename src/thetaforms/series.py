@@ -48,9 +48,11 @@ x86-64 sandbox):
     sgenus (59)            0.3    0.9    0.9       0.3    0.3      0.3
 
 where "before" is the same rule with the untruncated row kernel and no
-square paths.  The timings come from commit e63c936; since be854da expands
-the eta quotients by their recurrence, a registry pass makes 630 products
-(441 pair, 160 row, 29 big), and its row was not timed again.  The two
+square paths.  The timings come from commit e63c936 and predate the
+big-endian codec (below), which takes a list round-trip out of each packed
+product; since be854da expands the eta quotients by their recurrence, a
+registry pass makes 630 products (441 pair, 160 row, 29 big), and its row
+was not timed again.  The two
 boundaries were fitted, before the row kernel was truncated, on these
 shapes, timed here with the kernels as they are: a sparser operand of +-1
 at random places times b, either phi(q)^2 - phi(q^7)^2 ("dense", about
@@ -90,12 +92,17 @@ products it enters; the big multiply needs none.
 
 Both packed kernels share one codec.  Each coefficient gets a fixed-width
 slot wide enough for every output coefficient plus a sign bit
-(:func:`_layout`).  Up to 8 bytes the width rounds up to 1, 2, 4 or 8, and
-``struct`` packs and unpacks the slots in C with signed little-endian
-formats; wider slots, which only products with large coefficients need,
-go through one ``int.to_bytes`` or ``int.from_bytes`` call per slot, driven
-by ``map``.  The signed coefficients are offset into unsigned slots, so
-the low n slots of the packed result read back exactly.  Every kernel
+(:func:`_layout`).  One ``struct.pack`` writes slots of 1, 2, 4 or 8 bytes
+as signed big-endian integers, and a wider slot takes one ``int.to_bytes``
+call.  Read as one big-endian int, the bytes hold the operand reversed,
+its first coefficient in the top slot, with no reversed list; zero bytes
+appended pad a short operand, and one XOR with the offsets integer,
+2**(8w - 1) in every slot, gives the offset form, whose slots add and
+shift without borrows.  A result in that form is XORed back, and
+``to_bytes(..., "big")`` with ``struct.unpack`` (or one ``int.from_bytes``
+per wider slot) reads it top slot first: the coefficients in forward
+order, as the tuple the series keeps.  The big multiply packs both
+operands so and keeps the top n slots of their product.  Every kernel
 gives exactly the schoolbook product.
 
 :func:`sift` is one tuple slice ``a.coeffs[s::t]``.  A sifted product
@@ -109,8 +116,9 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left
+from functools import partial
 from itertools import compress, repeat
-from operator import add, itemgetter, sub
+from operator import add, itemgetter, mul, neg, sub
 from typing import Iterable, Optional, Sequence, Tuple
 
 __all__ = [
@@ -132,7 +140,7 @@ _ROW_CUBE = 2
 # profiling read it.
 kernel_calls = {"pair": 0, "row": 0, "big": 0}
 
-# little-endian signed struct codes by slot width in bytes
+# big-endian signed struct codes by slot width in bytes
 _SIGNED = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 
@@ -197,51 +205,34 @@ def _slot_width(a: Sequence[int], b: Sequence[int]) -> int:
 
 def _offset(width: int, count: int) -> int:
     """2**(8*width - 1) in each of count width-byte slots."""
-    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+    return int.from_bytes((b"\x80" + bytes(width - 1)) * count, "big")
 
 
-def _pack(coeffs: Sequence[int], width: int) -> int:
-    """sum(c * 2**(8*width*i)) over signed coefficients c = coeffs[i].
-
-    Each slot holds c + 2**(8*width - 1), so the packed bytes read as the
-    wanted sum plus the offset in every slot.  struct writes c in two's
-    complement, where flipping the top bit adds 2**(8*width - 1); a wider
-    slot is written unsigned, from c + 2**(8*width - 1).
-    """
-    n = len(coeffs)
-    offset = _offset(width, n)
+def _pack(coeffs: Sequence[int], width: int, count: int) -> int:
+    """The first count coeffs as signed big-endian slots of one int, read
+    reversed: c_j in two's complement in slot count - 1 - j, zeros below;
+    an XOR with :func:`_offset` adds 2**(8*width - 1) to every slot."""
+    coeffs = coeffs[:count]
     if width in _SIGNED:
-        raw = struct.pack(f"<{n}{_SIGNED[width]}", *coeffs)
-        return (int.from_bytes(raw, "little") ^ offset) - offset
-    shifted = map(add, coeffs, repeat(1 << (8 * width - 1)))
-    raw = b"".join(map(int.to_bytes, shifted, repeat(width),
-                       repeat("little")))
-    return int.from_bytes(raw, "little") - offset
+        raw = struct.pack(f">{len(coeffs)}{_SIGNED[width]}", *coeffs)
+    else:
+        raw = b"".join(map(partial(int.to_bytes, length=width,
+                                   byteorder="big", signed=True), coeffs))
+    return int.from_bytes(raw + bytes(width * (count - len(coeffs))), "big")
 
 
-def _unpack(value: int, n_out: int, width: int) -> list[int]:
-    """The low n_out signed slots of a sum packed as by :func:`_pack`.
-
-    With the offset added, each of the low n_out slots holds
-    c + 2**(8*width - 1) in [0, 2**(8*width)) for its output coefficient c,
-    so no slot borrows from the next, and the slots above n_out fall away
-    under the mask.
-    """
-    offset = _offset(width, n_out)
-    low = (value + offset) & ((1 << (8 * width * n_out)) - 1)
+def _unpack(value: int, width: int, count: int) -> tuple[int, ...]:
+    """The count signed slots of value, packed as by :func:`_pack`: the
+    top slot first, so a reversed polynomial reads back in forward order."""
+    raw = value.to_bytes(width * count, "big")
     if width in _SIGNED:
-        # flipping the top bits back leaves each c in two's complement
-        raw = (low ^ offset).to_bytes(width * n_out, "little")
-        return list(struct.unpack(f"<{n_out}{_SIGNED[width]}", raw))
-    raw = low.to_bytes(width * n_out, "little")
-    slots = map(int.from_bytes, map(itemgetter(0),
-                                    struct.iter_unpack(f"{width}s", raw)),
-                repeat("little"))
-    return list(map(sub, slots, repeat(1 << (8 * width - 1))))
+        return struct.unpack(f">{count}{_SIGNED[width]}", raw)
+    return tuple(map(partial(int.from_bytes, byteorder="big", signed=True),
+                     map(itemgetter(0), struct.iter_unpack(f"{width}s", raw))))
 
 
 def _row_kernel(a: Sequence[int], b: Sequence[int], n_out: int,
-                rows: Optional[list[int]] = None) -> list[int]:
+                rows: Optional[list[int]] = None) -> tuple[int, ...]:
     """Cauchy product as one shifted add of packed b per nonzero of a.
 
     b is packed in reverse, b_j in slot n_out - 1 - j, with the offset left
@@ -250,16 +241,16 @@ def _row_kernel(a: Sequence[int], b: Sequence[int], n_out: int,
     borrow, and the rows, added from the highest exponent of a down, keep
     the sum n_out - i slots long.  Slot n_out - 1 - k of the sum holds
     c_k + 2**(8*width - 1) * A_k, for the product c and the prefix sums
-    A_k = a_0 + ... + a_k, which are taken off before unpacking.  a should
-    be the sparser operand, and b must have a nonzero coefficient; a b
-    shorter than n_out counts as padded with zeros.  rows are the sorted
-    exponents below n_out of the nonzeros of a, scanned here when not
-    given.
+    A_k = a_0 + ... + a_k, of which all but one offset is taken off before
+    unpacking.  a should be the sparser operand, and b must have a nonzero
+    coefficient; a b shorter than n_out counts as padded with zeros.  rows
+    are the sorted exponents below n_out of the nonzeros of a, scanned here
+    when not given.
     """
     if rows is None:
         rows = _nonzero(a[:n_out])
     if not rows:
-        return [0] * n_out
+        return (0,) * n_out
     # sum|a| * max|b| bounds every output coefficient and every |A_k| too,
     # and a sum over the few listed nonzeros of a costs less than one over
     # all of b
@@ -267,9 +258,7 @@ def _row_kernel(a: Sequence[int], b: Sequence[int], n_out: int,
                     * max(max(b), -min(b)))
     bits = 8 * width
     offsets = _offset(width, n_out)
-    rev = [0] * (n_out - len(b))
-    rev += reversed(b[:n_out])
-    row = _pack(rev, width) + offsets
+    row = _pack(b, width, n_out) ^ offsets
     acc = 0
     for i in reversed(rows):
         c = a[i]
@@ -279,34 +268,37 @@ def _row_kernel(a: Sequence[int], b: Sequence[int], n_out: int,
             acc -= row >> (bits * i)
         else:
             acc += c * (row >> (bits * i))
-    # A is constant from one row to the next, so its slots, offset like
-    # b's, are written as one run of equal bytes per row, from the top
-    half = 1 << (bits - 1)
-    total = sum(map(a.__getitem__, rows))
+    # A_k - 1 is constant from one row to the next, so its slots, offset
+    # like b's, are written as one run of equal bytes per row, from the top
+    low = (1 << (bits - 1)) - 1
+    total = top = 0
     runs = []
-    top = n_out
-    for i in reversed(rows):
-        runs.append((total + half).to_bytes(width, "little") * (top - i))
-        total -= a[i]
+    for i in rows:
+        runs.append((total + low).to_bytes(width, "big") * (i - top))
+        total += a[i]
         top = i
-    runs.append(half.to_bytes(width, "little") * top)
-    prefix = int.from_bytes(b"".join(runs), "little") - offsets
-    out = _unpack(acc - (prefix << (bits - 1)), n_out, width)
-    out.reverse()
-    return out
+    runs.append((total + low).to_bytes(width, "big") * (n_out - top))
+    prefix = int.from_bytes(b"".join(runs), "big") - offsets
+    return _unpack((acc - (prefix << (bits - 1))) ^ offsets, width, n_out)
 
 
 def _big_multiply(a: Sequence[int], b: Sequence[int],
-                  n_out: int) -> list[int]:
+                  n_out: int) -> tuple[int, ...]:
     """Cauchy product by one signed big-integer multiply (Kronecker).
 
+    Both operands, packed reversed over n_out slots, put c_k in slot
+    2 n_out - 2 - k of their product, so c_0 .. c_(n_out-1) are its top
+    n_out slots, which an offset in each slot below keeps from a borrow.
     Both operands must have a nonzero coefficient.  A square (a is b) is
     packed once, and the packed int times itself takes CPython's squaring.
     """
     width = _slot_width(a, b)
-    packed = _pack(a, width)
-    other = packed if a is b else _pack(b, width)
-    return _unpack(packed * other, n_out, width)
+    bits = 8 * width
+    offsets = _offset(width, n_out)
+    packed = (_pack(a, width, n_out) ^ offsets) - offsets
+    other = packed if a is b else (_pack(b, width, n_out) ^ offsets) - offsets
+    top = (packed * other + (offsets >> bits)) >> (bits * (n_out - 1))
+    return _unpack((top + offsets) ^ offsets, width, n_out)
 
 
 def _count(a: Sequence[int], owner: Optional["Series"], n_out: int) -> int:
@@ -446,21 +438,21 @@ class Series:
             raise ValueError("cannot extend a truncated series")
         if n < 0:
             raise ValueError("truncation must be >= 0")
-        return Series._raw(list(self.coeffs[:n]))
+        return Series._raw(self.coeffs[:n])
 
     def __add__(self, other: "Series") -> "Series":
         if not isinstance(other, Series):
             return NotImplemented
         # map stops at the shorter operand, the min truncation
-        return Series._raw(list(map(add, self.coeffs, other.coeffs)))
+        return Series._raw(tuple(map(add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "Series") -> "Series":
         if not isinstance(other, Series):
             return NotImplemented
-        return Series._raw(list(map(sub, self.coeffs, other.coeffs)))
+        return Series._raw(tuple(map(sub, self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "Series":
-        return Series._raw([-c for c in self.coeffs])
+        return Series._raw(tuple(map(neg, self.coeffs)))
 
     def __mul__(self, other):
         if isinstance(other, Series):
@@ -468,7 +460,7 @@ class Series:
             return Series._raw(
                 _convolve(self.coeffs, other.coeffs, n, self, other))
         if isinstance(other, int):
-            return Series._raw([other * c for c in self.coeffs])
+            return Series._raw(tuple(map(mul, self.coeffs, repeat(other))))
         return NotImplemented
 
     __rmul__ = __mul__

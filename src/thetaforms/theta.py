@@ -34,13 +34,15 @@ _U_FORM = (3, 2, 5)     # 3x^2 + 2xy + 5y^2
 
 @lru_cache(maxsize=None)
 def general_theta(x: int, y: int, n: int, sign_x: int = 1, sign_y: int = 1) -> Series:
-    """Theta sum over all integers with exponent x*n(n-1)/2 + y*n(n+1)/2."""
+    """Theta sum over all integers k with exponent x*k(k-1)/2 + y*k(k+1)/2;
+    that is at least m*|k|(|k|-1)/2, for m the smaller nonzero of x and y,
+    so |k| <= isqrt(2n // m) + 1 covers every exponent below n."""
     if x < 0 or y < 0 or (x == 0 and y == 0):
         raise ValueError("general_theta requires x, y >= 0, not both zero")
     if sign_x not in (1, -1) or sign_y not in (1, -1):
         raise ValueError("signs must be +1 or -1")
     coeffs = [0] * n
-    kmax = isqrt(2 * n) + 2
+    kmax = isqrt(2 * n // (min(x, y) or max(x, y))) + 1
     for k in range(-kmax, kmax + 1):
         tx = k * (k - 1) // 2
         ty = k * (k + 1) // 2
@@ -82,17 +84,15 @@ def euler(n: int) -> Series:
     return euler_power(1, n)
 
 
-# the built-in series of the registry, by name, as functions of the length
+# (x, y) of the built-in names that are two-parameter sums f(q^x, q^y)
+_THETA_PAIRS = {"phi": (1, 1), "psi": (1, 3), "f12": (1, 2), "f15": (1, 5)}
+# the other built-in series of the registry, as functions of the length
 _BUILTINS = {
-    "phi": lambda m: general_theta(1, 1, m),
-    "psi": lambda m: general_theta(1, 3, m),
-    "f12": lambda m: general_theta(1, 2, m),
-    "f15": lambda m: general_theta(1, 5, m),
     "E": euler,
     "chi": lambda m: theta_series(BinaryForm(*_CHI_FORM), m),
     "u": lambda m: theta_series(BinaryForm(*_U_FORM), m),
 }
-BUILTIN_NAMES = tuple(_BUILTINS)
+BUILTIN_NAMES = (*_THETA_PAIRS, *_BUILTINS)
 
 
 @lru_cache(maxsize=None)
@@ -101,9 +101,20 @@ def named_function(name: str, n: int, power: int = 1, negate: bool = False) -> S
 
     ``negate`` substitutes -t for the argument t = q^power, e.g.
     named_function("phi", n, 7, True) is the expansion of phi at -q^7.
+
+    phi, psi, f12 and f15 are f(q^x, q^y) at (x, y) = (1, 1), (1, 3),
+    (1, 2) and (1, 5).  At (+-)q^p each is one general_theta(x*p, y*p, n,
+    sx, sy) call, with sx = (-1)^x and sy = (-1)^y at -q^p and both +1 at
+    q^p, always all five arguments, so every call shape of a factor, and an
+    equal f(q^a, q^b) leaf, shares one cached series.  E, chi and u are
+    expanded at q, then composed.
     """
     if power < 1:
         raise ValueError("power must be >= 1")
+    if name in _THETA_PAIRS:
+        x, y = _THETA_PAIRS[name]
+        sx, sy = ((-1) ** x, (-1) ** y) if negate else (1, 1)
+        return general_theta(x * power, y * power, n, sx, sy)
     if name not in _BUILTINS:
         raise KeyError(f"unknown built-in function {name!r}")
     if power == 1 and not negate:

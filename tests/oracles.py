@@ -11,9 +11,9 @@ from thetaforms.identities import (CLAUSE_MODES, MAX_DEPTH, MODES, Add,
                                    Pow, QPow, RegistryError, Sift, Theta2,
                                    UnionCount, WeightedCount)
 from thetaforms.prover import Cusp, EtaCombination
-from thetaforms.series import Series, invert
+from thetaforms.series import Series, alternate_sign, compose_power, invert
 from thetaforms.theta import (BUILTIN_NAMES, EtaQuotient, euler_power,
-                              expand_eta_quotient)
+                              expand_eta_quotient, general_theta)
 
 
 def transform_ternary(form: TernaryForm, u) -> TernaryForm:
@@ -81,6 +81,23 @@ def expand_eta_quotient_by_products(eq: EtaQuotient, n: int) -> tuple[int, Serie
     if den is not None and n:
         num = invert(den) if num is None else num * invert(den)
     return total // 24, Series.one(n) if num is None else num
+
+
+# (x, y) of f(q^x, q^y) behind each two-parameter built-in name
+THETA_PAIRS = {"phi": (1, 1), "psi": (1, 3), "f12": (1, 2), "f15": (1, 5)}
+
+
+def named_theta_by_composition(name: str, n: int, power: int = 1,
+                               negate: bool = False) -> Series:
+    """phi, psi, f12 or f15 at (+-)q^power as `named_function` built it
+    before it called `general_theta` at the scaled pair: the sum at q to
+    ceil(n / power) terms, its signs alternated for -q, then spread by
+    q -> q^power."""
+    x, y = THETA_PAIRS[name]
+    base = general_theta(x, y, -(-n // power))
+    if negate:
+        base = alternate_sign(base)
+    return compose_power(base, power, n)
 
 
 # The package's registry reader before it kept token texts alone, as an

@@ -159,6 +159,17 @@ class TestVerify:
         assert err == ("registry parse error: line 1, col 25: "
                        "exponent denominator must be nonzero\n")
 
+    def test_long_integer_literal_exit_two(self, tmp_path, capsys):
+        registry = tmp_path / "reg.txt"
+        registry.write_text(f"a: series: {'1' * 5000} = 1\n",
+                            encoding="utf-8")
+        code, out, err = run_cli(capsys, "--registry", str(registry), "suite")
+        assert code == 2
+        assert out == ""
+        assert err == ("registry parse error: line 1, col 12: integer "
+                       f"literal longer than {sys.get_int_max_str_digits()} "
+                       "digits\n")
+
 
 class TestEntryEvaluationErrors:
     """An entry whose evaluation raises is a usage error of one line."""

@@ -354,6 +354,28 @@ class TestParser:
             assert name in registry
 
 
+class TestLongIntegerLiterals:
+    """A literal longer than int()'s digit limit is a parse error at the
+    literal, not the interpreter's ValueError."""
+
+    BIG = "1" * 5000
+
+    @pytest.mark.parametrize("text", [
+        pytest.param(f"a: series: {BIG} = 1", id="series"),
+        pytest.param(f"a: ternary: (1,1,1,0,0,{BIG})(M) = 0", id="form"),
+    ])
+    def test_over_the_limit_is_a_registry_error(self, text):
+        assert 0 < sys.get_int_max_str_digits() < len(self.BIG)
+        with pytest.raises(RegistryError, match="integer literal longer") as err:
+            parse_registry(text)
+        assert (err.value.line, err.value.col) == (1, text.index(self.BIG) + 1)
+
+    def test_at_the_limit_parses(self):
+        digits = "7" * sys.get_int_max_str_digits()
+        spec = parse_registry(f"a: series: {digits} = 1")[0]
+        assert spec.lhs.value == int(digits)
+
+
 class TestVerifySeries:
     def test_degree3_identity(self, registry):
         assert verify_series(registry["2.10"], 500).passed

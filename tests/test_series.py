@@ -161,8 +161,8 @@ class TestProductPaths:
         expected = schoolbook(a, b, n)
         assert (Series(a) * Series(b)).coeffs == tuple(expected)
         for kernel in KERNELS if any(a) and any(b) else (_pair_loop,):
-            assert kernel(a, b, n) == expected
-            assert kernel(b, a, n) == expected
+            assert list(kernel(a, b, n)) == expected
+            assert list(kernel(b, a, n)) == expected
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(long_coeffs(max_size=800), st.sampled_from((1, -1)))
@@ -178,14 +178,14 @@ class TestProductPaths:
         expected = schoolbook(psi, phi, n)
         assert (Series(psi) * Series(phi)).coeffs == tuple(expected)
         for kernel in KERNELS:
-            assert kernel(psi, phi, n) == expected
+            assert list(kernel(psi, phi, n)) == expected
 
     def test_output_beyond_operand_lengths(self):
         a, b = [3, -1, 2 ** 80], [-5, 7]
         expected = schoolbook(a, b, 6)
         for kernel in KERNELS:
-            assert kernel(a, b, 6) == expected
-            assert kernel(b, a, 6) == expected
+            assert list(kernel(a, b, 6)) == expected
+            assert list(kernel(b, a, 6)) == expected
 
     @pytest.mark.parametrize("bound, width", [
         (0, 1), (1, 1), (2 ** 7 - 1, 1), (2 ** 7, 2), (2 ** 8 - 1, 2),
@@ -206,8 +206,8 @@ class TestProductPaths:
             assert max(map(abs, expected)) == m
             assert min(expected) < 0
             for kernel in KERNELS:
-                assert kernel(a, b, n) == expected
-                assert kernel(b, a, n) == expected
+                assert list(kernel(a, b, n)) == expected
+                assert list(kernel(b, a, n)) == expected
 
     @pytest.mark.parametrize("bits", WIDTH_EDGE_BITS)
     def test_truncation_edges(self, bits):
@@ -223,8 +223,8 @@ class TestProductPaths:
                              ([0] * 5 + a[:n - 5], b[:n - 3])):
                     expected = schoolbook(x, y, n_out)
                     for kernel in KERNELS:
-                        assert kernel(x, y, n_out) == expected
-                        assert kernel(y, x, n_out) == expected
+                        assert list(kernel(x, y, n_out)) == expected
+                        assert list(kernel(y, x, n_out)) == expected
 
     @pytest.mark.parametrize("psi_step, s", [(1, 7), (2, 3)])
     def test_positivity_shape_takes_row_kernel(self, psi_step, s,
@@ -237,7 +237,7 @@ class TestProductPaths:
         psi = named_function("psi", n, psi_step)
         dense = phi * phi - phis * phis
         expected = _big_multiply(psi.coeffs, dense.coeffs, n)
-        assert _pair_loop(psi.coeffs, dense.coeffs, n) == expected
+        assert tuple(_pair_loop(psi.coeffs, dense.coeffs, n)) == expected
 
         def refuse(a, b, n_out):
             raise AssertionError("a kernel other than the row kernel ran")
@@ -246,6 +246,34 @@ class TestProductPaths:
         monkeypatch.setattr(series, "_pair_loop", refuse)
         assert (psi * dense).coeffs == tuple(expected)
         assert (dense * psi).coeffs == tuple(expected)
+
+
+class TestCodec:
+    """The packed kernels' one codec at each slot width: struct's 1, 2, 4
+    and 8 bytes and a wider slot of one to_bytes/from_bytes call each.
+    Each a has one nonzero, +-1, so the slot bound of both kernels is m."""
+
+    @pytest.mark.parametrize("m, width", [
+        pytest.param(m, width, id=f"width-{width}") for m, width in (
+            (100, 1), (2 ** 14, 2), (2 ** 30, 4), (2 ** 62, 8), (2 ** 63, 9),
+            (2 ** 100, 13))])
+    def test_kernels_match_schoolbook(self, m, width):
+        assert _layout(m) == width
+        b = [m, -3, 0, -m, 1, 0, 7]
+        cases = [
+            ([0, 0, -1], b, 12),                    # b shorter than n_out
+            ([1, 0, 0, 0], [-m] * 9, 9),            # all-negative b
+            ([0, 1], [-m, -1, -m], 9),
+            ([-1], [m, 5], 1),                      # n_out = 1
+            ([1], [-m], 1),
+            ([0] * 6 + [-1], b, 7),                 # one row at n_out - 1
+            ([0] * 11 + [1], [-m] * 12, 12),
+        ]
+        for a, y, n_out in cases:
+            expected = schoolbook(a, y, n_out)
+            for kernel in (_row_kernel, _big_multiply):
+                assert kernel(a, y, n_out) == tuple(expected)
+                assert kernel(y, a, n_out) == tuple(expected)
 
 
 class TestSquares:
@@ -267,10 +295,10 @@ class TestSquares:
         assert twin == a and twin is not a
         expected = schoolbook(a, a, n_out)
         for kernel in KERNELS:
-            assert kernel(a, a, n_out) == expected
-            assert kernel(a, twin, n_out) == expected
-        assert series._convolve(a, a, n_out) == expected
-        assert series._convolve(a, twin, n_out) == expected
+            assert list(kernel(a, a, n_out)) == expected
+            assert list(kernel(a, twin, n_out)) == expected
+        assert list(series._convolve(a, a, n_out)) == expected
+        assert list(series._convolve(a, twin, n_out)) == expected
 
     def test_square_reaches_its_kernel_as_one_object(self, monkeypatch):
         seen = []
@@ -292,8 +320,8 @@ class TestSquares:
         for name in ("_nonzero", "_pack"):
             monkeypatch.setattr(series, name, counted(name))
         a = (3, 0, -1, 2, 0, 5)
-        assert _pair_loop(a, a, 6) == schoolbook(a, a, 6)
-        assert _big_multiply(a, a, 6) == schoolbook(a, a, 6)
+        assert list(_pair_loop(a, a, 6)) == schoolbook(a, a, 6)
+        assert list(_big_multiply(a, a, 6)) == schoolbook(a, a, 6)
         assert calls == ["_nonzero", "_pack"]
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -304,8 +332,8 @@ class TestSquares:
         n_out = data.draw(st.integers(min_value=1, max_value=len(a) + 3))
         expected = schoolbook(a, a, n_out)
         for kernel in KERNELS if any(a) else (_pair_loop,):
-            assert kernel(a, a, n_out) == expected
-            assert kernel(a, twin, n_out) == expected
+            assert list(kernel(a, a, n_out)) == expected
+            assert list(kernel(a, twin, n_out)) == expected
         x = Series(a)
         square = tuple(schoolbook(a, a, len(a)))
         assert (x * x).coeffs == square

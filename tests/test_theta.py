@@ -1,14 +1,23 @@
+import json
+import os
+import subprocess
+import sys
 from math import lcm
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from thetaforms import theta
+from thetaforms.identities import eval_series, parse_expression
 from thetaforms.series import Series, invert
 from thetaforms.theta import (EtaQuotient, euler, euler_power,
                               expand_eta_quotient, general_theta,
                               named_function)
-from oracles import expand_eta_quotient_by_products
+from oracles import (THETA_PAIRS, expand_eta_quotient_by_products,
+                     named_theta_by_composition)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def product_form(x, y, n):
@@ -135,6 +144,80 @@ class TestNamedFunctions:
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             named_function("nope", 10)
+
+
+class TestThetaRouting:
+    """phi, psi, f12 and f15 at (+-)q^p are one general_theta call each, at
+    (x*p, y*p) with the signs of q -> -q^p, and so one cached series."""
+
+    @pytest.mark.parametrize("name", sorted(THETA_PAIRS))
+    def test_matches_composition(self, name):
+        for n in (0, 1, 2, 17, 500, 4001):
+            for p in range(1, 17):
+                for negate in (False, True):
+                    assert (named_function(name, n, p, negate)
+                            == named_theta_by_composition(name, n, p, negate))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(0, 30), st.integers(0, 30), st.integers(0, 600),
+           st.sampled_from((1, -1)), st.sampled_from((1, -1)))
+    def test_k_bound_matches_brute_walk(self, x, y, n, sx, sy):
+        assume(x or y)
+        # every exponent is at least |k| - 1, so |k| <= n + 1 covers all
+        expected = [0] * n
+        for k in range(-n - 2, n + 3):
+            tx, ty = k * (k - 1) // 2, k * (k + 1) // 2
+            if x * tx + y * ty < n:
+                expected[x * tx + y * ty] += sx ** tx * sy ** ty
+        assert general_theta(x, y, n, sx, sy).coeffs == tuple(expected)
+
+    def test_one_object_per_factor(self):
+        n = 300
+        assert named_function("phi", n, 7) is named_function("phi", n, 7, False)
+        assert named_function("phi", n) is general_theta(1, 1, n, 1, 1)
+        assert eval_series(parse_expression("f(q,q)"), n) is named_function(
+            "phi", n)
+        assert eval_series(parse_expression("f(-q^3,q^6)"), n) is (
+            named_function("f12", n, 3, True))
+
+
+# The 12 operations of the positivity-long workload, in a fresh interpreter:
+# each positivity entry at 40 000 terms, then each CLI scan; then the cache
+# sizes and the 40 000-term series still alive, which only caches hold.
+_CACHE_PIN = """
+import contextlib, gc, io, json
+from thetaforms import cli, identities, theta
+from thetaforms.series import Series
+registry = identities.load_default_registry()
+for name in sorted(registry):
+    if registry[name].mode == "positivity":
+        identities.verify_entry(registry[name], limit=40000)
+for s in (3, 5, 7, 15):
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["positivity", "--s", str(s), "--limit", "40000"])
+gc.collect()
+print(json.dumps([theta.general_theta.cache_info().currsize,
+                  theta.named_function.cache_info().currsize,
+                  sum(type(o) is Series and o.truncation == 40000
+                      for o in gc.get_objects())]))
+"""
+
+
+class TestThetaCachePin:
+    """The cached series that the long positivity scans leave behind: one
+    general_theta entry per factor, so a call shape that builds a second
+    copy of a factor shows here."""
+
+    def test_positivity_scans_cache_entries(self):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", _CACHE_PIN],
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        # 8 factors: phi and psi at q, phi at q^3, q^5, q^7 and q^15, and
+        # psi at q^2 and q^6; 14 call shapes of named_function reach them,
+        # and no other 40 000-term series is kept
+        assert json.loads(proc.stdout.splitlines()[-1]) == [8, 14, 8]
 
 
 # the two proved eta identities, as (exponent-map, theta-term) pairs
