@@ -20,7 +20,6 @@ from .identities import (DEFAULT_LIMIT, DEFAULT_MMAX, DEFAULT_TERMS,
                          eval_series, load_registry, parse_expression,
                          run_suite, verify_entry)
 from .series import is_nonnegative
-from .theta import named_function
 
 ENV_REGISTRY = "THETAFORMS_REGISTRY"
 FORMATS = ("table", "csv")
@@ -217,10 +216,8 @@ def _cmd_positivity(cfg: Config, args) -> int:
         print("supported shifts: 3, 5, 7, 15", file=sys.stderr)
         return 2
     limit = _count(cfg, args, "limit")
-    phi = named_function("phi", limit)
-    phis = named_function("phi", limit, args.s)
-    psi = named_function("psi", limit)
-    value = psi * (phi * phi - phis * phis)
+    value = eval_series(parse_expression(
+        f"psi(q)*(phi(q)^2 - phi(q^{args.s})^2)"), limit)
     ok, bad = is_nonnegative(value)
     if ok:
         print(f"nonnegative through exponent {limit - 1}")

@@ -807,7 +807,8 @@ def _expand(node, n: int) -> Series:
             EtaQuotient.from_dict(level, dict(node.exponents)), n)
         if offset < 0:
             raise ValueError("eta quotient with a pole cannot embed in a series")
-        return Series.monomial(offset, n) * unit
+        return Series._raw((0,) * min(offset, n)
+                           + unit.coeffs[:max(n - offset, 0)])
     if isinstance(node, Pow):
         if node.exponent.denominator != 1:
             raise ValueError("fractional exponent outside modeq3")

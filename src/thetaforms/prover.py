@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from math import gcd, lcm
+from math import ceil, gcd, lcm
 from operator import add, mul
 from typing import NamedTuple
 
@@ -208,9 +208,7 @@ def prove(comb: EtaCombination) -> ProofCertificate:
     finite = [(cusp, bound) for cusp, bound in sorted(table.items())
               if not cusp.is_infinity(comb.level)]
     deficit = -sum(min(Fraction(0), bound) for _, bound in finite)
-    valence_bound = int(deficit)  # floor; deficits here are integral anyway
-    if deficit > valence_bound:
-        valence_bound += 1  # round up: strictly beating the bound stays sound
+    valence_bound = ceil(deficit)  # beating the bound strictly stays sound
     to_check = valence_bound + 1
     coeffs = _expand_combination(comb, to_check)
     verdict = "proved"

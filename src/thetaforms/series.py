@@ -37,27 +37,12 @@ of the pair loop (one multiply-add), and the cheapest runs:
   nza^3 <= 2 n^2 (about 79 rows at n = 500, 317 at 4000, 1473 at 40 000).
   A square is packed once, and CPython squares the packed int.
 
-Each kernel was timed on the operands of every product of one cold pass
-of each benchmark workload, recorded while the operations of
-``bench/worker.py`` ran (best of 5, total ms, CPython 3.11.7, 2-core
-x86-64 sandbox):
-
-    products              pair    row    big   fastest   rule   before
-    registry (1 183)       245    170    387       103    106      115
-    positivity-long (36)  1758    384   1147       177    177      274
-    sgenus (59)            0.3    0.9    0.9       0.3    0.3      0.3
-
-where "before" is the same rule with the untruncated row kernel and no
-square paths.  The timings come from commit e63c936 and predate the
-big-endian codec (below), which takes a list round-trip out of each packed
-product; since be854da expands the eta quotients by their recurrence, a
-registry pass makes 630 products (441 pair, 160 row, 29 big), and its row
-was not timed again.  The two
-boundaries were fitted, before the row kernel was truncated, on these
-shapes, timed here with the kernels as they are: a sparser operand of +-1
-at random places times b, either phi(q)^2 - phi(q^7)^2 ("dense", about
-0.3 n nonzeros) or n / 16 random nonzeros of at most 3 (best of 7, ms,
-same machine):
+A cold registry pass makes 630 products this way (441 pair, 160 row and
+29 big), a count the tests pin.  The two boundaries were fitted on the
+shapes below, here timed with the kernels as they are: a sparser operand
+of +-1 at random places times b, either phi(q)^2 - phi(q^7)^2 ("dense",
+about 0.3 n nonzeros) or n / 16 random nonzeros of at most 3 (best of 7,
+ms, CPython 3.11.7, 2-core x86-64 sandbox):
 
     n       b       nza     pair      row      big    rule
     500     dense     4    0.048    0.051    0.089    pair
@@ -73,14 +58,10 @@ same machine):
     40 000  dense  1473        -    62.85    137.5    row
     40 000  dense  2946        -    117.5    139.0    big
 
-With rows spread evenly, the truncated row kernel now beats the big
-multiply up to about 630 rows at n = 4000 and 3 500 at 40 000, well past
-nza^3 = 2 n^2, but on the recorded products the rule's choices cost only
-3 ms more, in total, than the fastest kernel of each product.  The slot
-width (below) was tried as a third input: with 8-byte slots in place of
-2 the row/big crossover moved from about nza^3 = n^2 to 8 n^2, but on the
-recorded products a width term saved under 1 ms of 107, so the rule
-leaves it out and scans no operand before choosing.
+With rows spread evenly, the truncated row kernel beats the big multiply
+up to about 630 rows at n = 4000 and 3 500 at 40 000, well past
+nza^3 = 2 n^2.  The slot width (below) is no input of the rule, so no
+operand is scanned before choosing.
 
 The counts come from the support where it is already filled, cut at n by
 a binary search, and are otherwise counted in C with

@@ -1,4 +1,4 @@
-"""Classical theta series, Euler products, and eta-quotient expansions.
+"""Classical theta series and eta-quotient expansions.
 
 Everything is produced as an exact :class:`~thetaforms.series.Series`.
 The two-parameter theta sum
@@ -6,9 +6,11 @@ The two-parameter theta sum
     f(a, b) = sum_n a^{n(n-1)/2} b^{n(n+1)/2}
 
 is specialized at a = s_x q^x, b = s_y q^y with signs s_x, s_y in {+1,-1};
-the familiar functions are phi = f(q,q), psi = f(q,q^3) and the cubic
-companions f(q,q^2), f(q,q^5).  Lattice windows are solved with integer
-square roots, so no term is ever dropped or duplicated.
+the familiar functions are phi = f(q,q), psi = f(q,q^3), the cubic
+companions f(q,q^2), f(q,q^5), and Euler's product E(q) = (q; q)_inf,
+which is f(-q, -q^2) by Jacobi's triple product (Berndt, *Ramanujan's
+Notebooks, Part III*, ch. 16, Entry 22(iii)).  Lattice windows are solved
+with integer square roots, so no term is ever dropped or duplicated.
 """
 
 from __future__ import annotations
@@ -26,11 +28,6 @@ __all__ = [
     "general_theta", "euler", "euler_power", "named_function",
     "EtaQuotient", "expand_eta_quotient", "BUILTIN_NAMES",
 ]
-
-# binary forms behind the two lattice sums used by the registry
-_CHI_FORM = (4, 4, 6)   # 4x^2 + 4xz + 6z^2
-_U_FORM = (3, 2, 5)     # 3x^2 + 2xy + 5y^2
-
 
 @lru_cache(maxsize=None)
 def general_theta(x: int, y: int, n: int, sign_x: int = 1, sign_y: int = 1) -> Series:
@@ -59,24 +56,10 @@ def general_theta(x: int, y: int, n: int, sign_x: int = 1, sign_y: int = 1) -> S
 
 @lru_cache(maxsize=None)
 def euler_power(k: int, n: int) -> Series:
-    """E(q^k) = prod_{j>=1} (1 - q^{kj}) via the pentagonal expansion."""
+    """E(q^k) = prod_{j>=1} (1 - q^{kj}) = f(-q^k, -q^{2k})."""
     if k < 1:
         raise ValueError("power must be >= 1")
-    coeffs = [0] * n
-    if n > 0:
-        coeffs[0] = 1
-    j = 1
-    while True:
-        g1 = k * j * (3 * j - 1) // 2
-        if g1 >= n:
-            break
-        sign = -1 if j % 2 else 1
-        coeffs[g1] += sign
-        g2 = k * j * (3 * j + 1) // 2
-        if g2 < n:
-            coeffs[g2] += sign
-        j += 1
-    return Series._raw(coeffs)
+    return general_theta(k, 2 * k, n, -1, -1)
 
 
 def euler(n: int) -> Series:
@@ -84,13 +67,16 @@ def euler(n: int) -> Series:
     return euler_power(1, n)
 
 
-# (x, y) of the built-in names that are two-parameter sums f(q^x, q^y)
-_THETA_PAIRS = {"phi": (1, 1), "psi": (1, 3), "f12": (1, 2), "f15": (1, 5)}
-# the other built-in series of the registry, as functions of the length
+# (x, y, sx, sy) of the built-in names that are two-parameter sums
+# f(sx t^x, sy t^y) at t = q
+_THETA_PAIRS = {
+    "phi": (1, 1, 1, 1), "psi": (1, 3, 1, 1), "f12": (1, 2, 1, 1),
+    "f15": (1, 5, 1, 1), "E": (1, 2, -1, -1),
+}
+# the binary forms whose theta series are the other built-in names
 _BUILTINS = {
-    "E": euler,
-    "chi": lambda m: theta_series(BinaryForm(*_CHI_FORM), m),
-    "u": lambda m: theta_series(BinaryForm(*_U_FORM), m),
+    "chi": (4, 4, 6),   # 4x^2 + 4xz + 6z^2
+    "u": (3, 2, 5),     # 3x^2 + 2xy + 5y^2
 }
 BUILTIN_NAMES = (*_THETA_PAIRS, *_BUILTINS)
 
@@ -102,28 +88,27 @@ def named_function(name: str, n: int, power: int = 1, negate: bool = False) -> S
     ``negate`` substitutes -t for the argument t = q^power, e.g.
     named_function("phi", n, 7, True) is the expansion of phi at -q^7.
 
-    phi, psi, f12 and f15 are f(q^x, q^y) at (x, y) = (1, 1), (1, 3),
-    (1, 2) and (1, 5).  At (+-)q^p each is one general_theta(x*p, y*p, n,
-    sx, sy) call, with sx = (-1)^x and sy = (-1)^y at -q^p and both +1 at
-    q^p, always all five arguments, so every call shape of a factor, and an
-    equal f(q^a, q^b) leaf, shares one cached series.  E, chi and u are
+    phi, psi, f12, f15 and E are f(sx t^x, sy t^y) at t = q, with
+    (x, y, sx, sy) = (1, 1, 1, 1), (1, 3, 1, 1), (1, 2, 1, 1), (1, 5, 1, 1)
+    and (1, 2, -1, -1).  At (+-)q^p each is one general_theta(x*p, y*p, n,
+    sx, sy) call, its signs times (-1)^x and (-1)^y at -q^p, always all
+    five arguments, so every call shape of a factor, and an equal
+    f(+-q^a, +-q^b) leaf, shares one cached series.  chi and u are
     expanded at q, then composed.
     """
     if power < 1:
         raise ValueError("power must be >= 1")
     if name in _THETA_PAIRS:
-        x, y = _THETA_PAIRS[name]
-        sx, sy = ((-1) ** x, (-1) ** y) if negate else (1, 1)
+        x, y, sx, sy = _THETA_PAIRS[name]
+        if negate:
+            sx, sy = sx * (-1) ** x, sy * (-1) ** y
         return general_theta(x * power, y * power, n, sx, sy)
     if name not in _BUILTINS:
         raise KeyError(f"unknown built-in function {name!r}")
-    if power == 1 and not negate:
-        return _BUILTINS[name](n)
-    m = (n + power - 1) // power
-    base = _BUILTINS[name](m)
+    base = theta_series(BinaryForm(*_BUILTINS[name]), -(-n // power))
     if negate:
         base = alternate_sign(base)
-    return compose_power(base, power, n)
+    return base if power == 1 else compose_power(base, power, n)
 
 
 class _EtaFields(NamedTuple):

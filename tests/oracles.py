@@ -12,8 +12,8 @@ from thetaforms.identities import (CLAUSE_MODES, MAX_DEPTH, MODES, Add,
                                    UnionCount, WeightedCount)
 from thetaforms.prover import Cusp, EtaCombination
 from thetaforms.series import Series, alternate_sign, compose_power, invert
-from thetaforms.theta import (BUILTIN_NAMES, EtaQuotient, euler_power,
-                              expand_eta_quotient, general_theta)
+from thetaforms.theta import (BUILTIN_NAMES, EtaQuotient, expand_eta_quotient,
+                              general_theta)
 
 
 def transform_ternary(form: TernaryForm, u) -> TernaryForm:
@@ -52,9 +52,31 @@ def expand_combination_fractions(comb: EtaCombination, n: int) -> list[Fraction]
     return out
 
 
+def euler_pentagonal(k: int, n: int) -> Series:
+    """E(q^k) = prod_{j>=1} (1 - q^{kj}) by Euler's pentagonal number
+    theorem, sum over j of (-1)^j q^{k j (3j - 1) / 2}; the package's own
+    expansion before it read E as f(-q, -q^2)."""
+    coeffs = [0] * n
+    if n > 0:
+        coeffs[0] = 1
+    j = 1
+    while True:
+        g1 = k * j * (3 * j - 1) // 2
+        if g1 >= n:
+            break
+        sign = -1 if j % 2 else 1
+        coeffs[g1] += sign
+        g2 = k * j * (3 * j + 1) // 2
+        if g2 < n:
+            coeffs[g2] += sign
+        j += 1
+    return Series._raw(coeffs)
+
+
 def expand_eta_quotient_by_products(eq: EtaQuotient, n: int) -> tuple[int, Series]:
     """`expand_eta_quotient` as products of pentagonal expansions E(q^delta)
-    and one Newton inversion of the denominator's product.
+    (`euler_pentagonal`) and one Newton inversion of the denominator's
+    product.
 
     This was the package's own expansion before the recurrence.  For the 15
     quotients of 4.1 and 5.4, warm (E(q^delta) cached), raw, two runs on a
@@ -72,7 +94,7 @@ def expand_eta_quotient_by_products(eq: EtaQuotient, n: int) -> tuple[int, Serie
         raise ValueError(f"sum(delta*r) = {total} is not divisible by 24")
     num = den = None
     for delta, r in eq.exponents:
-        piece = euler_power(delta, n) ** abs(r)
+        piece = euler_pentagonal(delta, n) ** abs(r)
         if r > 0:
             num = piece if num is None else num * piece
         else:
@@ -83,18 +105,22 @@ def expand_eta_quotient_by_products(eq: EtaQuotient, n: int) -> tuple[int, Serie
     return total // 24, Series.one(n) if num is None else num
 
 
-# (x, y) of f(q^x, q^y) behind each two-parameter built-in name
+# (x, y) of f(q^x, q^y) behind phi, psi, f12 and f15
 THETA_PAIRS = {"phi": (1, 1), "psi": (1, 3), "f12": (1, 2), "f15": (1, 5)}
 
 
 def named_theta_by_composition(name: str, n: int, power: int = 1,
                                negate: bool = False) -> Series:
-    """phi, psi, f12 or f15 at (+-)q^power as `named_function` built it
-    before it called `general_theta` at the scaled pair: the sum at q to
-    ceil(n / power) terms, its signs alternated for -q, then spread by
-    q -> q^power."""
-    x, y = THETA_PAIRS[name]
-    base = general_theta(x, y, -(-n // power))
+    """phi, psi, f12, f15 or E at (+-)q^power as `named_function` built it
+    before it called `general_theta` at the scaled pair: the sum at q, or
+    E's pentagonal expansion, to ceil(n / power) terms, its signs
+    alternated for -q, then spread by q -> q^power."""
+    m = -(-n // power)
+    if name == "E":
+        base = euler_pentagonal(1, m)
+    else:
+        x, y = THETA_PAIRS[name]
+        base = general_theta(x, y, m)
     if negate:
         base = alternate_sign(base)
     return compose_power(base, power, n)

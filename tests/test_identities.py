@@ -24,6 +24,7 @@ from thetaforms.identities import (EntryError, EpsScalar, RegistryError,
 from thetaforms.modeq import (ALPHA, BETA, UnsupportedRadicand, cleared,
                               rational_root)
 from thetaforms.series import Series, invert, sift
+from thetaforms.theta import EtaQuotient, expand_eta_quotient
 
 
 @pytest.fixture(scope="module")
@@ -1140,6 +1141,22 @@ class TestScalarFolding:
             eval_series(_expr("phi(q)/2", "series"), 10)
         assert eval_series(_expr("phi(q)/1", "series"), 10) == \
             eval_series(_expr("phi(q)", "series"), 10)
+
+
+class TestEtaAtomShift:
+    """An eta atom is its unit moved up by the offset, as the product
+    q^offset * unit gives it, whether the offset is 0, inside the
+    truncation or past it."""
+
+    @pytest.mark.parametrize("text, offset", [
+        ("eta{1:2,2:-1}", 0), ("eta{1:24}", 1), ("eta{1:72}", 3)])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 40])
+    def test_matches_the_product(self, text, offset, n):
+        node = parse_expression(text)
+        exps = dict(node.exponents)
+        got, unit = expand_eta_quotient(EtaQuotient.from_dict(lcm(*exps), exps), n)
+        assert got == offset
+        assert eval_series(node, n) == Series.monomial(offset, n) * unit
 
 
 def _mask_period(c):

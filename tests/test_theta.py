@@ -147,10 +147,10 @@ class TestNamedFunctions:
 
 
 class TestThetaRouting:
-    """phi, psi, f12 and f15 at (+-)q^p are one general_theta call each, at
-    (x*p, y*p) with the signs of q -> -q^p, and so one cached series."""
+    """phi, psi, f12, f15 and E at (+-)q^p are one general_theta call each,
+    at (x*p, y*p) with the signs of q -> -q^p, and so one cached series."""
 
-    @pytest.mark.parametrize("name", sorted(THETA_PAIRS))
+    @pytest.mark.parametrize("name", [*sorted(THETA_PAIRS), "E"])
     def test_matches_composition(self, name):
         for n in (0, 1, 2, 17, 500, 4001):
             for p in range(1, 17):
@@ -179,6 +179,10 @@ class TestThetaRouting:
             "phi", n)
         assert eval_series(parse_expression("f(-q^3,q^6)"), n) is (
             named_function("f12", n, 3, True))
+        for p in (1, 2, 7):
+            assert named_function("E", n, p) is general_theta(
+                p, 2 * p, n, -1, -1)
+            assert euler_power(p, n) is named_function("E", n, p)
 
 
 # The 12 operations of the positivity-long workload, in a fresh interpreter:
@@ -215,9 +219,10 @@ class TestThetaCachePin:
                               timeout=300)
         assert proc.returncode == 0, proc.stderr
         # 8 factors: phi and psi at q, phi at q^3, q^5, q^7 and q^15, and
-        # psi at q^2 and q^6; 14 call shapes of named_function reach them,
-        # and no other 40 000-term series is kept
-        assert json.loads(proc.stdout.splitlines()[-1]) == [8, 14, 8]
+        # psi at q^2 and q^6; the entries and the CLI scans reach them
+        # through the evaluator's 8 call shapes of named_function, and no
+        # other 40 000-term series is kept
+        assert json.loads(proc.stdout.splitlines()[-1]) == [8, 8, 8]
 
 
 # the two proved eta identities, as (exponent-map, theta-term) pairs
