@@ -16,9 +16,9 @@ import sys
 from .forms import TernaryForm, aut_count, enumerate_ternary_classes, repcount
 from .genus import build_sgenus, genus_partition, mass_direct, mass_formula
 from .identities import (DEFAULT_LIMIT, DEFAULT_MMAX, DEFAULT_TERMS,
-                         EntryError, RegistryError, default_registry_file,
-                         eval_series, load_registry, parse_expression,
-                         run_suite, verify_entry)
+                         EVAL_ERRORS, EntryError, RegistryError,
+                         default_registry_file, eval_series, load_registry,
+                         parse_expression, run_suite, verify_entry)
 from .series import is_nonnegative
 
 ENV_REGISTRY = "THETAFORMS_REGISTRY"
@@ -73,9 +73,9 @@ def load_config(path: str | None) -> Config:
     return cfg
 
 
-def _emit_rows(header, rows, fmt, out):
+def _emit_rows(header, rows, fmt):
     if fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
         return
@@ -83,9 +83,9 @@ def _emit_rows(header, rows, fmt, out):
     rows = [tuple(str(c) for c in row) for row in rows]
     for row in rows:
         widths = [max(w, len(c)) for w, c in zip(widths, row)]
-    out.write("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip() + "\n")
+    print("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
     for row in rows:
-        out.write("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n")
+        print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
 
 
 def _registry(cfg: Config):
@@ -122,11 +122,11 @@ def _cmd_expand(cfg: Config, args) -> int:
     n = _count(cfg, args, "n")
     try:
         value = eval_series(parse_expression(args.func), n)
-    except (RegistryError, ValueError, KeyError) as err:
+    except EVAL_ERRORS as err:
         print(f"cannot expand {args.func!r}: {err}", file=sys.stderr)
         return 2
     rows = [(i, c) for i, c in enumerate(value.coeffs)]
-    _emit_rows(("exponent", "coefficient"), rows, cfg.fmt, sys.stdout)
+    _emit_rows(("exponent", "coefficient"), rows, cfg.fmt)
     return 0
 
 
@@ -142,7 +142,7 @@ def _cmd_verify(cfg: Config, args) -> int:
     except EntryError as err:
         return _cannot_evaluate(err)
     _emit_rows(("name", "mode", "params", "verdict", "witness", "ms"),
-               [result.row()], cfg.fmt, sys.stdout)
+               [result.row()], cfg.fmt)
     return 0 if result.passed else 1
 
 
@@ -172,11 +172,11 @@ def _cmd_forms(cfg: Config, args) -> int:
         for i, record in enumerate(genus_partition(args.disc), start=1):
             for form in record.classes:
                 rows.append((i, str(form), aut_count(form)))
-        _emit_rows(("genus", "form", "aut"), rows, cfg.fmt, sys.stdout)
+        _emit_rows(("genus", "form", "aut"), rows, cfg.fmt)
     else:
         for form in enumerate_ternary_classes(args.disc):
             rows.append((str(form), aut_count(form)))
-        _emit_rows(("form", "aut"), rows, cfg.fmt, sys.stdout)
+        _emit_rows(("form", "aut"), rows, cfg.fmt)
     return 0
 
 
@@ -205,7 +205,7 @@ def _cmd_sgenus(cfg: Config, args) -> int:
         total += md
         rows.append((i, str(record), chars, md, mf))
     _emit_rows(("i", "classes", "characters", "mass", "mass_formula"),
-               rows, cfg.fmt, sys.stdout)
+               rows, cfg.fmt)
     ok = total == args.s
     print(f"total mass {total} (predicted {args.s}): {'ok' if ok else 'MISMATCH'}")
     return 0 if ok else 1
@@ -216,8 +216,12 @@ def _cmd_positivity(cfg: Config, args) -> int:
         print("supported shifts: 3, 5, 7, 15", file=sys.stderr)
         return 2
     limit = _count(cfg, args, "limit")
-    value = eval_series(parse_expression(
-        f"psi(q)*(phi(q)^2 - phi(q^{args.s})^2)"), limit)
+    func = f"psi(q)*(phi(q)^2 - phi(q^{args.s})^2)"
+    try:
+        value = eval_series(parse_expression(func), limit)
+    except EVAL_ERRORS as err:
+        print(f"cannot scan {func!r}: {err}", file=sys.stderr)
+        return 2
     ok, bad = is_nonnegative(value)
     if ok:
         print(f"nonnegative through exponent {limit - 1}")
@@ -235,7 +239,7 @@ def _cmd_suite(cfg: Config, args) -> int:
     except EntryError as err:
         return _cannot_evaluate(err)
     _emit_rows(("name", "mode", "params", "verdict", "witness", "ms"),
-               [r.row() for r in results], cfg.fmt, sys.stdout)
+               [r.row() for r in results], cfg.fmt)
     passed = sum(1 for r in results if r.passed)
     failed = len(results) - passed
     print(f"{passed} passed / {failed} failed / {len(results)} total")

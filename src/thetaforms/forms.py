@@ -389,7 +389,7 @@ def ternary_equivalent(f1: TernaryForm, f2: TernaryForm) -> bool:
 # class enumeration
 # ---------------------------------------------------------------------------
 
-def _candidate_box(disc: int, g: int = 1, h: int = 1):
+def _candidate_box(disc: int, g: int, h: int):
     """Reduced candidates (a,b,c,d,e,f) of the discriminant with g | d, e, f
     and h dividing every entry of the adjugate of the doubled Gram matrix.
 

@@ -132,6 +132,11 @@ class EntryError(ValueError):
     the message starts with the entry's name."""
 
 
+# What evaluating an entry or expression raises for a fault of its input,
+# such as a non-unit divisor or a length past what a list can hold.
+EVAL_ERRORS = (ArithmeticError, LookupError, RuntimeError, ValueError)
+
+
 # ---------------------------------------------------------------------------
 # AST
 # ---------------------------------------------------------------------------
@@ -1171,7 +1176,7 @@ def verify_entry(spec: IdentitySpec, terms: int = DEFAULT_TERMS,
             result, _ = verify_eta(spec)
         else:  # pragma: no cover
             raise ValueError(f"unknown mode {spec.mode}")
-    except (ArithmeticError, LookupError, RuntimeError, ValueError) as err:
+    except EVAL_ERRORS as err:
         raise EntryError(f"{spec.name}: {err}") from err
     return result._replace(elapsed_ms=(time.perf_counter() - start) * 1000.0)
 

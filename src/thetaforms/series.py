@@ -10,9 +10,11 @@ that is filled the first time a product or a power needs it and never
 changes after; two threads that fill it at once compute equal lists, and
 either one is kept.  So a series is safe to share between threads.
 
-Multiplication takes one of three kernels.  With nza <= nzb the operands'
-nonzero counts below the output length n, each is priced in integer steps
-of the pair loop (one multiply-add), and the cheapest runs:
+Every product in the package is a Series product, :func:`invert`'s
+Newton steps included, and goes through ``Series.__mul__`` into one of
+three kernels.  With nza <= nzb the operands' nonzero counts below the
+output length n, each is priced in integer steps of the pair loop (one
+multiply-add), and the cheapest runs:
 
 * the pair loop, nza * nzb steps: a double loop over the nonzero
   coefficients of both operands, each row stopped at the output
@@ -67,9 +69,10 @@ The counts come from the support where it is already filled, cut at n by
 a binary search, and are otherwise counted in C with
 ``len(c) - c.count(0)``, about a third of the cost of listing the support.
 A kernel that walks nonzeros (the pair loop both operands, the row kernel
-the sparser one) reads the support, filling it if need be, so a cached
-theta factor such as phi(q) at 40 000 terms is scanned once however many
-products it enters; the big multiply needs none.
+the sparser one) is handed the head of each support below n, filled if
+need be, so a cached theta factor such as phi(q) at 40 000 terms is
+scanned once however many products it enters; the big multiply needs
+none.
 
 Both packed kernels share one codec.  Each coefficient gets a fixed-width
 slot wide enough for every output coefficient plus a sign bit
@@ -130,17 +133,14 @@ def _nonzero(coeffs: Sequence[int]) -> list[int]:
 
 
 def _pair_loop(a: Sequence[int], b: Sequence[int], n_out: int,
-               ia: Optional[list[int]] = None,
-               ib: Optional[list[int]] = None) -> list[int]:
+               ia: list[int], ib: list[int]) -> list[int]:
     """Cauchy product over nonzero pairs only, each row stopped at n_out.
 
-    One row per nonzero of a, which should be the sparser operand.  A
-    square (a is b) walks each unordered pair once: a_i**2 at 2i, and
-    2 * a_i * a_j for i < j.  ia and ib are the sorted nonzero exponents
-    of a and b, scanned here when not given.
+    ia and ib are the sorted nonzero exponents of a and b.  One row per
+    nonzero of a, which should be the sparser operand.  A square (a is b)
+    walks each unordered pair once: a_i**2 at 2i, and 2 * a_i * a_j for
+    i < j.
     """
-    if ia is None:
-        ia = _nonzero(a)
     out = [0] * n_out
     if a is b:
         for k, i in enumerate(ia):
@@ -152,8 +152,6 @@ def _pair_loop(a: Sequence[int], b: Sequence[int], n_out: int,
             for j in ia[k + 1:bisect_left(ia, n_out - i)]:
                 out[i + j] += ai * a[j]
         return out
-    if ib is None:
-        ib = _nonzero(b)
     for i in ia:
         ai = a[i]
         for j in ib[:bisect_left(ib, n_out - i)]:
@@ -213,7 +211,7 @@ def _unpack(value: int, width: int, count: int) -> tuple[int, ...]:
 
 
 def _row_kernel(a: Sequence[int], b: Sequence[int], n_out: int,
-                rows: Optional[list[int]] = None) -> tuple[int, ...]:
+                rows: list[int]) -> tuple[int, ...]:
     """Cauchy product as one shifted add of packed b per nonzero of a.
 
     b is packed in reverse, b_j in slot n_out - 1 - j, with the offset left
@@ -223,13 +221,10 @@ def _row_kernel(a: Sequence[int], b: Sequence[int], n_out: int,
     the sum n_out - i slots long.  Slot n_out - 1 - k of the sum holds
     c_k + 2**(8*width - 1) * A_k, for the product c and the prefix sums
     A_k = a_0 + ... + a_k, of which all but one offset is taken off before
-    unpacking.  a should be the sparser operand, and b must have a nonzero
-    coefficient; a b shorter than n_out counts as padded with zeros.  rows
-    are the sorted exponents below n_out of the nonzeros of a, scanned here
-    when not given.
+    unpacking.  rows are the sorted exponents below n_out of the nonzeros
+    of a, which should be the sparser operand, and b must have a nonzero
+    coefficient; a b shorter than n_out counts as padded with zeros.
     """
-    if rows is None:
-        rows = _nonzero(a[:n_out])
     if not rows:
         return (0,) * n_out
     # sum|a| * max|b| bounds every output coefficient and every |A_k| too,
@@ -282,36 +277,23 @@ def _big_multiply(a: Sequence[int], b: Sequence[int],
     return _unpack((top + offsets) ^ offsets, width, n_out)
 
 
-def _count(a: Sequence[int], owner: Optional["Series"], n_out: int) -> int:
+def _count(a: Sequence[int], owner: "Series", n_out: int) -> int:
     """How many coefficients of a, the head of owner's coefficients up to
     n_out, are nonzero: a binary search in owner's support when that is
     filled, else counted in C."""
-    support = None if owner is None else owner._support
+    support = owner._support
     if support is None:
         return len(a) - a.count(0)
     return bisect_left(support, n_out)
 
 
-def _exponents(owner: Optional["Series"], count: int) -> Optional[list[int]]:
-    """The first count exponents of owner's support, which this fills if
-    need be; None for an operand of no series, which the kernel scans."""
-    return None if owner is None else owner._nonzeros()[:count]
-
-
-def _convolve(a: Sequence[int], b: Sequence[int], n_out: int,
-              sa: Optional["Series"] = None,
-              sb: Optional["Series"] = None) -> list[int]:
-    """First n_out coefficients of the Cauchy product of a and b.
-
-    sa and sb, when given, are the series whose coefficients a and b are;
-    their supports stand in for scans of a and b.
-    """
-    if n_out <= 0:
-        return []
-    square = a is b
-    a = a[:n_out]
+def _convolve(sa: "Series", sb: "Series", n_out: int) -> list[int]:
+    """First n_out coefficients of sa * sb.  A kernel that walks nonzeros
+    is handed the operands' supports below n_out, filled if need be."""
+    square = sa is sb
+    a = sa.coeffs[:n_out]
     # a square stays one object, for the kernels' square paths
-    b = a if square else b[:n_out]
+    b = a if square else sb.coeffs[:n_out]
     nza = _count(a, sa, n_out)
     nzb = nza if square else _count(b, sb, n_out)
     if not nza or not nzb:
@@ -323,11 +305,11 @@ def _convolve(a: Sequence[int], b: Sequence[int], n_out: int,
     if nza * nzb * _SLOTS_PER_STEP <= n_out * (
             _PACK_STEPS * _SLOTS_PER_STEP + nza):
         kernel_calls["pair"] += 1
-        return _pair_loop(a, b, n_out, _exponents(sa, nza),
-                          None if square else _exponents(sb, nzb))
+        return _pair_loop(a, b, n_out, sa._nonzeros()[:nza],
+                          sb._nonzeros()[:nzb])
     if nza * nza * nza <= _ROW_CUBE * n_out * n_out:
         kernel_calls["row"] += 1
-        return _row_kernel(a, b, n_out, _exponents(sa, nza))
+        return _row_kernel(a, b, n_out, sa._nonzeros()[:nza])
     kernel_calls["big"] += 1
     return _big_multiply(a, b, n_out)
 
@@ -438,8 +420,7 @@ class Series:
     def __mul__(self, other):
         if isinstance(other, Series):
             n = min(self.truncation, other.truncation)
-            return Series._raw(
-                _convolve(self.coeffs, other.coeffs, n, self, other))
+            return Series._raw(_convolve(self, other, n))
         if isinstance(other, int):
             return Series._raw(tuple(map(mul, self.coeffs, repeat(other))))
         return NotImplemented
@@ -487,24 +468,21 @@ def compose_power(a: Series, k: int, truncation: Optional[int] = None) -> Series
 def invert(a: Series) -> Series:
     """Multiplicative inverse up to the truncation; constant term must be +-1.
 
-    Newton iteration, doubling the working precision each round.
+    Newton iteration x <- x * (2 - a * x) from x = c0, doubling the working
+    precision each round.  Both products of a round are Series products,
+    whose kernels are handed the operands' supports like any other.
     """
     if a.truncation == 0:
         raise ValueError("cannot invert an empty series")
     c0 = a.coeffs[0]
     if c0 not in (1, -1):
         raise ValueError(f"constant term {c0} is not a unit over the integers")
-    n = a.truncation
-    ca = a.coeffs
-    x = [c0]
-    prec = 1
-    while prec < n:
-        prec = min(2 * prec, n)
-        ax = _convolve(ca[:prec], x, prec)
-        t = [-v for v in ax]
-        t[0] += 2
-        x = _convolve(x, t, prec)
-    return Series._raw(x)
+    x = Series._raw((c0,))
+    while x.truncation < a.truncation:
+        prec = min(2 * x.truncation, a.truncation)
+        x = Series._raw(x.coeffs + (0,) * (prec - x.truncation))
+        x = x * (Series.monomial(0, prec, 2) - a.truncate(prec) * x)
+    return x
 
 
 def sift(a: Series, t: int, s: int) -> Series:

@@ -108,6 +108,15 @@ class TestExpand:
             assert out == ""
             assert err == f"n must be positive, got {n}\n"
 
+    def test_count_past_any_list_is_usage_error(self, capsys):
+        # 10^19 coefficients overflow a list length before any is made
+        code, out, err = run_cli(capsys, "expand", "--func", "phi(q)",
+                                 "--n", str(10 ** 19))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("cannot expand 'phi(q)': ")
+        assert err.count("\n") == 1
+
 
 class TestVerify:
     def test_pass_exit_zero(self, capsys):
@@ -411,6 +420,15 @@ class TestPositivity:
         assert code == 2
         assert out == ""
         assert "limit must be positive" in err
+
+    def test_limit_past_any_list_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "positivity", "--s", "7",
+                                 "--limit", str(10 ** 19))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(
+            "cannot scan 'psi(q)*(phi(q)^2 - phi(q^7)^2)': ")
+        assert err.count("\n") == 1
 
 
 class TestSuiteAndConfig:

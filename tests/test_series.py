@@ -19,6 +19,19 @@ ROOT = Path(__file__).resolve().parents[1]
 # every product kernel; the packed ones need a nonzero in each operand
 KERNELS = (_pair_loop, _row_kernel, _big_multiply)
 
+
+def run_kernel(kernel, a, b, n_out):
+    """kernel(a, b, n_out), handed the supports below n_out that
+    series._convolve lists for it: one list for a square (a is b)."""
+    if kernel is _big_multiply:
+        return kernel(a, b, n_out)
+    ia = series._nonzero(a[:n_out])
+    if kernel is _row_kernel:
+        return kernel(a, b, n_out, ia)
+    return kernel(a, b, n_out, ia,
+                  ia if a is b else series._nonzero(b[:n_out]))
+
+
 coeff_lists = st.lists(st.integers(min_value=-40, max_value=40),
                        min_size=1, max_size=24)
 
@@ -161,8 +174,8 @@ class TestProductPaths:
         expected = schoolbook(a, b, n)
         assert (Series(a) * Series(b)).coeffs == tuple(expected)
         for kernel in KERNELS if any(a) and any(b) else (_pair_loop,):
-            assert list(kernel(a, b, n)) == expected
-            assert list(kernel(b, a, n)) == expected
+            assert list(run_kernel(kernel, a, b, n)) == expected
+            assert list(run_kernel(kernel, b, a, n)) == expected
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(long_coeffs(max_size=800), st.sampled_from((1, -1)))
@@ -178,14 +191,14 @@ class TestProductPaths:
         expected = schoolbook(psi, phi, n)
         assert (Series(psi) * Series(phi)).coeffs == tuple(expected)
         for kernel in KERNELS:
-            assert list(kernel(psi, phi, n)) == expected
+            assert list(run_kernel(kernel, psi, phi, n)) == expected
 
     def test_output_beyond_operand_lengths(self):
         a, b = [3, -1, 2 ** 80], [-5, 7]
         expected = schoolbook(a, b, 6)
         for kernel in KERNELS:
-            assert list(kernel(a, b, 6)) == expected
-            assert list(kernel(b, a, 6)) == expected
+            assert list(run_kernel(kernel, a, b, 6)) == expected
+            assert list(run_kernel(kernel, b, a, 6)) == expected
 
     @pytest.mark.parametrize("bound, width", [
         (0, 1), (1, 1), (2 ** 7 - 1, 1), (2 ** 7, 2), (2 ** 8 - 1, 2),
@@ -206,8 +219,8 @@ class TestProductPaths:
             assert max(map(abs, expected)) == m
             assert min(expected) < 0
             for kernel in KERNELS:
-                assert list(kernel(a, b, n)) == expected
-                assert list(kernel(b, a, n)) == expected
+                assert list(run_kernel(kernel, a, b, n)) == expected
+                assert list(run_kernel(kernel, b, a, n)) == expected
 
     @pytest.mark.parametrize("bits", WIDTH_EDGE_BITS)
     def test_truncation_edges(self, bits):
@@ -223,8 +236,9 @@ class TestProductPaths:
                              ([0] * 5 + a[:n - 5], b[:n - 3])):
                     expected = schoolbook(x, y, n_out)
                     for kernel in KERNELS:
-                        assert list(kernel(x, y, n_out)) == expected
-                        assert list(kernel(y, x, n_out)) == expected
+                        for u, v in ((x, y), (y, x)):
+                            assert list(run_kernel(kernel, u, v, n_out)) \
+                                == expected
 
     @pytest.mark.parametrize("psi_step, s", [(1, 7), (2, 3)])
     def test_positivity_shape_takes_row_kernel(self, psi_step, s,
@@ -237,9 +251,10 @@ class TestProductPaths:
         psi = named_function("psi", n, psi_step)
         dense = phi * phi - phis * phis
         expected = _big_multiply(psi.coeffs, dense.coeffs, n)
-        assert tuple(_pair_loop(psi.coeffs, dense.coeffs, n)) == expected
+        assert tuple(run_kernel(_pair_loop, psi.coeffs, dense.coeffs, n)) \
+            == expected
 
-        def refuse(a, b, n_out):
+        def refuse(*args):
             raise AssertionError("a kernel other than the row kernel ran")
 
         monkeypatch.setattr(series, "_big_multiply", refuse)
@@ -272,8 +287,8 @@ class TestCodec:
         for a, y, n_out in cases:
             expected = schoolbook(a, y, n_out)
             for kernel in (_row_kernel, _big_multiply):
-                assert kernel(a, y, n_out) == tuple(expected)
-                assert kernel(y, a, n_out) == tuple(expected)
+                assert run_kernel(kernel, a, y, n_out) == tuple(expected)
+                assert run_kernel(kernel, y, a, n_out) == tuple(expected)
 
 
 class TestSquares:
@@ -295,19 +310,21 @@ class TestSquares:
         assert twin == a and twin is not a
         expected = schoolbook(a, a, n_out)
         for kernel in KERNELS:
-            assert list(kernel(a, a, n_out)) == expected
-            assert list(kernel(a, twin, n_out)) == expected
-        assert list(series._convolve(a, a, n_out)) == expected
-        assert list(series._convolve(a, twin, n_out)) == expected
+            assert list(run_kernel(kernel, a, a, n_out)) == expected
+            assert list(run_kernel(kernel, a, twin, n_out)) == expected
+        x = Series._raw(a)
+        assert list(series._convolve(x, x, n_out)) == expected
+        assert list(series._convolve(x, Series._raw(twin), n_out)) \
+            == expected
 
     def test_square_reaches_its_kernel_as_one_object(self, monkeypatch):
         seen = []
         for name in ("_pair_loop", "_row_kernel", "_big_multiply"):
-            monkeypatch.setattr(series, name, lambda a, b, n_out: (
+            monkeypatch.setattr(series, name, lambda a, b, n_out, *supports: (
                 seen.append(a is b) or [0] * n_out))
-        a = tuple(range(1, 50))
-        series._convolve(a, a, 30)  # the slices of a are two new tuples
-        series._convolve(a, tuple(list(a)), 30)
+        x = Series._raw(tuple(range(1, 50)))
+        series._convolve(x, x, 30)  # the slices of x are two new tuples
+        series._convolve(x, Series._raw(tuple(list(x.coeffs))), 30)
         assert seen == [True, False]
 
     def test_square_scans_and_packs_once(self, monkeypatch):
@@ -319,9 +336,10 @@ class TestSquares:
 
         for name in ("_nonzero", "_pack"):
             monkeypatch.setattr(series, name, counted(name))
-        a = (3, 0, -1, 2, 0, 5)
-        assert list(_pair_loop(a, a, 6)) == schoolbook(a, a, 6)
-        assert list(_big_multiply(a, a, 6)) == schoolbook(a, a, 6)
+        a = (3, 0, -1, 2, 0, 5) + (0,) * 34
+        x = Series._raw(a)
+        assert kernel_of(x, x) == "pair"
+        assert list(_big_multiply(a, a, 40)) == schoolbook(a, a, 40)
         assert calls == ["_nonzero", "_pack"]
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -332,8 +350,8 @@ class TestSquares:
         n_out = data.draw(st.integers(min_value=1, max_value=len(a) + 3))
         expected = schoolbook(a, a, n_out)
         for kernel in KERNELS if any(a) else (_pair_loop,):
-            assert list(kernel(a, a, n_out)) == expected
-            assert list(kernel(a, twin, n_out)) == expected
+            assert list(run_kernel(kernel, a, a, n_out)) == expected
+            assert list(run_kernel(kernel, a, twin, n_out)) == expected
         x = Series(a)
         square = tuple(schoolbook(a, a, len(a)))
         assert (x * x).coeffs == square
@@ -589,6 +607,32 @@ print(json.dumps(series.kernel_calls))
 """
 
 
+_OPERAND_PIN = """
+import json
+from thetaforms import identities, series
+convolve = series._convolve
+kinds = []
+series._convolve = lambda sa, sb, n_out: (
+    kinds.append((type(sa).__name__, type(sb).__name__))
+    or convolve(sa, sb, n_out))
+registry = identities.load_default_registry()
+identities.run_suite({name: spec for name, spec in registry.items()
+                      if spec.mode in ("series", "sift")})
+print(json.dumps([len(kinds), sorted(set(kinds))]))
+"""
+
+
+def test_cold_suite_multiplies_series_only():
+    # every product of a cold pass over the shipped series and sift entries
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", _OPERAND_PIN], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    count, kinds = json.loads(proc.stdout.splitlines()[-1])
+    assert count > 100
+    assert kinds == [["Series", "Series"]]
+
+
 class TestKernelChoicePin:
     """The kernels that one cold pass takes, product by product, so that a
     change to the kernel choice or to what feeds it shows here."""
@@ -649,6 +693,37 @@ class TestInvert:
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError):
             invert(Series([2, 1]))
+
+    @pytest.mark.parametrize("unit", [1, -1])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 63, 64, 65, 511, 512, 513])
+    def test_newton_boundary_lengths(self, n, unit):
+        # one length either side of each doubling 1, 2, 4, 64 and 512
+        a = [unit] + [(-1) ** i * (i % 7) for i in range(1, n)]
+        inv = invert(Series(a))
+        assert inv.truncation == n
+        assert schoolbook(a, list(inv.coeffs), n) == [1] + [0] * (n - 1)
+
+    def test_wide_slots(self, monkeypatch):
+        # the inverse of 1 - 2^40 q - 3 q^2 has coefficients near 2^(40 k),
+        # so the packed kernels take slots of one to_bytes call each
+        widths = []
+        pack = series._pack
+        monkeypatch.setattr(series, "_pack", lambda coeffs, width, count: (
+            widths.append(width) or pack(coeffs, width, count)))
+        a = [1, -2 ** 40, -3] + [0] * 297
+        inv = invert(Series(a))
+        assert schoolbook(a, list(inv.coeffs), 300) == [1] + [0] * 299
+        assert max(widths) > 8
+
+    def test_every_product_is_a_series_product(self, monkeypatch):
+        operands = []
+        convolve = series._convolve
+        monkeypatch.setattr(series, "_convolve", lambda sa, sb, n_out: (
+            operands.append((sa, sb)) or convolve(sa, sb, n_out)))
+        for a in ([1, -1, 2, 0, 3], [-1] + [5, 0, -2] * 200):
+            invert(Series(a))
+        assert len(operands) > 10
+        assert all(isinstance(x, Series) for pair in operands for x in pair)
 
 
 class TestSift:
