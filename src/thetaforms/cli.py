@@ -3,6 +3,11 @@
 Exit codes: 0 success, 1 verification failure, 2 usage or registry parse
 error.  Output is plain text (``--format table``) or CSV; every numeric
 field is printed exactly, so CSV output round-trips.
+
+Each command writes its output once its verdict is known, so a reader that
+closes the pipe early, such as ``head``, ends the output quietly and the
+exit code stays the verdict.  ``positivity --s S`` is the positivity entry
+``psi(q)*(phi(q)^2 - phi(q^S)^2)``, checked by the same rule as ``verify``.
 """
 
 from __future__ import annotations
@@ -10,16 +15,17 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import os
 import sys
 
 from .forms import TernaryForm, aut_count, enumerate_ternary_classes, repcount
 from .genus import build_sgenus, genus_partition, mass_direct, mass_formula
 from .identities import (DEFAULT_LIMIT, DEFAULT_MMAX, DEFAULT_TERMS,
-                         EVAL_ERRORS, EntryError, RegistryError,
-                         default_registry_file, eval_series, load_registry,
-                         parse_expression, run_suite, verify_entry)
-from .series import is_nonnegative
+                         EVAL_ERRORS, Conditions, EntryError, IdentitySpec,
+                         RegistryError, default_registry_file, eval_series,
+                         load_registry, parse_expression, run_suite,
+                         verify_entry, verify_positivity)
 
 ENV_REGISTRY = "THETAFORMS_REGISTRY"
 FORMATS = ("table", "csv")
@@ -102,6 +108,14 @@ def _registry(cfg: Config):
         raise SystemExit(2)
 
 
+def _entry(cfg: Config, name: str):
+    registry = _registry(cfg)
+    if name not in registry:
+        print(f"unknown identity {name!r}", file=sys.stderr)
+        raise SystemExit(2)
+    return registry[name]
+
+
 def _count(cfg: Config, args, name: str) -> int:
     """The --name flag if given, else the configured value; must be >= 1."""
     value = getattr(args, name)
@@ -131,12 +145,8 @@ def _cmd_expand(cfg: Config, args) -> int:
 
 
 def _cmd_verify(cfg: Config, args) -> int:
-    registry = _registry(cfg)
-    if args.id not in registry:
-        print(f"unknown identity {args.id!r}", file=sys.stderr)
-        return 2
     try:
-        result = verify_entry(registry[args.id], _count(cfg, args, "terms"),
+        result = verify_entry(_entry(cfg, args.id), _count(cfg, args, "terms"),
                               _count(cfg, args, "mmax"),
                               _count(cfg, args, "limit"))
     except EntryError as err:
@@ -147,11 +157,7 @@ def _cmd_verify(cfg: Config, args) -> int:
 
 
 def _cmd_prove_eta(cfg: Config, args) -> int:
-    registry = _registry(cfg)
-    if args.id not in registry:
-        print(f"unknown identity {args.id!r}", file=sys.stderr)
-        return 2
-    spec = registry[args.id]
+    spec = _entry(cfg, args.id)
     if spec.mode != "eta":
         print(f"{args.id} is not an eta entry", file=sys.stderr)
         return 2
@@ -218,16 +224,14 @@ def _cmd_positivity(cfg: Config, args) -> int:
     limit = _count(cfg, args, "limit")
     func = f"psi(q)*(phi(q)^2 - phi(q^{args.s})^2)"
     try:
-        value = eval_series(parse_expression(func), limit)
+        result = verify_positivity(IdentitySpec(
+            func, "positivity", parse_expression(func), None, Conditions(), 1),
+            limit)
     except EVAL_ERRORS as err:
         print(f"cannot scan {func!r}: {err}", file=sys.stderr)
         return 2
-    ok, bad = is_nonnegative(value)
-    if ok:
-        print(f"nonnegative through exponent {limit - 1}")
-        return 0
-    print(f"negative coefficient at exponent {bad}")
-    return 1
+    print(result.witness or f"nonnegative through exponent {limit - 1}")
+    return 0 if result.passed else 1
 
 
 def _cmd_suite(cfg: Config, args) -> int:
@@ -299,40 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-class _ClosedPipeGuard:
-    """Stand-in for stdout that goes quiet once the reader has closed the pipe.
-
-    A command's exit code is its verdict; a reader such as ``head`` that
-    stops early must not turn it into a traceback.
-    """
-
-    def __init__(self, stream):
-        self.stream = stream
-        self.gone = False
-
-    def _call(self, method, *args):
-        if self.gone:
-            return
-        try:
-            getattr(self.stream, method)(*args)
-        except BrokenPipeError:
-            self.gone = True
-            # the interpreter flushes stdout once more at exit; send that
-            # flush to the null device
-            with contextlib.suppress(AttributeError, OSError, ValueError):
-                fd = self.stream.fileno()
-                devnull = os.open(os.devnull, os.O_WRONLY)
-                os.dup2(devnull, fd)
-                os.close(devnull)
-
-    def write(self, text: str) -> int:
-        self._call("write", text)
-        return len(text)
-
-    def flush(self) -> None:
-        self._call("flush")
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -345,13 +315,22 @@ def main(argv=None) -> int:
         cfg.registry = args.registry
     if args.format:
         cfg.fmt = args.format
-    guard = _ClosedPipeGuard(sys.stdout)
-    with contextlib.redirect_stdout(guard):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
         try:
             code = args.run(cfg, args)
         except SystemExit as stop:
             code = int(stop.code or 0)
-        guard.flush()
+    try:
+        sys.stdout.write(out.getvalue())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early; send the interpreter's last flush of
+        # stdout to the null device, and keep the verdict as the exit code
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     return code
 
 

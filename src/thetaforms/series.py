@@ -323,33 +323,27 @@ class Series:
     ``hash`` or ``repr``.
     """
 
-    __slots__ = ("coeffs", "truncation", "_support")
+    __slots__ = ("coeffs", "_support")
 
-    def __init__(self, coeffs: Iterable[int], truncation: Optional[int] = None):
+    def __init__(self, coeffs: Iterable[int]):
         cs = tuple(coeffs)
-        if truncation is None:
-            truncation = len(cs)
-        if truncation < 0:
-            raise ValueError("truncation must be >= 0")
-        if len(cs) != truncation:
-            raise ValueError(
-                f"coefficient count {len(cs)} != truncation {truncation}")
         for c in cs:
             if not isinstance(c, int):
                 raise TypeError("coefficients must be plain integers")
         object.__setattr__(self, "coeffs", cs)
-        object.__setattr__(self, "truncation", truncation)
         object.__setattr__(self, "_support", None)
 
     @classmethod
     def _raw(cls, coeffs: Sequence[int]) -> "Series":
         # internal fast path: integer entries assumed, a tuple not copied
         self = cls.__new__(cls)
-        cs = tuple(coeffs)
-        object.__setattr__(self, "coeffs", cs)
-        object.__setattr__(self, "truncation", len(cs))
+        object.__setattr__(self, "coeffs", tuple(coeffs))
         object.__setattr__(self, "_support", None)
         return self
+
+    @property
+    def truncation(self) -> int:
+        return len(self.coeffs)
 
     @classmethod
     def zero(cls, truncation: int) -> "Series":

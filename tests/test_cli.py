@@ -126,8 +126,8 @@ class TestVerify:
         assert "pass" in out
 
     def test_unknown_id(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "--id", "9.99")
-        assert code == 2
+        code, out, err = run_cli(capsys, "verify", "--id", "9.99")
+        assert (code, out, err) == (2, "", "unknown identity '9.99'\n")
 
     def test_negative_mmax_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--id", "2.18",
@@ -318,6 +318,15 @@ class TestClosedPipe:
                                     str(registry), "suite", "--terms", "10")
         assert (code, err) == (1, "")
 
+    @pytest.mark.parametrize("argv", [
+        ("prove-eta", "--id", "4.1"),
+        ("sgenus", "--s", "15"),
+        ("positivity", "--s", "3", "--limit", "300"),
+    ])
+    def test_printed_output_keeps_exit_zero(self, capsys, monkeypatch, argv):
+        code, err = self.run_closed(capsys, monkeypatch, *argv)
+        assert (code, err) == (0, "")
+
     def test_real_pipe_closed_early(self):
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -348,6 +357,10 @@ class TestProveEta:
     def test_wrong_mode(self, capsys):
         code, _, err = run_cli(capsys, "prove-eta", "--id", "1.11")
         assert code == 2
+
+    def test_unknown_id(self, capsys):
+        code, out, err = run_cli(capsys, "prove-eta", "--id", "9.99")
+        assert (code, out, err) == (2, "", "unknown identity '9.99'\n")
 
 
 class TestFormsCommand:

@@ -93,10 +93,6 @@ def brute_partitions(n):
 
 
 class TestConstruction:
-    def test_length_must_match_truncation(self):
-        with pytest.raises(ValueError):
-            Series([1, 2], truncation=3)
-
     def test_rejects_non_integer_coefficients(self):
         with pytest.raises(TypeError):
             Series([1.0, 2.0])
