@@ -27,10 +27,9 @@ Classes are enumerated from the reduced box 0 < a <= b <= c, |d| <= b,
 `distinct_classes`, which keeps the `_sort_key`-least form of each class.
 A caller that knows the classes' doubled-Gram gcd g and adjugate gcd h
 walks only the (g, h)-box: the forms with g | d, e, f whose doubled Gram
-matrix G has h | adj(G).  Both gcds are GL3(Z) invariants, h because
-adj(U^T G U) = adj(U) adj(G) adj(U)^T with adj(U) = +-U^-1, so the box
-holds the least member of every such class.  A box is walked on each
-call; its callers cache it.
+matrix G has h | adj(G).  It holds the least member of every such class,
+as `_candidate_box` proves.  A box is walked on each call; its callers
+cache it.
 """
 
 from __future__ import annotations
@@ -415,7 +414,9 @@ def _candidate_box(disc: int, g: int, h: int):
     GL3(Z).  So every member of a class whose two gcds are multiples of g
     and h, the least one included, passes both filters: the (g, h)-box is
     exactly the half box's forms with g | d, e, f and h | adj(G), and
-    holds every such class.  g = h = 1 walks the whole half box.
+    holds every such class.  g = h = 1 walks the whole half box.  Over
+    Z_p the same argument, with adj(U) = +-U^-1 p-integral, makes the
+    p-parts of both gcds invariants of the Z_p-class, as `genus` uses.
     """
     for a in range(1, isqrt(disc // 2) + 2):
         if a * a * a > disc // 2:

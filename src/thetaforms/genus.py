@@ -27,13 +27,12 @@ cell: `_genus_cells` walks one box of `forms.ternary_candidates` once and
 groups its forms by their symbols.  The cheap invariants pick the box:
 `genus_of` reads the (g, h)-box of the form's doubled-Gram gcd g and
 adjugate gcd h, the candidates with g | d, e, f and h | adj(G), G the
-doubled Gram matrix.  Both gcds are invariants of every Z_p-class (for h,
-adj(U^T G U) = adj(U) adj(G) adj(U)^T with adj(U) = +-U^-1), so the
-symbols fix them and the box holds the least member of every class of the
-genus; every S-genus class has (g, h) = (2, 8S).  `genus_partition` reads
-the cells of the full (1, 1) box.  A record is cached by its genus's
-sorted candidates, which both boxes give alike, so both hand out the same
-objects.
+doubled Gram matrix.  Both gcds are invariants of every Z_p-class (see
+`forms._candidate_box`), so the symbols fix them and the box holds the
+least member of every class of the genus; every S-genus class has
+(g, h) = (2, 8S).  `genus_partition` reads the cells of the full (1, 1)
+box.  A record is cached by its genus's sorted candidates, which both
+boxes give alike, so both hand out the same objects.
 """
 
 from __future__ import annotations
@@ -192,8 +191,7 @@ def _canonical_two(symbol: list) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _local_symbols_cached(sextuple) -> dict:
-    form = TernaryForm(*sextuple)
+def _local_symbols_cached(form: TernaryForm) -> dict:
     gram = form.gram_doubled()
     out = {}
     for p in prime_divisors(2 * form.discriminant):
@@ -205,7 +203,7 @@ def _local_symbols_cached(sextuple) -> dict:
 
 def local_symbols(form: TernaryForm) -> dict:
     """Canonical p-adic invariants for every prime dividing 2*discriminant."""
-    return _local_symbols_cached(form.sextuple())
+    return _local_symbols_cached(form)
 
 
 def same_genus(f1: TernaryForm, f2: TernaryForm) -> bool:
@@ -252,13 +250,11 @@ def _cheap_invariants(form: TernaryForm) -> tuple[int, int, int]:
     """Content, gcd of the doubled Gram matrix, gcd of its adjoint.
 
     At every p the p-part of each is an invariant of the Z_p-class: the
-    content is the gcd of the form's values, g the gcd of the doubled Gram
-    matrix G, and h the gcd of adj(G), where adj(U^T G U) =
-    adj(U) adj(G) adj(U)^T and adj(U) = +-U^-1 is p-integral.  A prime
-    prime to 2 * disc divides none of them, so the local symbols fix all
-    three, and every class of a genus has its least member in the
-    (g, h)-box of `forms.ternary_candidates`: the invariants pick the box,
-    and the symbols decide the cell.
+    content is the gcd of the form's values, and `forms._candidate_box`
+    proves it for g and h.  A prime prime to 2 * disc divides none of
+    them, so the local symbols fix all three, and every class of a genus
+    has its least member in the (g, h)-box of `forms.ternary_candidates`:
+    the invariants pick the box, and the symbols decide the cell.
     """
     a, b, c, d, e, f = form.sextuple()
     return (gcd(a, b, c, d, e, f),

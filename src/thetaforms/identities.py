@@ -100,11 +100,11 @@ from .forms import TernaryForm, theta_series
 from .genus import build_sgenus, epsilon, genus_of, weighted_coefficients
 from .modeq import (ALPHA, BETA, M, Term, UnsupportedRadicand, cleared,
                     rational_root)
-from .prover import EtaCombination, ProofCertificate, prove
+from .prover import EtaCombination, prove
 from .series import (Series, compose_power, invert, is_nonnegative, sift,
                      sift_product)
-from .theta import (BUILTIN_NAMES, EtaQuotient, expand_eta_quotient,
-                    general_theta, named_function)
+from .theta import (BUILTIN_NAMES, EtaQuotient, eta_series, general_theta,
+                    named_function)
 
 __all__ = [
     "RegistryError", "EntryError", "IdentitySpec", "Conditions", "VerifyResult",
@@ -808,12 +808,8 @@ def _expand(node, n: int) -> Series:
         return general_theta(node.x, node.y, n, node.sign_x, node.sign_y)
     if isinstance(node, EtaAtom):
         level = lcm(*(d for d, _ in node.exponents))
-        offset, unit = expand_eta_quotient(
+        return eta_series(
             EtaQuotient.from_dict(level, dict(node.exponents)), n)
-        if offset < 0:
-            raise ValueError("eta quotient with a pole cannot embed in a series")
-        return Series._raw((0,) * min(offset, n)
-                           + unit.coeffs[:max(n - offset, 0)])
     if isinstance(node, Pow):
         if node.exponent.denominator != 1:
             raise ValueError("fractional exponent outside modeq3")
@@ -1147,15 +1143,15 @@ def _eta_combination(spec: IdentitySpec) -> EtaCombination:
     return EtaCombination(level, tuple(terms), constant)
 
 
-def verify_eta(spec: IdentitySpec) -> tuple[VerifyResult, ProofCertificate]:
-    """Prove the eta-quotient identity by the valence bound."""
+def verify_eta(spec: IdentitySpec) -> VerifyResult:
+    """Prove the eta-quotient identity by the valence bound; the
+    certificate is the result's ``detail``."""
     if spec.mode != "eta":
         raise ValueError(f"{spec.name} is not an eta entry")
     cert = prove(_eta_combination(spec))
-    result = VerifyResult(spec.name, spec.mode, cert.proved,
-                          f"level={cert.level} B={cert.valence_bound}",
-                          "" if cert.proved else cert.verdict, detail=cert)
-    return result, cert
+    return VerifyResult(spec.name, spec.mode, cert.proved,
+                        f"level={cert.level} B={cert.valence_bound}",
+                        "" if cert.proved else cert.verdict, detail=cert)
 
 
 def verify_entry(spec: IdentitySpec, terms: int = DEFAULT_TERMS,
@@ -1173,7 +1169,7 @@ def verify_entry(spec: IdentitySpec, terms: int = DEFAULT_TERMS,
         elif spec.mode == "modeq3":
             result = verify_modeq3(spec)
         elif spec.mode == "eta":
-            result, _ = verify_eta(spec)
+            result = verify_eta(spec)
         else:  # pragma: no cover
             raise ValueError(f"unknown mode {spec.mode}")
     except EVAL_ERRORS as err:

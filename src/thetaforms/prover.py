@@ -19,7 +19,7 @@ from operator import add, mul
 from typing import NamedTuple
 
 from .arith import divisors, euler_phi, factorize
-from .theta import EtaQuotient, expand_eta_quotient
+from .theta import EtaQuotient, eta_series
 
 __all__ = [
     "Cusp", "NewmanReport", "ProofCertificate", "EtaCombination",
@@ -167,7 +167,7 @@ class ProofCertificate(NamedTuple):
 
 
 def _expand_combination(comb: EtaCombination, n: int) -> list[int]:
-    """Coefficients 0..n-1 of D * (sum coeff_i q^{offset_i} s_i - constant).
+    """Coefficients 0..n-1 of D * (sum coeff_i eq_i - constant).
 
     D is the least common denominator of the coefficients and the constant,
     so every coefficient is an integer, and it is zero exactly where the
@@ -178,14 +178,9 @@ def _expand_combination(comb: EtaCombination, n: int) -> list[int]:
     out = [0] * n
     out[0] -= comb.constant.numerator * (den // comb.constant.denominator)
     for coeff, eq in comb.terms:
-        offset, unit = expand_eta_quotient(eq, n)
-        if offset < 0:
-            raise ValueError(
-                f"quotient {eq} has a pole at infinity (offset {offset})")
         scale = coeff.numerator * (den // coeff.denominator)
-        # map stops at the n - offset coefficients that land below n
-        out[offset:] = map(add, out[offset:],
-                           map(mul, unit.coeffs, repeat(scale)))
+        out[:] = map(add, out,
+                     map(mul, eta_series(eq, n).coeffs, repeat(scale)))
     return out
 
 

@@ -74,8 +74,9 @@ need be, so a cached theta factor such as phi(q) at 40 000 terms is
 scanned once however many products it enters; the big multiply needs
 none.
 
-Both packed kernels share one codec.  Each coefficient gets a fixed-width
-slot wide enough for every output coefficient plus a sign bit
+Both packed kernels share one codec and one slot bound.  Each coefficient
+gets a fixed-width slot wide enough for sum|a| * max|b|, a sum over the
+sparser operand a that bounds every output coefficient, plus a sign bit
 (:func:`_layout`).  One ``struct.pack`` writes slots of 1, 2, 4 or 8 bytes
 as signed big-endian integers, and a wider slot takes one ``int.to_bytes``
 call.  Read as one big-endian int, the bytes hold the operand reversed,
@@ -159,27 +160,19 @@ def _pair_loop(a: Sequence[int], b: Sequence[int], n_out: int,
     return out
 
 
-def _layout(bound: int) -> int:
-    """Bytes per slot for slots holding -bound .. bound.
+def _layout(a: Iterable[int], b: Sequence[int]) -> int:
+    """Bytes per slot for the coefficients of a * b and of both operands.
 
-    A slot needs bound.bit_length() bits plus one for the sign.  Up to 8
-    bytes it rounds up to 1, 2, 4 or 8, the widths struct packs as signed
-    integers; wider slots take exactly the bytes they need.
+    For b with a nonzero coefficient, sum|a| * max|b| bounds them all; a
+    holds the other operand's coefficients, or just its nonzeros, and the
+    sum is least over the sparser operand.  A slot needs the bound's
+    bit_length() bits plus one for the sign.  Up to 8 bytes it rounds up
+    to 1, 2, 4 or 8, the widths struct packs as signed integers; wider
+    slots take exactly the bytes they need.
     """
+    bound = sum(map(abs, a)) * max(max(b), -min(b))
     size = bound.bit_length() // 8 + 1
     return 1 << (size - 1).bit_length() if size <= 8 else size
-
-
-def _slot_width(a: Sequence[int], b: Sequence[int]) -> int:
-    """Bytes per slot, enough for every coefficient of a * b.
-
-    With a nonzero coefficient in each operand, the bound is at least
-    max|a| * max|b|, so the operands' own coefficients fit as well.
-    """
-    ma = max(max(a), -min(a))
-    mb = max(max(b), -min(b))
-    # no output coefficient exceeds this in absolute value
-    return _layout(min(sum(map(abs, a)) * mb, sum(map(abs, b)) * ma))
 
 
 def _offset(width: int, count: int) -> int:
@@ -227,11 +220,9 @@ def _row_kernel(a: Sequence[int], b: Sequence[int], n_out: int,
     """
     if not rows:
         return (0,) * n_out
-    # sum|a| * max|b| bounds every output coefficient and every |A_k| too,
-    # and a sum over the few listed nonzeros of a costs less than one over
-    # all of b
-    width = _layout(sum(map(abs, map(a.__getitem__, rows)))
-                    * max(max(b), -min(b)))
+    # the slot bound sum|a| * max|b| bounds every |A_k| too, and a sum
+    # over the few listed nonzeros of a costs less than one over all of a
+    width = _layout(map(a.__getitem__, rows), b)
     bits = 8 * width
     offsets = _offset(width, n_out)
     row = _pack(b, width, n_out) ^ offsets
@@ -265,10 +256,11 @@ def _big_multiply(a: Sequence[int], b: Sequence[int],
     Both operands, packed reversed over n_out slots, put c_k in slot
     2 n_out - 2 - k of their product, so c_0 .. c_(n_out-1) are its top
     n_out slots, which an offset in each slot below keeps from a borrow.
-    Both operands must have a nonzero coefficient.  A square (a is b) is
+    Both operands must have a nonzero coefficient, and a should be the
+    sparser, whose sum|a| the slot bound reads.  A square (a is b) is
     packed once, and the packed int times itself takes CPython's squaring.
     """
-    width = _slot_width(a, b)
+    width = _layout(a, b)
     bits = 8 * width
     offsets = _offset(width, n_out)
     packed = (_pack(a, width, n_out) ^ offsets) - offsets
@@ -437,9 +429,10 @@ class Series:
             base = base * base
 
     def __repr__(self) -> str:
-        head = ", ".join(str(c) for c in self.coeffs[:8])
-        tail = ", ..." if self.truncation > 8 else ""
-        return f"Series([{head}{tail}], truncation={self.truncation})"
+        if self.truncation <= 8:
+            return f"Series({list(self.coeffs)})"
+        head = ", ".join(map(str, self.coeffs[:8]))
+        return f"<Series of {self.truncation} terms: {head}, ...>"
 
 
 def compose_power(a: Series, k: int, truncation: Optional[int] = None) -> Series:

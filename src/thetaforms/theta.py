@@ -9,8 +9,11 @@ is specialized at a = s_x q^x, b = s_y q^y with signs s_x, s_y in {+1,-1};
 the familiar functions are phi = f(q,q), psi = f(q,q^3), the cubic
 companions f(q,q^2), f(q,q^5), and Euler's product E(q) = (q; q)_inf,
 which is f(-q, -q^2) by Jacobi's triple product (Berndt, *Ramanujan's
-Notebooks, Part III*, ch. 16, Entry 22(iii)).  Lattice windows are solved
+Notebooks, Part III*, ch. 16, Entry 22(iii)); :func:`euler_power` reads
+E's row of the one table of (x, y, s_x, s_y).  Lattice windows are solved
 with integer square roots, so no term is ever dropped or duplicated.
+:func:`eta_series` is the one eta-quotient series of the evaluator and
+the prover, and the one place where a pole at infinity is refused.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .forms import BinaryForm, theta_series
 
 __all__ = [
     "general_theta", "euler", "euler_power", "named_function",
-    "EtaQuotient", "expand_eta_quotient", "BUILTIN_NAMES",
+    "EtaQuotient", "expand_eta_quotient", "eta_series", "BUILTIN_NAMES",
 ]
 
 @lru_cache(maxsize=None)
@@ -56,10 +59,8 @@ def general_theta(x: int, y: int, n: int, sign_x: int = 1, sign_y: int = 1) -> S
 
 @lru_cache(maxsize=None)
 def euler_power(k: int, n: int) -> Series:
-    """E(q^k) = prod_{j>=1} (1 - q^{kj}) = f(-q^k, -q^{2k})."""
-    if k < 1:
-        raise ValueError("power must be >= 1")
-    return general_theta(k, 2 * k, n, -1, -1)
+    """E(q^k) = prod_{j>=1} (1 - q^{kj}), the built-in E at q^k."""
+    return named_function("E", n, k)
 
 
 def euler(n: int) -> Series:
@@ -89,12 +90,11 @@ def named_function(name: str, n: int, power: int = 1, negate: bool = False) -> S
     named_function("phi", n, 7, True) is the expansion of phi at -q^7.
 
     phi, psi, f12, f15 and E are f(sx t^x, sy t^y) at t = q, with
-    (x, y, sx, sy) = (1, 1, 1, 1), (1, 3, 1, 1), (1, 2, 1, 1), (1, 5, 1, 1)
-    and (1, 2, -1, -1).  At (+-)q^p each is one general_theta(x*p, y*p, n,
-    sx, sy) call, its signs times (-1)^x and (-1)^y at -q^p, always all
-    five arguments, so every call shape of a factor, and an equal
-    f(+-q^a, +-q^b) leaf, shares one cached series.  chi and u are
-    expanded at q, then composed.
+    (x, y, sx, sy) read from _THETA_PAIRS.  At (+-)q^p each is one
+    general_theta(x*p, y*p, n, sx, sy) call, its signs times (-1)^x and
+    (-1)^y at -q^p, always all five arguments, so every call shape of a
+    factor, and an equal f(+-q^a, +-q^b) leaf, shares one cached series.
+    chi and u are expanded at q, then composed.
     """
     if power < 1:
         raise ValueError("power must be >= 1")
@@ -194,3 +194,14 @@ def expand_eta_quotient(eq: EtaQuotient, n: int) -> tuple[int, Series]:
         for i in range(m, n, m):
             g[i] -= m * c[m]
     return total // 24, Series._raw(_from_log_derivative(g))
+
+
+def eta_series(eq: EtaQuotient, n: int) -> Series:
+    """q^offset times the unit of :func:`expand_eta_quotient`, to n terms;
+    a pole at infinity, offset < 0, raises ValueError."""
+    offset, unit = expand_eta_quotient(eq, n)
+    if offset < 0:
+        raise ValueError(
+            f"quotient {eq} has a pole at infinity (offset {offset})")
+    return Series._raw((0,) * min(offset, n)
+                       + unit.coeffs[:max(n - offset, 0)])

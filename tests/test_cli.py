@@ -288,6 +288,34 @@ class TestEntryEvaluationErrors:
                    "verify", "--id", "x", "--mmax", "20")
 
 
+class TestPoleAtInfinity:
+    """The evaluator and the prover refuse a pole in one message."""
+
+    POLE = "quotient eta{1:24,2:-24} has a pole at infinity (offset -1)\n"
+
+    def test_expand(self, capsys):
+        code, _, err = run_cli(capsys, "expand", "--func", "eta{1:24,2:-24}")
+        assert (code, err) == (2, "cannot expand 'eta{1:24,2:-24}': "
+                               + self.POLE)
+
+    def test_verify(self, capsys, tmp_path):
+        registry = tmp_path / "reg.txt"
+        registry.write_text("p1: eta: eta{1:24,2:-24} = 0 where level 2\n",
+                            encoding="utf-8")
+        code, _, err = run_cli(capsys, "--registry", str(registry),
+                               "verify", "--id", "p1")
+        assert (code, err) == (2, "cannot evaluate p1: " + self.POLE)
+
+
+def cli_env() -> dict:
+    """The environment with this checkout's src first on PYTHONPATH."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 class TestClosedPipe:
     """A reader that stops early ends the output quietly; the exit code
     stays the command's verdict."""
@@ -328,14 +356,10 @@ class TestClosedPipe:
         assert (code, err) == (0, "")
 
     def test_real_pipe_closed_early(self):
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
         proc = subprocess.Popen(
             [sys.executable, "-m", "thetaforms.cli", "expand",
              "--func", "phi(q)", "--n", "200000"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env())
         head = [proc.stdout.readline() for _ in range(2)]
         proc.stdout.close()
         err = proc.stderr.read()
@@ -343,6 +367,20 @@ class TestClosedPipe:
         assert proc.wait(timeout=60) == 0
         assert head[1].split() == [b"0", b"1"]
         assert err == b""
+
+    def test_pipe_closed_before_the_run(self):
+        # the whole output meets a closed pipe, so the write in main raises
+        # BrokenPipeError, whatever the pipe's buffer size
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "thetaforms.cli", "sgenus",
+                 "--s", "15"], stdout=write, stderr=subprocess.PIPE,
+                env=cli_env(), timeout=120)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 class TestProveEta:

@@ -82,6 +82,14 @@ class TestLocalSymbols:
                 assert local_symbols(transform_ternary(form, u)) == symbols, \
                     (form, u)
 
+    def test_cache_is_keyed_by_the_form(self):
+        form = TernaryForm(3, 5, 7, 1, 1, 1)
+        first = local_symbols(form)
+        before = genus._local_symbols_cached.cache_info()
+        assert local_symbols(TernaryForm(3, 5, 7, 1, 1, 1)) is first
+        after = genus._local_symbols_cached.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
     def test_singular_matrix_raises(self):
         with pytest.raises(ValueError, match="singular"):
             list(_jordan_blocks([[2, 1, 0], [1, 2, 0], [0, 0, 0]], 3))

@@ -116,6 +116,16 @@ class TestConstruction:
         with pytest.raises(IndexError):
             s[3]
 
+    @pytest.mark.parametrize("coeffs", [[], [1, 2], [0, -3, 0, 0, 5, 0, 0, 7]])
+    def test_short_repr_round_trips(self, coeffs):
+        s = Series(coeffs)
+        assert repr(s) == f"Series({coeffs})"
+        assert eval(repr(s), {"Series": Series}) == s
+
+    def test_long_repr_shows_head_and_length(self):
+        assert (repr(Series(range(-1, 9)))
+                == "<Series of 10 terms: -1, 0, 1, 2, 3, 4, 5, 6, ...>")
+
 
 class TestAdd:
     def test_additive_identity(self):
@@ -204,7 +214,9 @@ class TestProductPaths:
         (2 ** 128 - 1, 17), (2 ** 200, 26),
     ])
     def test_layout(self, bound, width):
-        assert _layout(bound) == width
+        # one coefficient +-bound on one side and +-1 on the other
+        assert _layout([bound], [1]) == width
+        assert _layout([1], [-bound]) == width
 
     @pytest.mark.parametrize("bits", WIDTH_EDGE_BITS)
     def test_slot_width_edges(self, bits):
@@ -269,8 +281,8 @@ class TestCodec:
             (100, 1), (2 ** 14, 2), (2 ** 30, 4), (2 ** 62, 8), (2 ** 63, 9),
             (2 ** 100, 13))])
     def test_kernels_match_schoolbook(self, m, width):
-        assert _layout(m) == width
         b = [m, -3, 0, -m, 1, 0, 7]
+        assert _layout([-1], b) == width
         cases = [
             ([0, 0, -1], b, 12),                    # b shorter than n_out
             ([1, 0, 0, 0], [-m] * 9, 9),            # all-negative b
@@ -285,6 +297,27 @@ class TestCodec:
             for kernel in (_row_kernel, _big_multiply):
                 assert run_kernel(kernel, a, y, n_out) == tuple(expected)
                 assert run_kernel(kernel, y, a, n_out) == tuple(expected)
+
+
+class TestSlotBound:
+    """Both packed kernels size their slots by sum|a| * max|b|.  For each
+    pair below, with a the sparser, that bound lies one slot class above
+    min(sum|a| * max|b|, sum|b| * max|a|), so the two orders of a pair
+    pack in different classes."""
+
+    @pytest.mark.parametrize("m, narrow, wide", [
+        (2 ** 62 + 2 ** 61, 8, 9), (2 ** 70 + 2 ** 69, 9, 10)])
+    def test_products_across_slot_classes(self, m, narrow, wide):
+        a = [1, 0, -1, 0, 0, 0, 0]
+        b = [-m, 1, 1, 0, 0, 0, 0]
+        assert sum(map(abs, b)) * max(map(abs, a)) == m + 2
+        assert _layout(a, b) == wide and _layout(b, a) == narrow
+        assert _layout([m + 2], [1]) == narrow
+        for n_out in (3, 5, 7):
+            expected = schoolbook(a, b, n_out)
+            for kernel in (_row_kernel, _big_multiply):
+                assert run_kernel(kernel, a, b, n_out) == tuple(expected)
+                assert run_kernel(kernel, b, a, n_out) == tuple(expected)
 
 
 class TestSquares:

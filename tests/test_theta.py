@@ -343,6 +343,31 @@ class TestEtaQuotients:
         with pytest.raises(ArithmeticError, match="step 2"):
             theta._from_log_derivative([0, 1, 0])
 
+    @pytest.mark.parametrize("n", [0, 1, 6])
+    def test_eta_series_is_the_unit_at_its_offset(self, n, monkeypatch):
+        expand = theta.expand_eta_quotient
+        lengths = []
+
+        def recorded(eq, m):
+            lengths.append(m)
+            return expand(eq, m)
+
+        monkeypatch.setattr(theta, "expand_eta_quotient", recorded)
+        for offset in range(n + 3):
+            # sum(delta * r) = 24 * offset - 8 + 8
+            eq = EtaQuotient.from_dict(2, {1: 24 * offset - 8, 2: 4})
+            assert expand(eq, n)[0] == offset
+            assert (theta.eta_series(eq, n)
+                    == Series.monomial(offset, n) * expand(eq, n)[1])
+        assert lengths and max(lengths) <= n
+
+    def test_eta_series_refuses_a_pole(self):
+        eq = EtaQuotient.from_dict(2, {1: 24, 2: -24})
+        with pytest.raises(ValueError) as info:
+            theta.eta_series(eq, 10)
+        assert str(info.value) == (
+            "quotient eta{1:24,2:-24} has a pole at infinity (offset -1)")
+
     def test_rejects_nonintegral_offset(self):
         with pytest.raises(ValueError):
             expand_eta_quotient(EtaQuotient.from_dict(2, {1: 1, 2: -1}), 10)
