@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or registry parse
-error.  Output is plain text (``--format table``) or CSV; every numeric
-field is printed exactly, so CSV output round-trips.
+Exit codes: 0 success, 1 a failed verification, 2 a usage or evaluation
+fault, such as a request too large to allocate.  Commands raise their
+faults and `main` alone prints each as one stderr line.  Output is plain
+text (``--format table``) or CSV; every numeric field is printed exactly,
+so CSV output round-trips.
 
 Each command writes its output once its verdict is known, so a reader that
 closes the pipe early, such as ``head``, ends the output quietly and the
@@ -29,6 +31,10 @@ from .identities import (DEFAULT_LIMIT, DEFAULT_MMAX, DEFAULT_TERMS,
 
 ENV_REGISTRY = "THETAFORMS_REGISTRY"
 FORMATS = ("table", "csv")
+
+
+class _Refusal(Exception):
+    """A usage or evaluation fault; `main` prints it and returns 2."""
 
 
 class Config:
@@ -98,21 +104,17 @@ def _registry(cfg: Config):
     try:
         return load_registry(cfg.registry)
     except FileNotFoundError:
-        print(f"registry file not found: {cfg.registry}", file=sys.stderr)
-        raise SystemExit(2)
+        raise _Refusal(f"registry file not found: {cfg.registry}")
     except (OSError, UnicodeDecodeError) as err:
-        print(f"cannot read registry {cfg.registry}: {err}", file=sys.stderr)
-        raise SystemExit(2)
+        raise _Refusal(f"cannot read registry {cfg.registry}: {err}")
     except RegistryError as err:
-        print(f"registry parse error: {err}", file=sys.stderr)
-        raise SystemExit(2)
+        raise _Refusal(f"registry parse error: {err}")
 
 
 def _entry(cfg: Config, name: str):
     registry = _registry(cfg)
     if name not in registry:
-        print(f"unknown identity {name!r}", file=sys.stderr)
-        raise SystemExit(2)
+        raise _Refusal(f"unknown identity {name!r}")
     return registry[name]
 
 
@@ -122,14 +124,8 @@ def _count(cfg: Config, args, name: str) -> int:
     if value is None:
         value = getattr(cfg, name)
     if value <= 0:
-        print(f"{name} must be positive, got {value}", file=sys.stderr)
-        raise SystemExit(2)
+        raise _Refusal(f"{name} must be positive, got {value}")
     return value
-
-
-def _cannot_evaluate(err: EntryError) -> int:
-    print(f"cannot evaluate {err}", file=sys.stderr)
-    return 2
 
 
 def _cmd_expand(cfg: Config, args) -> int:
@@ -137,20 +133,16 @@ def _cmd_expand(cfg: Config, args) -> int:
     try:
         value = eval_series(parse_expression(args.func), n)
     except EVAL_ERRORS as err:
-        print(f"cannot expand {args.func!r}: {err}", file=sys.stderr)
-        return 2
+        raise _Refusal(f"cannot expand {args.func!r}: "
+                       f"{str(err) or type(err).__name__}")
     rows = [(i, c) for i, c in enumerate(value.coeffs)]
     _emit_rows(("exponent", "coefficient"), rows, cfg.fmt)
     return 0
 
 
 def _cmd_verify(cfg: Config, args) -> int:
-    try:
-        result = verify_entry(_entry(cfg, args.id), _count(cfg, args, "terms"),
-                              _count(cfg, args, "mmax"),
-                              _count(cfg, args, "limit"))
-    except EntryError as err:
-        return _cannot_evaluate(err)
+    result = verify_entry(_entry(cfg, args.id), _count(cfg, args, "terms"),
+                          _count(cfg, args, "mmax"), _count(cfg, args, "limit"))
     _emit_rows(("name", "mode", "params", "verdict", "witness", "ms"),
                [result.row()], cfg.fmt)
     return 0 if result.passed else 1
@@ -159,20 +151,15 @@ def _cmd_verify(cfg: Config, args) -> int:
 def _cmd_prove_eta(cfg: Config, args) -> int:
     spec = _entry(cfg, args.id)
     if spec.mode != "eta":
-        print(f"{args.id} is not an eta entry", file=sys.stderr)
-        return 2
-    try:
-        result = verify_entry(spec)
-    except EntryError as err:
-        return _cannot_evaluate(err)
+        raise _Refusal(f"{args.id} is not an eta entry")
+    result = verify_entry(spec)
     print(result.detail.render())
     return 0 if result.passed else 1
 
 
 def _cmd_forms(cfg: Config, args) -> int:
     if args.disc <= 0:
-        print(f"discriminant must be positive, got {args.disc}", file=sys.stderr)
-        return 2
+        raise _Refusal(f"discriminant must be positive, got {args.disc}")
     rows = []
     if args.genera:
         for i, record in enumerate(genus_partition(args.disc), start=1):
@@ -190,8 +177,7 @@ def _cmd_repcount(cfg: Config, args) -> int:
     try:
         form = TernaryForm.from_string(args.form)
     except (ValueError, TypeError) as err:
-        print(f"bad form literal: {err}", file=sys.stderr)
-        return 2
+        raise _Refusal(f"bad form literal: {err}")
     print(repcount(form, args.m))
     return 0
 
@@ -200,8 +186,7 @@ def _cmd_sgenus(cfg: Config, args) -> int:
     try:
         sg = build_sgenus(args.s)
     except ValueError as err:
-        print(str(err), file=sys.stderr)
-        return 2
+        raise _Refusal(str(err))
     rows = []
     total = 0
     for i, record in enumerate(sg.tg, start=1):
@@ -219,8 +204,7 @@ def _cmd_sgenus(cfg: Config, args) -> int:
 
 def _cmd_positivity(cfg: Config, args) -> int:
     if args.s not in (3, 5, 7, 15):
-        print("supported shifts: 3, 5, 7, 15", file=sys.stderr)
-        return 2
+        raise _Refusal("supported shifts: 3, 5, 7, 15")
     limit = _count(cfg, args, "limit")
     func = f"psi(q)*(phi(q)^2 - phi(q^{args.s})^2)"
     try:
@@ -228,20 +212,15 @@ def _cmd_positivity(cfg: Config, args) -> int:
             func, "positivity", parse_expression(func), None, Conditions(), 1),
             limit)
     except EVAL_ERRORS as err:
-        print(f"cannot scan {func!r}: {err}", file=sys.stderr)
-        return 2
+        raise _Refusal(f"cannot scan {func!r}: "
+                       f"{str(err) or type(err).__name__}")
     print(result.witness or f"nonnegative through exponent {limit - 1}")
     return 0 if result.passed else 1
 
 
 def _cmd_suite(cfg: Config, args) -> int:
-    registry = _registry(cfg)
-    try:
-        results = run_suite(registry, _count(cfg, args, "terms"),
-                            _count(cfg, args, "mmax"),
-                            _count(cfg, args, "limit"))
-    except EntryError as err:
-        return _cannot_evaluate(err)
+    results = run_suite(_registry(cfg), _count(cfg, args, "terms"),
+                        _count(cfg, args, "mmax"), _count(cfg, args, "limit"))
     _emit_rows(("name", "mode", "params", "verdict", "witness", "ms"),
                [r.row() for r in results], cfg.fmt)
     passed = sum(1 for r in results if r.passed)
@@ -316,11 +295,13 @@ def main(argv=None) -> int:
     if args.format:
         cfg.fmt = args.format
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        try:
+    try:
+        with contextlib.redirect_stdout(out):
             code = args.run(cfg, args)
-        except SystemExit as stop:
-            code = int(stop.code or 0)
+    except (EntryError, _Refusal) as err:
+        prefix = "cannot evaluate " if isinstance(err, EntryError) else ""
+        print(f"{prefix}{err}", file=sys.stderr)
+        return 2
     try:
         sys.stdout.write(out.getvalue())
         sys.stdout.flush()

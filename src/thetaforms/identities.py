@@ -133,8 +133,10 @@ class EntryError(ValueError):
 
 
 # What evaluating an entry or expression raises for a fault of its input,
-# such as a non-unit divisor or a length past what a list can hold.
-EVAL_ERRORS = (ArithmeticError, LookupError, RuntimeError, ValueError)
+# such as a non-unit divisor or a length past what a list can hold or the
+# memory can take.
+EVAL_ERRORS = (ArithmeticError, LookupError, MemoryError, RuntimeError,
+               ValueError)
 
 
 # ---------------------------------------------------------------------------
@@ -973,10 +975,13 @@ def verify_series(spec: IdentitySpec, n: int) -> VerifyResult:
     """Expand both sides to n coefficients and compare them exactly.
 
     A side that comes back with fewer than n coefficients fails, with a
-    witness that names it and its length.
+    witness that names it and its length.  An n below 1 compares nothing,
+    which is no pass: it raises ValueError.
     """
     if spec.mode not in ("series", "sift"):
         raise ValueError(f"{spec.name} is not a series/sift entry")
+    if n < 1:
+        raise ValueError(f"terms must be positive, got {n}")
     lhs = eval_series(spec.lhs, n)
     rhs = eval_series(spec.rhs, n)
     for side, value in (("lhs", lhs), ("rhs", rhs)):
@@ -1091,9 +1096,12 @@ def verify_ternary(spec: IdentitySpec, mmax: int) -> VerifyResult:
 
 
 def verify_positivity(spec: IdentitySpec, limit: int) -> VerifyResult:
-    """Nonnegativity scan of the expansion, honoring `expect negative`."""
+    """Nonnegativity scan of the expansion, honoring `expect negative`; a
+    limit below 1 scans nothing and raises ValueError."""
     if spec.mode != "positivity":
         raise ValueError(f"{spec.name} is not a positivity entry")
+    if limit < 1:
+        raise ValueError(f"limit must be positive, got {limit}")
     value = eval_series(spec.lhs, limit)
     ok, bad = is_nonnegative(value)
     if spec.conditions.expect_negative:
@@ -1172,8 +1180,9 @@ def verify_entry(spec: IdentitySpec, terms: int = DEFAULT_TERMS,
             result = verify_eta(spec)
         else:  # pragma: no cover
             raise ValueError(f"unknown mode {spec.mode}")
-    except EVAL_ERRORS as err:
-        raise EntryError(f"{spec.name}: {err}") from err
+    except EVAL_ERRORS as err:  # an error with no text is named by its type
+        reason = str(err) or type(err).__name__
+        raise EntryError(f"{spec.name}: {reason}") from err
     return result._replace(elapsed_ms=(time.perf_counter() - start) * 1000.0)
 
 

@@ -13,12 +13,21 @@ from thetaforms.cli import main
 # sifts whose bodies would need about 2^49 and 10^10 times the terms asked for
 HUGE_SIFTS = ("S[2,1](" * 49 + "phi(q)" + ")" * 49,
               "S[100000,1](S[100000,1](phi(q)))")
+# a count that fits an index, but no list of that length can be allocated;
+# Python refuses it before allocating anything (10^19 overflows instead)
+TOO_LARGE = str(2 * 10 ** 18)
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def refused(capsys, line, *argv):
+    """Run argv and check its refusal: exit 2, no output and `line` alone
+    on stderr, so no traceback."""
+    assert run_cli(capsys, *argv) == (2, "", line + "\n")
 
 
 class TestRepcount:
@@ -29,9 +38,11 @@ class TestRepcount:
         assert out.strip() == "10"
 
     def test_bad_form_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "repcount", "--form", "1,2,3", "--m", "5")
-        assert code == 2
-        assert "form" in err
+        for form, reason in (
+                ("1,2,3", "expected 6 comma-separated entries, got 3"),
+                ("1,1,1,0,0,x", "invalid literal for int() with base 10: 'x'")):
+            refused(capsys, f"bad form literal: {reason}",
+                    "repcount", "--form", form, "--m", "5")
 
 
 class TestExpand:
@@ -116,6 +127,9 @@ class TestExpand:
         assert out == ""
         assert err.startswith("cannot expand 'phi(q)': ")
         assert err.count("\n") == 1
+        # MemoryError has no text, so the line names its type
+        refused(capsys, "cannot expand 'phi(q)': MemoryError",
+                "expand", "--func", "phi(q)", "--n", TOO_LARGE)
 
 
 class TestVerify:
@@ -130,17 +144,16 @@ class TestVerify:
         assert (code, out, err) == (2, "", "unknown identity '9.99'\n")
 
     def test_negative_mmax_is_usage_error(self, capsys):
-        code, out, err = run_cli(capsys, "verify", "--id", "2.18",
-                                 "--mmax", "-5")
-        assert code == 2
-        assert out == ""
-        assert "mmax must be positive" in err
+        for command in (("verify", "--id", "2.18"), ("suite",)):
+            for value in ("-5", "0"):
+                refused(capsys, f"mmax must be positive, got {value}",
+                        *command, "--mmax", value)
 
     def test_zero_terms_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "--id", "1.11",
-                               "--terms", "0")
-        assert code == 2
-        assert "terms must be positive" in err
+        for command in (("verify", "--id", "1.11"), ("suite",)):
+            for value in ("0", "-3"):
+                refused(capsys, f"terms must be positive, got {value}",
+                        *command, "--terms", value)
 
     def test_failing_entry_exit_one(self, tmp_path, capsys):
         registry = tmp_path / "reg.txt"
@@ -154,10 +167,11 @@ class TestVerify:
     def test_registry_parse_error_exit_two(self, tmp_path, capsys):
         registry = tmp_path / "reg.txt"
         registry.write_text("broken entry without mode\n", encoding="utf-8")
-        code, _, err = run_cli(capsys, "--registry", str(registry),
-                               "verify", "--id", "x")
-        assert code == 2
-        assert "parse error" in err
+        for argv in (("verify", "--id", "x"), ("prove-eta", "--id", "x"),
+                     ("suite",)):
+            refused(capsys, "registry parse error: line 1, col 1: entry must "
+                    "start with 'name: mode:'", "--registry", str(registry),
+                    *argv)
 
     def test_zero_exponent_denominator_exit_two(self, tmp_path, capsys):
         registry = tmp_path / "reg.txt"
@@ -188,8 +202,8 @@ class TestEntryEvaluationErrors:
     def check(self, capsys, tmp_path, text, *argv):
         registry = tmp_path / "reg.txt"
         registry.write_text(text, encoding="utf-8")
-        code, _, err = run_cli(capsys, "--registry", str(registry), *argv)
-        assert code == 2
+        code, out, err = run_cli(capsys, "--registry", str(registry), *argv)
+        assert (code, out) == (2, "")
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("cannot evaluate x: ")
         assert "Traceback" not in err
@@ -219,6 +233,14 @@ class TestEntryEvaluationErrors:
             err = self.check(capsys, tmp_path, text, command, "--id", "x")
             assert err.endswith(
                 "fails the modular-function check: weight_sum_zero\n"), err
+
+    def test_request_too_large_to_allocate(self, capsys):
+        # MemoryError has no text, so the line names its type
+        for name, flag in (("2.4", "--terms"), ("2.18", "--mmax")):
+            refused(capsys, f"cannot evaluate {name}: MemoryError",
+                    "verify", "--id", name, flag, TOO_LARGE)
+        refused(capsys, "cannot evaluate 1.10: MemoryError",
+                "suite", "--terms", TOO_LARGE)
 
     def test_modeq3_root_off_the_parametrization(self, capsys, tmp_path):
         self.check(capsys, tmp_path, "x: modeq3: m = alpha^(1/8)\n",
@@ -393,8 +415,7 @@ class TestProveEta:
         assert "verdict: proved" in out
 
     def test_wrong_mode(self, capsys):
-        code, _, err = run_cli(capsys, "prove-eta", "--id", "1.11")
-        assert code == 2
+        refused(capsys, "1.11 is not an eta entry", "prove-eta", "--id", "1.11")
 
     def test_unknown_id(self, capsys):
         code, out, err = run_cli(capsys, "prove-eta", "--id", "9.99")
@@ -410,11 +431,8 @@ class TestFormsCommand:
 
     def test_nonpositive_discriminant_is_usage_error(self, capsys):
         for disc in ("0", "-4"):
-            code, out, err = run_cli(capsys, "forms", "--disc", disc)
-            assert code == 2
-            assert out == ""
-            assert len(err.strip().splitlines()) == 1
-            assert "Traceback" not in err
+            refused(capsys, f"discriminant must be positive, got {disc}",
+                    "forms", "--disc", disc)
 
     def test_genera_grouping(self, capsys):
         code, out, _ = run_cli(capsys, "--format", "csv",
@@ -450,8 +468,9 @@ class TestSgenus:
             assert str(int(row[3])) == row[3]
 
     def test_bad_shift(self, capsys):
-        code, _, err = run_cli(capsys, "sgenus", "--s", "9")
-        assert code == 2
+        for s in ("9", "2"):
+            refused(capsys, "S must be odd, squarefree, and >= 3",
+                    "sgenus", "--s", s)
 
 
 class TestPositivity:
@@ -462,15 +481,16 @@ class TestPositivity:
         assert "nonnegative" in out
 
     def test_unsupported_shift(self, capsys):
-        code, _, err = run_cli(capsys, "positivity", "--s", "9")
-        assert code == 2
+        for s in ("9", "4"):
+            refused(capsys, "supported shifts: 3, 5, 7, 15",
+                    "positivity", "--s", s)
 
     def test_zero_limit_is_usage_error(self, capsys):
-        code, out, err = run_cli(capsys, "positivity", "--s", "7",
-                                 "--limit", "0")
-        assert code == 2
-        assert out == ""
-        assert "limit must be positive" in err
+        for command in (("positivity", "--s", "7"), ("verify", "--id", "1.13"),
+                        ("suite",)):
+            for value in ("0", "-3"):
+                refused(capsys, f"limit must be positive, got {value}",
+                        *command, "--limit", value)
 
     def test_limit_past_any_list_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "positivity", "--s", "7",
@@ -480,6 +500,8 @@ class TestPositivity:
         assert err.startswith(
             "cannot scan 'psi(q)*(phi(q)^2 - phi(q^7)^2)': ")
         assert err.count("\n") == 1
+        refused(capsys, "cannot scan 'psi(q)*(phi(q)^2 - phi(q^7)^2)': "
+                "MemoryError", "positivity", "--s", "7", "--limit", TOO_LARGE)
 
 
 class TestSuiteAndConfig:
@@ -537,6 +559,13 @@ class TestSuiteAndConfig:
             assert out == ""
             assert err == ("registry parse error: line 2, col 19: SEW "
                            "character w must be a positive divisor of S\n")
+
+    def test_missing_registry_is_usage_error(self, tmp_path, capsys):
+        registry = tmp_path / "missing.txt"
+        for argv in (("suite",), ("verify", "--id", "2.4"),
+                     ("prove-eta", "--id", "4.1")):
+            refused(capsys, f"registry file not found: {registry}",
+                    "--registry", str(registry), *argv)
 
     def test_directory_registry_is_usage_error(self, tmp_path, capsys):
         code, out, err = run_cli(capsys, "--registry", str(tmp_path), "suite")

@@ -673,6 +673,25 @@ class TestEntryErrors:
             verify_entry(parse_registry(text)[0], terms=20)
         assert str(err.value).startswith("x: ")
 
+    @pytest.mark.parametrize("name, count", [
+        ("2.4", "terms"), ("4.15", "terms"), ("1.13", "limit"),
+        ("ctl.phi7", "limit")])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_count_below_one_is_no_pass(self, registry, name, count, value):
+        # no coefficient is compared, which is neither a pass nor a failure
+        message = f"{name}: {count} must be positive, got {value}"
+        with pytest.raises(EntryError, match=f"^{re.escape(message)}$"):
+            verify_entry(registry[name], **{count: value})
+
+    @pytest.mark.parametrize("name, count", [
+        ("2.4", "terms"), ("2.18", "mmax"), ("1.13", "limit")])
+    def test_request_too_large_to_allocate(self, registry, name, count):
+        # 2*10^18 fits an index, but no list or bytes of that length can be
+        # allocated; MemoryError has no text, so the message names its type
+        with pytest.raises(EntryError, match=f"^{re.escape(name)}: "
+                                             "MemoryError$"):
+            verify_entry(registry[name], **{count: 2 * 10 ** 18})
+
 
 class TestVerifyPositivity:
     def test_shift_seven(self, registry):
