@@ -219,7 +219,11 @@ def _cmd_positivity(cfg: Config, args) -> int:
 
 
 def _cmd_suite(cfg: Config, args) -> int:
-    results = run_suite(_registry(cfg), _count(cfg, args, "terms"),
+    registry = _registry(cfg)
+    if not registry:
+        # a suite that verifies nothing is no pass
+        raise _Refusal(f"registry {cfg.registry} has no entries")
+    results = run_suite(registry, _count(cfg, args, "terms"),
                         _count(cfg, args, "mmax"), _count(cfg, args, "limit"))
     _emit_rows(("name", "mode", "params", "verdict", "witness", "ms"),
                [r.row() for r in results], cfg.fmt)

@@ -763,7 +763,8 @@ def eval_series(node, n: int, t: int = 1, s: int = 0) -> Series:
     compose, since S[t,s](S[u,r](X)) is S[t*u, u*s+r](X).  Anything else
     reads the body's coefficients up to t*(n-1)+s, and a sift that would
     need more than `MAX_TERMS` of them raises ValueError before any is
-    computed.
+    computed.  The last two powers of a leaf evaluated, such as phi(q)^2,
+    are kept (`_leaf_power`) and returned again as the same series.
     """
     if isinstance(node, Neg):
         return -eval_series(node.body, n, t, s)
@@ -799,7 +800,8 @@ def eval_series(node, n: int, t: int = 1, s: int = 0) -> Series:
 
 
 def _expand(node, n: int) -> Series:
-    """A leaf or a power to n coefficients."""
+    """A leaf or a power to n coefficients; a power of a leaf comes from
+    `_leaf_power`."""
     if isinstance(node, Num):
         return Series.monomial(0, n, node.value)
     if isinstance(node, QPow):
@@ -813,19 +815,9 @@ def _expand(node, n: int) -> Series:
         return eta_series(
             EtaQuotient.from_dict(level, dict(node.exponents)), n)
     if isinstance(node, Pow):
-        if node.exponent.denominator != 1:
-            raise ValueError("fractional exponent outside modeq3")
-        k = node.exponent.numerator
-        base = eval_series(node.base, n)
-        if k < 0:
-            base = invert(base)
-        # |c| of base^k is at most (sum of |c| over base)^k; the sum runs
-        # over the support, which the first product of the power reads too
-        size = sum(map(abs, map(base.coeffs.__getitem__, base._nonzeros())))
-        if abs(k) * (size - 1).bit_length() > MAX_EXPONENT:
-            raise ValueError(
-                f"coefficients of a power may exceed 2^{MAX_EXPONENT}")
-        return base ** abs(k)
+        if isinstance(node.base, (Named, Theta2)):
+            return _leaf_power(node, n)
+        return _series_power(node, n)
     if isinstance(node, FormCount):
         theta = theta_series(TernaryForm(*node.form), n)
         if node.divisor == 1:
@@ -841,6 +833,33 @@ def _expand(node, n: int) -> Series:
         return sum((eps * Series._raw(coeffs)
                     for eps, coeffs in _union_parts(node, n)), Series.zero(n))
     raise TypeError(f"cannot evaluate {type(node).__name__} as a series")
+
+
+def _series_power(node: Pow, n: int) -> Series:
+    """A power node to n coefficients: its base, inverted for a negative
+    exponent, to the whole power."""
+    if node.exponent.denominator != 1:
+        raise ValueError("fractional exponent outside modeq3")
+    k = node.exponent.numerator
+    base = eval_series(node.base, n)
+    if k < 0:
+        base = invert(base)
+    # |c| of base^k is at most (sum of |c| over base)^k; the sum runs
+    # over the support, which the first product of the power reads too
+    size = sum(map(abs, map(base.coeffs.__getitem__, base._nonzeros())))
+    if abs(k) * (size - 1).bit_length() > MAX_EXPONENT:
+        raise ValueError(
+            f"coefficients of a power may exceed 2^{MAX_EXPONENT}")
+    return base ** abs(k)
+
+
+# The last two powers of a leaf, keyed by (node, n): the same square recurs
+# from entry to entry, as phi(q)^2 at 40 000 terms does in six positivity
+# entries and in each `thetaforms positivity` scan, while the leaf itself
+# is a cached theta factor.  Two entries hold the pair phi(q)^2 and
+# phi(q^S)^2 that such a scan reads; a refused power raises on every call,
+# since lru_cache keeps no exception.
+_leaf_power = lru_cache(maxsize=2)(_series_power)
 
 
 def _union_parts(node: UnionCount, n: int) -> list[tuple[int, tuple[int, ...]]]:

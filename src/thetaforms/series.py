@@ -6,8 +6,9 @@ operand; unknown coefficients are never silently treated as zero.  All
 arithmetic is over the integers -- no floating point anywhere -- and the
 coefficients are immutable after construction.  A series also keeps its
 support, the sorted exponents of its nonzero coefficients, in one slot
-that is filled the first time a product or a power needs it and never
-changes after; two threads that fill it at once compute equal lists, and
+that is filled when the series is built by a builder that knows it, or
+else the first time a product or a power needs it, and never changes
+after; two threads that fill it at once compute equal lists, and
 either one is kept.  So a series is safe to share between threads.
 
 Every product in the package is a Series product, :func:`invert`'s
@@ -24,8 +25,10 @@ multiply-add), and the cheapest runs:
   theta factors give it, walks each unordered pair once, in half the steps.
 * the row kernel, about 2 n steps to pack the denser operand and unpack
   the sum, plus n / 32 steps for each of its nza rows: one shifted copy of
-  the packed operand, times the coefficient, is added per nonzero of the
-  sparser one.  So the pair loop runs while
+  the packed operand is added per nonzero of the sparser one, the rows of
+  each distinct coefficient summed first and multiplied by it once, so
+  phi(q)'s rows, 2 at all but exponent 0, take two multiplies, not one per
+  row.  So the pair loop runs while
   nza * nzb * 32 <= n * (64 + nza), and the row kernel takes a theta
   factor times a dense series, such as psi * (phi^2 - phi(q^7)^2) at
   40 000 terms, or a split ternary theta series, a unary factor of 27 to
@@ -39,7 +42,7 @@ multiply-add), and the cheapest runs:
   nza^3 <= 2 n^2 (about 79 rows at n = 500, 317 at 4000, 1473 at 40 000).
   A square is packed once, and CPython squares the packed int.
 
-A cold registry pass makes 630 products this way (441 pair, 160 row and
+A cold registry pass makes 611 products this way (422 pair, 160 row and
 29 big), a count the tests pin.  The two boundaries were fitted on the
 shapes below, here timed with the kernels as they are: a sparser operand
 of +-1 at random places times b, either phi(q)^2 - phi(q^7)^2 ("dense",
@@ -70,9 +73,9 @@ a binary search, and are otherwise counted in C with
 ``len(c) - c.count(0)``, about a third of the cost of listing the support.
 A kernel that walks nonzeros (the pair loop both operands, the row kernel
 the sparser one) is handed the head of each support below n, filled if
-need be, so a cached theta factor such as phi(q) at 40 000 terms is
-scanned once however many products it enters; the big multiply needs
-none.
+need be; the big multiply needs none.  A theta factor such as phi(q) at
+40 000 terms comes from ``theta.general_theta`` with its support filled,
+so it is never scanned, however many products it enters.
 
 Both packed kernels share one codec and one slot bound.  Each coefficient
 gets a fixed-width slot wide enough for sum|a| * max|b|, a sum over the
@@ -205,18 +208,22 @@ def _unpack(value: int, width: int, count: int) -> tuple[int, ...]:
 
 def _row_kernel(a: Sequence[int], b: Sequence[int], n_out: int,
                 rows: list[int]) -> tuple[int, ...]:
-    """Cauchy product as one shifted add of packed b per nonzero of a.
+    """Cauchy product as one shifted add of packed b per nonzero of a, and
+    one multiply per distinct coefficient of a.
 
     b is packed in reverse, b_j in slot n_out - 1 - j, with the offset left
     in so that every slot is nonnegative.  A right shift by i slots then
     drops exactly the terms that would land at or past n_out, with no
-    borrow, and the rows, added from the highest exponent of a down, keep
-    the sum n_out - i slots long.  Slot n_out - 1 - k of the sum holds
-    c_k + 2**(8*width - 1) * A_k, for the product c and the prefix sums
-    A_k = a_0 + ... + a_k, of which all but one offset is taken off before
-    unpacking.  rows are the sorted exponents below n_out of the nonzeros
-    of a, which should be the sparser operand, and b must have a nonzero
-    coefficient; a b shorter than n_out counts as padded with zeros.
+    borrow.  The rows of one coefficient c, added from the highest exponent
+    of a down, keep their sum n_out - i slots long, and c times that sum
+    joins the total before the next coefficient's rows are added, so the
+    total is the one the rows would give one by one.  Slot n_out - 1 - k of
+    the total holds c_k + 2**(8*width - 1) * A_k, for the product c and the
+    prefix sums A_k = a_0 + ... + a_k, of which all but one offset is taken
+    off before unpacking.  rows are the sorted exponents below n_out of the
+    nonzeros of a, which should be the sparser operand, and b must have a
+    nonzero coefficient; a b shorter than n_out counts as padded with
+    zeros.
     """
     if not rows:
         return (0,) * n_out
@@ -226,15 +233,14 @@ def _row_kernel(a: Sequence[int], b: Sequence[int], n_out: int,
     bits = 8 * width
     offsets = _offset(width, n_out)
     row = _pack(b, width, n_out) ^ offsets
-    acc = 0
+    # the shifts of the rows of each coefficient, highest exponent first;
+    # one group's sum is formed at a time and multiplied once
+    shifts = {}
     for i in reversed(rows):
-        c = a[i]
-        if c == 1:
-            acc += row >> (bits * i)
-        elif c == -1:
-            acc -= row >> (bits * i)
-        else:
-            acc += c * (row >> (bits * i))
+        shifts.setdefault(a[i], []).append(bits * i)
+    acc = 0
+    for c, group in shifts.items():
+        acc += c * sum(map(row.__rshift__, group))
     # A_k - 1 is constant from one row to the next, so its slots, offset
     # like b's, are written as one run of equal bytes per row, from the top
     low = (1 << (bits - 1)) - 1
@@ -310,9 +316,9 @@ class Series:
     """Dense integer power series truncated at a fixed exponent bound.
 
     ``coeffs`` is the tuple of the ``truncation`` coefficients.  The support,
-    the sorted exponents of the nonzero ones, is listed by
-    :meth:`_nonzeros` on first use and kept; it takes no part in ``==``,
-    ``hash`` or ``repr``.
+    the sorted exponents of the nonzero ones, is handed to :meth:`_raw` by
+    a builder that knows it, or else listed by :meth:`_nonzeros` on first
+    use, and kept; it takes no part in ``==``, ``hash`` or ``repr``.
     """
 
     __slots__ = ("coeffs", "_support")
@@ -326,11 +332,13 @@ class Series:
         object.__setattr__(self, "_support", None)
 
     @classmethod
-    def _raw(cls, coeffs: Sequence[int]) -> "Series":
-        # internal fast path: integer entries assumed, a tuple not copied
+    def _raw(cls, coeffs: Sequence[int],
+             support: Optional[list[int]] = None) -> "Series":
+        # internal fast path: integer entries assumed, a tuple not copied;
+        # a builder that knows the support exactly may hand it over
         self = cls.__new__(cls)
         object.__setattr__(self, "coeffs", tuple(coeffs))
-        object.__setattr__(self, "_support", None)
+        object.__setattr__(self, "_support", support)
         return self
 
     @property

@@ -14,6 +14,9 @@ E's row of the one table of (x, y, s_x, s_y).  Lattice windows are solved
 with integer square roots, so no term is ever dropped or duplicated.
 :func:`eta_series` is the one eta-quotient series of the evaluator and
 the prover, and the one place where a pole at infinity is refused.
+:func:`general_theta` hands each series it builds its support, the sorted
+exponents of its nonzero terms, as it writes them, so a cached factor such
+as phi(q) at 40 000 terms, with 200 nonzeros, is never scanned.
 """
 
 from __future__ import annotations
@@ -36,12 +39,15 @@ __all__ = [
 def general_theta(x: int, y: int, n: int, sign_x: int = 1, sign_y: int = 1) -> Series:
     """Theta sum over all integers k with exponent x*k(k-1)/2 + y*k(k+1)/2;
     that is at least m*|k|(|k|-1)/2, for m the smaller nonzero of x and y,
-    so |k| <= isqrt(2n // m) + 1 covers every exponent below n."""
+    so |k| <= isqrt(2n // m) + 1 covers every exponent below n.  The
+    exponents written, less those where terms cancel, are the support that
+    the series is built with."""
     if x < 0 or y < 0 or (x == 0 and y == 0):
         raise ValueError("general_theta requires x, y >= 0, not both zero")
     if sign_x not in (1, -1) or sign_y not in (1, -1):
         raise ValueError("signs must be +1 or -1")
     coeffs = [0] * n
+    written = set()
     kmax = isqrt(2 * n // (min(x, y) or max(x, y))) + 1
     for k in range(-kmax, kmax + 1):
         tx = k * (k - 1) // 2
@@ -54,7 +60,8 @@ def general_theta(x: int, y: int, n: int, sign_x: int = 1, sign_y: int = 1) -> S
             if sign_y == -1 and ty % 2:
                 sign = -sign
             coeffs[e] += sign
-    return Series._raw(coeffs)
+            written.add(e)
+    return Series._raw(coeffs, [e for e in sorted(written) if coeffs[e]])
 
 
 @lru_cache(maxsize=None)

@@ -567,6 +567,14 @@ class TestSuiteAndConfig:
             refused(capsys, f"registry file not found: {registry}",
                     "--registry", str(registry), *argv)
 
+    def test_empty_registry_is_usage_error(self, tmp_path, capsys):
+        # a suite that verifies no entry is no pass, in either format
+        registry = tmp_path / "empty.txt"
+        registry.write_text("# no entries\n", encoding="utf-8")
+        for argv in (("suite",), ("--format", "csv", "suite")):
+            refused(capsys, f"registry {registry} has no entries",
+                    "--registry", str(registry), *argv)
+
     def test_directory_registry_is_usage_error(self, tmp_path, capsys):
         code, out, err = run_cli(capsys, "--registry", str(tmp_path), "suite")
         assert code == 2

@@ -1162,6 +1162,60 @@ class TestScalarFolding:
             eval_series(_expr("phi(q)", "series"), 10)
 
 
+def schoolbook_power(base, k, n):
+    """base**k to n terms by k schoolbook products folded from 1."""
+    out = [1] + [0] * (n - 1)
+    for _ in range(k):
+        out = [sum(out[i] * base[j - i] for i in range(j + 1))
+               for j in range(n)]
+    return out
+
+
+class TestLeafPowerCache:
+    """A power of a leaf comes from a bounded cache: the same series as the
+    power computed afresh, and a refusal that raises every time."""
+
+    @pytest.mark.parametrize("text, leaf", [
+        ("phi(q)^2", "phi(q)"), ("psi(-q^3)^3", "psi(-q^3)"),
+        ("f(q,q^5)^-1", "f(q,q^5)"), ("E(q)^-2", "E(q)"),
+    ])
+    @pytest.mark.parametrize("n", [1, 2, 200])
+    def test_matches_uncached_power(self, text, leaf, n):
+        node = parse_expression(text)
+        k = node.exponent.numerator
+        base = eval_series(parse_expression(leaf), n)
+        if k < 0:
+            base = invert(base)
+        value = eval_series(node, n)
+        assert value == base ** abs(k)
+        assert list(value.coeffs) == schoolbook_power(base.coeffs, abs(k), n)
+        assert eval_series(node, n) is value
+
+    def test_cache_is_bounded(self):
+        info = identities._leaf_power.cache_info
+        assert info().maxsize == 2
+        squares = [parse_expression(f"phi(q^{p})^2") for p in (1, 2, 3)]
+        for node in squares:
+            eval_series(node, 50)
+        assert info().currsize == 2
+        misses = info().misses
+        eval_series(squares[2], 50)
+        assert info().misses == misses
+        # the oldest square was dropped, and is built again
+        assert eval_series(squares[0], 50) == reference_eval(squares[0], 50)
+        assert info().misses == misses + 1
+
+    @pytest.mark.parametrize("node, message", [
+        (parse_expression("phi(q)^100"), "may exceed 2^256"),
+        (identities.Pow(parse_expression("phi(q)"), Fraction(1, 2)),
+         "fractional exponent outside modeq3"),
+    ])
+    def test_refusal_is_not_kept(self, node, message):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                eval_series(node, 10)
+
+
 class TestEtaAtomShift:
     """An eta atom is its unit moved up by the offset, as the product
     q^offset * unit gives it, whether the offset is 0, inside the

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from math import isqrt
@@ -161,7 +162,6 @@ class TestMul:
 
     def test_long_product_matches_schoolbook(self):
         # exercise the packed big-integer path against the double loop
-        import random
         rng = random.Random(7)
         a = [rng.randrange(-50, 50) for _ in range(300)]
         b = [rng.randrange(-50, 50) for _ in range(300)]
@@ -269,6 +269,60 @@ class TestProductPaths:
         monkeypatch.setattr(series, "_pair_loop", refuse)
         assert (psi * dense).coeffs == tuple(expected)
         assert (dense * psi).coeffs == tuple(expected)
+
+
+# row coefficients of the sparser operand: unit rows, a few repeated
+# values, every row distinct, and values near 2**40 with units among them
+GROUPS = {
+    "units": (1, -1),
+    "mixed": (1, -1, 2, -3, 2, 1, -3),
+    "distinct": None,
+    "wide": (2 ** 40, -(2 ** 40) + 1, 1, 2 ** 40, -1, 2 ** 40 + 3),
+}
+
+
+def grouped_rows(kind, seed, length=300, count=60):
+    """A sparse operand of count rows at random exponents below length,
+    with coefficients cycling through one of the GROUPS kinds, or each
+    row its own for "distinct"."""
+    rng = random.Random(seed)
+    values = GROUPS[kind]
+    out = [0] * length
+    for k, i in enumerate(sorted(rng.sample(range(length), count))):
+        out[i] = (-1) ** k * (k + 4) if values is None \
+            else values[k % len(values)]
+    return out
+
+
+class TestGroupedRows:
+    """The row kernel sums the rows of each distinct coefficient and
+    multiplies once per coefficient; the product is still exactly the
+    schoolbook one."""
+
+    @pytest.mark.parametrize("kind", sorted(GROUPS))
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_schoolbook(self, kind, seed):
+        a = grouped_rows(kind, seed)
+        rng = random.Random(-seed)
+        top = 2 ** 40 if kind == "wide" else 5
+        b = [rng.randint(-top, top) for _ in range(257)]
+        if kind == "wide":
+            # slots past struct's 8 bytes
+            assert _layout(a, b) > 8
+        for n_out in (256, 257, 258, 299, 300, 301):
+            expected = schoolbook(a, b, n_out)
+            for x, y in ((a, b), (b, a)):
+                assert list(run_kernel(_row_kernel, x, y, n_out)) == expected
+
+    @pytest.mark.parametrize("kind", sorted(GROUPS))
+    def test_rows_at_and_past_n_out(self, kind):
+        # rows at exponent 0 and at the top of the operand, cut by n_out
+        a = grouped_rows(kind, 4, length=64, count=64)
+        b = [(-1) ** j * (j % 7) for j in range(40)]
+        for n_out in (1, 39, 40, 41, 63, 64, 65):
+            expected = schoolbook(a, b, n_out)
+            for x, y in ((a, b), (b, a)):
+                assert list(run_kernel(_row_kernel, x, y, n_out)) == expected
 
 
 class TestCodec:
@@ -592,28 +646,27 @@ class TestSupport:
             assert y.truncate(50) * tail == Series.zero(50)
         assert tail * tail == Series.zero(52)
 
-    def test_cached_factor_is_scanned_once(self, monkeypatch):
+    def test_cached_factor_is_never_scanned(self, monkeypatch):
         # a length no other test asks the theta caches for
         n = 12347
-        phi = named_function("phi", n)
-        psi = named_function("psi", n)
-        phi7 = named_function("phi", n, 7)
-        assert phi._support is psi._support is phi7._support is None
         scanned = []
         scan = series._nonzero
         monkeypatch.setattr(series, "_nonzero",
                             lambda cs: scanned.append(cs) or scan(cs))
+        phi = named_function("phi", n)
+        psi = named_function("psi", n)
+        phi7 = named_function("phi", n, 7)
         before = dict(series.kernel_calls)
         for _ in range(3):
             dense = phi * phi - phi7 * phi7
             product = psi * dense
         assert {k: v - before[k] for k, v in series.kernel_calls.items()} \
             == {"pair": 6, "row": 3, "big": 0}
-        # phi and phi7 once each for their squares, psi once for its rows;
-        # the dense operands are never scanned
-        names = {id(phi.coeffs): "phi", id(psi.coeffs): "psi",
-                 id(phi7.coeffs): "phi7"}
-        assert [names.get(id(cs)) for cs in scanned] == ["phi", "phi7", "psi"]
+        # general_theta hands each factor its support, which the squares
+        # and psi's rows read; the dense operands are never scanned either
+        assert scanned == []
+        for factor in (phi, psi, phi7):
+            assert factor._support == scan(factor.coeffs)
         assert dense._support is None
         assert product.coeffs == tuple(schoolbook(psi.coeffs, dense.coeffs, n))
 
@@ -667,8 +720,8 @@ class TestKernelChoicePin:
     change to the kernel choice or to what feeds it shows here."""
 
     @pytest.mark.parametrize("run, calls", [
-        ("suite", {"pair": 441, "row": 160, "big": 29}),
-        ("positivity", {"pair": 26, "row": 10, "big": 0}),
+        ("suite", {"pair": 422, "row": 160, "big": 29}),
+        ("positivity", {"pair": 18, "row": 10, "big": 0}),
     ])
     def test_cold_pass_kernel_calls(self, run, calls):
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

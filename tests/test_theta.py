@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from thetaforms import theta
 from thetaforms.identities import eval_series, parse_expression
-from thetaforms.series import Series, invert
+from thetaforms.series import Series, _nonzero, invert
 from thetaforms.theta import (EtaQuotient, euler, euler_power,
                               expand_eta_quotient, general_theta,
                               named_function)
@@ -169,7 +169,27 @@ class TestThetaRouting:
             tx, ty = k * (k - 1) // 2, k * (k + 1) // 2
             if x * tx + y * ty < n:
                 expected[x * tx + y * ty] += sx ** tx * sy ** ty
-        assert general_theta(x, y, n, sx, sy).coeffs == tuple(expected)
+        out = general_theta(x, y, n, sx, sy)
+        assert out.coeffs == tuple(expected)
+        assert out._support == _nonzero(out.coeffs)
+
+    @pytest.mark.parametrize("name", sorted(theta._THETA_PAIRS))
+    def test_support_is_handed_over(self, name):
+        # every factor leaves the builder with its exact support, so no
+        # product has to scan it
+        for n in (0, 1, 2, 17, 500, 4001):
+            for p in range(1, 17):
+                for negate in (False, True):
+                    out = named_function(name, n, p, negate)
+                    assert out._support == _nonzero(out.coeffs)
+
+    def test_cancelled_terms_leave_the_support(self):
+        # in f(q, -q) the terms of k and -k cancel at every odd square k^2
+        for n in (0, 1, 2, 17, 500, 4001):
+            out = general_theta(1, 1, n, 1, -1)
+            assert out._support == _nonzero(out.coeffs)
+            assert out._support == [k * k for k in range(0, n, 2)
+                                    if k * k < n]
 
     def test_one_object_per_factor(self):
         n = 300
@@ -220,9 +240,10 @@ class TestThetaCachePin:
         assert proc.returncode == 0, proc.stderr
         # 8 factors: phi and psi at q, phi at q^3, q^5, q^7 and q^15, and
         # psi at q^2 and q^6; the entries and the CLI scans reach them
-        # through the evaluator's 8 call shapes of named_function, and no
-        # other 40 000-term series is kept
-        assert json.loads(proc.stdout.splitlines()[-1]) == [8, 8, 8]
+        # through the evaluator's 8 call shapes of named_function.  The
+        # only other 40 000-term series kept are the two leaf powers of
+        # the last scan, phi(q)^2 and phi(q^15)^2
+        assert json.loads(proc.stdout.splitlines()[-1]) == [8, 8, 10]
 
 
 # the two proved eta identities, as (exponent-map, theta-term) pairs
