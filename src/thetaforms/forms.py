@@ -13,13 +13,14 @@ Every theta series, and `short_vectors`, come from one row walk
 (Fincke-Pohst): `_plane_rows` lists the rows of a binary form, and
 `_half_space_rows` those of a ternary one, whose (x, y) run over the
 plane rows of the binary form left by completing the square in z.  Rows
-hold each pair +-v once, and `_tally` counts them.  A form with an
-isolated variable (d = e = 0, d = f = 0 or e = f = 0) is the orthogonal
-sum of a unary and a binary form, so `_theta_ternary` multiplies their
-two tallies (Conway-Sloane, SPLAG ch. 4); any other form goes to
-`_theta_walk`.  `repcount` shares only `_y_range`: it solves for z as an
-exact root at one value, walking all of Z^3, and stays the independent
-oracle that tests check the theta coefficients against.
+hold each pair +-v once and end exactly at the bound, so `_tally` counts
+them with no value test.  A form with an isolated variable (d = e = 0,
+d = f = 0 or e = f = 0) is an orthogonal sum k*z^2 + B (Conway-Sloane,
+SPLAG ch. 4), whose series `_shift_sum` forms from B's tally as one
+packed sum of its shifts by k*z^2; any other form goes to `_theta_walk`.
+`repcount` shares only `_y_range`: it solves for z as an exact root at
+one value, walking all of Z^3, and stays the independent oracle that
+tests check the theta coefficients against.
 
 Classes are enumerated from the reduced box 0 < a <= b <= c, |d| <= b,
 |e| <= a, |f| <= a cut to its sign-canonical half d, e >= 0 (see
@@ -35,10 +36,11 @@ cache it.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import repeat
 from math import gcd, isqrt
 from typing import NamedTuple
 
-from .series import Series
+from .series import Series, _layout, _pack, _unpack
 
 __all__ = [
     "TernaryForm", "BinaryForm", "discriminant", "repcount", "theta_series",
@@ -151,16 +153,12 @@ def discriminant(form: TernaryForm) -> int:
 # ---------------------------------------------------------------------------
 
 def _y_range(A: int, B: int, C: int, x: int, rhs: int):
-    """Integer y interval (with one unit of slack) where A y^2 + Bx y <= rhs'."""
-    bq = B * x
-    cq = C * x * x - rhs
-    disc = bq * bq - 4 * A * cq
-    if disc < 0:
-        return 1, 0
-    s = isqrt(disc)
-    ylo = (-bq - s) // (2 * A) - 1
-    yhi = (-bq + s) // (2 * A) + 1
-    return ylo, yhi
+    """The exact y interval where A*y^2 + B*x*y + C*x^2 <= rhs: times 4A it
+    is |2A*y + B*x| <= isqrt(disc), disc = (B*x)^2 - 4A*(C*x^2 - rhs), which
+    callers keep >= 0 by x^2 <= 4A*rhs // (4AC - B^2)."""
+    bx = B * x
+    s = isqrt(bx * bx - 4 * A * (C * x * x - rhs))
+    return -((bx + s) // (2 * A)), (s - bx) // (2 * A)
 
 
 def repcount(form: TernaryForm, m: int) -> int:
@@ -178,7 +176,7 @@ def repcount(form: TernaryForm, m: int) -> int:
     B = 4 * c * f - 2 * d * e
     C = 4 * c * a - e * e
     rhs = 4 * c * m
-    xmax = isqrt(4 * A * rhs // (4 * A * C - B * B)) + 1
+    xmax = isqrt(4 * A * rhs // (4 * A * C - B * B))
     count = 0
     for x in range(-xmax, xmax + 1):
         ylo, yhi = _y_range(A, B, C, x, rhs)
@@ -204,12 +202,13 @@ def repcount(form: TernaryForm, m: int) -> int:
 def _plane_rows(a: int, b: int, c: int, bound: int):
     """Rows (x, ylo, yhi, b*x, a*x*x) of a*x^2 + b*x*y + c*y^2 <= bound.
 
-    Along a row the value is (c*y + b*x)*y + a*x*x, and ylo..yhi holds
-    every y where it is at most bound (plus slack, so callers test the
-    value).  Eliminating y bounds x^2 by 4*c*bound / (4ac - b^2).  The
-    rows cover x > 0, then x = 0 with y > 0: one of each pair +-(x, y).
+    Along a row the value is (c*y + b*x)*y + a*x*x, and ylo..yhi are
+    exactly the y where it is at most bound (`_y_range`).  Eliminating y
+    bounds x^2 by 4*c*bound / (4ac - b^2), so no row lies past the bound.
+    The rows cover x > 0, then x = 0 with y > 0: one of each pair
+    +-(x, y).  bound must be >= 0.
     """
-    xmax = isqrt(4 * c * bound // (4 * a * c - b * b)) + 1
+    xmax = isqrt(4 * c * bound // (4 * a * c - b * b))
     for x in (*range(1, xmax + 1), 0):
         ylo, yhi = _y_range(c, b, a, x, bound)
         yield x, ylo if x else max(ylo, 1), yhi, b * x, a * x * x
@@ -218,13 +217,14 @@ def _plane_rows(a: int, b: int, c: int, bound: int):
 def _half_space_rows(form: TernaryForm, bound: int):
     """Rows ((x, y), zlo, zhi, lin, const) covering each pair +-v, v != 0, once.
 
-    Along a row Q(x, y, z) = (c*z + lin)*z + const, and zlo..zhi holds
-    every z with Q <= bound (plus slack, so callers test the value).
-    Completing the square in z, 4c*Q = (2c*z + lin)^2 + P(x, y) with the
-    binary form P = (4ca-e^2, 4cf-2de, 4bc-d^2), so (x, y) runs over the
-    plane rows of P <= 4c*bound.  The rows cover the half space x > 0,
-    then x = 0 with y > 0, then the z-line x = y = 0 with z > 0; v and -v
-    never both appear.
+    Along a row Q(x, y, z) = (c*z + lin)*z + const, and zlo..zhi are
+    exactly the z with Q <= bound: completing the square in z,
+    4c*Q = (2c*z + lin)^2 + P(x, y) with the binary form
+    P = (4ca-e^2, 4cf-2de, 4bc-d^2), so (x, y) runs over the plane rows of
+    P <= 4c*bound and Q <= bound is |2c*z + lin| <= isqrt(4c*bound - P).
+    The rows cover the half space x > 0, then x = 0 with y > 0, then the
+    z-line x = y = 0 with 1 <= z <= isqrt(bound // c); v and -v never
+    both appear.  bound must be >= 0.
     """
     a, b, c, d, e, f = form.sextuple()
     A = 4 * b * c - d * d
@@ -233,12 +233,9 @@ def _half_space_rows(form: TernaryForm, bound: int):
     for x, ylo, yhi, bx, ax2 in _plane_rows(4 * c * a - e * e,
                                             4 * c * f - 2 * d * e, A, rhs):
         for y in range(ylo, yhi + 1):
-            disc = rhs - (A * y + bx) * y - ax2
-            if disc < 0:
-                continue
             lin = d * y + e * x
-            s = isqrt(disc)
-            yield ((x, y), (-lin - s) // c2, (-lin + s) // c2 + 1, lin,
+            s = isqrt(rhs - (A * y + bx) * y - ax2)
+            yield ((x, y), -((lin + s) // c2), (s - lin) // c2, lin,
                    a * x * x + (b * y + f * x) * y)
     yield (0, 0), 1, isqrt(bound // c), 0, 0
 
@@ -248,21 +245,19 @@ def _tally(rows, lead: int, n: int) -> tuple[int, ...]:
 
     A row (prefix, lo, hi, lin, const) fixes the leading coordinates and
     runs the last one, t, from lo to hi, where the value is
-    (lead*t + lin)*t + const; each value below n counts v and -v.  The
-    zero vector gives the 1 at q^0.
+    (lead*t + lin)*t + const; each counts v and -v.  The rows must be
+    exact for the bound n - 1, so every value lies in 1..n-1 and none is
+    tested.  The zero vector gives the 1 at q^0.
     """
-    counts = [0] * n
-    if n > 0:
-        counts[0] = 1
-    if n < 2:
-        return tuple(counts)
+    if not n:
+        return ()
+    counts = [1] + [0] * (n - 1)
     lead2 = 2 * lead
     for _prefix, lo, hi, lin, const in rows:
         val = (lead * lo + lin) * lo + const
         step = lead2 * lo + lead + lin
         for _t in range(lo, hi + 1):
-            if 0 <= val < n:
-                counts[val] += 2
+            counts[val] += 2
             val += step
             step += lead2
     return tuple(counts)
@@ -274,8 +269,9 @@ def _theta_ternary(form: TernaryForm, n: int) -> tuple[int, ...]:
     d = e = 0 isolates z, so Q = c*z^2 + (a, f, b)(x, y) and the series is
     theta(c*z^2) * theta((a, f, b)); d = f = 0 isolates y with
     (b, (a, e, c)), and e = f = 0 isolates x with (a, (b, d, c)).  The
-    unary factor is the single row of its line, the binary one the plane
-    rows.  Any other form falls back to the half-space walk `_theta_walk`.
+    binary series is the tally of its exact plane rows, and `_shift_sum`
+    adds its shifts by k*z^2 in one packed sum, with no series product.
+    Any other form falls back to the half-space walk `_theta_walk`.
     """
     a, b, c, d, e, f = form.sextuple()
     if d == e == 0:
@@ -286,9 +282,26 @@ def _theta_ternary(form: TernaryForm, n: int) -> tuple[int, ...]:
         k, plane = a, (b, d, c)
     else:
         return _theta_walk(form, n)
-    unary = _tally([((), 1, isqrt(max(n - 1, 0) // k), 0, 0)], k, n)
-    binary = _tally(_plane_rows(*plane, n - 1), plane[2], n)
-    return (Series._raw(unary) * Series._raw(binary)).coeffs
+    return _shift_sum(_tally(_plane_rows(*plane, n - 1), plane[2], n), k)
+
+
+def _shift_sum(binary: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """theta(k*z^2) * binary to n = len(binary) terms, for a nonnegative
+    binary: binary plus twice its shifts by k*z^2, z = 1..zmax, as one
+    packed sum.  binary is packed once, reversed as the row kernel packs
+    it, so a right shift by k*z^2 slots moves b_j to exponent j + k*z^2
+    and drops it at or past n.  The nonnegative slots add with no offsets
+    and no carry while each holds (2*zmax + 1) * max(binary), the bound
+    `series._layout` gives for the unary coefficients (1, 2, ..., 2) and
+    max(binary), one scan of binary where the signed bound takes two."""
+    n = len(binary)
+    if not n:
+        return ()
+    zmax = isqrt((n - 1) // k)
+    width = _layout((1, *repeat(2, zmax)), [max(binary)])
+    packed = _pack(binary, width, n)
+    return _unpack(packed + 2 * sum(packed >> 8 * width * k * z * z
+                                    for z in range(1, zmax + 1)), width, n)
 
 
 def _theta_walk(form: TernaryForm, n: int) -> tuple[int, ...]:
@@ -321,16 +334,16 @@ def theta_coefficients(form: TernaryForm, n: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 def short_vectors(form: TernaryForm, bound: int) -> dict[int, list[tuple[int, int, int]]]:
-    """All v in Z^3 with 0 < Q(v) <= bound, grouped by value."""
+    """All v in Z^3 with 0 < Q(v) <= bound, grouped by value: each point
+    of the exact half-space rows, and its negative."""
     out: dict[int, list[tuple[int, int, int]]] = {}
     if bound < 1:
         return out
     c = form.c
     for (x, y), zlo, zhi, lin, const in _half_space_rows(form, bound):
         for z in range(zlo, zhi + 1):
-            v = (c * z + lin) * z + const
-            if 0 < v <= bound:
-                out.setdefault(v, []).extend(((x, y, z), (-x, -y, -z)))
+            out.setdefault((c * z + lin) * z + const, []).extend(
+                ((x, y, z), (-x, -y, -z)))
     return out
 
 

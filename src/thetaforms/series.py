@@ -31,18 +31,17 @@ multiply-add), and the cheapest runs:
   row.  So the pair loop runs while
   nza * nzb * 32 <= n * (64 + nza), and the row kernel takes a theta
   factor times a dense series, such as psi * (phi^2 - phi(q^7)^2) at
-  40 000 terms, or a split ternary theta series, a unary factor of 27 to
-  45 nonzeros times a binary one of 1 000 to 2 100 at 10 001 terms.  The
-  kernel computes only the n coefficients it keeps: the packed operand is
-  reversed, so that shifting it right by i slots drops the terms past the
-  truncation, and the row of exponent i costs n - i slots, not n + i.
+  40 000 terms.  The kernel computes only the n coefficients it keeps:
+  the packed operand is reversed, so that shifting it right by i slots
+  drops the terms past the truncation, and the row of exponent i costs
+  n - i slots, not n + i.
 * one big-integer product (Kronecker substitution) of both packed
   operands.  CPython multiplies by Karatsuba, so this cost grows about as
   n^1.6 where the row kernel's grows as nza * n; the row kernel runs while
   nza^3 <= 2 n^2 (about 79 rows at n = 500, 317 at 4000, 1473 at 40 000).
   A square is packed once, and CPython squares the packed int.
 
-A cold registry pass makes 611 products this way (422 pair, 160 row and
+A cold registry pass makes 580 products this way (401 pair, 150 row and
 29 big), a count the tests pin.  The two boundaries were fitted on the
 shapes below, here timed with the kernels as they are: a sparser operand
 of +-1 at random places times b, either phi(q)^2 - phi(q^7)^2 ("dense",
@@ -91,7 +90,10 @@ shift without borrows.  A result in that form is XORed back, and
 per wider slot) reads it top slot first: the coefficients in forward
 order, as the tuple the series keeps.  The big multiply packs both
 operands so and keeps the top n slots of their product.  Every kernel
-gives exactly the schoolbook product.
+gives exactly the schoolbook product.  Two sums of nonnegative terms
+outside this module, a split ternary theta series (`forms._shift_sum`)
+and a genus's weighted theta series (`genus._weighted_cached`), take the
+same codec and slot bound, with no offsets.
 
 :func:`sift` is one tuple slice ``a.coeffs[s::t]``.  A sifted product
 ``sift(a * b, t, s)`` is computed by :func:`sift_product` from the slices

@@ -16,6 +16,16 @@ from thetaforms.theta import (BUILTIN_NAMES, EtaQuotient, expand_eta_quotient,
                               general_theta)
 
 
+def schoolbook(a, b, n):
+    """The first n coefficients of a * b by the plain double loop."""
+    out = [0] * n
+    for i, ai in enumerate(a[:n]):
+        if ai:
+            for j, bj in enumerate(b[:n - i]):
+                out[i + j] += ai * bj
+    return out
+
+
 def transform_ternary(form: TernaryForm, u) -> TernaryForm:
     """Form of Q(U v): Gram changes to U^T G U.  u is a 3x3 integer matrix."""
     g = form.gram_doubled()

@@ -4,14 +4,14 @@ from math import isqrt
 
 import pytest
 
-from thetaforms import forms
+from thetaforms import forms, series
 from thetaforms.arith import divisors
 from thetaforms.forms import (BinaryForm, TernaryForm, aut_count,
                               distinct_classes, enumerate_binary_classes,
                               enumerate_ternary_classes, reduce_binary,
                               repcount, short_vectors, ternary_candidates,
                               ternary_equivalent, theta_series)
-from oracles import transform_ternary
+from oracles import schoolbook, transform_ternary
 
 KNOWN_FORMS = {
     (1, 6, 6, 0, 0, 0): 16,
@@ -198,7 +198,8 @@ def split_pattern(form: TernaryForm) -> str:
 
 
 class TestThetaProduct:
-    """Split forms take the series product, which must match `_theta_walk`.
+    """Split forms take the packed shift-sum of their binary tally, which
+    must match `_theta_walk`.
 
     Both read `_plane_rows` and `_tally`, so the walk is a consistency
     check here; `TestOraclesWithoutRowCode` checks both apart from them.
@@ -235,6 +236,13 @@ class TestThetaProduct:
             else:
                 assert forms._theta_ternary(form, 10001) == walk
 
+    def test_split_forms_make_no_series_product(self, monkeypatch):
+        for sextuple in ((2, 7, 14, 0, 0, 0), (3, 5, 14, 0, 0, 2),
+                         (4, 5, 6, 0, 4, 0), (5, 12, 18, 12, 0, 0)):
+            before = dict(series.kernel_calls)
+            self.product(TernaryForm(*sextuple), 10001, monkeypatch)
+            assert series.kernel_calls == before, sextuple
+
     @pytest.mark.parametrize("sextuple", [(4, 5, 6, 0, 4, 0),
                                           (5, 12, 18, 12, 0, 0)])
     def test_isolated_y_and_x_match_repcount(self, sextuple, monkeypatch):
@@ -243,6 +251,53 @@ class TestThetaProduct:
         rng = random.Random(sum(sextuple))
         for m in rng.sample(range(2000), 60):
             assert coeffs[m] == repcount(form, m), (sextuple, m)
+
+
+def unary_theta(k: int, n: int) -> list[int]:
+    """1 + 2 * sum_{z >= 1} q^(k z^2) to n terms."""
+    out = [0] * n
+    for z in range(isqrt(n) + 1):
+        if k * z * z < n:
+            out[k * z * z] = 2 if z else 1
+    return out
+
+
+class TestShiftSum:
+    """`_shift_sum` against the schoolbook product of the unary theta series
+    and synthetic nonnegative coefficients, whose largest outputs bring the
+    slot bound to either side of each slot width."""
+
+    # (n, k): zmax = isqrt((n - 1) // k) is 0, 1, 4 and 6
+    SHAPES = ((1, 1), (2, 1), (2, 3), (50, 3), (40, 1))
+
+    @staticmethod
+    def check(binary, k):
+        n = len(binary)
+        assert forms._shift_sum(tuple(binary), k) == \
+            tuple(schoolbook(unary_theta(k, n), binary, n))
+
+    def test_slot_widths(self):
+        rng = random.Random(20261020)
+        widths = set()
+        for n, k in self.SHAPES:
+            terms = 2 * isqrt((n - 1) // k) + 1
+            # the slot width steps up where the bound reaches 2**bits
+            for bits in (7, 15, 31, 63, 71, 103):
+                for m in ((2 ** bits - 1) // terms, -(-2 ** bits // terms)):
+                    # constant coefficients make the last output
+                    # terms * m, the bound the slot is sized by
+                    widths.add(series._layout([1] * terms, [m]))
+                    self.check([m] * n, k)
+                    self.check([rng.randint(0, m) for _ in range(n)], k)
+        assert {1, 2, 4, 8} <= widths and max(widths) > 8
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 12])
+    def test_binary_tallies(self, k):
+        for form in (BinaryForm(1, 0, 1), BinaryForm(3, 2, 5),
+                     BinaryForm(4, 4, 6)):
+            for n in (0, 1, 2, 3, 97):
+                binary = forms._theta_binary(form, n)
+                self.check(binary, k)
 
 
 def brute_binary(form: BinaryForm, n: int) -> list[int]:
@@ -293,23 +348,99 @@ class TestOraclesWithoutRowCode:
                 assert forms._theta_ternary(form, 200)[0] == 1
 
 
+def random_forms(seed: int, count: int):
+    """Seeded positive definite binary and ternary forms, many not reduced."""
+    rng = random.Random(seed)
+    binaries, ternaries = [], []
+    while len(binaries) < count:
+        a, c = rng.randint(1, 9), rng.randint(1, 9)
+        b = rng.randint(-9, 9)
+        if b * b < 4 * a * c:
+            binaries.append(BinaryForm(a, b, c))
+    while len(ternaries) < count:
+        try:
+            ternaries.append(TernaryForm(
+                *(rng.randint(1, 9) for _ in range(3)),
+                *(rng.randint(-7, 7) for _ in range(3))))
+        except ValueError:
+            pass
+    return binaries, ternaries
+
+
+class TestExactRows:
+    """Every row lists exactly the points within its bound: each listed
+    point is within it, the points one step past either end of a row are
+    not, and the rows with their negatives give the box scan's points.
+    The rows carry no slack, so `_tally` and `short_vectors` test no
+    value."""
+
+    BOUNDS = (1, 2, 5, 17, 40)
+    BINARIES, TERNARIES = random_forms(20261020, 30)
+
+    @pytest.mark.parametrize("bound", BOUNDS)
+    def test_plane_rows(self, bound):
+        for form in self.BINARIES:
+            a, b, c = form
+            points = set()
+            for x, ylo, yhi, bx, ax2 in forms._plane_rows(a, b, c, bound):
+                assert (bx, ax2) == (b * x, a * x * x)
+                for y in range(ylo, yhi + 1):
+                    assert 0 < form.value(x, y) <= bound, (form, x, y)
+                    points.update(((x, y), (-x, -y)))
+                assert form.value(x, yhi + 1) > bound, (form, x)
+                if x:
+                    assert form.value(x, ylo - 1) > bound, (form, x)
+                else:
+                    assert ylo == 1
+            # box of the adjugate coordinate bounds
+            rx = isqrt(4 * c * bound // -form.discriminant) + 1
+            ry = isqrt(4 * a * bound // -form.discriminant) + 1
+            assert points == {(x, y) for x in range(-rx, rx + 1)
+                              for y in range(-ry, ry + 1)
+                              if 0 < form.value(x, y) <= bound}, form
+
+    @pytest.mark.parametrize("bound", BOUNDS)
+    def test_half_space_rows(self, bound):
+        for form in self.TERNARIES:
+            points = set()
+            for (x, y), zlo, zhi, lin, const in forms._half_space_rows(
+                    form, bound):
+                for z in range(zlo, zhi + 1):
+                    assert 0 < form.value(x, y, z) <= bound, (form, x, y, z)
+                    points.update(((x, y, z), (-x, -y, -z)))
+                assert form.value(x, y, zhi + 1) > bound, (form, x, y)
+                if (x, y) != (0, 0):
+                    assert form.value(x, y, zlo - 1) > bound, (form, x, y)
+                else:
+                    # the z-line starts at z = 1
+                    assert zlo == 1
+            assert points == {v for v, _ in brute_points(form, bound)}, form
+
+
+def brute_points(form: TernaryForm, bound: int):
+    """(v, Q(v)) for every v != 0 with Q(v) <= bound, by a box scan with
+    adjugate coordinate bounds."""
+    a, b, c, d, e, f = form.sextuple()
+    disc = form.discriminant
+    bx = isqrt(bound * (4 * b * c - d * d) // disc) + 1
+    by = isqrt(bound * (4 * a * c - e * e) // disc) + 1
+    bz = isqrt(bound * (4 * a * b - f * f) // disc) + 1
+    for x in range(-bx, bx + 1):
+        for y in range(-by, by + 1):
+            for z in range(-bz, bz + 1):
+                v = form.value(x, y, z)
+                if 0 < v <= bound:
+                    yield (x, y, z), v
+
+
 class TestShortVectors:
     """short_vectors against a brute-force box with adjugate bounds."""
 
     @staticmethod
     def brute(form: TernaryForm, bound: int):
-        a, b, c, d, e, f = form.sextuple()
-        disc = form.discriminant
-        bx = isqrt(bound * (4 * b * c - d * d) // disc) + 1
-        by = isqrt(bound * (4 * a * c - e * e) // disc) + 1
-        bz = isqrt(bound * (4 * a * b - f * f) // disc) + 1
         out = {}
-        for x in range(-bx, bx + 1):
-            for y in range(-by, by + 1):
-                for z in range(-bz, bz + 1):
-                    v = form.value(x, y, z)
-                    if 0 < v <= bound:
-                        out.setdefault(v, []).append((x, y, z))
+        for v, value in brute_points(form, bound):
+            out.setdefault(value, []).append(v)
         return out
 
     @pytest.mark.parametrize("sextuple", [(1, 1, 1, 0, 0, 0),

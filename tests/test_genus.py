@@ -6,7 +6,7 @@ from math import gcd, prod
 
 import pytest
 
-from thetaforms import forms, genus
+from thetaforms import forms, genus, series
 from thetaforms.arith import divisors, is_squarefree, jacobi, prime_divisors
 from thetaforms.forms import (BinaryForm, TernaryForm,
                               enumerate_binary_classes,
@@ -611,6 +611,44 @@ class TestWeightedCounts:
         rows = weighted_coefficients(tg, 60)
         for m in range(60):
             assert rows[m] == weighted_count(tg, m)
+
+    @pytest.mark.parametrize("sextuple", [(1, 10, 10, 0, 0, 0),
+                                          (5, 6, 30, 0, 0, 0)])
+    def test_weighted_coefficients_at_full_length(self, sextuple):
+        # two classes each; (9,11,11,2,6,6), beside 5,6,30, takes the walk
+        tg = genus_of(TernaryForm(*sextuple))
+        assert len(tg.classes) == 2
+        rows = weighted_coefficients(tg, 10001)
+        assert len(rows) == 10001
+        rng = random.Random(sum(sextuple))
+        for m in (0, 1, 2, 10000, *rng.sample(range(3, 10000), 25)):
+            assert rows[m] == weighted_count(tg, m), (sextuple, m)
+
+    def test_packed_sum_slot_widths(self, monkeypatch):
+        # synthetic weights and nonnegative thetas; where every theta ends
+        # in m the total ends in sum(weights) * m, the slot bound, taken on
+        # either side of each step of the width
+        rng = random.Random(20261020)
+        classes = ("f", "g", "h")
+        weights = dict(zip(classes, (1, 2, 16)))
+        monkeypatch.setattr(genus, "_weight", weights.__getitem__)
+        widths = set()
+        for bits in (7, 15, 31, 63, 71, 103):
+            for m in ((2 ** bits - 1) // 19, -(-2 ** bits // 19)):
+                widths.add(series._layout(weights.values(), [m]))
+                for n, low in ((0, m), (1, m), (2, m), (40, m), (40, 1)):
+                    # each theta ends in its largest coefficient, and the
+                    # first class's, low, may lie below the others' m
+                    top = {"f": low, "g": m, "h": m}
+                    thetas = {f: [rng.randint(0, top[f]) for _ in range(n - 1)]
+                              + [top[f]] * (n > 0) for f in classes}
+                    monkeypatch.setattr(genus, "theta_coefficients",
+                                        lambda form, size: thetas[form][:size])
+                    want = tuple(sum(weights[f] * thetas[f][i]
+                                     for f in classes) for i in range(n))
+                    assert genus._weighted_cached.__wrapped__(classes, n) \
+                        == want, (bits, m, n, low)
+        assert {1, 2, 4, 8} <= widths and max(widths) > 8
 
     @pytest.mark.parametrize("s", [3, 5, 7, 15])
     def test_equal_weights_at_exact_shift_gcd(self, s):
