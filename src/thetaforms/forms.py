@@ -16,8 +16,8 @@ plane rows of the binary form left by completing the square in z.  Rows
 hold each pair +-v once and end exactly at the bound, so `_tally` counts
 them with no value test.  A form with an isolated variable (d = e = 0,
 d = f = 0 or e = f = 0) is an orthogonal sum k*z^2 + B (Conway-Sloane,
-SPLAG ch. 4), whose series `_shift_sum` forms from B's tally as one
-packed sum of its shifts by k*z^2; any other form goes to `_theta_walk`.
+SPLAG ch. 4), whose series is B's tally plus its shifts by k*z^2, one
+`series.packed_sum` in `_shift_sum`; any other form goes to `_theta_walk`.
 `repcount` shares only `_y_range`: it solves for z as an exact root at
 one value, walking all of Z^3, and stays the independent oracle that
 tests check the theta coefficients against.
@@ -36,11 +36,10 @@ cache it.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import repeat
 from math import gcd, isqrt
 from typing import NamedTuple
 
-from .series import Series, _layout, _pack, _unpack
+from .series import Series, packed_sum
 
 __all__ = [
     "TernaryForm", "BinaryForm", "discriminant", "repcount", "theta_series",
@@ -269,9 +268,8 @@ def _theta_ternary(form: TernaryForm, n: int) -> tuple[int, ...]:
     d = e = 0 isolates z, so Q = c*z^2 + (a, f, b)(x, y) and the series is
     theta(c*z^2) * theta((a, f, b)); d = f = 0 isolates y with
     (b, (a, e, c)), and e = f = 0 isolates x with (a, (b, d, c)).  The
-    binary series is the tally of its exact plane rows, and `_shift_sum`
-    adds its shifts by k*z^2 in one packed sum, with no series product.
-    Any other form falls back to the half-space walk `_theta_walk`.
+    binary series is the tally of its exact plane rows; `_shift_sum` adds
+    its shifts with `series.packed_sum`, and other forms take `_theta_walk`.
     """
     a, b, c, d, e, f = form.sextuple()
     if d == e == 0:
@@ -287,21 +285,12 @@ def _theta_ternary(form: TernaryForm, n: int) -> tuple[int, ...]:
 
 def _shift_sum(binary: tuple[int, ...], k: int) -> tuple[int, ...]:
     """theta(k*z^2) * binary to n = len(binary) terms, for a nonnegative
-    binary: binary plus twice its shifts by k*z^2, z = 1..zmax, as one
-    packed sum.  binary is packed once, reversed as the row kernel packs
-    it, so a right shift by k*z^2 slots moves b_j to exponent j + k*z^2
-    and drops it at or past n.  The nonnegative slots add with no offsets
-    and no carry while each holds (2*zmax + 1) * max(binary), the bound
-    `series._layout` gives for the unary coefficients (1, 2, ..., 2) and
-    max(binary), one scan of binary where the signed bound takes two."""
+    binary: binary plus twice its shifts by k*z^2 < n, one
+    `series.packed_sum`."""
     n = len(binary)
-    if not n:
-        return ()
-    zmax = isqrt((n - 1) // k)
-    width = _layout((1, *repeat(2, zmax)), [max(binary)])
-    packed = _pack(binary, width, n)
-    return _unpack(packed + 2 * sum(packed >> 8 * width * k * z * z
-                                    for z in range(1, zmax + 1)), width, n)
+    zmax = isqrt(max(n - 1, 0) // k)
+    shifts = [k * z * z for z in range(1, zmax + 1)]
+    return packed_sum([(binary, {1: [0], 2: shifts})], n)
 
 
 def _theta_walk(form: TernaryForm, n: int) -> tuple[int, ...]:

@@ -47,7 +47,7 @@ from .arith import (divisors, factorize, is_squarefree, jacobi,
 from .forms import (BinaryForm, TernaryForm, aut_count, distinct_classes,
                     enumerate_binary_classes, repcount, ternary_candidates,
                     ternary_equivalent, theta_coefficients)
-from .series import _layout, _pack, _unpack
+from .series import packed_sum
 
 __all__ = [
     "GenusRecord", "SGenus", "same_genus", "genus_partition",
@@ -450,16 +450,9 @@ def weighted_count(tg: GenusRecord, m: int) -> int:
 @lru_cache(maxsize=None)
 def _weighted_cached(classes: tuple, n: int) -> tuple[int, ...]:
     """sum over the classes f of 16/|Aut f| * theta_f to n terms, as one
-    packed sum of nonnegative terms: the slots add with no offsets and no
-    carry while each holds sum(weights) * max over every theta, the bound
-    `series._layout` gives."""
-    if not n:
-        return ()
-    weights = [_weight(form) for form in classes]
-    thetas = [theta_coefficients(form, n) for form in classes]
-    width = _layout(weights, [max(map(max, thetas))])
-    return _unpack(sum(w * _pack(theta, width, n)
-                       for w, theta in zip(weights, thetas)), width, n)
+    `series.packed_sum`."""
+    return packed_sum([(theta_coefficients(form, n), {_weight(form): [0]})
+                       for form in classes], n)
 
 
 def weighted_coefficients(tg: GenusRecord, n: int) -> tuple[int, ...]:

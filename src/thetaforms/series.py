@@ -28,13 +28,10 @@ multiply-add), and the cheapest runs:
   the packed operand is added per nonzero of the sparser one, the rows of
   each distinct coefficient summed first and multiplied by it once, so
   phi(q)'s rows, 2 at all but exponent 0, take two multiplies, not one per
-  row.  So the pair loop runs while
-  nza * nzb * 32 <= n * (64 + nza), and the row kernel takes a theta
-  factor times a dense series, such as psi * (phi^2 - phi(q^7)^2) at
-  40 000 terms.  The kernel computes only the n coefficients it keeps:
-  the packed operand is reversed, so that shifting it right by i slots
-  drops the terms past the truncation, and the row of exponent i costs
-  n - i slots, not n + i.
+  row.  So the pair loop runs while nza * nzb * 32 <= n * (64 + nza),
+  and the row kernel takes a theta factor times a dense series, such as
+  psi * (phi^2 - phi(q^7)^2) at 40 000 terms.  The packed operand is
+  reversed (below), so the row of exponent i costs n - i slots, not n + i.
 * one big-integer product (Kronecker substitution) of both packed
   operands.  CPython multiplies by Karatsuba, so this cost grows about as
   n^1.6 where the row kernel's grows as nza * n; the row kernel runs while
@@ -79,21 +76,15 @@ so it is never scanned, however many products it enters.
 Both packed kernels share one codec and one slot bound.  Each coefficient
 gets a fixed-width slot wide enough for sum|a| * max|b|, a sum over the
 sparser operand a that bounds every output coefficient, plus a sign bit
-(:func:`_layout`).  One ``struct.pack`` writes slots of 1, 2, 4 or 8 bytes
-as signed big-endian integers, and a wider slot takes one ``int.to_bytes``
-call.  Read as one big-endian int, the bytes hold the operand reversed,
-its first coefficient in the top slot, with no reversed list; zero bytes
-appended pad a short operand, and one XOR with the offsets integer,
-2**(8w - 1) in every slot, gives the offset form, whose slots add and
-shift without borrows.  A result in that form is XORed back, and
-``to_bytes(..., "big")`` with ``struct.unpack`` (or one ``int.from_bytes``
-per wider slot) reads it top slot first: the coefficients in forward
-order, as the tuple the series keeps.  The big multiply packs both
-operands so and keeps the top n slots of their product.  Every kernel
-gives exactly the schoolbook product.  Two sums of nonnegative terms
-outside this module, a split ternary theta series (`forms._shift_sum`)
-and a genus's weighted theta series (`genus._weighted_cached`), take the
-same codec and slot bound, with no offsets.
+(:func:`_layout`).  :func:`_pack` writes an operand reversed, its first
+coefficient in the top slot of one int, with no reversed list, and
+:func:`_unpack` reads the top slot first, so the coefficients come back
+in forward order.  One XOR with :func:`_offset`, 2**(8w - 1) in every
+slot, lets signed slots add and shift without borrows.  Every kernel
+gives exactly the schoolbook product.  :func:`packed_sum` adds shifts of
+nonnegative coefficients with the same codec and no offsets: a split
+ternary theta series (`forms._shift_sum`) and a genus's weighted theta
+series (`genus._weighted_cached`) are one call each.
 
 :func:`sift` is one tuple slice ``a.coeffs[s::t]``.  A sifted product
 ``sift(a * b, t, s)`` is computed by :func:`sift_product` from the slices
@@ -275,6 +266,33 @@ def _big_multiply(a: Sequence[int], b: Sequence[int],
     other = packed if a is b else (_pack(b, width, n_out) ^ offsets) - offsets
     top = (packed * other + (offsets >> bits)) >> (bits * (n_out - 1))
     return _unpack((top + offsets) ^ offsets, width, n_out)
+
+
+def packed_sum(parts: Sequence[tuple[Sequence[int], dict[int, list[int]]]],
+               n: int) -> tuple[int, ...]:
+    """The first n terms of the sum over parts (coeffs, {c: shifts}) of c
+    times coeffs moved up by each shift, for nonnegative coeffs and c.
+
+    Each coeffs, nonempty, is packed once, reversed as the row kernel
+    packs b, so a right shift by s slots moves exponent j to j + s and
+    drops the term once it reaches n.  The shifts of one c are summed
+    smallest result first, as the row kernel adds its rows, and the sum
+    is multiplied by c once.  No output exceeds the sum of c over every
+    shift times the largest coefficient of any part, the bound that
+    :func:`_layout` reads, so the slots add with no offsets and no carry.
+    """
+    if not n:
+        return ()
+    width = _layout([c * len(shifts) for _, weights in parts
+                     for c, shifts in weights.items()],
+                    [max(coeffs) for coeffs, _ in parts])
+    total = 0
+    for coeffs, weights in parts:
+        packed = _pack(coeffs, width, n)
+        for c, shifts in weights.items():
+            total += c * sum(packed >> 8 * width * s
+                             for s in sorted(shifts, reverse=True))
+    return _unpack(total, width, n)
 
 
 def _count(a: Sequence[int], owner: "Series", n_out: int) -> int:

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 import thetaforms.series as series
 from thetaforms.series import (Series, _big_multiply, _layout, _pair_loop,
                                _row_kernel, alternate_sign, compose_power,
-                               invert, is_nonnegative, sift, sift_product)
+                               invert, is_nonnegative, packed_sum, sift,
+                               sift_product)
 from thetaforms.theta import euler, euler_power, general_theta, named_function
 from oracles import schoolbook
 
@@ -364,6 +365,68 @@ class TestSlotBound:
             for kernel in (_row_kernel, _big_multiply):
                 assert run_kernel(kernel, a, b, n_out) == tuple(expected)
                 assert run_kernel(kernel, b, a, n_out) == tuple(expected)
+
+
+class TestPackedSum:
+    """`packed_sum` against a plain double loop, on two parts of two
+    weights each with several shifts per weight.  Where every shift lies
+    below n and the coefficients are constant, the last output is the
+    slot bound, taken on either side of each step of the width; the
+    bound sums c once per shift (34 here, against 13 once per c), and
+    the first part may hold the smaller coefficients."""
+
+    # shifts reduced mod n, so each lies below n
+    INSIDE = ({1: [0, 5, 39], 3: [1, 2]}, {2: [0, 17], 7: [4, 9, 39]})
+    TERMS = 34
+
+    @staticmethod
+    def plain(parts, n):
+        out = [0] * n
+        for coeffs, weights in parts:
+            for c, shifts in weights.items():
+                for s in shifts:
+                    for j in range(n - s):
+                        out[j + s] += c * coeffs[j]
+        return tuple(out)
+
+    @staticmethod
+    def edges(n):
+        """Shifts at 0, n - 1, n and past n."""
+        return ({1: [0, n - 1, n], 3: [n + 1, 0]},
+                {2: [n - 1, 2 * n + 7], 5: [0, 0, n]})
+
+    def check(self, first, second, n):
+        inside = tuple({c: [s % n for s in shifts]
+                        for c, shifts in weights.items()}
+                       for weights in self.INSIDE)
+        for weights in (inside, self.edges(n)):
+            parts = list(zip((first, second), weights))
+            assert packed_sum(parts, n) == self.plain(parts, n), (
+                n, weights, max(first), max(second))
+
+    def test_slot_widths(self):
+        rng = random.Random(20261021)
+        widths = set()
+        for bits in (7, 15, 31, 63, 71, 103):
+            for m in ((2 ** bits - 1) // self.TERMS,
+                      -(-2 ** bits // self.TERMS)):
+                widths.add(_layout([1] * self.TERMS, [m]))
+                for n in (1, 2, 40):
+                    for low in (m, 1):
+                        self.check([low] * n, [m] * n, n)
+                        self.check([rng.randint(0, low) for _ in range(n)],
+                                   [rng.randint(0, m) for _ in range(n)], n)
+        assert {1, 2, 4, 8} <= widths and max(widths) > 8
+
+    def test_no_terms(self):
+        assert packed_sum([((), {1: [0]}), ((5,), {2: [0, 3]})], 0) == ()
+
+    def test_coefficients_move_by_each_shift(self):
+        n = 40
+        parts = [(list(range(1, n + 1)), {1: [0, 39], 4: [3, 40, 41]}),
+                 (list(range(n, 0, -1)), {9: [1, 38], 2: [0]})]
+        assert packed_sum(parts, n) == self.plain(parts, n)
+        assert packed_sum(parts, 1) == (1 + 2 * n,)
 
 
 class TestSquares:
