@@ -10,6 +10,10 @@ Each command writes its output once its verdict is known, so a reader that
 closes the pipe early, such as ``head``, ends the output quietly and the
 exit code stays the verdict.  ``positivity --s S`` is the positivity entry
 ``psi(q)*(phi(q)^2 - phi(q^S)^2)``, checked by the same rule as ``verify``.
+
+`main` builds its parser once per process and reuses it: parsing reads the
+parser and changes nothing in it, so a second call, a usage error after a
+success included, prints and exits as a call in a fresh process would.
 """
 
 from __future__ import annotations
@@ -286,9 +290,15 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# main's parser, built on its first call
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
     except (OSError, ValueError) as err:

@@ -184,9 +184,8 @@ def repcount(form: TernaryForm, m: int) -> int:
             # c z^2 + (d y + e x) z + (Q0 - m) = 0
             lin = d * y + e * x
             const = base_x + b * y * y + f * x * y - m
+            # disc = 4*c*m - (A*y^2 + B*x*y + C*x^2) >= 0 on _y_range's rows
             disc = lin * lin - 4 * c * const
-            if disc < 0:
-                continue
             s = isqrt(disc)
             if s * s != disc:
                 continue

@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import os
 import subprocess
 import sys
@@ -673,3 +674,60 @@ class TestSuiteAndConfig:
         assert record["name"] == "a"
         assert record["params"] == "terms=30"
         assert int(record["ms"]) >= 0
+
+
+# Runs each JSON-encoded argv of sys.argv[1:] through one cli.main in this
+# process, and prints (exit code, stdout, stderr) of each as JSON; a usage
+# error leaves main through argparse's SystemExit.
+_CALLS = """
+import contextlib, io, json, sys
+from thetaforms import cli
+results = []
+for argv in map(json.loads, sys.argv[1:]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as stop:
+            code = stop.code
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+class TestRepeatedCalls:
+    """main builds its parser once per process; calls after the first,
+    a usage error after a success among them, print and exit as each
+    would in a fresh process, and no flag of one call reaches the next."""
+
+    CALLS = [
+        ["positivity", "--s", "7", "--limit", "200"],
+        ["positivity", "--s", "7", "--limit", "200"],
+        ["positivity", "--s", "3"],                      # the default limit
+        ["positivity"],                                  # --s missing
+        ["positivity", "--s", "4"],                      # refused
+        ["--format", "csv", "expand", "--func", "phi(q)", "--n", "3"],
+        ["expand", "--func", "phi(q)", "--n", "3"],      # table again
+        ["suite", "--jobs", "2"],                        # unknown flag
+        ["repcount", "--form", "1,1,1,0,0,0", "--m", "5"],
+    ]
+
+    @staticmethod
+    def calls(*argvs):
+        proc = subprocess.run(
+            [sys.executable, "-c", _CALLS, *map(json.dumps, argvs)],
+            env=cli_env(), capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return [tuple(r) for r in json.loads(proc.stdout)]
+
+    def test_one_process_matches_fresh_processes(self):
+        together = self.calls(*self.CALLS)
+        alone = [self.calls(argv)[0] for argv in self.CALLS]
+        assert together == alone
+        codes = [code for code, _, _ in together]
+        assert codes == [0, 0, 0, 2, 2, 0, 0, 2, 0]
+        assert together[0][1] == "nonnegative through exponent 199\n"
+        assert together[2][1] == "nonnegative through exponent 999\n"
+        assert "the following arguments are required: --s" in together[3][2]
+        assert together[5][1].startswith("exponent,coefficient\n")
+        assert together[6][1].startswith("exponent  coefficient\n")

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import parse_expression_by_tuples, parse_registry_by_tuples
-from thetaforms import identities
+from thetaforms import identities, series
 from thetaforms.forms import TernaryForm, repcount
 from thetaforms.genus import build_sgenus, epsilon, genus_of, weighted_count
 from thetaforms.identities import (EntryError, EpsScalar, RegistryError,
@@ -712,6 +712,17 @@ class TestVerifyPositivity:
         result = verify_positivity(spec, 100)
         assert not result.passed
         assert "exponent 7" in result.witness
+
+    def test_expected_negative_without_one_fails(self):
+        # a nonnegative product marked as a control fails; the product
+        # takes the row kernel, whose sign report the scan reads
+        spec = parse_registry("x: positivity: psi(q)*(phi(q)^2 - phi(q^7)^2)"
+                              " where expect negative")[0]
+        rows = series.kernel_calls["row"]
+        result = verify_positivity(spec, 2000)
+        assert series.kernel_calls["row"] == rows + 1
+        assert not result.passed
+        assert result.witness == "no negative coefficient found"
 
 
 class TestModeq3:

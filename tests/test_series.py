@@ -24,15 +24,19 @@ KERNELS = (_pair_loop, _row_kernel, _big_multiply)
 
 
 def run_kernel(kernel, a, b, n_out):
-    """kernel(a, b, n_out), handed the supports below n_out that
-    series._convolve lists for it: one list for a square (a is b)."""
+    """The coefficients of kernel(a, b, n_out), handed the supports below
+    n_out that series._convolve lists for it: one list for a square (a is
+    b).  A packed kernel's sign report must say whether one is negative."""
+    if kernel is _pair_loop:
+        ia = series._nonzero(a[:n_out])
+        return kernel(a, b, n_out, ia,
+                      ia if a is b else series._nonzero(b[:n_out]))
     if kernel is _big_multiply:
-        return kernel(a, b, n_out)
-    ia = series._nonzero(a[:n_out])
-    if kernel is _row_kernel:
-        return kernel(a, b, n_out, ia)
-    return kernel(a, b, n_out, ia,
-                  ia if a is b else series._nonzero(b[:n_out]))
+        coeffs, negative = kernel(a, b, n_out)
+    else:
+        coeffs, negative = kernel(a, b, n_out, series._nonzero(a[:n_out]))
+    assert negative == any(c < 0 for c in coeffs)
+    return coeffs
 
 
 coeff_lists = st.lists(st.integers(min_value=-40, max_value=40),
@@ -251,7 +255,7 @@ class TestProductPaths:
         phis = named_function("phi", n, s)
         psi = named_function("psi", n, psi_step)
         dense = phi * phi - phis * phis
-        expected = _big_multiply(psi.coeffs, dense.coeffs, n)
+        expected = run_kernel(_big_multiply, psi.coeffs, dense.coeffs, n)
         assert tuple(run_kernel(_pair_loop, psi.coeffs, dense.coeffs, n)) \
             == expected
 
@@ -338,6 +342,8 @@ class TestCodec:
             ([1], [-m], 1),
             ([0] * 6 + [-1], b, 7),                 # one row at n_out - 1
             ([0] * 11 + [1], [-m] * 12, 12),
+            ([1], [-1] + [0] * 8 + [m], 10),        # one negative, first
+            ([1, 0, 0], [m] + [0] * 8 + [-1], 10),  # one negative, last
         ]
         for a, y, n_out in cases:
             expected = schoolbook(a, y, n_out)
@@ -451,15 +457,16 @@ class TestSquares:
             assert list(run_kernel(kernel, a, a, n_out)) == expected
             assert list(run_kernel(kernel, a, twin, n_out)) == expected
         x = Series._raw(a)
-        assert list(series._convolve(x, x, n_out)) == expected
-        assert list(series._convolve(x, Series._raw(twin), n_out)) \
+        assert list(series._convolve(x, x, n_out).coeffs) == expected
+        assert list(series._convolve(x, Series._raw(twin), n_out).coeffs) \
             == expected
 
     def test_square_reaches_its_kernel_as_one_object(self, monkeypatch):
         seen = []
-        for name in ("_pair_loop", "_row_kernel", "_big_multiply"):
-            monkeypatch.setattr(series, name, lambda a, b, n_out, *supports: (
-                seen.append(a is b) or [0] * n_out))
+        for name, out in (("_pair_loop", []), ("_row_kernel", ([], False)),
+                          ("_big_multiply", ([], False))):
+            monkeypatch.setattr(series, name, lambda a, b, n_out, *supports,
+                                out=out: seen.append(a is b) or out)
         x = Series._raw(tuple(range(1, 50)))
         series._convolve(x, x, 30)  # the slices of x are two new tuples
         series._convolve(x, Series._raw(tuple(list(x.coeffs))), 30)
@@ -477,7 +484,8 @@ class TestSquares:
         a = (3, 0, -1, 2, 0, 5) + (0,) * 34
         x = Series._raw(a)
         assert kernel_of(x, x) == "pair"
-        assert list(_big_multiply(a, a, 40)) == schoolbook(a, a, 40)
+        assert list(run_kernel(_big_multiply, a, a, 40)) \
+            == schoolbook(a, a, 40)
         assert calls == ["_nonzero", "_pack"]
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -987,6 +995,51 @@ class TestNonnegativity:
         phi7 = named_function("phi", n, 7)
         ok, _ = is_nonnegative(psi * (phi * phi - phi7 * phi7))
         assert ok
+
+
+class TestSignReport:
+    """The packed kernels report whether their product has a negative
+    coefficient, and the product keeps the report, which is_nonnegative
+    reads in place of a scan."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(long_coeffs(min_size=1, max_size=500),
+           long_coeffs(min_size=1, max_size=500),
+           st.sampled_from(("signed", "nonnegative")), st.data())
+    def test_report_matches_schoolbook(self, a, b, signs, data):
+        if signs == "nonnegative":
+            a, b = [abs(c) for c in a], [abs(c) for c in b]
+        if any(a) and any(b):
+            n_out = data.draw(st.integers(min_value=1,
+                                          max_value=max(len(a), len(b)) + 3))
+            expected = schoolbook(a, b, n_out)
+            rows = series._nonzero(a[:n_out])
+            for coeffs, negative in (_row_kernel(a, b, n_out, rows),
+                                     _big_multiply(a, b, n_out)):
+                assert list(coeffs) == expected
+                assert (not negative) == (min(expected) >= 0)
+        # the product through Series keeps the report of its kernel
+        product = Series(a) * Series(b)
+        expected = schoolbook(a, b, min(len(a), len(b)))
+        assert list(product.coeffs) == expected
+        assert product._negative in (None, min(expected) < 0)
+        first = next((i for i, c in enumerate(expected) if c < 0), None)
+        assert is_nonnegative(product) == (first is None, first)
+
+    @pytest.mark.parametrize("psi_step, s", [(1, 7), (2, 3)])
+    def test_positivity_products_carry_the_report(self, psi_step, s,
+                                                  monkeypatch):
+        # psi(q^psi_step) * (phi(q)^2 - phi(q^s)^2) at 40 000 terms: the
+        # row kernel's report is read, and no scan of the product runs
+        n = 40000
+        phi, phis = named_function("phi", n), named_function("phi", n, s)
+        product = named_function("psi", n, psi_step) * (phi * phi
+                                                        - phis * phis)
+        assert product._negative is False
+        assert min(product.coeffs) >= 0
+        monkeypatch.setattr(series, "min", lambda *args: pytest.fail(
+            "the product was scanned"), raising=False)
+        assert is_nonnegative(product) == (True, None)
 
 
 class TestRingAxioms:

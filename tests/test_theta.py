@@ -141,6 +141,22 @@ class TestNamedFunctions:
         via_ops = compose_power(alternate_sign(named_function("psi", n)), 3)
         assert direct == via_ops
 
+    @pytest.mark.parametrize("name, form", [("chi", (4, 4, 6)),
+                                            ("u", (3, 2, 5))])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_binary_builtin_at_negated_power(self, name, form, p):
+        # chi and u at -q^p against the lattice sum of (-q^p)^Q(x, y);
+        # both forms have Q >= 2(x^2 + y^2), so |x|, |y| <= 5 hold Q < 60
+        n = 60
+        a, b, c = form
+        expected = [0] * n
+        for x in range(-6, 7):
+            for y in range(-6, 7):
+                value = a * x * x + b * x * y + c * y * y
+                if p * value < n:
+                    expected[p * value] += (-1) ** value
+        assert named_function(name, n, p, True).coeffs == tuple(expected)
+
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             named_function("nope", 10)
