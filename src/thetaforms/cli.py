@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 a failed verification, 2 a usage or evaluation
 fault, such as a request too large to allocate.  Commands raise their
 faults and `main` alone prints each as one stderr line.  Output is plain
 text (``--format table``) or CSV; every numeric field is printed exactly,
-so CSV output round-trips.
+so CSV output round-trips.  Settings come from flags alone: the registry
+is ``--registry``, else ``$THETAFORMS_REGISTRY``, else the shipped one, and
+each count is its command's flag, else the default.
 
 Each command writes its output once its verdict is known, so a reader that
 closes the pipe early, such as ``head``, ends the output quietly and the
@@ -52,43 +54,6 @@ class Config:
         self.fmt = fmt
 
 
-def load_config(path: str | None) -> Config:
-    cfg = Config(registry=str(default_registry_file()))
-    if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                key, eq, value = line.partition("=")
-                key, value = key.strip(), value.strip()
-                if not eq:
-                    raise ValueError(f"line {lineno}: expected 'key = value', "
-                                     f"got {line!r}")
-                if key in ("terms", "mmax", "limit"):
-                    try:
-                        setattr(cfg, key, int(value))
-                    except ValueError:
-                        raise ValueError(f"line {lineno}: {key} must be an "
-                                         f"integer, got {value!r}") from None
-                elif key == "registry":
-                    if not value:
-                        raise ValueError(f"line {lineno}: registry needs a "
-                                         "path")
-                    cfg.registry = value
-                elif key == "format":
-                    if value not in FORMATS:
-                        raise ValueError(f"line {lineno}: format must be one "
-                                         f"of {FORMATS}, got {value!r}")
-                    cfg.fmt = value
-                else:
-                    raise ValueError(f"line {lineno}: unknown config key {key!r}")
-    env = os.environ.get(ENV_REGISTRY)
-    if env:
-        cfg.registry = env
-    return cfg
-
-
 def _emit_rows(header, rows, fmt):
     if fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -123,7 +88,7 @@ def _entry(cfg: Config, name: str):
 
 
 def _count(cfg: Config, args, name: str) -> int:
-    """The --name flag if given, else the configured value; must be >= 1."""
+    """The --name flag if given, else cfg's default; must be >= 1."""
     value = getattr(args, name)
     if value is None:
         value = getattr(cfg, name)
@@ -243,8 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact verification of theta-function and ternary "
                     "quadratic form identities.")
     top.add_argument("--registry", help="path to the identity registry")
-    top.add_argument("--config", help="key=value configuration file")
-    top.add_argument("--format", choices=FORMATS, default=None)
+    top.add_argument("--format", choices=FORMATS, default="table")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("expand", help="print coefficients of a series expression")
@@ -299,15 +263,8 @@ def main(argv=None) -> int:
     if _parser is None:
         _parser = build_parser()
     args = _parser.parse_args(argv)
-    try:
-        cfg = load_config(args.config)
-    except (OSError, ValueError) as err:
-        print(f"bad configuration: {err}", file=sys.stderr)
-        return 2
-    if args.registry:
-        cfg.registry = args.registry
-    if args.format:
-        cfg.fmt = args.format
+    cfg = Config(registry=args.registry or os.environ.get(ENV_REGISTRY)
+                 or str(default_registry_file()), fmt=args.format)
     out = io.StringIO()
     try:
         with contextlib.redirect_stdout(out):

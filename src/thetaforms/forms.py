@@ -343,7 +343,10 @@ def _isometries(src: TernaryForm, dst: TernaryForm, count_only: bool):
     """Column-built U in GL3(Z) with U^T G_dst U = G_src.
 
     Columns are dst-vectors whose values are the diagonal of src and whose
-    mutual doubled-Gram products match src's off-diagonal entries.
+    mutual doubled-Gram products match src's off-diagonal entries.  The
+    forms must share a discriminant, as both callers ensure: then
+    det(U)^2 = det G_src / det G_dst = 1, so every such U is unimodular
+    and no determinant is taken.
     """
     a, b, c, d, e, f = src.sextuple()
     g = dst.gram_doubled()
@@ -362,8 +365,6 @@ def _isometries(src: TernaryForm, dst: TernaryForm, count_only: bool):
                 if gu1[0] * u3[0] + gu1[1] * u3[1] + gu1[2] * u3[2] != e:
                     continue
                 if gu2[0] * u3[0] + gu2[1] * u3[1] + gu2[2] * u3[2] != d:
-                    continue
-                if abs(_det3((u1, u2, u3))) != 1:
                     continue
                 hits += 1
                 if not count_only:
@@ -524,7 +525,7 @@ def reduce_binary(form: BinaryForm) -> BinaryForm:
             b = b2
             continue
         break
-    if (b < 0) and (a == -b or a == c):
+    if b < 0 and a == c:
         b = -b
     return BinaryForm(a, b, c)
 
@@ -542,7 +543,7 @@ def enumerate_binary_classes(disc: int) -> tuple[BinaryForm, ...]:
             c = (b * b - disc) // (4 * a)
             if c < a:
                 continue
-            if b < 0 and (a == -b or a == c):
+            if b < 0 and a == c:
                 continue
             form = BinaryForm(a, b, c)
             if form.is_primitive():

@@ -1015,7 +1015,6 @@ def verify_series(spec: IdentitySpec, n: int) -> VerifyResult:
     return VerifyResult(spec.name, spec.mode, True, f"terms={n}")
 
 
-@lru_cache(maxsize=32)
 def _qualifying(conditions: Conditions, n: int) -> bytes:
     """Mask over 0..n-1 whose byte M is 1 when M >= 1 meets the conditions.
 
@@ -1025,10 +1024,6 @@ def _qualifying(conditions: Conditions, n: int) -> bytes:
     lcm of those periods, and that block is tiled out to n.  A modulus of
     0 sets no congruence and adds no period; the parser admits only
     positive divisors and Jacobi denominators.
-
-    Entries share few condition sets.  One byte per M keeps the cached
-    sets small; as tuples of ints they would hold about 0.5 MB per
-    registry pass.
     """
     if n < 2:
         return b"\x00"[:n]

@@ -61,8 +61,13 @@ ms, CPython 3.11.7, 2-core x86-64 sandbox):
 
 With rows spread evenly, the truncated row kernel beats the big multiply
 up to about 630 rows at n = 4000 and 3 500 at 40 000, well past
-nza^3 = 2 n^2.  The slot width (below) is no input of the rule, so no
-operand is scanned before choosing.
+nza^3 = 2 n^2.  The boundaries stay: re-run with each kernel (best of 5,
+raw, two runs), the 580 products of a cold registry pass take 38.4 and
+37.0 ms as the rule picks and 37.0 and 35.2 by the fastest kernel of each,
+the gap mostly pair-loop products that the row kernel does faster; for the
+28 products of the positivity scans to 40 000 terms the rule picks the
+fastest every time (160 and 156 ms).  The slot width (below) is no
+input of the rule, so no operand is scanned before choosing.
 
 The counts come from the support where it is already filled, cut at n by
 a binary search, and are otherwise counted in C with

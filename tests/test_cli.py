@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -595,55 +596,20 @@ class TestSuiteAndConfig:
         assert "utf-8" in err
         assert len(err.strip().splitlines()) == 1
 
-    def test_config_file_and_env(self, tmp_path, capsys, monkeypatch):
+    def test_env_selects_registry(self, tmp_path, capsys, monkeypatch):
         registry = tmp_path / "reg.txt"
         registry.write_text("a: series: psi(q)^2 = phi(q)*psi(q^2)\n",
                             encoding="utf-8")
-        conf = tmp_path / "conf.txt"
-        conf.write_text("terms = 40\nformat = csv\n", encoding="utf-8")
         monkeypatch.setenv("THETAFORMS_REGISTRY", str(registry))
-        code, out, _ = run_cli(capsys, "--config", str(conf), "suite")
+        code, out, _ = run_cli(capsys, "--format", "csv", "suite",
+                               "--terms", "40")
         assert code == 0
-        rows = list(csv.reader(io.StringIO(out.splitlines()[0] + "\n" +
-                                           out.splitlines()[1])))
-        assert rows[0][0] == "name"
-        assert rows[1][0] == "a"
-
-    def test_nonpositive_config_value_is_usage_error(self, tmp_path, capsys):
-        conf = tmp_path / "conf.txt"
-        conf.write_text("limit = 0\n", encoding="utf-8")
-        code, _, err = run_cli(capsys, "--config", str(conf),
-                               "positivity", "--s", "3")
-        assert code == 2
-        assert "limit must be positive" in err
-
-    def test_unknown_config_format_is_usage_error(self, tmp_path, capsys):
-        conf = tmp_path / "conf.txt"
-        conf.write_text("format = json\n", encoding="utf-8")
-        code, out, err = run_cli(capsys, "--config", str(conf),
-                                 "repcount", "--form", "1,1,1,0,0,0", "--m", "1")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("bad configuration: ")
-        assert "'json'" in err
-
-    @pytest.mark.parametrize("line, message", [
-        ("terms", "line 2: expected 'key = value', got 'terms'"),
-        ("terms = 5 = 6", "line 2: terms must be an integer, got '5 = 6'"),
-        ("mmax = ten", "line 2: mmax must be an integer, got 'ten'"),
-        ("limit =", "line 2: limit must be an integer, got ''"),
-        ("registry =", "line 2: registry needs a path"),
-        ("format = json",
-         "line 2: format must be one of ('table', 'csv'), got 'json'"),
-    ])
-    def test_bad_config_line_is_named(self, tmp_path, capsys, line, message):
-        conf = tmp_path / "conf.txt"
-        conf.write_text(f"# settings\n{line}\nformat = csv\n",
-                        encoding="utf-8")
-        code, out, err = run_cli(capsys, "--config", str(conf), "suite")
-        assert code == 2
-        assert out == ""
-        assert err == f"bad configuration: {message}\n"
+        rows = list(csv.reader(io.StringIO(out)))
+        assert [row[:3] for row in rows[:2]] == [
+            ["name", "mode", "params"], ["a", "series", "terms=40"]]
+        # --registry takes precedence over the environment
+        refused(capsys, f"registry file not found: {tmp_path / 'none'}",
+                "--registry", str(tmp_path / "none"), "suite")
 
     def test_jobs_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as stop:
@@ -654,12 +620,19 @@ class TestSuiteAndConfig:
         assert "Traceback" not in err
 
     def test_jobs_config_key_is_usage_error(self, tmp_path, capsys):
+        # --config is gone, as --jobs is: a settings file is a usage error
         conf = tmp_path / "conf.txt"
         conf.write_text("jobs = 2\n", encoding="utf-8")
-        code, out, err = run_cli(capsys, "--config", str(conf), "suite")
-        assert code == 2
-        assert out == ""
-        assert err == "bad configuration: line 1: unknown config key 'jobs'\n"
+        with pytest.raises(SystemExit) as stop:
+            main(["--config", str(conf), "suite"])
+        err = capsys.readouterr().err
+        assert stop.value.code == 2
+        # argparse reads the file's path as the command
+        assert err.startswith("usage: thetaforms ")
+        assert (f"\nthetaforms: error: argument command: invalid choice: "
+                f"'{conf}' (choose from ") in err
+        assert err.count("error") == 1
+        assert "Traceback" not in err
 
     def test_suite_csv_round_trips(self, tmp_path, capsys):
         registry = tmp_path / "reg.txt"
@@ -731,3 +704,23 @@ class TestRepeatedCalls:
         assert "the following arguments are required: --s" in together[3][2]
         assert together[5][1].startswith("exponent,coefficient\n")
         assert together[6][1].startswith("exponent  coefficient\n")
+
+
+def readme_commands() -> list:
+    """Each line of README's "Command line" block, its comment stripped,
+    split as the shell would split it."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n")[1]
+    block = section.split("```sh\n", 1)[1].split("\n```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines()]
+
+
+@pytest.mark.parametrize("words", readme_commands(), ids=lambda w: w[1])
+def test_readme_command_line_runs(words, capsys, monkeypatch):
+    # the README's commands run as printed, on the shipped registry
+    monkeypatch.delenv("THETAFORMS_REGISTRY", raising=False)
+    assert words[0] == "thetaforms"
+    code, out, err = run_cli(capsys, *words[1:])
+    assert (code, err) == (0, "")
+    assert out

@@ -124,6 +124,10 @@ class TestRepcount:
     def test_zero(self):
         assert repcount(TernaryForm(1, 8, 8, 0, 0, 0), 0) == 1
 
+    def test_negative(self):
+        for m in (-1, -9):
+            assert repcount(TernaryForm(1, 8, 8, 0, 0, 0), m) == 0
+
     def test_sum_of_one_and_two_eights(self):
         assert repcount(TernaryForm(1, 8, 8, 0, 0, 0), 9) == 10
 
@@ -672,6 +676,10 @@ class TestBinaryForms:
         assert reduce_binary(BinaryForm(3, -2, 5)) == BinaryForm(3, -2, 5)
         assert reduce_binary(BinaryForm(5, 2, 3)) == BinaryForm(3, -2, 5)
         assert reduce_binary(BinaryForm(5, -2, 3)) == BinaryForm(3, 2, 5)
+
+    def test_reduce_equal_outer_coefficients(self):
+        # a = c: (a, -b, a) and (a, b, a) are one class; b >= 0 is kept
+        assert reduce_binary(BinaryForm(2, -1, 2)) == BinaryForm(2, 1, 2)
 
     def test_reduce_large(self):
         f = BinaryForm(31, 24, 5)

@@ -18,7 +18,7 @@ from thetaforms.identities import (EntryError, EpsScalar, RegistryError,
                                    default_registry_file, eval_series,
                                    load_default_registry, load_registry,
                                    parse_expression, parse_registry,
-                                   run_suite, verify_entry,
+                                   run_suite, verify_entry, verify_eta,
                                    verify_modeq3, verify_positivity,
                                    verify_series, verify_ternary, VerifyResult)
 from thetaforms.modeq import (ALPHA, BETA, UnsupportedRadicand, cleared,
@@ -138,6 +138,21 @@ class TestParser:
             parse_registry("a: series: zeta(q) = 1")
         assert err.value.line == 1
         assert err.value.col > 0
+
+    @pytest.mark.parametrize("text, message", [
+        ("x: ternary: W(1,1,1,0,0,0)(M/2^2) = 0",
+         "col 35: W takes the plain argument M (at '=')"),
+        ("x: eta: eta{1:2,1:3} = 1 where level 4",
+         "col 20: duplicate eta divisor 1 (at '}')"),
+        ("    phi(q) = phi(q)\nx: series: phi(q) = phi(q)",
+         "col 1: continuation line without an entry"),
+        ("x: positivity: psi(q) = psi(q)",
+         "col 1: positivity entries take a single expression"),
+    ])
+    def test_refusal_is_named(self, text, message):
+        with pytest.raises(RegistryError,
+                           match=f"^line 1, {re.escape(message)}$"):
+            parse_registry(text)
 
     @pytest.mark.parametrize("text, col", [
         ("a: series: zeta(q) = 1", 12),             # token
@@ -637,6 +652,23 @@ class TestTernaryGather:
         with pytest.raises(EntryError, match="^x: a ternary product takes one count"):
             verify_entry(product, mmax=50)
 
+    def test_zero_side(self):
+        # a side with no count is zero at every qualifying M, and so is a
+        # count whose factors cancel
+        text = "x: ternary: (1,1,1,0,0,0)(M) - (1,1,1,0,0,0)(M) = 0"
+        assert verify_ternary(parse_registry(text)[0], 50).passed
+        result = verify_ternary(
+            parse_registry("x: ternary: (1,1,1,0,0,0)(M) = 0")[0], 50)
+        assert not result.passed
+        assert result.witness == "M=1: 6 != 0"
+
+    def test_form_literal_with_a_negative_entry(self):
+        # y -> -y takes one form to the other
+        text = "x: ternary: (3,3,3,-2,0,0)(M) = (3,3,3,2,0,0)(M)"
+        spec = parse_registry(text)[0]
+        assert spec.lhs.form == (3, 3, 3, -2, 0, 0)
+        assert verify_ternary(spec, 200).passed
+
     @pytest.mark.parametrize("a, b, where, period", [
         ((1, 1, 2), (1, 1, 5), "M = 1,2 mod 4", 4),
         ((1, 1, 2), (1, 1, 5), "M = 2,1 mod 4", 4),
@@ -691,6 +723,26 @@ class TestEntryErrors:
         with pytest.raises(EntryError, match=f"^{re.escape(name)}: "
                                              "MemoryError$"):
             verify_entry(registry[name], **{count: 2 * 10 ** 18})
+
+
+class TestWrongMode:
+    """Each verifier refuses an entry of another mode by name."""
+
+    SERIES = "x: series: phi(q) = phi(q^4) + 2*q*psi(q^8)"
+
+    @pytest.mark.parametrize("verify, text, kind", [
+        (lambda spec: verify_series(spec, 20), "x: positivity: psi(q)",
+         "series/sift"),
+        (lambda spec: verify_ternary(spec, 20), SERIES, "ternary"),
+        (lambda spec: verify_positivity(spec, 20), SERIES, "positivity"),
+        (verify_modeq3, SERIES, "modeq3"),
+        (verify_eta, SERIES, "eta"),
+    ], ids=["series", "ternary", "positivity", "modeq3", "eta"])
+    def test_refused(self, verify, text, kind):
+        article = "an" if kind[0] in "aeiou" else "a"
+        with pytest.raises(ValueError,
+                           match=f"^x is not {article} {kind} entry$"):
+            verify(parse_registry(text)[0])
 
 
 class TestVerifyPositivity:
