@@ -10,27 +10,26 @@ deliberately corrupted combination.
 Run:  python3 demos/eta_proofs.py
 """
 
-from fractions import Fraction
-
-from thetaforms.identities import _eta_combination, load_default_registry
+from thetaforms.identities import load_default_registry, verify_eta
 from thetaforms.prover import EtaCombination, newman_check, prove
 
 
 def main():
     registry = load_default_registry()
 
-    for name in ("4.1", "5.4"):
-        comb = _eta_combination(registry[name])
+    certs = {name: verify_eta(registry[name]).detail
+             for name in ("4.1", "5.4")}
+    for name, cert in certs.items():
+        comb = cert.combination
         print(f"== identity {name} (level {comb.level}, "
               f"{len(comb.terms)} quotients) ==")
         for _, eq in comb.terms:
             assert newman_check(eq).passed
-        cert = prove(comb)
         print(cert.render())
         print()
 
     print("== a corrupted combination is refuted, not silently accepted ==")
-    comb = _eta_combination(registry["4.1"])
+    comb = certs["4.1"].combination
     broken = EtaCombination(
         comb.level,
         ((comb.terms[0][0] + 1, comb.terms[0][1]),) + comb.terms[1:],

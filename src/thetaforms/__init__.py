@@ -15,7 +15,7 @@ from .series import (Series, alternate_sign, compose_power, invert,
                      is_nonnegative, sift)
 from .theta import (EtaQuotient, euler, euler_power, expand_eta_quotient,
                     general_theta, named_function)
-from .forms import (BinaryForm, TernaryForm, aut_count, discriminant,
+from .forms import (BinaryForm, TernaryForm, aut_count,
                     enumerate_binary_classes, enumerate_ternary_classes,
                     reduce_binary, repcount, ternary_equivalent, theta_series)
 from .genus import (GenusRecord, SGenus, binary_genus_partition, build_sgenus,

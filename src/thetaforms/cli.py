@@ -4,9 +4,9 @@ Exit codes: 0 success, 1 a failed verification, 2 a usage or evaluation
 fault, such as a request too large to allocate.  Commands raise their
 faults and `main` alone prints each as one stderr line.  Output is plain
 text (``--format table``) or CSV; every numeric field is printed exactly,
-so CSV output round-trips.  Settings come from flags alone: the registry
-is ``--registry``, else ``$THETAFORMS_REGISTRY``, else the shipped one, and
-each count is its command's flag, else the default.
+so CSV output round-trips.  Every command reads one argparse namespace:
+the registry is ``--registry``, else ``$THETAFORMS_REGISTRY``, else the
+shipped one, and each count flag defaults to `Config`'s run default.
 
 Each command writes its output once its verdict is known, so a reader that
 closes the pipe early, such as ``head``, ends the output quietly and the
@@ -44,14 +44,10 @@ class _Refusal(Exception):
 
 
 class Config:
-    def __init__(self, terms: int = DEFAULT_TERMS, mmax: int = DEFAULT_MMAX,
-                 limit: int = DEFAULT_LIMIT, registry: str = "",
-                 fmt: str = "table"):
-        self.terms = terms
-        self.mmax = mmax
-        self.limit = limit
-        self.registry = registry
-        self.fmt = fmt
+    """The run defaults, which the benchmark reads as a suite's counts."""
+    terms = DEFAULT_TERMS
+    mmax = DEFAULT_MMAX
+    limit = DEFAULT_LIMIT
 
 
 def _emit_rows(header, rows, fmt):
@@ -69,56 +65,54 @@ def _emit_rows(header, rows, fmt):
         print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
 
 
-def _registry(cfg: Config):
+def _registry(path: str):
     try:
-        return load_registry(cfg.registry)
+        return load_registry(path)
     except FileNotFoundError:
-        raise _Refusal(f"registry file not found: {cfg.registry}")
+        raise _Refusal(f"registry file not found: {path}")
     except (OSError, UnicodeDecodeError) as err:
-        raise _Refusal(f"cannot read registry {cfg.registry}: {err}")
+        raise _Refusal(f"cannot read registry {path}: {err}")
     except RegistryError as err:
         raise _Refusal(f"registry parse error: {err}")
 
 
-def _entry(cfg: Config, name: str):
-    registry = _registry(cfg)
-    if name not in registry:
-        raise _Refusal(f"unknown identity {name!r}")
-    return registry[name]
+def _entry(args):
+    registry = _registry(args.registry)
+    if args.id not in registry:
+        raise _Refusal(f"unknown identity {args.id!r}")
+    return registry[args.id]
 
 
-def _count(cfg: Config, args, name: str) -> int:
-    """The --name flag if given, else cfg's default; must be >= 1."""
+def _count(args, name: str) -> int:
+    """The --name flag, which must be >= 1."""
     value = getattr(args, name)
-    if value is None:
-        value = getattr(cfg, name)
     if value <= 0:
         raise _Refusal(f"{name} must be positive, got {value}")
     return value
 
 
-def _cmd_expand(cfg: Config, args) -> int:
-    n = _count(cfg, args, "n")
+def _cmd_expand(args) -> int:
+    n = _count(args, "n")
     try:
         value = eval_series(parse_expression(args.func), n)
     except EVAL_ERRORS as err:
         raise _Refusal(f"cannot expand {args.func!r}: "
                        f"{str(err) or type(err).__name__}")
     rows = [(i, c) for i, c in enumerate(value.coeffs)]
-    _emit_rows(("exponent", "coefficient"), rows, cfg.fmt)
+    _emit_rows(("exponent", "coefficient"), rows, args.format)
     return 0
 
 
-def _cmd_verify(cfg: Config, args) -> int:
-    result = verify_entry(_entry(cfg, args.id), _count(cfg, args, "terms"),
-                          _count(cfg, args, "mmax"), _count(cfg, args, "limit"))
+def _cmd_verify(args) -> int:
+    result = verify_entry(_entry(args), _count(args, "terms"),
+                          _count(args, "mmax"), _count(args, "limit"))
     _emit_rows(("name", "mode", "params", "verdict", "witness", "ms"),
-               [result.row()], cfg.fmt)
+               [result.row()], args.format)
     return 0 if result.passed else 1
 
 
-def _cmd_prove_eta(cfg: Config, args) -> int:
-    spec = _entry(cfg, args.id)
+def _cmd_prove_eta(args) -> int:
+    spec = _entry(args)
     if spec.mode != "eta":
         raise _Refusal(f"{args.id} is not an eta entry")
     result = verify_entry(spec)
@@ -126,7 +120,7 @@ def _cmd_prove_eta(cfg: Config, args) -> int:
     return 0 if result.passed else 1
 
 
-def _cmd_forms(cfg: Config, args) -> int:
+def _cmd_forms(args) -> int:
     if args.disc <= 0:
         raise _Refusal(f"discriminant must be positive, got {args.disc}")
     rows = []
@@ -134,15 +128,15 @@ def _cmd_forms(cfg: Config, args) -> int:
         for i, record in enumerate(genus_partition(args.disc), start=1):
             for form in record.classes:
                 rows.append((i, str(form), aut_count(form)))
-        _emit_rows(("genus", "form", "aut"), rows, cfg.fmt)
+        _emit_rows(("genus", "form", "aut"), rows, args.format)
     else:
         for form in enumerate_ternary_classes(args.disc):
             rows.append((str(form), aut_count(form)))
-        _emit_rows(("form", "aut"), rows, cfg.fmt)
+        _emit_rows(("form", "aut"), rows, args.format)
     return 0
 
 
-def _cmd_repcount(cfg: Config, args) -> int:
+def _cmd_repcount(args) -> int:
     try:
         form = TernaryForm.from_string(args.form)
     except (ValueError, TypeError) as err:
@@ -151,7 +145,7 @@ def _cmd_repcount(cfg: Config, args) -> int:
     return 0
 
 
-def _cmd_sgenus(cfg: Config, args) -> int:
+def _cmd_sgenus(args) -> int:
     try:
         sg = build_sgenus(args.s)
     except ValueError as err:
@@ -165,16 +159,16 @@ def _cmd_sgenus(cfg: Config, args) -> int:
         total += md
         rows.append((i, str(record), chars, md, mf))
     _emit_rows(("i", "classes", "characters", "mass", "mass_formula"),
-               rows, cfg.fmt)
+               rows, args.format)
     ok = total == args.s
     print(f"total mass {total} (predicted {args.s}): {'ok' if ok else 'MISMATCH'}")
     return 0 if ok else 1
 
 
-def _cmd_positivity(cfg: Config, args) -> int:
+def _cmd_positivity(args) -> int:
     if args.s not in (3, 5, 7, 15):
         raise _Refusal("supported shifts: 3, 5, 7, 15")
-    limit = _count(cfg, args, "limit")
+    limit = _count(args, "limit")
     func = f"psi(q)*(phi(q)^2 - phi(q^{args.s})^2)"
     try:
         result = verify_positivity(IdentitySpec(
@@ -187,15 +181,15 @@ def _cmd_positivity(cfg: Config, args) -> int:
     return 0 if result.passed else 1
 
 
-def _cmd_suite(cfg: Config, args) -> int:
-    registry = _registry(cfg)
+def _cmd_suite(args) -> int:
+    registry = _registry(args.registry)
     if not registry:
         # a suite that verifies nothing is no pass
-        raise _Refusal(f"registry {cfg.registry} has no entries")
-    results = run_suite(registry, _count(cfg, args, "terms"),
-                        _count(cfg, args, "mmax"), _count(cfg, args, "limit"))
+        raise _Refusal(f"registry {args.registry} has no entries")
+    results = run_suite(registry, _count(args, "terms"),
+                        _count(args, "mmax"), _count(args, "limit"))
     _emit_rows(("name", "mode", "params", "verdict", "witness", "ms"),
-               [r.row() for r in results], cfg.fmt)
+               [r.row() for r in results], args.format)
     passed = sum(1 for r in results if r.passed)
     failed = len(results) - passed
     print(f"{passed} passed / {failed} failed / {len(results)} total")
@@ -218,9 +212,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify one registry entry")
     p.add_argument("--id", required=True)
-    p.add_argument("--terms", type=int)
-    p.add_argument("--mmax", type=int)
-    p.add_argument("--limit", type=int)
+    p.add_argument("--terms", type=int, default=DEFAULT_TERMS)
+    p.add_argument("--mmax", type=int, default=DEFAULT_MMAX)
+    p.add_argument("--limit", type=int, default=DEFAULT_LIMIT)
     p.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("prove-eta", help="emit the proof certificate for an eta entry")
@@ -243,13 +237,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("positivity", help="scan psi(q)(phi(q)^2-phi(q^S)^2)")
     p.add_argument("--s", type=int, required=True)
-    p.add_argument("--limit", type=int)
+    p.add_argument("--limit", type=int, default=DEFAULT_LIMIT)
     p.set_defaults(run=_cmd_positivity)
 
     p = sub.add_parser("suite", help="run every registry entry")
-    p.add_argument("--terms", type=int)
-    p.add_argument("--mmax", type=int)
-    p.add_argument("--limit", type=int)
+    p.add_argument("--terms", type=int, default=DEFAULT_TERMS)
+    p.add_argument("--mmax", type=int, default=DEFAULT_MMAX)
+    p.add_argument("--limit", type=int, default=DEFAULT_LIMIT)
     p.set_defaults(run=_cmd_suite)
     return top
 
@@ -263,12 +257,12 @@ def main(argv=None) -> int:
     if _parser is None:
         _parser = build_parser()
     args = _parser.parse_args(argv)
-    cfg = Config(registry=args.registry or os.environ.get(ENV_REGISTRY)
-                 or str(default_registry_file()), fmt=args.format)
+    args.registry = (args.registry or os.environ.get(ENV_REGISTRY)
+                     or str(default_registry_file()))
     out = io.StringIO()
     try:
         with contextlib.redirect_stdout(out):
-            code = args.run(cfg, args)
+            code = args.run(args)
     except (EntryError, _Refusal) as err:
         prefix = "cannot evaluate " if isinstance(err, EntryError) else ""
         print(f"{prefix}{err}", file=sys.stderr)

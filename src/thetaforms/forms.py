@@ -42,7 +42,7 @@ from typing import NamedTuple
 from .series import Series, packed_sum
 
 __all__ = [
-    "TernaryForm", "BinaryForm", "discriminant", "repcount", "theta_series",
+    "TernaryForm", "BinaryForm", "repcount", "theta_series",
     "aut_count", "ternary_equivalent", "enumerate_ternary_classes",
     "ternary_candidates", "distinct_classes",
     "reduce_binary", "enumerate_binary_classes",
@@ -92,9 +92,7 @@ class TernaryForm(_TernaryFields):
 
     @property
     def discriminant(self) -> int:
-        det = _det3(self.gram_doubled())
-        assert det % 2 == 0
-        return det // 2
+        return _det3(self.gram_doubled()) // 2
 
     def value(self, x: int, y: int, z: int) -> int:
         a, b, c, d, e, f = self
@@ -140,11 +138,6 @@ def _det3(g) -> int:
     return (g[0][0] * (g[1][1] * g[2][2] - g[1][2] * g[2][1])
             - g[0][1] * (g[1][0] * g[2][2] - g[1][2] * g[2][0])
             + g[0][2] * (g[1][0] * g[2][1] - g[1][1] * g[2][0]))
-
-
-def discriminant(form: TernaryForm) -> int:
-    """Half the determinant of the doubled Gram matrix."""
-    return form.discriminant
 
 
 # ---------------------------------------------------------------------------

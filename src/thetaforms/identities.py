@@ -1192,7 +1192,7 @@ def verify_entry(spec: IdentitySpec, terms: int = DEFAULT_TERMS,
             result = verify_modeq3(spec)
         elif spec.mode == "eta":
             result = verify_eta(spec)
-        else:  # pragma: no cover
+        else:
             raise ValueError(f"unknown mode {spec.mode}")
     except EVAL_ERRORS as err:  # an error with no text is named by its type
         reason = str(err) or type(err).__name__

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from thetaforms.cli import main
+from thetaforms.cli import Config, build_parser, main
 
 # sifts whose bodies would need about 2^49 and 10^10 times the terms asked for
 HUGE_SIFTS = ("S[2,1](" * 49 + "phi(q)" + ")" * 49,
@@ -507,6 +507,17 @@ class TestPositivity:
 
 
 class TestSuiteAndConfig:
+    def test_config_holds_only_the_run_defaults(self):
+        assert vars(Config()) == {}
+        assert (Config().terms, Config().mmax, Config().limit) == (
+            500, 10000, 1000)
+        # each command's count flags default to the same values
+        for argv in (["suite"], ["verify", "--id", "2.4"]):
+            args = build_parser().parse_args(argv)
+            assert (args.terms, args.mmax, args.limit) == (500, 10000, 1000)
+        assert build_parser().parse_args(
+            ["positivity", "--s", "3"]).limit == 1000
+
     def test_small_suite_on_custom_registry(self, tmp_path, capsys):
         registry = tmp_path / "reg.txt"
         registry.write_text(

@@ -1,12 +1,14 @@
-"""Every name in the ``__all__`` of a ``thetaforms`` module exists, and no
-module imports another's private names.
+"""Every name in the ``__all__`` of a ``thetaforms`` module exists, and
+neither another module nor a demo imports a module's private names.
 
 A stale entry makes ``from thetaforms.<module> import *`` raise
 AttributeError, which no other test would notice.  A private name, one
 with a leading underscore that is not a dunder, stays in its module: a
-relative ``from .module import _name`` fails the second test, so a detail
-such as the packed series codec has one owner.  Attribute use such as
-``Series._raw`` is not an import and is not checked.
+relative ``from .module import _name`` in the package, or a
+``from thetaforms[.module] import _name`` anywhere, fails the scan, so a
+detail such as the packed series codec has one owner and the demos show
+only the public interface.  Attribute use such as ``Series._raw`` is not
+an import and is not checked.
 """
 
 import ast
@@ -18,6 +20,7 @@ import pytest
 import thetaforms
 
 SOURCES = sorted(Path(thetaforms.__file__).parent.glob("*.py"))
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 MODULES = [f"thetaforms.{path.stem}" for path in SOURCES]
 
 
@@ -33,10 +36,13 @@ def test_all_names_exist(name):
 
 
 def private_imports(source: str) -> list[str]:
-    """The private names that source imports relatively, as module.name."""
+    """The private names that source imports relatively or from
+    ``thetaforms``, as module.name."""
     return [f"{node.module}.{alias.name}"
             for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.ImportFrom) and node.level
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or node.module == "thetaforms"
+                or node.module.startswith("thetaforms."))
             for alias in node.names
             if alias.name.startswith("_") and not (
                 alias.name.startswith("__") and alias.name.endswith("__"))]
@@ -48,9 +54,21 @@ def test_no_private_names_cross_a_module():
     assert found == {}
 
 
+def test_demos_import_no_private_name():
+    assert DEMOS
+    found = {path.name: names for path in DEMOS
+             if (names := private_imports(path.read_text()))}
+    assert found == {}
+
+
 def test_scan_sees_each_private_import():
     source = ("from .series import Series, _pack, __version__\n"
               "from .forms import _tally as tally\n"
               "from series import _layout\n"
-              "from . import __all__\n")
-    assert private_imports(source) == ["series._pack", "forms._tally"]
+              "from . import __all__\n"
+              "from thetaforms.identities import _eta_comb, verify_eta\n"
+              "from thetaforms import _x, Series\n"
+              "from thetaformsx import _y\n")
+    assert private_imports(source) == [
+        "series._pack", "forms._tally", "thetaforms.identities._eta_comb",
+        "thetaforms._x"]

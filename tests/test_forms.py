@@ -668,6 +668,9 @@ class TestBinaryForms:
     def test_reduce_already_reduced(self):
         assert reduce_binary(BinaryForm(1, 0, 6)) == BinaryForm(1, 0, 6)
 
+    def test_str(self):
+        assert str(BinaryForm(1, 0, 6)) == "1,0,6"
+
     def test_reduce_swap(self):
         assert reduce_binary(BinaryForm(6, 0, 1)) == BinaryForm(1, 0, 6)
 

@@ -490,6 +490,32 @@ class TestSGenus:
         with pytest.raises(RuntimeError, match="not pairwise distinct"):
             genus.build_sgenus(15)
 
+    def test_missing_binary_genus_is_refused(self, monkeypatch):
+        # S = 15 has two primes, so four binary genera; one is dropped
+        cells = binary_genus_partition(-120)
+        monkeypatch.setattr(genus, "binary_genus_partition",
+                            lambda disc: cells[:-1])
+        fresh_cache(monkeypatch, genus, "build_sgenus")
+        with pytest.raises(RuntimeError,
+                           match="^expected 4 binary genera, found 3$"):
+            genus.build_sgenus(15)
+
+    def test_lift_outside_its_genus_is_refused(self, monkeypatch):
+        # S = 7's first cell holds 1,0,14 and 2,0,7, so a second lift is
+        # checked against the first one's genus
+        monkeypatch.setattr(GenusRecord, "contains", lambda self, form: False)
+        fresh_cache(monkeypatch, genus, "build_sgenus")
+        with pytest.raises(RuntimeError) as info:
+            genus.build_sgenus(7)
+        assert str(info.value) == (
+            "lift of 2,7,14,0,0,0 escapes the genus of 1,14,14,0,0,0; "
+            "the binary-to-ternary map is not well defined here")
+
+    def test_orthogonality_refuses_w_1(self):
+        with pytest.raises(ValueError,
+                           match="^w must be a divisor of S with w >= 2$"):
+            orthogonality_check(build_sgenus(15), 1)
+
     @pytest.mark.parametrize("s", MASS_SHIFTS)
     def test_disjoint_cells(self, s):
         sg = build_sgenus(s)

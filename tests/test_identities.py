@@ -14,7 +14,8 @@ from oracles import parse_expression_by_tuples, parse_registry_by_tuples
 from thetaforms import identities, series
 from thetaforms.forms import TernaryForm, repcount
 from thetaforms.genus import build_sgenus, epsilon, genus_of, weighted_count
-from thetaforms.identities import (EntryError, EpsScalar, RegistryError,
+from thetaforms.identities import (EntryError, EpsScalar, ModSym,
+                                   RegistryError,
                                    default_registry_file, eval_series,
                                    load_default_registry, load_registry,
                                    parse_expression, parse_registry,
@@ -744,6 +745,11 @@ class TestWrongMode:
                            match=f"^x is not {article} {kind} entry$"):
             verify(parse_registry(text)[0])
 
+    def test_unknown_mode(self):
+        spec = parse_registry(self.SERIES)[0]._replace(mode="bogus")
+        with pytest.raises(EntryError, match="^x: unknown mode bogus$"):
+            verify_entry(spec)
+
 
 class TestVerifyPositivity:
     def test_shift_seven(self, registry):
@@ -781,6 +787,11 @@ class TestModeq3:
     def test_all_registry_equations(self, registry):
         for name in ("2.7", "2.28", "2.31", "2.m1", "2.m2"):
             assert verify_modeq3(registry[name]).passed, name
+
+    def test_symbol_is_no_series(self):
+        with pytest.raises(TypeError,
+                           match="^cannot evaluate ModSym as a series$"):
+            eval_series(ModSym("m"), 3)
 
     def test_both_sides_reduce_to_2p(self, registry):
         from thetaforms.identities import _modeq_value
@@ -851,6 +862,10 @@ class TestRationalRoot:
     def test_odd_exponent_rejected(self):
         with pytest.raises(UnsupportedRadicand):
             rational_root((3, 0, 0), 2)
+
+    def test_root_order_below_one(self):
+        with pytest.raises(ValueError, match="^root order must be >= 1$"):
+            rational_root((8, 0, 0), 0)
 
     def test_lemma_composition(self):
         # beta^3 / alpha = p^8 and alpha^3 / beta = ((2+p)/(1+2p))^8

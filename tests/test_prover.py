@@ -66,6 +66,10 @@ class TestCusps:
     def test_count_1(self):
         assert len(cusp_reps(1)) == 1
 
+    def test_level_below_one(self):
+        with pytest.raises(ValueError, match="^level must be >= 1$"):
+            cusp_reps(0)
+
     def test_divisor_sum_formula(self):
         for n in range(1, 401):
             expected = sum(euler_phi(gcd(c, n // c)) for c in divisors(n))

@@ -114,6 +114,17 @@ class TestConstruction:
         with pytest.raises(IndexError):
             s[3]
 
+    def test_len_is_the_truncation(self):
+        assert len(Series([0, 5, 0, 0])) == 4
+
+    def test_negative_exponents_are_refused(self):
+        with pytest.raises(ValueError,
+                           match="^monomial exponent must be >= 0$"):
+            Series.monomial(-1, 3)
+        with pytest.raises(ValueError, match="^series exponent must be a "
+                                             "nonnegative integer$"):
+            Series([1, 2, 3]) ** -1
+
     @pytest.mark.parametrize("coeffs", [[], [1, 2], [0, -3, 0, 0, 5, 0, 0, 7]])
     def test_short_repr_round_trips(self, coeffs):
         s = Series(coeffs)
@@ -140,6 +151,17 @@ class TestAdd:
     def test_sub_min_truncation(self):
         assert Series([5, 1, 2]) - Series([3, 4]) == Series([2, -3])
         assert Series([3, 4]) - Series([5, 1, 2]) == Series([-2, 3])
+
+    @pytest.mark.parametrize("op, symbol, other", [
+        (lambda s, x: s + x, "+", 1), (lambda s, x: s - x, "-", 1),
+        (lambda s, x: s * x, "*", 1.5)], ids=["add", "sub", "mul"])
+    def test_other_operand_is_type_error(self, op, symbol, other):
+        # the operator returns NotImplemented, so Python names both types
+        with pytest.raises(TypeError) as info:
+            op(Series([1, 2]), other)
+        assert str(info.value) == (f"unsupported operand type(s) for "
+                                   f"{symbol}: 'Series' and "
+                                   f"'{type(other).__name__}'")
 
 
 class TestMul:

@@ -61,6 +61,10 @@ class TestGeneralTheta:
         with pytest.raises(ValueError):
             general_theta(0, 0, 5)
 
+    def test_rejects_sign_two(self):
+        with pytest.raises(ValueError, match=r"^signs must be \+1 or -1$"):
+            general_theta(1, 1, 5, 2)
+
     @pytest.mark.parametrize("x,y", [(1, 1), (1, 3), (1, 2), (1, 5)])
     def test_triple_product(self, x, y):
         n = 200
@@ -160,6 +164,10 @@ class TestNamedFunctions:
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             named_function("nope", 10)
+
+    def test_power_below_one(self):
+        with pytest.raises(ValueError, match="^power must be >= 1$"):
+            named_function("phi", 10, power=0)
 
 
 class TestThetaRouting:
