@@ -14,23 +14,16 @@ Every theta series, and `short_vectors`, come from one row walk
 `_half_space_rows` those of a ternary one, whose (x, y) run over the
 plane rows of the binary form left by completing the square in z.  Rows
 hold each pair +-v once and end exactly at the bound, so `_tally` counts
-them with no value test.  A form with an isolated variable (d = e = 0,
-d = f = 0 or e = f = 0) is an orthogonal sum k*z^2 + B (Conway-Sloane,
-SPLAG ch. 4), whose series is B's tally plus its shifts by k*z^2, one
-`series.packed_sum` in `_shift_sum`; any other form goes to `_theta_walk`.
+them with no value test.  A form with an isolated variable is an
+orthogonal sum k*z^2 + B (Conway-Sloane, SPLAG ch. 4; `_theta_ternary`).
 `repcount` shares only `_y_range`: it solves for z as an exact root at
 one value, walking all of Z^3, and stays the independent oracle that
 tests check the theta coefficients against.
 
-Classes are enumerated from the reduced box 0 < a <= b <= c, |d| <= b,
-|e| <= a, |f| <= a cut to its sign-canonical half d, e >= 0 (see
-`_candidate_box` for why no class is lost), and deduped by
-`distinct_classes`, which keeps the `_sort_key`-least form of each class.
-A caller that knows the classes' doubled-Gram gcd g and adjugate gcd h
-walks only the (g, h)-box: the forms with g | d, e, f whose doubled Gram
-matrix G has h | adj(G).  It holds the least member of every such class,
-as `_candidate_box` proves.  A box is walked on each call; its callers
-cache it.
+Classes are enumerated from a reduced candidate box, cut to the forms of
+a known doubled-Gram gcd g and adjugate gcd h (`_candidate_box` proves
+that it holds the least member of every such class), and deduped by
+`distinct_classes`.  A box is walked on each call; its callers cache it.
 """
 
 from __future__ import annotations
@@ -365,8 +358,9 @@ def _isometries(src: TernaryForm, dst: TernaryForm, count_only: bool):
     return hits
 
 
+@lru_cache(maxsize=None)
 def aut_count(form: TernaryForm) -> int:
-    """Order of the integral automorphism group {U : U^T G U = G}."""
+    """Order of the integral automorphism group {U : U^T G U = G}; cached."""
     return _isometries(form, form, count_only=True)
 
 

@@ -22,17 +22,10 @@ form x^2+ny^2*, Thm 3.15), and epsilon(tg, p) = (-2u|p) for the unit u of
 the 1-dimensional scale-0 Jordan block at p | S (Conway-Sloane, *SPLAG*
 ch. 15), since every represented n prime to p is (u/2) x^2 mod p.
 
-Genus cells are built one genus at a time.  The local symbols decide the
-cell: `_genus_cells` walks one box of `forms.ternary_candidates` once and
-groups its forms by their symbols.  The cheap invariants pick the box:
-`genus_of` reads the (g, h)-box of the form's doubled-Gram gcd g and
-adjugate gcd h, the candidates with g | d, e, f and h | adj(G), G the
-doubled Gram matrix.  Both gcds are invariants of every Z_p-class (see
-`forms._candidate_box`), so the symbols fix them and the box holds the
-least member of every class of the genus; every S-genus class has
-(g, h) = (2, 8S).  `genus_partition` reads the cells of the full (1, 1)
-box.  A record is cached by its genus's sorted candidates, which both
-boxes give alike, so both hand out the same objects.
+Genus cells are built one genus at a time: `_genus_cells` groups one box
+of `forms.ternary_candidates` by local symbols.  `genus_of` reads the
+(g, h)-box of the form's cheap invariants, (2, 8S) in an S-genus, and
+`genus_partition` the full (1, 1) box; both share `_genus_record`'s records.
 """
 
 from __future__ import annotations

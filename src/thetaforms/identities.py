@@ -65,22 +65,18 @@ line and column are found again from the entry's text only for an error.
 
 Evaluation computes only the coefficients a verdict reads:
 
-* a sift ``S[t,s]`` goes through sums, negation and integer factors,
-  nested sifts compose into one (``S[t,s](S[u,r](X))`` is
-  ``S[t*u,u*s+r](X)``), and the sift of a product A*B comes from
-  `series.sift_product` of A and B, each expanded to t*(n-1)+s+1 terms,
-  without forming A*B; a sift that would need more than `MAX_TERMS`
-  coefficients of its body is refused;
+* a sift goes through sums, negation and integer factors, nested sifts
+  compose, and the sift of a product comes from `series.sift_product`
+  without forming the product (`eval_series`);
 * the plain integer factors of a product multiply into one integer, which
   scales the product of the other factors once (``/2`` still inverts, and
   fails as a non-unit);
 * the mask of qualifying M is computed over one period of the conditions
   and tiled out to Mmax;
-* a ternary side is formed at the qualifying M only: its integer factors
-  and ``eps`` values fold into one integer per count, each count's series
-  (one per lifted genus for ``SW``/``SEW``) is read at those M by one slice
-  per residue class, scaled and added, and the smallest failing M is
-  looked for only after the two value lists differ.
+* a ternary entry is one relation, lhs minus rhs, one integer per count,
+  checked at the qualifying M of each residue class of the modulus by one
+  `series.packed_first_nonzero` over tuple slices of the counts' cached
+  series; both sides are formed only at the least failing M, the witness.
 """
 
 from __future__ import annotations
@@ -90,9 +86,8 @@ import sys
 import time
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, compress, repeat
-from math import lcm
-from operator import add, mul
+from itertools import compress, islice
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .arith import jacobi
@@ -101,8 +96,8 @@ from .genus import build_sgenus, epsilon, genus_of, weighted_coefficients
 from .modeq import (ALPHA, BETA, M, Term, UnsupportedRadicand, cleared,
                     rational_root)
 from .prover import EtaCombination, prove
-from .series import (Series, compose_power, invert, is_nonnegative, sift,
-                     sift_product)
+from .series import (Series, compose_power, invert, is_nonnegative,
+                     packed_first_nonzero, sift, sift_product)
 from .theta import (BUILTIN_NAMES, EtaQuotient, eta_series, general_theta,
                     named_function)
 
@@ -757,14 +752,13 @@ def load_default_registry() -> dict[str, IdentitySpec]:
 def eval_series(node, n: int, t: int = 1, s: int = 0) -> Series:
     """S[t,s](node) to exactly n coefficients; t = 1 evaluates the node.
 
-    A ternary count becomes its generating series in M (see the module
-    docstring), the series that `verify_ternary` reads at the qualifying M
-    only.  Sums and minus signs pass the sift through, and nested sifts
-    compose, since S[t,s](S[u,r](X)) is S[t*u, u*s+r](X).  Anything else
-    reads the body's coefficients up to t*(n-1)+s, and a sift that would
-    need more than `MAX_TERMS` of them raises ValueError before any is
-    computed.  The last two powers of a leaf evaluated, such as phi(q)^2,
-    are kept (`_leaf_power`) and returned again as the same series.
+    A ternary count becomes its generating series in M (`_count_parts`).
+    Sums and minus signs pass the sift through, and nested sifts compose,
+    since S[t,s](S[u,r](X)) is S[t*u, u*s+r](X).  Anything else reads the
+    body's coefficients up to t*(n-1)+s, and a sift that would need more
+    than `MAX_TERMS` of them raises ValueError before any is computed.  The
+    last two powers of a leaf evaluated, such as phi(q)^2, are kept
+    (`_leaf_power`) and returned again as the same series.
     """
     if isinstance(node, Neg):
         return -eval_series(node.body, n, t, s)
@@ -818,20 +812,12 @@ def _expand(node, n: int) -> Series:
         if isinstance(node.base, (Named, Theta2)):
             return _leaf_power(node, n)
         return _series_power(node, n)
-    if isinstance(node, FormCount):
-        theta = theta_series(TernaryForm(*node.form), n)
-        if node.divisor == 1:
-            return theta
-        return compose_power(theta, node.divisor * node.divisor, n)
-    if isinstance(node, WeightedCount):
-        record = genus_of(TernaryForm(*node.form))
-        return Series._raw(weighted_coefficients(record, n))
+    if isinstance(node, _COUNTS):
+        return sum((eps * compose_power(Series._raw(coeffs), w2, n)
+                    for eps, coeffs, w2 in _count_parts(node, n)), Series.zero(n))
     if isinstance(node, EpsScalar):
         record = genus_of(TernaryForm(*node.form))
         return Series.monomial(0, n, epsilon(record, node.w))
-    if isinstance(node, UnionCount):
-        return sum((eps * Series._raw(coeffs)
-                    for eps, coeffs in _union_parts(node, n)), Series.zero(n))
     raise TypeError(f"cannot evaluate {type(node).__name__} as a series")
 
 
@@ -862,11 +848,18 @@ def _series_power(node: Pow, n: int) -> Series:
 _leaf_power = lru_cache(maxsize=2)(_series_power)
 
 
-def _union_parts(node: UnionCount, n: int) -> list[tuple[int, tuple[int, ...]]]:
-    """(character at w, weighted counts of M < n) of each lifted genus of S."""
-    sg = build_sgenus(node.s)
-    return [(sg.eps[(i, node.w)], weighted_coefficients(tg, n))
-            for i, tg in enumerate(sg.tg)]
+def _count_parts(count, n: int) -> list:
+    """(character, series to n terms, w^2) per series of a count, which at M
+    sums character * series[M // w^2] over its parts with w^2 | M: a theta
+    series, a genus's weighted one, or one per lifted genus for SW/SEW."""
+    if isinstance(count, UnionCount):
+        sg = build_sgenus(count.s)
+        return [(sg.eps[(i, count.w)], weighted_coefficients(tg, n), 1)
+                for i, tg in enumerate(sg.tg)]
+    form = TernaryForm(*count.form)
+    if isinstance(count, WeightedCount):
+        return [(1, weighted_coefficients(genus_of(form), n), 1)]
+    return [(1, theta_series(form, n).coeffs, count.divisor ** 2)]
 
 
 def _split_scalar(factors) -> tuple[int, list]:
@@ -1056,36 +1049,27 @@ def _count_factors(side) -> dict:
     return factors
 
 
-def _gather(side, n: int, classes) -> list[int]:
-    """A ternary side's values at the M < n that the mask marks, class by
-    class: `classes` holds (slice(r, None, t), mask[r::t]) per residue r.
-
-    Each count is read at n coefficients, as `eval_series` reads it, and
-    only its values at those M are scaled and added; SW and SEW are read
-    one lifted genus at a time.
-    """
-    total = None
-    for count, factor in _count_factors(side).items():
-        parts = (_union_parts(count, n) if isinstance(count, UnionCount)
-                 else [(1, _expand(count, n).coeffs)])
-        for eps, coeffs in parts:
-            values = chain.from_iterable(compress(coeffs[cut], m)
-                                         for cut, m in classes)
-            if factor * eps != 1:
-                values = map(mul, values, repeat(factor * eps))
-            # the first part is the total; a later one adds to it
-            total = list(values if total is None else map(add, total, values))
-    if total is None:
-        return [0] * sum(m.count(1) for _, m in classes)
-    return total
+def _class_values(coeffs, w2: int, r: int, t: int, keep: bytes):
+    """coeffs[M // w2] at the M = r mod t that keep marks, 0 unless w2 | M:
+    with g = gcd(t, w2), w2 | r + k*t needs g | r, and then holds for
+    k = -(r/g) / (t/g) mod w2/g, where M // w2 steps by t/g (one slice)."""
+    if w2 == 1:
+        values = coeffs[r::t]
+    else:
+        values, g = [0] * len(keep), gcd(t, w2)
+        if r % g == 0:
+            k = -(r // g) * pow(t // g, -1, w2 // g) % (w2 // g)
+            stop = (len(coeffs) - 1) // w2 + 1
+            values[k::w2 // g] = coeffs[(r + k * t) // w2:stop:t // g]
+    return tuple(compress(values, keep)) if 0 in keep else values
 
 
 def verify_ternary(spec: IdentitySpec, mmax: int) -> VerifyResult:
     """Compare the coefficients of q^M of both sides at every qualifying M <= mmax.
 
-    Both sides are gathered at the qualifying M only; after a mismatch the
-    smallest such M is the witness.  No qualifying M means nothing is
-    compared, which is no pass: it raises ValueError.
+    lhs - rhs is one relation, checked per residue class of the modulus by
+    `series.packed_first_nonzero`; the least failing M is the witness.  No
+    qualifying M means nothing is compared, which is no pass: ValueError.
     """
     if spec.mode != "ternary":
         raise ValueError(f"{spec.name} is not a ternary entry")
@@ -1094,15 +1078,25 @@ def verify_ternary(spec: IdentitySpec, mmax: int) -> VerifyResult:
     values = mask.count(1)
     if not values:
         raise ValueError(f"no M <= {mmax} meets the where conditions")
-    t = spec.conditions.modulus or 1
-    cuts = [slice(r, None, t) for r in spec.conditions.residues or (0,)]
-    classes = [(cut, mask[cut]) for cut in cuts]
-    lhs = _gather(spec.lhs, n, classes)
-    rhs = _gather(spec.rhs, n, classes)
-    if lhs != rhs:
-        ms = chain.from_iterable(compress(range(n)[cut], m)
-                                 for cut, m in classes)
-        m, left, right = min(v for v in zip(ms, lhs, rhs) if v[1] != v[2])
+    parts, sides = {}, []
+    for side in (spec.lhs, spec.rhs):
+        sides.append(_count_factors(side))
+        parts.update((count, _count_parts(count, n)) for count in sides[-1])
+    (lhs, rhs), t, failing = sides, spec.conditions.modulus or 1, []
+    relation = [(factor * eps, coeffs, w2) for count, part in parts.items()
+                if (factor := lhs.get(count, 0) - rhs.get(count, 0))
+                for eps, coeffs, w2 in part]
+    for r in spec.conditions.residues or (0,):
+        keep = mask[r::t]
+        i = packed_first_nonzero([(c, _class_values(coeffs, w2, r, t, keep))
+                                  for c, coeffs, w2 in relation])
+        if i is not None:
+            failing.append(next(islice(compress(range(r, n, t), keep), i, None)))
+    if failing:
+        m = min(failing)
+        left, right = (sum(f * eps * coeffs[m // w2] for count, f in side.items()
+                           for eps, coeffs, w2 in parts[count] if m % w2 == 0)
+                       for side in sides)
         return VerifyResult(spec.name, spec.mode, False, f"Mmax={mmax}",
                             f"M={m}: {left} != {right}")
     return VerifyResult(spec.name, spec.mode, True,

@@ -61,22 +61,16 @@ ms, CPython 3.11.7, 2-core x86-64 sandbox):
 
 With rows spread evenly, the truncated row kernel beats the big multiply
 up to about 630 rows at n = 4000 and 3 500 at 40 000, well past
-nza^3 = 2 n^2.  The boundaries stay: re-run with each kernel (best of 5,
-raw, two runs), the 580 products of a cold registry pass take 38.4 and
-37.0 ms as the rule picks and 37.0 and 35.2 by the fastest kernel of each,
-the gap mostly pair-loop products that the row kernel does faster; for the
-28 products of the positivity scans to 40 000 terms the rule picks the
-fastest every time (160 and 156 ms).  The slot width (below) is no
-input of the rule, so no operand is scanned before choosing.
+nza^3 = 2 n^2.  The boundaries stay: the rule's picks cost 38.4 ms on the
+580 products of a cold registry pass against 37.0 for the fastest kernel
+of each, and are the fastest on all 28 of the positivity scans to 40 000
+terms.  The slot width (below) is no input of the rule.
 
-The counts come from the support where it is already filled, cut at n by
-a binary search, and are otherwise counted in C with
-``len(c) - c.count(0)``, about a third of the cost of listing the support.
-A kernel that walks nonzeros (the pair loop both operands, the row kernel
-the sparser one) is handed the head of each support below n, filled if
-need be; the big multiply needs none.  A theta factor such as phi(q) at
-40 000 terms comes from ``theta.general_theta`` with its support filled,
-so it is never scanned, however many products it enters.
+The counts come from the support where it is filled, else from
+``len(c) - c.count(0)`` in C (:func:`_count`); a kernel that walks
+nonzeros is handed the supports (:func:`_convolve`).  A theta factor
+comes from ``theta.general_theta`` with its support filled, so it is
+never scanned, however many products it enters.
 
 Both packed kernels share one codec and one slot bound.  Each coefficient
 gets a fixed-width slot wide enough for sum|a| * max|b|, a sum over the
@@ -96,16 +90,16 @@ a pass over the coefficients; only a product with a negative coefficient
 is scanned, for its first negative exponent.
 
 :func:`_layout` reads the denser operand b once, as ``set(b)``, and takes
-the extremes of its distinct values.  Theta products have few distinct
-coefficients, so the set is mostly hash hits: on phi(q)^2 - phi(q^7)^2 at
-40 000 terms (22 distinct values) it takes 0.51 ms against 0.99 ms for
-``max(b)`` and ``min(b)``, and it is the faster pass on every operand of
-a registry pass.  On 40 000 distinct values, such as coefficients near
-2**70, it is the slower one, 1.9 to 5.0 ms against 0.9 to 1.3 ms; no
-shipped product packs such an operand.  :func:`packed_sum` adds shifts of
+the extremes of its distinct values: theta products have few, so the set
+is mostly hash hits (0.51 ms against 0.99 for ``max(b)`` and ``min(b)`` on
+phi(q)^2 - phi(q^7)^2 at 40 000 terms), though on 40 000 distinct values
+it is the slower pass.  :func:`packed_sum` adds shifts of
 nonnegative coefficients with the same codec and no offsets: a split
 ternary theta series (`forms._shift_sum`) and a genus's weighted theta
 series (`genus._weighted_cached`) are one call each.
+:func:`packed_first_nonzero` finds where a signed sum of nonnegative
+columns is first nonzero from the lowest set bit of one packed sum: one
+call per residue class of a ternary relation (`identities.verify_ternary`).
 
 :func:`sift` is one tuple slice ``a.coeffs[s::t]``.  A sifted product
 ``sift(a * b, t, s)`` is computed by :func:`sift_product` from the slices
@@ -199,17 +193,20 @@ def _offset(width: int, count: int) -> int:
     return int.from_bytes((b"\x80" + bytes(width - 1)) * count, "big")
 
 
-def _pack(coeffs: Sequence[int], width: int, count: int) -> int:
+def _pack(coeffs: Sequence[int], width: int, count: int, forward=False) -> int:
     """The first count coeffs as signed big-endian slots of one int, read
     reversed: c_j in two's complement in slot count - 1 - j, zeros below;
-    an XOR with :func:`_offset` adds 2**(8*width - 1) to every slot."""
+    an XOR with :func:`_offset` adds 2**(8*width - 1) to every slot.
+    forward packs unsigned slots c_j in slot j, and a negative c_j raises."""
     coeffs = coeffs[:count]
+    order = "little" if forward else "big"
     if width in _SIGNED:
-        raw = struct.pack(f">{len(coeffs)}{_SIGNED[width]}", *coeffs)
+        fmt = "<%d" + _SIGNED[width].upper() if forward else ">%d" + _SIGNED[width]
+        raw = struct.pack(fmt % len(coeffs), *coeffs)
     else:
-        raw = b"".join(map(partial(int.to_bytes, length=width,
-                                   byteorder="big", signed=True), coeffs))
-    return int.from_bytes(raw + bytes(width * (count - len(coeffs))), "big")
+        raw = b"".join(map(partial(int.to_bytes, length=width, byteorder=order,
+                                   signed=not forward), coeffs))
+    return int.from_bytes(raw + bytes(width * (count - len(coeffs))), order)
 
 
 def _unpack(value: int, width: int, count: int) -> tuple[int, ...]:
@@ -324,6 +321,28 @@ def packed_sum(parts: Sequence[tuple[Sequence[int], dict[int, list[int]]]],
             total += c * sum(packed >> 8 * width * s
                              for s in sorted(shifts, reverse=True))
     return _unpack(total, width, n)
+
+
+def packed_first_nonzero(columns: Sequence[tuple]) -> Optional[int]:
+    """The least i where sum c * values[i] over the columns (c, values) is
+    nonzero, a short column padded with zeros, or None when there is none.
+
+    The columns with c != 0 are packed forward, values[i] in slot i, and a
+    negative value raises ValueError.  The slot width (:func:`_layout`)
+    bounds sum|c| * max(values) with a bit to spare, so each slot sum R_i
+    has |R_i| < 2**(8w), and the total sum_i R_i * 2**(8w*i) is 0 exactly
+    when every R_i is.  Else, for the first nonzero R_k, it is
+    2**(8w*k) * (R_k + 2**(8w) * X), and as R_k is no multiple of 2**(8w),
+    the lowest set bit of the total lies in slot k.
+    """
+    live = [(c, values) for c, values in columns if c and values]
+    width = _layout([c for c, _ in live], [max(v) for _, v in live] or [0])
+    try:
+        total = sum(c * _pack(values, width, len(values), forward=True)
+                    for c, values in live)
+    except (struct.error, OverflowError):
+        raise ValueError("a packed relation takes no negative value") from None
+    return ((total & -total).bit_length() - 1) // (8 * width) if total else None
 
 
 def _count(a: Sequence[int], owner: "Series", n_out: int) -> int:

@@ -609,6 +609,44 @@ class TestMasses:
                 assert orthogonality_check(sg, w)
 
 
+
+def counted_isometries(monkeypatch):
+    """The (src, dst) of every `forms._isometries` call from now on."""
+    calls = []
+    search = forms._isometries
+
+    def counted(src, dst, count_only):
+        calls.append((src, dst))
+        return search(src, dst, count_only)
+    monkeypatch.setattr(forms, "_isometries", counted)
+    return calls
+
+
+class TestAutCache:
+    """`aut_count` is cached per form, so the masses and the weighted
+    counts of a genus share one isometry search per class."""
+
+    def test_no_second_search(self, monkeypatch):
+        sg = build_sgenus(15)
+        masses = [mass_direct(tg) for tg in sg.tg]
+        calls = counted_isometries(monkeypatch)
+        assert sgenus_mass(sg) == sum(masses) == 15
+        for tg in sg.tg:
+            for m in range(1, 21):
+                weighted_count(tg, m)
+        assert calls == []
+
+    def test_cached_orders_equal_a_fresh_search(self, monkeypatch):
+        classes = [f for tg in build_sgenus(15).tg for f in tg.classes]
+        cached = [forms.aut_count(f) for f in classes]
+        fresh = [forms._isometries(f, f, count_only=True) for f in classes]
+        forms.aut_count.cache_clear()
+        calls = counted_isometries(monkeypatch)
+        assert [forms.aut_count(f) for f in classes] == cached == fresh
+        # one search per class, and none when a class is read again
+        assert [forms.aut_count(f) for f in classes] == cached
+        assert calls == [(f, f) for f in classes]
+
 class TestWeightedCounts:
     def test_single_class_weight(self):
         tg = genus_of(TernaryForm(1, 6, 6, 0, 0, 0))

@@ -698,6 +698,39 @@ class TestTernaryGather:
         assert result == series_ternary(spec, 60)
 
 
+
+class TestTernaryRelation:
+    """`verify_ternary` checks lhs - rhs as one relation per residue class;
+    hand-built entries against the full-series check."""
+
+    @pytest.mark.parametrize("where, passed", [
+        ("M = 1 mod 4", True), ("M = 1,2 mod 4", True),
+        ("M = 1,0 mod 4", False), ("M = 0 mod 8", False),
+        ("M = 2,3 mod 6", False), ("M = 1 mod 3", False)])
+    def test_divided_count_in_a_class_without_multiples(self, where, passed):
+        # 4 | M never holds for M = 1 mod 4, so (form)(M/2^2) reads no
+        # coefficient of the theta series there
+        text = ("x: ternary: (1,1,1,0,0,0)(M/2^2) + (1,1,2,0,0,0)(M) = "
+                f"(1,1,2,0,0,0)(M) where {where}")
+        spec = parse_registry(text)[0]
+        got = verify_ternary(spec, 200)
+        assert got.passed is passed
+        assert got == series_ternary(spec, 200)
+
+    def test_count_on_both_sides_cancels(self):
+        # the shared count drops out of the relation; the witness still
+        # names both full sides at the first failing M
+        for where in ("M = 1,2 mod 4", "(M|7) = 1", "M = 1,5 mod 8, 3|M"):
+            plain = f"x: ternary: (1,1,2,0,0,0)(M) = (1,1,5,0,0,0)(M) where {where}"
+            shared = ("x: ternary: (1,1,2,0,0,0)(M) + 3*(1,3,3,0,0,0)(M/3^2) = "
+                      f"(1,1,5,0,0,0)(M) + 3*(1,3,3,0,0,0)(M/3^2) where {where}")
+            spec, both = (parse_registry(t)[0] for t in (plain, shared))
+            got, want = verify_ternary(both, 300), verify_ternary(spec, 300)
+            assert not got.passed and not want.passed
+            assert got.witness.split(":")[0] == want.witness.split(":")[0]
+            assert got == series_ternary(both, 300)
+
+
 class TestEntryErrors:
     @pytest.mark.parametrize("text", ["x: series: eta{1:-24} = 1",
                                       "x: series: phi(q)/2 = 1"])

@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 import thetaforms.series as series
 from thetaforms.series import (Series, _big_multiply, _layout, _pair_loop,
                                _row_kernel, alternate_sign, compose_power,
-                               invert, is_nonnegative, packed_sum, sift,
-                               sift_product)
+                               invert, is_nonnegative, packed_first_nonzero,
+                               packed_sum, sift, sift_product)
 from thetaforms.theta import euler, euler_power, general_theta, named_function
 from oracles import schoolbook
 
@@ -456,6 +456,78 @@ class TestPackedSum:
         assert packed_sum(parts, n) == self.plain(parts, n)
         assert packed_sum(parts, 1) == (1 + 2 * n,)
 
+
+
+def first_nonzero(columns):
+    """The plain loop: the first index whose sum over columns is nonzero."""
+    n = max((len(values) for _, values in columns), default=0)
+    for i in range(n):
+        if sum(c * values[i] for c, values in columns if i < len(values)):
+            return i
+    return None
+
+
+@st.composite
+def relations(draw):
+    """Columns (c, values) with signed c and nonnegative values of lengths
+    0 to 300, magnitudes up to 1, 40 or 2**70.  "zero" appends two columns
+    that cancel every slot sum, and "first" and "last" then raise one value
+    at the first or the last index of the longest column."""
+    rng = draw(st.randoms(use_true_random=False))
+    bound = draw(st.sampled_from((1, 40, 2 ** 70)))
+    columns = [(draw(st.integers(-2 ** 40, 2 ** 40)),
+                [rng.randint(0, bound) for _ in range(draw(st.integers(0, 300)))])
+               for _ in range(draw(st.integers(1, 4)))]
+    kind = draw(st.sampled_from(("any", "zero", "first", "last")))
+    if kind != "any":
+        n = max(len(values) for _, values in columns)
+        sums = [sum(c * values[i] for c, values in columns if i < len(values))
+                for i in range(n)]
+        columns += [(1, [max(-r, 0) for r in sums]),
+                    (-1, [max(r, 0) for r in sums])]
+        if kind != "zero" and n:
+            columns[-2][1][0 if kind == "first" else n - 1] += 1
+    return columns
+
+
+class TestPackedFirstNonzero:
+    """`packed_first_nonzero` against the plain loop, at slots of 1 to 8
+    bytes and wider ones."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(relations())
+    def test_against_the_plain_loop(self, columns):
+        assert packed_first_nonzero(columns) == first_nonzero(columns)
+
+    @pytest.mark.parametrize("top", [1, 2 ** 7, 2 ** 15, 2 ** 62, 2 ** 70])
+    def test_single_nonzero_slot(self, top):
+        # the slot sums 0, ..., 0, +-1 against a bound of 3 * top
+        n = 300
+        for i in (0, n - 1):
+            for sign in (1, -1):
+                low = [top] * n
+                high = list(low)
+                high[i] -= sign
+                columns = [(2, low), (-1, low), (-1, high)]
+                assert packed_first_nonzero(columns) == i, (top, i, sign)
+                assert packed_first_nonzero(columns[:2] + [(-1, low)]) is None
+
+    def test_all_zero_relations(self):
+        assert packed_first_nonzero([]) is None
+        assert packed_first_nonzero([(3, []), (0, [5, 7])]) is None
+        assert packed_first_nonzero([(5, [0] * 40), (-2, [0] * 7)]) is None
+        assert packed_first_nonzero([(1, [2 ** 70, 3]), (-1, [2 ** 70, 3])]) \
+            is None
+
+    def test_shorter_column_is_padded_with_zeros(self):
+        assert packed_first_nonzero([(1, [4, 0, 0]), (-1, [4])]) is None
+        assert packed_first_nonzero([(1, [4, 0, 9]), (-1, [4])]) == 2
+
+    @pytest.mark.parametrize("values", [[3, -1], [-1], [2 ** 70, -5],
+                                        [0] * 20 + [-2 ** 70]])
+    def test_negative_value_raises(self, values):
+        with pytest.raises(ValueError, match="no negative value"):
+            packed_first_nonzero([(1, [1] * len(values)), (-2, values)])
 
 class TestSquares:
     """a * a with one object on both sides: the pair loop walks each
